@@ -29,6 +29,11 @@ limit m -> infinity (where the two laws coincide).  Requires m >= d + 2.
 Monte-Carlo draws are organised in fixed-size blocks, each fed by its own
 counter-based Philox stream keyed (seed, block index), so results are
 bit-identical regardless of how blocks are scheduled across threads.
+Blocks run on a thread pool of W = min(number of blocks, cores this
+process may run on) workers; worker w computes blocks w, w + W, w + 2W, ...
+and writes each block's rows into its own slice of the result, so every
+table and quantile is the same for any W.  numpy releases the GIL while
+it fills normals and runs the ufunc loops that dominate a block.
 
 Empirical quantiles use the order statistic at the 1-based index
 ceil((1 - alpha) * reps), the conservative direction for test size.
@@ -38,6 +43,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -131,32 +138,41 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, block))))
 
 
-def _batch_pnorms(z: np.ndarray, ps: list[Exponent]) -> np.ndarray:
+def _batch_pnorms(
+    z: np.ndarray, ps: list[Exponent], scratch: np.ndarray | None = None
+) -> np.ndarray:
     """p-norms of each row of z for every exponent, with max-factoring.
 
     Row maxima are factored out before powers are taken, so exponents up
     to the worked range cannot overflow.  Integer exponents are computed
     by repeated multiplication in ascending order, keeping just one power
-    array alive.
+    array alive.  The two arrays of z's size that this takes are
+    ``scratch[0]`` and ``scratch[1]`` (their first ``len(z)`` rows) when
+    ``scratch`` is given, and new arrays otherwise; z is not modified.
     """
-    a = np.abs(z)
-    mx = a.max(axis=1)
+    rows = z.shape[0]
+    if scratch is None:
+        scratch = np.empty((2, *z.shape))
+    an = np.abs(z, out=scratch[0, :rows])
+    mx = an.max(axis=1)
     safe = np.where(mx > 0.0, mx, 1.0)
-    an = a / safe[:, None]
-    out = np.empty((z.shape[0], len(ps)))
+    an /= safe[:, None]
+    power = scratch[1, :rows]
+    out = np.empty((rows, len(ps)))
 
     int_targets = sorted(
         {int(p.value) for p in ps if not p.is_inf and float(p.value).is_integer()}
     )
     int_sums: dict[int, np.ndarray] = {}
-    cur, k = None, 1
+    k = 0
     for target in int_targets:
-        if cur is None:
-            cur = an.copy()
+        if k == 0:
+            np.multiply(an, an, out=power)
+            k = 2
         while k < target:
-            cur *= an
+            power *= an
             k += 1
-        int_sums[target] = cur.sum(axis=1)
+        int_sums[target] = power.sum(axis=1)
 
     for j, p in enumerate(ps):
         if p.is_inf:
@@ -164,37 +180,62 @@ def _batch_pnorms(z: np.ndarray, ps: list[Exponent]) -> np.ndarray:
         elif float(p.value).is_integer():
             out[:, j] = safe * int_sums[int(p.value)] ** (1.0 / p.value)
         else:
-            out[:, j] = safe * (an**p.value).sum(axis=1) ** (1.0 / p.value)
+            np.power(an, p.value, out=power)
+            out[:, j] = safe * power.sum(axis=1) ** (1.0 / p.value)
     return out
+
+
+def _worker_count(blocks: int) -> int:
+    """Threads for ``blocks`` reference blocks: one per usable core, at most one per block."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cores = os.cpu_count() or 1
+    return max(1, min(blocks, cores))
 
 
 def _reference_norms(
     ps: list[Exponent], d: int, reps: int, seed: int, aux_rows: int | None
 ) -> np.ndarray:
     """(reps, len(ps)) matrix of reference norms from the shared draw stream."""
+    radius_scale = None
     if aux_rows is not None:
         m = int(aux_rows)
         if m < d + 2:
             raise ValueError(
                 f"finite-sample reference needs aux_rows >= d + 2, got m={m}, d={d}"
             )
-    out = np.empty((reps, len(ps)))
-    need_radius = aux_rows is not None
-    if need_radius:
-        m = int(aux_rows)
         # squared radius = (m-d-1) d / (m-d+1) * F(d, m-d+1)
         radius_scale = (m - d - 1.0) * d / (m - d + 1.0)
-    for block in range(0, (reps + _BLOCK - 1) // _BLOCK):
-        lo = block * _BLOCK
-        b = min(_BLOCK, reps - lo)
-        rng = _block_rng(seed, block)
-        z = rng.standard_normal((b, d))
-        norms = _batch_pnorms(z, ps)
-        if need_radius:
-            f = rng.f(d, m - d + 1, size=b)
-            radius = np.sqrt(radius_scale * f)
-            norms *= (radius / np.linalg.norm(z, axis=1))[:, None]
-        out[lo : lo + b] = norms
+    out = np.empty((reps, len(ps)))
+    blocks = (reps + _BLOCK - 1) // _BLOCK
+    workers = _worker_count(blocks)
+    # Each worker's block-sized arrays (normals plus two temporaries) are
+    # allocated here, on the calling thread: memory that a worker thread
+    # allocates and frees stays in its malloc arena, and would keep the
+    # process's resident size up long after calibration returns.
+    scratch = [np.empty((3, _BLOCK, d)) for _ in range(workers)]
+
+    def fill(first: int) -> None:
+        # static strided share of the blocks: first, first + W, first + 2W, ...
+        buf = scratch[first]
+        for block in range(first, blocks, workers):
+            lo = block * _BLOCK
+            b = min(_BLOCK, reps - lo)
+            rng = _block_rng(seed, block)
+            z = rng.standard_normal(out=buf[0, :b])
+            norms = _batch_pnorms(z, ps, buf[1:])
+            if radius_scale is not None:
+                f = rng.f(d, m - d + 1, size=b)
+                radius = np.sqrt(radius_scale * f)
+                # ||z||_2 exactly as np.linalg.norm(z, axis=1) forms it
+                z_norm = np.sqrt(np.multiply(z, z, out=buf[1, :b]).sum(axis=1))
+                norms *= (radius / z_norm)[:, None]
+            out[lo : lo + b] = norms
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # consuming the results re-raises any worker's exception here
+        list(pool.map(fill, range(workers)))
     return out
 
 
@@ -391,7 +432,10 @@ def calibrate_joint(
     standalone = {
         p: _order_stat_quantile(norms[:, j], alpha_total) for j, p in enumerate(ps)
     }
-    ratios = (norms / kappas).max(axis=1)
+    # running max over columns: no second reps x |grid| matrix
+    ratios = norms[:, 0] / kappas[0]
+    for j in range(1, len(ps)):
+        np.maximum(ratios, norms[:, j] / kappas[j], out=ratios)
     c_raw = _order_stat_quantile(ratios, alpha_total)
     conservative = c_raw > 1.0
     return CriticalValueTable(

@@ -294,7 +294,9 @@ def run_tests(
     alpha_total (critical values from the spec's calibrated table);
     exponents in ``extra_ps`` outside the grid fall back to the
     asymptotic formulas.  The dominant record applies the combined rule
-    max_p S_p / kappa_p >= c_n over the grid exponents only.
+    max_p S_p / kappa_p >= c_n over the grid exponents only.  Warns when
+    the spec's table was drawn from the finite-sample law for another
+    difference-pair count than this sample's n // 2.
     """
     s = _as_sample(s)
     if spec.table is None:
@@ -302,6 +304,15 @@ def run_tests(
     if s.d != spec.d:
         raise ValueError(f"sample has d={s.d} but spec was built for d={spec.d}")
     prep = prepare_standardized(s, estimator=estimator, trunc_mult=trunc_mult)
+    table_rows = spec.table.aux_rows
+    if table_rows is not None and table_rows != prep.aux_rows:
+        warnings.warn(
+            f"calibration table was drawn for aux_rows={table_rows} difference pairs "
+            f"but the sample has {prep.aux_rows}; its finite-sample reference law "
+            "does not match this sample",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     grid = spec.exponents
     extras = []

@@ -6,6 +6,9 @@ brentq root of (2 Phi(t) - 1)^d = 1 - alpha for the exact sup-norm value.
 """
 
 import math
+import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,17 +17,23 @@ from hypothesis import strategies as st
 from scipy import optimize, stats
 from scipy.special import ndtr
 
+from pnormtest import critical_values
 from pnormtest.critical_values import (
+    _BLOCK,
     CriticalValueTable,
     _batch_pnorms,
     _order_stat_quantile,
+    _worker_count,
     calibrate_joint,
     kappa_inf_asymptotic,
     kappa_inf_exact,
     kappa_p_asymptotic,
     mc_pnorm_quantile,
 )
+from pnormtest.dominant_test import calibrate_spec, default_spec
 from pnormtest.gaussian_moments import INF, as_exponent
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestKappaAsymptotic:
@@ -143,6 +152,14 @@ class TestBatchPnorms:
     def test_zero_rows(self):
         got = _batch_pnorms(np.zeros((2, 3)), [as_exponent(2), INF])
         assert np.all(got == 0.0)
+
+    def test_scratch_rows_beyond_z_and_z_unchanged(self):
+        z = np.random.default_rng(3).standard_normal((5, 4))
+        before = z.copy()
+        ps = [as_exponent(p) for p in (2, 3, 4.5)] + [INF]
+        got = _batch_pnorms(z, ps, np.empty((2, 8, 4)))
+        assert np.array_equal(got, _batch_pnorms(z, ps))
+        assert np.array_equal(z, before)
 
 
 class TestOrderStatQuantile:
@@ -285,6 +302,81 @@ class TestCalibrateJoint:
             2, 10, 0.05, reps=200_000, seed=21, aux_rows=40
         )
         assert t.aux_rows == 40
+
+
+class TestBlockSchedule:
+    """Reference blocks run on threads; no worker count may change a bit."""
+
+    # (reps, shares, alpha_total, aux_rows): a partial last block after five
+    # full ones, a single partial block, and two blocks for three workers
+    CASES = [
+        (5 * _BLOCK + 7, {2: 0.025, math.inf: 0.025}, 0.05, None),
+        (5 * _BLOCK + 7, {2: 0.02, 3: 0.02, math.inf: 0.02}, 0.06, 60),
+        (1000, {2: 0.1, math.inf: 0.1}, 0.2, None),
+        (2 * _BLOCK, {2.5: 0.1, 4: 0.1}, 0.2, 30),
+    ]
+
+    @staticmethod
+    def run_with_workers(monkeypatch, workers, reps, shares, alpha, aux_rows):
+        monkeypatch.setattr(critical_values, "_worker_count", lambda blocks: workers)
+        table = calibrate_joint(shares, 12, alpha, reps=reps, seed=9, aux_rows=aux_rows)
+        quantiles = [
+            mc_pnorm_quantile(p, 12, alpha, reps=reps, seed=9, aux_rows=aux_rows)
+            for p in shares
+        ]
+        return table.to_json(), quantiles
+
+    @pytest.mark.parametrize("reps,shares,alpha,aux_rows", CASES)
+    def test_identical_for_any_worker_count(self, monkeypatch, reps, shares, alpha, aux_rows):
+        serial = self.run_with_workers(monkeypatch, 1, reps, shares, alpha, aux_rows)
+        for workers in (2, 3):
+            got = self.run_with_workers(monkeypatch, workers, reps, shares, alpha, aux_rows)
+            assert got[0] == serial[0], f"table differs at {workers} workers"
+            assert got[1] == serial[1], f"quantiles differ at {workers} workers"
+
+    def test_many_workers_with_frequent_thread_switches(self, monkeypatch):
+        # more workers than cores, switching as often as the interpreter
+        # allows: a block written to the wrong rows or lost would show
+        case = (20 * _BLOCK + 3, {2: 0.025, math.inf: 0.025}, 0.05, 40)
+        serial = self.run_with_workers(monkeypatch, 1, *case)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert self.run_with_workers(monkeypatch, 8, *case) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_count_bounds(self):
+        cores = len(os.sched_getaffinity(0))
+        assert _worker_count(1) == 1
+        assert _worker_count(10**6) == cores
+        assert _worker_count(0) == 1
+
+    def test_worker_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _worker_count(10**6) == (os.cpu_count() or 1)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        real = critical_values._batch_pnorms
+
+        def failing(z, *args):
+            if z.shape[0] < _BLOCK:  # only the partial last block fails
+                raise FloatingPointError("block failed")
+            return real(z, *args)
+
+        monkeypatch.setattr(critical_values, "_worker_count", lambda blocks: 2)
+        monkeypatch.setattr(critical_values, "_batch_pnorms", failing)
+        with pytest.raises(FloatingPointError, match="block failed"):
+            mc_pnorm_quantile(2, 12, 0.05, reps=3 * _BLOCK + 1, seed=0)
+
+    @pytest.mark.parametrize(
+        "d,aux_rows,name", [(12, None, "table_d12.json"), (40, 200, "table_d40_aux200.json")]
+    )
+    def test_tables_match_recorded_golden(self, d, aux_rows, name):
+        # recorded before calibration ran on threads; the draw stream and
+        # every table built from it must stay byte-identical
+        table = calibrate_spec(default_spec(d, 0.05), aux_rows=aux_rows).table
+        assert table.to_json() + "\n" == (DATA / name).read_text()
 
 
 class TestCriticalValueTable:

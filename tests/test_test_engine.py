@@ -268,6 +268,19 @@ class TestRunTests:
         )
         assert sum(1 for r in report.per_p if r.p == as_exponent(2)) == 1
 
+    def test_mismatched_table_aux_rows_warns(self):
+        # table drawn for m=150 difference pairs, sample of n=400 has 200
+        spec = calibrate_spec(default_spec(20, 0.05), reps=200_000, seed=1, aux_rows=150)
+        with pytest.warns(RuntimeWarning, match=r"aux_rows=150 .* has 200"):
+            run_tests(gaussian_sample(400, 20, seed=7), spec, kurtosis_directions=0)
+
+    def test_matched_table_aux_rows_is_silent(self):
+        spec = calibrate_spec(default_spec(20, 0.05), reps=200_000, seed=1, aux_rows=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_tests(gaussian_sample(400, 20, seed=7), spec, kurtosis_directions=0)
+            run_tests(gaussian_sample(401, 20, seed=7), spec, kurtosis_directions=0)
+
     def test_json_dict(self, spec20):
         doc = run_tests(gaussian_sample(400, 20, seed=7), spec20).to_json_dict()
         assert doc["per_p"][-1]["p"] == "inf"
