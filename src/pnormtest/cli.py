@@ -55,10 +55,6 @@ def _emit(doc: dict, out: str | None) -> None:
         Path(out).write_text(text + "\n")
 
 
-def _normalized_estimator(name: str) -> str:
-    return "truncated" if name == "trunc" else name
-
-
 def _cmd_tabulate(args) -> None:
     ps = [_parse_exponent(tok) for tok in args.p.split(",") if tok.strip()]
     if not ps:
@@ -134,7 +130,7 @@ def _cmd_test(args) -> None:
         report = run_tests(
             sample,
             spec,
-            estimator=_normalized_estimator(args.estimator),
+            estimator=args.estimator,
             trunc_mult=args.trunc_mult,
             extra_ps=extras,
         )
@@ -179,7 +175,7 @@ def _cmd_invert(args) -> None:
         grid,
         _parse_exponent(args.p),
         args.alpha,
-        estimator=_normalized_estimator(args.estimator),
+        estimator=args.estimator,
         mc_reps=args.mc_reps,
         mc_seed=args.mc_seed,
     )
@@ -209,7 +205,7 @@ def _cmd_split_test(args) -> None:
             alpha=args.alpha,
             reps=args.reps,
             mc_seed=args.mc_seed,
-            estimator=_normalized_estimator(args.estimator),
+            estimator=args.estimator,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None

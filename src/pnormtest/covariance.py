@@ -70,6 +70,31 @@ def _as_sample(s) -> MomentSample:
     return s if isinstance(s, MomentSample) else MomentSample(s)
 
 
+def _pair_rows(values: np.ndarray) -> np.ndarray:
+    # (..., n, d) -> (..., n // 2, d) difference-pair rows of each stacked sample
+    m = values.shape[-2] // 2
+    rows = values[..., 1 : 2 * m : 2, :] - values[..., 0 : 2 * m : 2, :]
+    rows /= np.sqrt(2.0)
+    return rows
+
+
+def _second_moment(rows: np.ndarray) -> np.ndarray:
+    # (..., m, d) -> (..., d, d) uncentered second moments (1/m) sum_i r_i r_i'
+    return np.swapaxes(rows, -1, -2) @ rows / rows.shape[-2]
+
+
+def _truncate_rows(rows: np.ndarray, trunc_mult: float) -> np.ndarray:
+    # shrink each row onto the ball of radius trunc_mult times its own
+    # sample's median row norm; one median per stacked sample
+    if not trunc_mult > 0:
+        raise ValueError(f"trunc_mult must be positive, got {trunc_mult}")
+    norms = np.linalg.norm(rows, axis=-1)
+    tau = trunc_mult * np.median(norms, axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shrink = np.where(norms > 0, np.minimum(1.0, tau[..., None] / norms), 1.0)
+    return rows * shrink[..., None]
+
+
 def difference_pairs(s) -> MomentSample:
     """Auxiliary sample of scaled successive differences.
 
@@ -80,16 +105,12 @@ def difference_pairs(s) -> MomentSample:
     s = _as_sample(s)
     if s.n < 4:
         raise ValueError(f"difference pairs need n >= 4 rows, got {s.n}")
-    m = s.n // 2
-    v = s.values[: 2 * m]
-    return MomentSample((v[1::2] - v[0::2]) / np.sqrt(2.0))
+    return MomentSample(_pair_rows(s.values))
 
 
 def sample_cov(aux) -> SymMatrix:
     """Uncentered second-moment matrix (1/m) sum_i r_i r_i'."""
-    aux = _as_sample(aux)
-    r = aux.values
-    return SymMatrix(r.T @ r / aux.n)
+    return SymMatrix(_second_moment(_as_sample(aux).values))
 
 
 def truncated_cov(aux, trunc_mult: float = 3.0) -> SymMatrix:
@@ -98,15 +119,8 @@ def truncated_cov(aux, trunc_mult: float = 3.0) -> SymMatrix:
     Each row r_i is shrunk to r_i * min(1, tau / ||r_i||_2) with
     tau = trunc_mult * median_j ||r_j||_2, then ``sample_cov`` is applied.
     """
-    if not trunc_mult > 0:
-        raise ValueError(f"trunc_mult must be positive, got {trunc_mult}")
-    aux = _as_sample(aux)
-    r = aux.values
-    norms = np.linalg.norm(r, axis=1)
-    tau = trunc_mult * np.median(norms)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shrink = np.where(norms > 0, np.minimum(1.0, tau / norms), 1.0)
-    return sample_cov(MomentSample(r * shrink[:, None]))
+    rows = _truncate_rows(_as_sample(aux).values, trunc_mult)
+    return SymMatrix(_second_moment(rows))
 
 
 def kurtosis_diagnostic(s, directions: int = 64, seed: int = 0) -> float:

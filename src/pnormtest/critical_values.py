@@ -239,10 +239,15 @@ def _reference_norms(
     return out
 
 
+def _order_index(alpha: float, size: int) -> int:
+    # 0-based index of the order statistic at 1-based ceil((1 - alpha) * size)
+    k = math.ceil((1.0 - alpha) * size)
+    return min(max(k, 1), size) - 1
+
+
 def _order_stat_quantile(values: np.ndarray, alpha: float) -> float:
-    k = math.ceil((1.0 - alpha) * values.size)
-    k = min(max(k, 1), values.size)
-    return float(np.partition(values, k - 1)[k - 1])
+    k = _order_index(alpha, values.size)
+    return float(np.partition(values, k)[k])
 
 
 def mc_pnorm_quantile(
@@ -426,12 +431,14 @@ def calibrate_joint(
         )
 
     norms = _reference_norms(ps, d, reps, seed, aux_rows)
-    kappas = np.array(
-        [_order_stat_quantile(norms[:, j], share) for j, share in enumerate(vals)]
-    )
-    standalone = {
-        p: _order_stat_quantile(norms[:, j], alpha_total) for j, p in enumerate(ps)
-    }
+    # one partition per column yields both its share kappa and its standalone kappa
+    k_alpha = _order_index(alpha_total, reps)
+    kappas = np.empty(len(ps))
+    standalone = {}
+    for j, (p, share) in enumerate(zip(ps, vals)):
+        ks = [_order_index(share, reps), k_alpha]
+        kappas[j], alone = np.partition(norms[:, j], ks)[ks]
+        standalone[p] = float(alone)
     # running max over columns: no second reps x |grid| matrix
     ratios = norms[:, 0] / kappas[0]
     for j in range(1, len(ps)):

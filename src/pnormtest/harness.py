@@ -3,10 +3,19 @@
 ``run_experiment`` takes a JSON-style config (data-generating process,
 test options, replication count, master seed), calibrates the combined
 test once, then replays independent replications with counter-based
-per-replication streams keyed (seed, rep).  Reports split into a
-deterministic ``results`` section, a pure function of the config, and a
-``runtime`` section holding the wall clock; runs with different thread
-counts produce identical results sections.
+per-replication streams keyed (seed, rep).  Replications run in fixed
+chunks of about ``_CHUNK_BYTES`` of sample values: each chunk draws its
+replications one stream at a time, stacks them, and whitens and tests the
+whole stack in one call of the test engine's kernel (one ``eigh`` per
+replication, x = V (w^{-1/2} * (V' H))).  A thread pool maps over chunks,
+and each chunk writes its rows of the flag matrix by replication index.
+Every replication's statistics are the same bits as when it is tested
+alone, so neither the chunk size nor the thread count changes a result.
+
+Reports split into a deterministic ``results`` section, a pure function
+of the config, and a ``runtime`` section holding the wall clock.
+Replications with a rank-deficient covariance estimate are counted and
+reported in one warning per experiment.
 
 CSV helpers live here too: one observation per row, first row a header,
 parse failures reported with line and column.
@@ -17,6 +26,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -26,7 +36,14 @@ from .covariance import MomentSample, _as_sample
 from .critical_values import SCHEMA_VERSION
 from .dgp import IvConfig, RctConfig, gen_iv, gen_rct
 from .dominant_test import calibrate_spec, default_spec
-from .test_engine import run_tests
+from .test_engine import (  # run_tests stays importable from this module
+    _check_table_rows,
+    _decide,
+    _estimator_name,
+    _test_columns,
+    _whiten_stack,
+    run_tests,
+)
 
 __all__ = [
     "UsageError",
@@ -36,6 +53,12 @@ __all__ = [
     "SimulationReport",
     "run_experiment",
 ]
+
+
+# Replications per kernel call: about 1 MiB of sample values, at least one.
+# Like the calibration block size it is fixed, not tuned per call; results
+# do not depend on it.
+_CHUNK_BYTES = 1 << 20
 
 
 class UsageError(ValueError):
@@ -219,7 +242,9 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
 
     Deterministic given the config: replication r uses the counter-based
     stream keyed (seed, r), and rows of the flag matrix are placed by
-    replication index, so any thread count gives the same results.
+    replication index, so any thread count gives the same results.  Emits
+    one ``RuntimeWarning`` naming how many replications had a
+    rank-deficient covariance estimate, if any did.
     """
     if not isinstance(config, dict):
         raise UsageError("config: expected a JSON object")
@@ -248,11 +273,10 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     alpha = float(topts.get("alpha", 0.05))
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"test.alpha: must lie in (0, 1), got {alpha}")
-    estimator = str(topts.get("estimator", "sample"))
-    if estimator == "trunc":
-        estimator = "truncated"
-    if estimator not in ("sample", "truncated"):
-        raise UsageError(f"test.estimator: must be 'sample' or 'truncated', got {estimator!r}")
+    try:
+        estimator = _estimator_name(str(topts.get("estimator", "sample")))
+    except ValueError as exc:
+        raise UsageError(f"test.estimator: {exc}") from None
     trunc_mult = float(topts.get("trunc_mult", 3.0))
     mc_reps = topts.get("mc_reps")
     mc_reps = None if mc_reps is None else int(mc_reps)
@@ -277,37 +301,49 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     except ValueError as exc:
         raise UsageError(f"test: {exc}") from None
 
-    def rep_report(rep: int):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rep))))
-        return run_tests(
-            draw(rng),
-            spec,
-            estimator=estimator,
-            trunc_mult=trunc_mult,
-            extra_ps=extra_ps,
-            kurtosis_directions=0,
-        )
+    _check_table_rows(spec, n // 2)
+    ps, crits = _test_columns(spec, extra_ps)
+    flags = np.empty((reps, len(ps) + 1), dtype=bool)
+    per_chunk = max(1, _CHUNK_BYTES // (8 * n * d))
+    chunks = range(0, reps, per_chunk)
+    workers = min(threads, len(chunks))
+    # Each worker's chunk buffer is allocated here, on the calling thread:
+    # memory a worker thread allocates and frees stays in its malloc arena.
+    buffers = [np.empty((per_chunk, n, d)) for _ in range(workers)]
 
-    def flags_of(report) -> np.ndarray:
-        return np.asarray(
-            [rec.reject for rec in report.per_p] + [report.dominant.reject], dtype=bool
-        )
+    def run_chunks(first: int) -> int:
+        """Test chunks first, first + W, ...; count rank-deficient replications."""
+        deficient = 0
+        for lo in chunks[first::workers]:
+            hi = min(lo + per_chunk, reps)
+            values = buffers[first][: hi - lo]
+            for i, rep in enumerate(range(lo, hi)):
+                rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rep))))
+                values[i] = draw(rng).values
+            x, _, rank, _, _ = _whiten_stack(values, estimator, trunc_mult)
+            _, reject, _, psi = _decide(x, spec, ps, crits)
+            flags[lo:hi, :-1] = reject
+            flags[lo:hi, -1] = psi
+            deficient += int(np.count_nonzero(rank < d))
+        return deficient
 
     start = time.perf_counter()
-    first = rep_report(0)
-    if threads == 1:
-        rows = [flags_of(rep_report(r)) for r in range(1, reps)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = [flags_of(rep) for rep in pool.map(rep_report, range(1, reps))]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        deficient = sum(pool.map(run_chunks, range(workers)))
     elapsed = time.perf_counter() - start
+    if deficient:
+        warnings.warn(
+            f"{deficient} of {reps} replications had a rank-deficient covariance "
+            f"estimate (numerical rank < d = {d}); singular directions were projected out",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
-    names = tuple(str(rec.p) for rec in first.per_p) + ("psi",)
     return SimulationReport(
         experiment=str(config.get("experiment", "unnamed")),
         config=config,
         seed=seed,
-        test_names=names,
-        flags=np.asarray([flags_of(first)] + rows),
+        test_names=tuple(str(p) for p in ps) + ("psi",),
+        flags=flags,
         wall_clock=elapsed,
     )

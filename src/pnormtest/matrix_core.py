@@ -47,6 +47,27 @@ def _as_sym(a) -> SymMatrix:
     return a if isinstance(a, SymMatrix) else SymMatrix(np.asarray(a, dtype=float))
 
 
+def _inverse_roots(w: np.ndarray, rank_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+    """Moore-Penrose inverse square roots of ascending eigenvalues, and ranks.
+
+    ``w`` holds the eigenvalues of a stack of symmetric matrices, shape
+    (..., d).  The one rank rule of the package: eigenvalues above
+    ``rank_tol * max_eig`` map to lam**-0.5 and count towards the rank, the
+    rest map to 0.  An eigenvalue below ``-rank_tol * max_eig`` (or below
+    ``-rank_tol`` for a zero matrix) means the matrix is materially
+    indefinite and is rejected.
+    """
+    floor = rank_tol * np.maximum(w[..., -1:], 0.0)
+    bad = w[..., 0] < -np.maximum(floor[..., 0], rank_tol)
+    if np.any(bad):
+        raise ValueError(
+            f"matrix is not positive semidefinite: min eigenvalue {w[..., 0][bad][0]:.3e}"
+        )
+    keep = w > floor
+    inv_roots = np.where(keep, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
+    return inv_roots, np.count_nonzero(keep, axis=-1)
+
+
 def pinv_sqrt(a, rank_tol: float = 1e-10) -> SymMatrix:
     """Moore-Penrose inverse square root of a symmetric PSD matrix.
 
@@ -57,13 +78,7 @@ def pinv_sqrt(a, rank_tol: float = 1e-10) -> SymMatrix:
     """
     a = _as_sym(a)
     w, v = np.linalg.eigh(a.entries)
-    top = float(w[-1])
-    floor = rank_tol * max(top, 0.0)
-    if w[0] < -max(floor, rank_tol):
-        raise ValueError(
-            f"matrix is not positive semidefinite: min eigenvalue {w[0]:.3e}"
-        )
-    inv_roots = np.where(w > floor, 1.0 / np.sqrt(np.maximum(w, 1e-300)), 0.0)
+    inv_roots, _ = _inverse_roots(w, rank_tol)
     out = (v * inv_roots) @ v.T
     return SymMatrix(0.5 * (out + out.T))
 

@@ -4,21 +4,33 @@ decisions, the noncentrality oracle, and confidence-set inversion.
 The pipeline for a sample of evaluated moment functions is
 
     rows -> H = sqrt(n) * column means
-    rows -> difference pairs -> covariance estimate -> whitening matrix
-    S_p  = || pinv_sqrt(Sigma_hat) H ||_p  for each exponent p.
+    rows -> difference pairs -> covariance estimate Sigma_hat
+    Sigma_hat = V diag(w) V'              (one eigendecomposition)
+    x   = V (w^{-1/2} * (V' H))           (= pinv_sqrt(Sigma_hat) H)
+    S_p = || x ||_p  for each exponent p.
+
+One private kernel, ``_whiten_stack``, runs this pipeline on a stack of
+samples of shape (..., n, d): every step acts on the trailing two axes,
+with one median per sample for the truncated estimator and one ``eigh``
+per covariance matrix.  The public entry points (``standardize``,
+``prepare_standardized``, ``run_tests``) run it on a stack of one; the
+simulation harness runs it on chunks of replications.  The statistics of
+a stacked sample are the same bits as when that sample is whitened alone.
 
 Covariance degrees of freedom.  The inverse of a second-moment matrix
 built from m difference rows overshoots the true inverse by a factor of
 roughly m/(m-d-1) (exactly, in expectation, for Wishart draws).  To keep
 the standardized coordinates on the unit-variance scale that every
-critical value in this package assumes, ``prepare_standardized``
-multiplies the estimate by m/(m-d-1) whenever m >= d + 2.  The matching
-finite-sample reference law for critical values is available through the
-``aux_rows`` argument of the calibration functions.
+critical value in this package assumes, the kernel multiplies the
+estimate by m/(m-d-1) whenever m >= d + 2.  The matching finite-sample
+reference law for critical values is available through the ``aux_rows``
+argument of the calibration functions.
 
-Rank deficiency is handled by the Moore-Penrose convention: singular
-directions are projected out, a warning reports the numerical rank, and
-critical values keep using the nominal d.
+Rank deficiency is handled by the Moore-Penrose convention: eigenvalues
+at or below 1e-10 times the largest get w^{-1/2} := 0, so singular
+directions are projected out; a warning reports the numerical rank, and
+critical values keep using the nominal d.  A materially negative
+eigenvalue is an error.
 """
 
 from __future__ import annotations
@@ -32,15 +44,21 @@ import numpy as np
 
 from .covariance import (
     MomentSample,
-    difference_pairs,
+    _as_sample,
+    _pair_rows,
+    _second_moment,
+    _truncate_rows,
     kurtosis_diagnostic,
-    sample_cov,
-    truncated_cov,
 )
-from .critical_values import kappa_inf_exact, kappa_p_asymptotic, mc_pnorm_quantile
-from .dominant_test import DominantTestSpec, evaluate_psi
+from .critical_values import (
+    _batch_pnorms,
+    kappa_inf_exact,
+    kappa_p_asymptotic,
+    mc_pnorm_quantile,
+)
+from .dominant_test import DominantTestSpec
 from .gaussian_moments import Exponent, as_exponent
-from .matrix_core import SymMatrix, pinv_sqrt
+from .matrix_core import SymMatrix, _inverse_roots
 
 __all__ = [
     "StandardizedStat",
@@ -60,11 +78,74 @@ __all__ = [
     "CandidateRecord",
 ]
 
-_ESTIMATORS = {"sample": sample_cov, "truncated": truncated_cov}
+# covariance estimators by accepted name; "trunc" is short for "truncated"
+_ESTIMATORS = {"sample": "sample", "truncated": "truncated", "trunc": "truncated"}
 
 
-def _as_sample(s) -> MomentSample:
-    return s if isinstance(s, MomentSample) else MomentSample(s)
+def _estimator_name(name: str) -> str:
+    """Canonical estimator name: the one place the "trunc" alias is resolved."""
+    if name not in _ESTIMATORS:
+        raise ValueError(
+            f"unknown estimator {name!r}; expected one of {sorted(_ESTIMATORS)}"
+        )
+    return _ESTIMATORS[name]
+
+
+def _whiten(h: np.ndarray, sigma: np.ndarray):
+    """x = V (w^{-1/2} * (V' h)) for stacks h (..., d) and sigma (..., d, d).
+
+    One ``eigh`` per matrix, Moore-Penrose rank rule of ``_inverse_roots``.
+    Returns x (..., d), the ascending eigenvalues w (..., d) and the
+    numerical ranks (...).
+    """
+    w, v = np.linalg.eigh(sigma)
+    inv_roots, rank = _inverse_roots(w)
+    coef = inv_roots * (h[..., None, :] @ v)[..., 0, :]
+    x = (v @ coef[..., None])[..., 0]
+    if not np.all(np.isfinite(x)):
+        raise ValueError("standardized statistic must be finite")
+    return x, w, rank
+
+
+def _whiten_stack(values: np.ndarray, estimator: str, trunc_mult: float):
+    """Whitening kernel for a stack of samples ``values`` of shape (..., n, d).
+
+    Difference pairs, the sample or truncated second moment (one median
+    per sample), the m/(m-d-1) debias when m >= d + 2, then ``_whiten``.
+    ``estimator`` is a canonical name.  Returns (x, w, rank, sigma, aux):
+    whitened vectors (..., d), eigenvalues (..., d), ranks (...), debiased
+    covariance estimates (..., d, d) and difference-pair rows (..., m, d).
+    """
+    n, d = values.shape[-2:]
+    if n < 4:
+        raise ValueError(f"difference pairs need n >= 4 rows, got {n}")
+    aux = _pair_rows(values)
+    rows = _truncate_rows(aux, trunc_mult) if estimator == "truncated" else aux
+    sigma = _second_moment(rows)
+    m = aux.shape[-2]
+    if m >= d + 2:
+        # unbias the inverse: E[(c W)^-1] = Sigma^-1 at c = m/(m-d-1)
+        sigma *= m / (m - d - 1.0)
+    h = math.sqrt(n) * values.mean(axis=-2)
+    x, w, rank = _whiten(h, sigma)
+    return x, w, rank, sigma, aux
+
+
+def _warn_rank(rank: int, d: int) -> None:
+    warnings.warn(
+        f"covariance estimate has numerical rank {rank} < d = {d}; "
+        "singular directions are projected out",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+
+
+def _whiten_one(s: MomentSample, estimator: str, trunc_mult: float):
+    # the stack-of-one case behind the public entry points, which warn
+    x, w, rank, sigma, aux = _whiten_stack(s.values[None], estimator, trunc_mult)
+    if rank[0] < s.d:
+        _warn_rank(int(rank[0]), s.d)
+    return x, w, rank, sigma, aux
 
 
 @dataclass(frozen=True)
@@ -88,6 +169,13 @@ class StandardizedStat:
     @property
     def d(self) -> int:
         return self.vector.shape[0]
+
+    @classmethod
+    def _first(cls, x, w, rank) -> "StandardizedStat":
+        # the first sample of a kernel result
+        return cls(
+            vector=x[0], eigen_diag=(float(w[0, 0]), float(w[0, -1])), rank=int(rank[0])
+        )
 
 
 @dataclass(frozen=True)
@@ -129,21 +217,10 @@ def standardize(h: np.ndarray, sigma_hat) -> StandardizedStat:
         raise ValueError(
             f"dimension mismatch: H has shape {h.shape}, Sigma is {sigma.dim} x {sigma.dim}"
         )
-    w = np.linalg.eigvalsh(sigma.entries)
-    rank = int(np.sum(w > 1e-10 * max(w[-1], 0.0)))
-    if rank < sigma.dim:
-        warnings.warn(
-            f"covariance estimate has numerical rank {rank} < d = {sigma.dim}; "
-            "singular directions are projected out",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    root = pinv_sqrt(sigma)
-    return StandardizedStat(
-        vector=root.entries @ h,
-        eigen_diag=(float(w[0]), float(w[-1])),
-        rank=rank,
-    )
+    x, w, rank = _whiten(h[None], sigma.entries[None])
+    if rank[0] < sigma.dim:
+        _warn_rank(int(rank[0]), sigma.dim)
+    return StandardizedStat._first(x, w, rank)
 
 
 def p_norm_stat(v, p) -> float:
@@ -169,7 +246,8 @@ def theta_oracle(mu: np.ndarray, sigma, n: int) -> ThetaProfile:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (sigma.dim,):
         raise ValueError(f"mu has shape {mu.shape}, Sigma is {sigma.dim} x {sigma.dim}")
-    return ThetaProfile(math.sqrt(n) * (pinv_sqrt(sigma).entries @ mu))
+    x, _, _ = _whiten(mu[None], sigma.entries[None])
+    return ThetaProfile(math.sqrt(n) * x[0])
 
 
 @dataclass(frozen=True)
@@ -190,21 +268,55 @@ def prepare_standardized(
 ) -> PreparedStats:
     """Full whitening pipeline: difference pairs, covariance, debias, whiten."""
     s = _as_sample(s)
-    if estimator not in _ESTIMATORS:
-        raise ValueError(
-            f"unknown estimator {estimator!r}; expected one of {sorted(_ESTIMATORS)}"
+    x, w, rank, sigma, aux = _whiten_one(s, _estimator_name(estimator), trunc_mult)
+    return PreparedStats(
+        stat=StandardizedStat._first(x, w, rank),
+        sigma=SymMatrix(sigma[0]),
+        aux=MomentSample(aux[0]),
+    )
+
+
+def _check_table_rows(spec: DominantTestSpec, m: int) -> None:
+    table_rows = spec.table.aux_rows
+    if table_rows is not None and table_rows != m:
+        warnings.warn(
+            f"calibration table was drawn for aux_rows={table_rows} difference pairs "
+            f"but the sample has {m}; its finite-sample reference law "
+            "does not match this sample",
+            RuntimeWarning,
+            stacklevel=3,
         )
-    aux = difference_pairs(s)
-    if estimator == "truncated":
-        sigma = truncated_cov(aux, trunc_mult)
-    else:
-        sigma = sample_cov(aux)
-    m, d = aux.n, aux.d
-    if m >= d + 2:
-        # unbias the inverse: E[(c W)^-1] = Sigma^-1 at c = m/(m-d-1)
-        sigma = SymMatrix(sigma.entries * (m / (m - d - 1.0)))
-    h = central_statistic(s)
-    return PreparedStats(stat=standardize(h, sigma), sigma=sigma, aux=aux)
+
+
+def _test_columns(spec: DominantTestSpec, extra_ps: Iterable):
+    """The exponents a report covers and their standalone critical values.
+
+    Grid exponents first (calibrated ``standalone_kappa`` at alpha_total),
+    then the exponents of ``extra_ps`` outside the grid in increasing
+    order (asymptotic formulas at alpha_total).
+    """
+    grid = list(spec.exponents)
+    extras = sorted({as_exponent(p) for p in extra_ps} - set(grid))
+    alpha = spec.alpha_total
+    crits = [spec.table.standalone_kappa(p) for p in grid] + [
+        kappa_inf_exact(spec.d, alpha) if p.is_inf else kappa_p_asymptotic(p, spec.d, alpha)
+        for p in extras
+    ]
+    return grid + extras, np.asarray(crits)
+
+
+def _decide(x: np.ndarray, spec: DominantTestSpec, ps: list, crits: np.ndarray):
+    """Statistics and decisions for whitened vectors x of shape (B, d).
+
+    Returns S_p (B, len(ps)) for the exponents of ``_test_columns``, the
+    standalone rejections S_p >= crit, and the combined rule's
+    max_p S_p / kappa_p over the grid with its rejection (>= c_n).
+    """
+    stats = _batch_pnorms(x, ps)
+    grid = spec.exponents
+    kappas = np.asarray([spec.table.kappa(p) for p in grid])
+    max_ratio = (stats[:, : len(grid)] / kappas).max(axis=1)
+    return stats, stats >= crits, max_ratio, max_ratio >= spec.table.c_n
 
 
 @dataclass(frozen=True)
@@ -303,69 +415,35 @@ def run_tests(
         raise ValueError("spec is not calibrated; run calibrate_spec first")
     if s.d != spec.d:
         raise ValueError(f"sample has d={s.d} but spec was built for d={spec.d}")
-    prep = prepare_standardized(s, estimator=estimator, trunc_mult=trunc_mult)
-    table_rows = spec.table.aux_rows
-    if table_rows is not None and table_rows != prep.aux_rows:
-        warnings.warn(
-            f"calibration table was drawn for aux_rows={table_rows} difference pairs "
-            f"but the sample has {prep.aux_rows}; its finite-sample reference law "
-            "does not match this sample",
-            RuntimeWarning,
-            stacklevel=2,
+    estimator = _estimator_name(estimator)
+    x, w, rank, _, aux = _whiten_one(s, estimator, trunc_mult)
+    _check_table_rows(spec, aux.shape[-2])
+    ps, crits = _test_columns(spec, extra_ps)
+    stats, reject, max_ratio, psi = _decide(x, spec, ps, crits)
+    n_grid = len(spec.exponents)
+    records = tuple(
+        PerExponentRecord(
+            p=p,
+            statistic=float(stats[0, j]),
+            critical=float(crits[j]),
+            reject=bool(reject[0, j]),
+            source="calibrated" if j < n_grid else "formula",
         )
-
-    grid = spec.exponents
-    extras = []
-    for p in extra_ps:
-        pv = as_exponent(p)
-        if pv not in grid and pv not in extras:
-            extras.append(pv)
-    stats = {p: p_norm_stat(prep.stat, p) for p in (*grid, *extras)}
-
-    records = []
-    for p in grid:
-        crit = spec.table.standalone_kappa(p)
-        records.append(
-            PerExponentRecord(
-                p=p,
-                statistic=stats[p],
-                critical=crit,
-                reject=stats[p] >= crit,
-                source="calibrated",
-            )
-        )
-    alpha = spec.alpha_total
-    for p in sorted(extras):
-        crit = (
-            kappa_inf_exact(spec.d, alpha)
-            if p.is_inf
-            else kappa_p_asymptotic(p, spec.d, alpha)
-        )
-        records.append(
-            PerExponentRecord(
-                p=p,
-                statistic=stats[p],
-                critical=crit,
-                reject=stats[p] >= crit,
-                source="formula",
-            )
-        )
-
-    max_ratio = max(stats[p] / spec.table.kappa(p) for p in grid)
-    psi = evaluate_psi({p: stats[p] for p in grid}, spec)
-    dominant = DominantRecord(c_n=spec.table.c_n, max_ratio=max_ratio, reject=psi)
-
+        for j, p in enumerate(ps)
+    )
     kurt = None
     if kurtosis_directions > 0:
-        kurt = kurtosis_diagnostic(prep.aux, directions=kurtosis_directions)
+        kurt = kurtosis_diagnostic(aux[0], directions=kurtosis_directions)
     return TestReport(
         d=s.d,
         n=s.n,
         estimator=estimator,
-        per_p=tuple(records),
-        dominant=dominant,
-        eigen_diag=prep.stat.eigen_diag,
-        rank=prep.stat.rank,
+        per_p=records,
+        dominant=DominantRecord(
+            c_n=spec.table.c_n, max_ratio=float(max_ratio[0]), reject=bool(psi[0])
+        ),
+        eigen_diag=(float(w[0, 0]), float(w[0, -1])),
+        rank=int(rank[0]),
         kurtosis=kurt,
     )
 
@@ -414,6 +492,7 @@ def invert_confidence_set(
     if not grid:
         raise ValueError("candidate grid must be nonempty")
     pv = as_exponent(p)
+    estimator = _estimator_name(estimator)
 
     first = _as_sample(model(grid[0]))
     d, n = first.d, first.n
@@ -432,9 +511,8 @@ def invert_confidence_set(
             shape = (sample.n, sample.d)
             stat = None
             if shape == (n, d):
-                stat = p_norm_stat(
-                    prepare_standardized(sample, estimator, trunc_mult).stat, pv
-                )
+                x = _whiten_one(sample, estimator, trunc_mult)[0]
+                stat = float(_batch_pnorms(x, [pv])[0, 0])
         except (ValueError, np.linalg.LinAlgError) as err:
             warnings.warn(
                 f"candidate beta={beta} undetermined ({err}); retained conservatively",

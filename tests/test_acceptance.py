@@ -292,6 +292,7 @@ def spec12():
     return calibrate_spec(default_spec(12, 0.05), seed=5, aux_rows=500)
 
 
+@pytest.mark.slow
 def test_sample_split_size_and_power(spec12):
     # D=2000 candidate moments, n=2000 null rows: whatever fold-1 selects,
     # the fold-2 test of the d=12 survivors must keep its level

@@ -1,10 +1,14 @@
 import json
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+from pnormtest import harness
 from pnormtest.covariance import MomentSample
+from pnormtest.dominant_test import calibrate_spec, default_spec
 from pnormtest.harness import (
     DataError,
     SimulationReport,
@@ -13,6 +17,7 @@ from pnormtest.harness import (
     run_experiment,
     write_sample_csv,
 )
+from pnormtest.test_engine import run_tests
 
 
 class TestCsvRoundtrip:
@@ -86,6 +91,68 @@ class TestRunExperiment:
         assert serial["results"] == again["results"]
         assert serial["results"] == threaded["results"]
 
+    def test_results_invariant_to_threads_and_chunk_size(self, monkeypatch):
+        # 8 reps in chunks of 1 and of 3 (8 is not a multiple of 3), and in
+        # one chunk under the default budget, at 1, 2 and 3 threads
+        cfg = gaussian_config(
+            reps=8,
+            dgp={"kind": "gaussian", "n": 61, "d": 3, "theta": [1.5, 0.0, -0.5]},
+            test={"alpha": 0.05, "mc_reps": 50_000, "estimator": "trunc",
+                  "trunc_mult": 1.2, "extra_ps": [2.5, 7]},
+        )
+        want = run_experiment(cfg).to_json_dict()["results"]
+        for per_chunk in (1, 3):
+            monkeypatch.setattr(harness, "_CHUNK_BYTES", per_chunk * 8 * 61 * 3)
+            for threads in (1, 2, 3):
+                got = run_experiment(cfg, threads=threads).to_json_dict()["results"]
+                assert got == want, (per_chunk, threads)
+
+    def test_many_threads_with_frequent_thread_switches(self, monkeypatch):
+        # chunks of one replication on 8 threads write rows of one shared
+        # flag matrix; a lost or misplaced row would change the results
+        cfg = gaussian_config(
+            reps=24, dgp={"kind": "gaussian", "n": 40, "d": 3, "theta": [1.5, 0.0, 0.0]}
+        )
+        want = run_experiment(cfg).to_json_dict()["results"]
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_experiment(cfg, threads=8).to_json_dict()["results"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_flags_match_standalone_run_tests(self):
+        # each row equals the decisions of run_tests on that replication's draw
+        cfg = gaussian_config(
+            reps=6, dgp={"kind": "gaussian", "n": 60, "d": 3, "theta": [2.0, 0.0, 0.0]}
+        )
+        cfg["test"]["extra_ps"] = [2.5]
+        report = run_experiment(cfg)
+        n, d, draw = harness._build_sampler(cfg["dgp"])
+        spec = calibrate_spec(default_spec(d, 0.05), reps=50_000, aux_rows=n // 2)
+        for rep in range(cfg["reps"]):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((3, rep))))
+            alone = run_tests(draw(rng), spec, extra_ps=(2.5,), kurtosis_directions=0)
+            row = [rec.reject for rec in alone.per_p] + [alone.dominant.reject]
+            assert report.flags[rep].tolist() == row
+        assert report.test_names == ("2", "3", "4", "inf", "2.5", "psi")
+
+    def test_one_aggregate_rank_warning(self):
+        # m = n // 2 = 10 difference pairs < d = 15: every covariance is singular
+        cfg = gaussian_config(
+            reps=6,
+            dgp={"kind": "gaussian", "n": 20, "d": 15},
+            test={"alpha": 0.05, "mc_reps": 100_000},
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_experiment(cfg, threads=2)
+        messages = [str(w.message) for w in caught if w.category is RuntimeWarning]
+        assert len(messages) == 1
+        assert messages[0].startswith("6 of 6 replications had a rank-deficient")
+
     def test_aggregates_recomputable_from_replication_records(self):
         doc = run_experiment(gaussian_config(reps=12)).to_json_dict()
         results = doc["results"]
@@ -155,6 +222,8 @@ class TestRunExperiment:
             run_experiment(
                 gaussian_config(dgp={"kind": "gaussian", "n": 40, "d": 3, "theta": [1.0]})
             )
+        with pytest.raises(UsageError, match="test.estimator: unknown estimator 'ledoit'"):
+            run_experiment(gaussian_config(test={"estimator": "ledoit"}))
         with pytest.raises(UsageError, match="aux_rows"):
             run_experiment(gaussian_config(test={"aux_rows": "please"}))
         with pytest.raises(UsageError, match="threads"):

@@ -1,7 +1,9 @@
 """Tests for the core pipeline: statistics, whitening, decisions, inversion."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +17,10 @@ from pnormtest.critical_values import kappa_p_asymptotic, mc_pnorm_quantile
 from pnormtest.dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from pnormtest.gaussian_moments import INF, as_exponent
 from pnormtest.matrix_core import SymMatrix
+from pnormtest import test_engine
 from pnormtest.test_engine import (
     StandardizedStat,
+    _whiten_stack,
     central_statistic,
     invert_confidence_set,
     p_norm_stat,
@@ -173,6 +177,38 @@ class TestPrepareStandardized:
             prepare_standardized(gaussian_sample(12, 2, seed=0), estimator="ledoit")
 
 
+class TestWhitenStack:
+    """The stacked kernel: each stacked sample is whitened as if alone."""
+
+    @pytest.mark.parametrize("estimator", ["sample", "truncated"])
+    @pytest.mark.parametrize("shape", [(5, 61, 7), (3, 10, 8), (1, 40, 3), (4, 2, 30, 4)])
+    def test_stack_rows_equal_single_calls_bitwise(self, estimator, shape):
+        # t(3) rows so truncation bites; (3, 10, 8) has m = 5 < d (rank 5)
+        values = np.random.default_rng(sum(shape)).standard_t(3.0, size=shape)
+        stacked = _whiten_stack(values, estimator, 1.5)
+        for idx in np.ndindex(shape[:-2]):
+            alone = _whiten_stack(values[idx][None], estimator, 1.5)
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[idx], want[0])
+        expected_rank = min(shape[-2] // 2, shape[-1])
+        assert np.all(stacked[2] == expected_rank)
+
+    def test_matches_prepare_standardized(self):
+        values = np.random.default_rng(3).standard_normal((2, 50, 6))
+        x, w, rank, sigma, aux = _whiten_stack(values, "sample", 3.0)
+        prep = prepare_standardized(values[1])
+        assert np.array_equal(prep.stat.vector, x[1])
+        assert np.array_equal(prep.sigma.entries, sigma[1])
+        assert np.array_equal(prep.aux.values, aux[1])
+        assert prep.stat.eigen_diag == (w[1, 0], w[1, -1])
+
+    def test_indefinite_member_rejected(self):
+        # a covariance matrix is never indefinite, so whiten one directly
+        sigma = np.stack([np.eye(2), np.diag([1.0, -0.5])])
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            test_engine._whiten(np.ones((2, 2)), sigma)
+
+
 @pytest.fixture(scope="module")
 def spec20():
     return calibrate_spec(default_spec(20, 0.05), reps=200_000, seed=1)
@@ -281,6 +317,31 @@ class TestRunTests:
             run_tests(gaussian_sample(400, 20, seed=7), spec, kurtosis_directions=0)
             run_tests(gaussian_sample(401, 20, seed=7), spec, kurtosis_directions=0)
 
+    def test_one_eigh_and_no_eigvalsh(self, spec20, monkeypatch):
+        calls = {"eigh": 0, "eigvalsh": 0}
+
+        def counted(name):
+            original = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        for estimator in ("sample", "truncated"):
+            run_tests(gaussian_sample(400, 20, seed=7), spec20, estimator=estimator)
+        assert calls == {"eigh": 2, "eigvalsh": 0}
+
+    def test_trunc_alias(self, spec20):
+        s = gaussian_sample(400, 20, seed=7)
+        short = run_tests(s, spec20, estimator="trunc", kurtosis_directions=0)
+        full = run_tests(s, spec20, estimator="truncated", kurtosis_directions=0)
+        assert short.estimator == "truncated"
+        assert short.to_json_dict() == full.to_json_dict()
+
     def test_json_dict(self, spec20):
         doc = run_tests(gaussian_sample(400, 20, seed=7), spec20).to_json_dict()
         assert doc["per_p"][-1]["p"] == "inf"
@@ -350,3 +411,54 @@ class TestInvertConfidenceSet:
             )
             kept += bool(cs.retained)
         assert kept / reps == pytest.approx(0.95, abs=0.04)
+
+
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "run_tests_400x40.json"
+
+
+def test_reports_match_golden_fixture():
+    # Recorded before the stacked whitening kernel replaced the per-sample
+    # path (eigvalsh + eigh + full inverse root, one p_norm_stat per
+    # exponent).  Statistics agree to rel 1e-10, decisions exactly.
+    rng = np.random.default_rng(20241)
+    values = rng.standard_t(4.0, size=(400, 40))
+    values[:, :3] += 0.2
+    spec = calibrate_spec(
+        DominantTestSpec(
+            d=40,
+            alpha_total=0.05,
+            alpha_2=0.01,
+            alpha_I=0.03,
+            alpha_inf=0.01,
+            p_grid=(3.0, 4.0, 6.0),
+            per_p_shares=(0.01, 0.01, 0.01),
+        ),
+        reps=20_000,
+        seed=5,
+        aux_rows=200,
+    )
+    golden = json.loads(GOLDEN_REPORTS.read_text())
+    for estimator, want in golden.items():
+        got = run_tests(
+            values, spec, estimator=estimator, trunc_mult=1.2, extra_ps=(2.5, 8.0, INF)
+        ).to_json_dict()
+        assert [r["p"] for r in got["per_p"]] == [r["p"] for r in want["per_p"]]
+        for g, w in zip(got["per_p"], want["per_p"]):
+            assert g["statistic"] == pytest.approx(w["statistic"], rel=1e-10)
+            assert g["critical"] == w["critical"]
+            assert (g["reject"], g["source"]) == (w["reject"], w["source"])
+        assert got["dominant"]["max_ratio"] == pytest.approx(
+            want["dominant"]["max_ratio"], rel=1e-10
+        )
+        assert got["dominant"]["c_n"] == want["dominant"]["c_n"]
+        assert got["dominant"]["reject"] == want["dominant"]["reject"]
+        for key in ("min_eig", "max_eig", "kurtosis"):
+            assert got["diagnostics"][key] == pytest.approx(
+                want["diagnostics"][key], rel=1e-10
+            )
+        assert got["diagnostics"]["rank"] == want["diagnostics"]["rank"]
+        assert (got["d"], got["n"], got["estimator"]) == (40, 400, estimator)
+    # the fixture exercises both decisions and an active truncation
+    rejects = [r["reject"] for r in golden["truncated"]["per_p"]]
+    assert any(rejects) and not all(rejects)
+    assert golden["truncated"]["diagnostics"] != golden["sample"]["diagnostics"]
