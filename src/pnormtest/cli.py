@@ -7,7 +7,9 @@ the IV model), ``simulate`` (run an experiment config), ``split-test``
 (two-fold select-then-test).
 
 Exit codes: 0 the command ran (test decisions live in the report, not
-the exit code), 2 usage or config error, 3 unusable input data.
+the exit code), 2 usage or config error, 3 unusable input data.  Data
+errors are raised as ``DataError`` where the data is read or checked; any
+other ``ValueError``, such as a parameter the library rejects, exits 2.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from .gaussian_moments import as_exponent, lambda_p, sigma_p
 from .harness import DataError, UsageError, read_sample_csv, run_experiment
 from .sample_split import split_test
-from .test_engine import invert_confidence_set, run_tests
+from .test_engine import _table_rows_mismatch, invert_confidence_set, run_tests
 
 __all__ = ["main"]
 
@@ -74,13 +76,14 @@ def _cmd_tabulate(args) -> None:
         return
     if args.d is None or args.alpha is None:
         raise UsageError("need either --x or both --d and --alpha")
+    kappas = [
+        kappa_inf_exact(args.d, args.alpha)
+        if math.isinf(p)
+        else kappa_p_asymptotic(p, args.d, args.alpha)
+        for p in ps
+    ]
     writer.writerow(["p", "d", "alpha", "kappa"])
-    for p in ps:
-        kappa = (
-            kappa_inf_exact(args.d, args.alpha)
-            if math.isinf(p)
-            else kappa_p_asymptotic(p, args.d, args.alpha)
-        )
+    for p, kappa in zip(ps, kappas):
         writer.writerow([f"{p:g}", args.d, f"{args.alpha:g}", repr(kappa)])
 
 
@@ -104,11 +107,8 @@ def _spec_from_grid(grid: str, d: int, alpha: float) -> DominantTestSpec:
 
 
 def _cmd_calibrate(args) -> None:
-    try:
-        spec = _spec_from_grid(args.grid, args.d, args.alpha)
-        spec = calibrate_spec(spec, reps=args.reps, seed=args.seed, aux_rows=args.aux_rows)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    spec = _spec_from_grid(args.grid, args.d, args.alpha)
+    spec = calibrate_spec(spec, reps=args.reps, seed=args.seed, aux_rows=args.aux_rows)
     Path(args.out).write_text(spec.to_json() + "\n")
 
 
@@ -126,6 +126,9 @@ def _cmd_test(args) -> None:
     sample = read_sample_csv(args.data)
     spec = _load_spec(args.table)
     extras = tuple(_parse_exponent(tok) for tok in args.extra_p.split(",") if tok.strip())
+    mismatch = _table_rows_mismatch(spec, sample.n // 2)
+    if mismatch is not None:
+        raise DataError(f"{args.data}: {mismatch}")
     try:
         report = run_tests(
             sample,
@@ -193,22 +196,18 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_split_test(args) -> None:
-    sample = read_sample_csv(args.data)
-    try:
-        result = split_test(
-            sample,
-            args.d,
-            selection=args.select,
-            p=_parse_exponent(args.p),
-            frac1=args.frac1,
-            seed=args.seed,
-            alpha=args.alpha,
-            reps=args.reps,
-            mc_seed=args.mc_seed,
-            estimator=args.estimator,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    result = split_test(
+        read_sample_csv(args.data),
+        args.d,
+        selection=args.select,
+        p=_parse_exponent(args.p),
+        frac1=args.frac1,
+        seed=args.seed,
+        alpha=args.alpha,
+        reps=args.reps,
+        mc_seed=args.mc_seed,
+        estimator=args.estimator,
+    )
     doc = {"schema_version": SCHEMA_VERSION, "kind": "split_test_report"}
     doc.update(result.to_json_dict())
     _emit(doc, args.out)
@@ -290,13 +289,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except UsageError as exc:
+    except (DataError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:  # UsageError, or a parameter the library rejects
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     return 0

@@ -9,8 +9,8 @@ that, both estimators use the uncentered second-moment form.
 each auxiliary row onto the ball of radius ``trunc_mult`` times the median
 row norm before forming the second-moment matrix.  The theoretically
 optimal robust estimators this stands in for are not practical to
-implement; the estimator argument of the test engine is a plain callable
-so alternatives can be plugged in.
+implement.  The test engine selects its estimator by name: ``"sample"``
+or ``"truncated"`` (alias ``"trunc"``); other estimators are not pluggable.
 """
 
 from __future__ import annotations
@@ -72,7 +72,10 @@ def _as_sample(s) -> MomentSample:
 
 def _pair_rows(values: np.ndarray) -> np.ndarray:
     # (..., n, d) -> (..., n // 2, d) difference-pair rows of each stacked sample
-    m = values.shape[-2] // 2
+    n = values.shape[-2]
+    if n < 4:
+        raise ValueError(f"difference pairs need n >= 4 rows, got {n}")
+    m = n // 2
     rows = values[..., 1 : 2 * m : 2, :] - values[..., 0 : 2 * m : 2, :]
     rows /= np.sqrt(2.0)
     return rows
@@ -102,10 +105,7 @@ def difference_pairs(s) -> MomentSample:
     is dropped.  Each output row has population mean zero and the same
     covariance as the input rows.
     """
-    s = _as_sample(s)
-    if s.n < 4:
-        raise ValueError(f"difference pairs need n >= 4 rows, got {s.n}")
-    return MomentSample(_pair_rows(s.values))
+    return MomentSample(_pair_rows(_as_sample(s).values))
 
 
 def sample_cov(aux) -> SymMatrix:
@@ -133,10 +133,14 @@ def kurtosis_diagnostic(s, directions: int = 64, seed: int = 0) -> float:
     """
     if directions < 1:
         raise ValueError("need at least one direction")
-    s = _as_sample(s)
-    centered = s.values - s.values.mean(axis=0)
+    return _kurtosis(_as_sample(s).values, directions, seed)
+
+
+def _kurtosis(values: np.ndarray, directions: int, seed: int = 0) -> float:
+    # kurtosis_diagnostic on an n x d array the caller has already validated
+    centered = values - values.mean(axis=0)
     rng = np.random.default_rng(seed)
-    t = rng.standard_normal((s.d, directions))
+    t = rng.standard_normal((values.shape[1], directions))
     t /= np.linalg.norm(t, axis=0)
     proj = centered @ t
     second = np.mean(proj**2, axis=0)

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
+import numpy as np
+
 from .critical_values import SCHEMA_VERSION, CriticalValueTable, calibrate_joint
 from .gaussian_moments import INF, Exponent, as_exponent, normal_quantile
 
@@ -204,6 +206,16 @@ def calibrate_spec(
     return replace(spec, table=table)
 
 
+def _max_ratio(stats: np.ndarray, spec: DominantTestSpec):
+    """The combined rule for statistics of shape (B, len(grid)) in grid order.
+
+    Returns max_p S_p / kappa_p per row and its rejection (>= c_n).
+    """
+    kappas = np.asarray([spec.table.kappa(p) for p in spec.exponents])
+    ratio = (stats / kappas).max(axis=1)
+    return ratio, ratio >= spec.table.c_n
+
+
 def evaluate_psi(stats: Mapping, spec: DominantTestSpec) -> bool:
     """Rejection rule of the combined test: max_p S_p / kappa_p >= c_n.
 
@@ -213,12 +225,11 @@ def evaluate_psi(stats: Mapping, spec: DominantTestSpec) -> bool:
     if spec.table is None:
         raise ValueError("spec is not calibrated; run calibrate_spec first")
     lookup = {as_exponent(p): float(v) for p, v in stats.items()}
-    ratio = -math.inf
     for p in spec.exponents:
         if p not in lookup:
             raise ValueError(f"missing statistic for exponent {p}")
-        ratio = max(ratio, lookup[p] / spec.table.kappa(p))
-    return ratio >= spec.table.c_n
+    row = np.asarray([[lookup[p] for p in spec.exponents]])
+    return bool(_max_ratio(row, spec)[1][0])
 
 
 def power_loss_bound(p, alpha_total: float, alpha_p: float) -> float:

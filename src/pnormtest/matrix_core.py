@@ -1,5 +1,5 @@
-"""Symmetric-matrix machinery: Moore-Penrose inverse square root and
-eigenvalue diagnostics for covariance matrices."""
+"""Symmetric-matrix machinery: the Moore-Penrose inverse square root of
+covariance matrices and its one rank rule."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SymMatrix", "pinv_sqrt", "spectral_norm", "eigen_bounds"]
+__all__ = ["SymMatrix", "pinv_sqrt"]
 
 _SYM_RTOL = 1e-10
 
@@ -43,10 +43,6 @@ class SymMatrix:
         return self.entries.shape[0]
 
 
-def _as_sym(a) -> SymMatrix:
-    return a if isinstance(a, SymMatrix) else SymMatrix(np.asarray(a, dtype=float))
-
-
 def _inverse_roots(w: np.ndarray, rank_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     """Moore-Penrose inverse square roots of ascending eigenvalues, and ranks.
 
@@ -76,22 +72,8 @@ def pinv_sqrt(a, rank_tol: float = 1e-10) -> SymMatrix:
     ``-rank_tol * max_eig`` mean the input is materially indefinite and are
     rejected.
     """
-    a = _as_sym(a)
+    a = a if isinstance(a, SymMatrix) else SymMatrix(a)
     w, v = np.linalg.eigh(a.entries)
     inv_roots, _ = _inverse_roots(w, rank_tol)
     out = (v * inv_roots) @ v.T
     return SymMatrix(0.5 * (out + out.T))
-
-
-def spectral_norm(a) -> float:
-    """Largest absolute eigenvalue."""
-    a = _as_sym(a)
-    w = np.linalg.eigvalsh(a.entries)
-    return float(max(abs(w[0]), abs(w[-1])))
-
-
-def eigen_bounds(a) -> tuple[float, float]:
-    """(min eigenvalue, max eigenvalue), used as a conditioning diagnostic."""
-    a = _as_sym(a)
-    w = np.linalg.eigvalsh(a.entries)
-    return float(w[0]), float(w[-1])

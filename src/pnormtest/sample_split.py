@@ -11,8 +11,9 @@ Two built-in selectors:
 * ``select_top_scaled``: the d largest per-coordinate studentized means;
 * ``select_greedy``: forward selection, each step adding the coordinate
   that maximizes the joint studentized p-norm statistic on the enlarged
-  set (Schur-complement recursion at p = 2, per-candidate eigendecomp
-  otherwise).
+  set (Schur-complement recursion at p = 2; otherwise one stacked
+  eigendecomposition per step, whitening every candidate's enlarged set
+  through the test engine's kernel).
 
 Any other selector can be used by passing an explicit index list to
 ``split_test``.
@@ -26,9 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import MomentSample, _as_sample, difference_pairs
+from .covariance import MomentSample, _as_sample, _pair_rows
+from .critical_values import _batch_pnorms
 from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
-from .test_engine import TestReport, central_statistic, p_norm_stat, run_tests
+from .gaussian_moments import as_exponent
+from .test_engine import TestReport, _whiten, central_statistic, run_tests
 
 __all__ = [
     "split",
@@ -62,7 +65,7 @@ def split(n: int, frac1: float = 0.5, seed=0) -> tuple[np.ndarray, np.ndarray]:
 
 def _studentized_scores(fold1: MomentSample) -> np.ndarray:
     mean = fold1.values.mean(axis=0)
-    pair_var = np.mean(difference_pairs(fold1).values ** 2, axis=0)
+    pair_var = np.mean(_pair_rows(fold1.values) ** 2, axis=0)
     scores = np.zeros(fold1.d)
     live = pair_var > 0.0
     scores[live] = math.sqrt(fold1.n) * np.abs(mean[live]) / np.sqrt(pair_var[live])
@@ -81,6 +84,23 @@ def select_top_scaled(fold1, d: int) -> np.ndarray:
     return np.sort(order)
 
 
+def _pick(step: int, scores: np.ndarray, bad: np.ndarray, selected: list[int]) -> int:
+    # best admissible candidate of a greedy step; ``bad`` flags degenerate
+    # candidates, and the selected ones are excluded too
+    bad[selected] = True
+    n_skipped = int(np.count_nonzero(bad)) - len(selected)
+    if n_skipped > 0:
+        warnings.warn(
+            f"greedy step {step}: skipped {n_skipped} degenerate candidate(s)",
+            RuntimeWarning,
+            stacklevel=4,
+        )
+    scores = np.where(bad, -np.inf, scores)
+    if not np.isfinite(scores.max()):
+        raise RuntimeError(f"greedy step {step}: no admissible candidate left")
+    return int(np.argmax(scores))
+
+
 def _greedy_p2(h: np.ndarray, r: np.ndarray, d: int) -> list[int]:
     # Schur recursion: with W = L^{-1} Sigma_{S,.} and a = L^{-1} H_S for
     # the Cholesky factor L of Sigma_SS, adding j changes the squared
@@ -97,19 +117,9 @@ def _greedy_p2(h: np.ndarray, r: np.ndarray, d: int) -> list[int]:
     selected: list[int] = []
     for step in range(d):
         bad = den <= floor
-        bad[selected] = True
-        n_skipped = int(np.count_nonzero(bad)) - len(selected)
-        if n_skipped > 0:
-            warnings.warn(
-                f"greedy step {step}: skipped {n_skipped} degenerate candidate(s)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        gains = np.where(bad, -np.inf, num_root * num_root)
-        gains[~bad] /= den[~bad]
-        if not np.isfinite(gains.max()):
-            raise RuntimeError(f"greedy step {step}: no admissible candidate left")
-        j = int(np.argmax(gains))
+        gains = num_root * num_root
+        np.divide(gains, den, out=gains, where=~bad)
+        j = _pick(step, gains, bad, selected)
         selected.append(j)
         if step + 1 == d:
             break
@@ -123,32 +133,25 @@ def _greedy_p2(h: np.ndarray, r: np.ndarray, d: int) -> list[int]:
 
 
 def _greedy_general(h: np.ndarray, r: np.ndarray, d: int, p) -> list[int]:
+    # Column j's candidate covariance is the selected block bordered by
+    # column j of one cross-product (set x all columns); every candidate
+    # of a step is whitened in one stacked call and scored by its p-norm.
     m, big_d = r.shape
+    diag = np.mean(r * r, axis=0)
+    ps = [as_exponent(p)]
     selected: list[int] = []
     for step in range(d):
-        stats = np.full(big_d, -np.inf)
-        n_skipped = 0
-        for j in range(big_d):
-            if j in selected:
-                continue
-            cols = selected + [j]
-            sub = r[:, cols]
-            sigma = sub.T @ sub / m
-            vals, vecs = np.linalg.eigh(sigma)
-            if vals[-1] <= 0.0 or vals[0] <= _DEGENERACY_RTOL * vals[-1]:
-                n_skipped += 1
-                continue
-            z = vecs @ ((vecs.T @ h[cols]) / np.sqrt(vals))
-            stats[j] = p_norm_stat(z, p)
-        if n_skipped > 0:
-            warnings.warn(
-                f"greedy step {step}: skipped {n_skipped} degenerate candidate(s)",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        if not np.isfinite(stats.max()):
-            raise RuntimeError(f"greedy step {step}: no admissible candidate left")
-        selected.append(int(np.argmax(stats)))
+        cross = r[:, selected].T @ r / m
+        sigma = np.empty((big_d, step + 1, step + 1))
+        sigma[:, :step, :step] = cross[:, selected]
+        sigma[:, :step, step] = sigma[:, step, :step] = cross.T
+        sigma[:, step, step] = diag
+        hs = np.empty((big_d, step + 1))
+        hs[:, :step] = h[selected]
+        hs[:, step] = h
+        x, eig, _ = _whiten(hs, sigma)
+        bad = eig[:, 0] <= _DEGENERACY_RTOL * eig[:, -1]
+        selected.append(_pick(step, _batch_pnorms(x, ps)[:, 0], bad, selected))
     return selected
 
 
@@ -164,7 +167,7 @@ def select_greedy(fold1, d: int, p=2.0) -> np.ndarray:
     if not (pv >= 2.0 or math.isinf(pv)):
         raise ValueError(f"exponent must lie in [2, inf], got {p}")
     h = central_statistic(fold1)
-    r = difference_pairs(fold1).values
+    r = _pair_rows(fold1.values)
     if pv == 2.0:
         selected = _greedy_p2(h, r, d)
     else:
@@ -246,7 +249,7 @@ def split_test(
         aux = n2 // 2 if n2 // 2 >= d + 2 else None
         spec = calibrate_spec(default_spec(d, alpha), reps=reps, seed=mc_seed, aux_rows=aux)
     report = run_tests(
-        MomentSample(s.values[idx2][:, chosen]),
+        MomentSample(s.values[np.ix_(idx2, chosen)]),
         spec,
         estimator=estimator,
         trunc_mult=trunc_mult,

@@ -45,10 +45,10 @@ import numpy as np
 from .covariance import (
     MomentSample,
     _as_sample,
+    _kurtosis,
     _pair_rows,
     _second_moment,
     _truncate_rows,
-    kurtosis_diagnostic,
 )
 from .critical_values import (
     _batch_pnorms,
@@ -56,7 +56,7 @@ from .critical_values import (
     kappa_p_asymptotic,
     mc_pnorm_quantile,
 )
-from .dominant_test import DominantTestSpec
+from .dominant_test import DominantTestSpec, _max_ratio
 from .gaussian_moments import Exponent, as_exponent
 from .matrix_core import SymMatrix, _inverse_roots
 
@@ -117,8 +117,6 @@ def _whiten_stack(values: np.ndarray, estimator: str, trunc_mult: float):
     covariance estimates (..., d, d) and difference-pair rows (..., m, d).
     """
     n, d = values.shape[-2:]
-    if n < 4:
-        raise ValueError(f"difference pairs need n >= 4 rows, got {n}")
     aux = _pair_rows(values)
     rows = _truncate_rows(aux, trunc_mult) if estimator == "truncated" else aux
     sigma = _second_moment(rows)
@@ -224,18 +222,13 @@ def standardize(h: np.ndarray, sigma_hat) -> StandardizedStat:
 
 
 def p_norm_stat(v, p) -> float:
-    """S_p = ||v||_p, overflow-safe via max-factoring.
+    """S_p = ||v||_p, overflow-safe via max-factoring; 0 for the zero vector.
 
-    Accepts a StandardizedStat or a plain vector.  Finite p uses
-    m * (sum (|v_i|/m)^p)^(1/p) with m = max |v_i|; INF returns m.
+    Accepts a StandardizedStat or a plain vector: the stack-of-one case of
+    the batched p-norms behind every statistic of the package.
     """
     vec = v.vector if isinstance(v, StandardizedStat) else np.asarray(v, dtype=float)
-    pv = as_exponent(p)
-    a = np.abs(vec)
-    m = float(a.max()) if a.size else 0.0
-    if m == 0.0 or pv.is_inf:
-        return m
-    return m * float(np.sum((a / m) ** pv.value)) ** (1.0 / pv.value)
+    return float(_batch_pnorms(vec.reshape(1, -1), [as_exponent(p)])[0, 0])
 
 
 def theta_oracle(mu: np.ndarray, sigma, n: int) -> ThetaProfile:
@@ -276,16 +269,22 @@ def prepare_standardized(
     )
 
 
-def _check_table_rows(spec: DominantTestSpec, m: int) -> None:
+def _table_rows_mismatch(spec: DominantTestSpec, m: int) -> str | None:
+    """Why the spec's table does not fit m difference pairs, or None if it does."""
     table_rows = spec.table.aux_rows
-    if table_rows is not None and table_rows != m:
-        warnings.warn(
-            f"calibration table was drawn for aux_rows={table_rows} difference pairs "
-            f"but the sample has {m}; its finite-sample reference law "
-            "does not match this sample",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    if table_rows is None or table_rows == m:
+        return None
+    return (
+        f"calibration table was drawn for aux_rows={table_rows} difference pairs "
+        f"but the sample has {m}; its finite-sample reference law "
+        "does not match this sample"
+    )
+
+
+def _check_table_rows(spec: DominantTestSpec, m: int) -> None:
+    mismatch = _table_rows_mismatch(spec, m)
+    if mismatch is not None:
+        warnings.warn(mismatch, RuntimeWarning, stacklevel=3)
 
 
 def _test_columns(spec: DominantTestSpec, extra_ps: Iterable):
@@ -313,10 +312,8 @@ def _decide(x: np.ndarray, spec: DominantTestSpec, ps: list, crits: np.ndarray):
     max_p S_p / kappa_p over the grid with its rejection (>= c_n).
     """
     stats = _batch_pnorms(x, ps)
-    grid = spec.exponents
-    kappas = np.asarray([spec.table.kappa(p) for p in grid])
-    max_ratio = (stats[:, : len(grid)] / kappas).max(axis=1)
-    return stats, stats >= crits, max_ratio, max_ratio >= spec.table.c_n
+    max_ratio, psi = _max_ratio(stats[:, : len(spec.exponents)], spec)
+    return stats, stats >= crits, max_ratio, psi
 
 
 @dataclass(frozen=True)
@@ -433,7 +430,7 @@ def run_tests(
     )
     kurt = None
     if kurtosis_directions > 0:
-        kurt = kurtosis_diagnostic(aux[0], directions=kurtosis_directions)
+        kurt = _kurtosis(aux[0], kurtosis_directions)
     return TestReport(
         d=s.d,
         n=s.n,

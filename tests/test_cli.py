@@ -71,6 +71,15 @@ class TestTabulate:
         code, _, err = run_cli(capsys, "tabulate", "--p", "1.5", "--x", "0")
         assert code == 2 and "exponent" in err
 
+    def test_bad_critical_value_parameters_exit_2(self, capsys):
+        for argv, msg in (
+            (("--p", "2", "--d", "10", "--alpha", "1.5"), "alpha"),
+            (("--p", "2,inf", "--d", "0", "--alpha", "0.05"), "d must be"),
+        ):
+            code, out, err = run_cli(capsys, "tabulate", *argv)
+            assert code == 2 and err.startswith("error:") and msg in err
+            assert out == ""
+
 
 class TestCalibrate:
     def test_writes_a_calibrated_spec(self, table3):
@@ -150,6 +159,21 @@ class TestTest:
         code, _, err = run_cli(capsys, "test", "--data", str(bad), "--table", str(table3))
         assert code == 3 and "line 3, column 2" in err
 
+    def test_table_drawn_for_other_pair_count_exit_3(self, tmp_path, capsys):
+        table = tmp_path / "aux30.json"
+        code = main(
+            ["calibrate", "--d", "3", "--alpha", "0.05", "--reps", "50000",
+             "--seed", "1", "--aux-rows", "30", "--out", str(table)]
+        )
+        assert code == 0
+        matched = write_null_csv(tmp_path / "n60.csv", n=60)
+        code, _, _ = run_cli(capsys, "test", "--data", str(matched), "--table", str(table))
+        assert code == 0
+        other = write_null_csv(tmp_path / "n100.csv", n=100)
+        code, out, err = run_cli(capsys, "test", "--data", str(other), "--table", str(table))
+        assert code == 3 and out == ""
+        assert "aux_rows=30" in err and "has 50" in err
+
     def test_missing_file_exit_3(self, tmp_path, table3, capsys):
         code, _, err = run_cli(
             capsys, "test", "--data", str(tmp_path / "nope.csv"), "--table", str(table3)
@@ -195,6 +219,14 @@ class TestInvert:
             capsys, "invert", "--data", str(iv_csv), "--grid", "0:1:0.5", "--model", "gmm"
         )
         assert code == 2 and "--model" in err
+
+    def test_bad_parameters_exit_2(self, iv_csv, capsys):
+        for argv, msg in ((("--alpha", "2"), "alpha"), (("--mc-reps", "10"), "reps")):
+            code, out, err = run_cli(
+                capsys, "invert", "--data", str(iv_csv), "--grid", "0:1:0.5", *argv
+            )
+            assert code == 2 and err.startswith("error:") and msg in err
+            assert out == ""
 
     def test_too_few_columns_exit_3(self, tmp_path, capsys):
         narrow = write_null_csv(tmp_path / "narrow.csv", d=2)

@@ -9,7 +9,6 @@ from pnormtest.covariance import (
     sample_cov,
     truncated_cov,
 )
-from pnormtest.matrix_core import spectral_norm
 
 SQ2 = np.sqrt(2.0)
 
@@ -90,8 +89,8 @@ class TestTruncatedCov:
         clean = rng.standard_normal((1000, 5))
         dirty = clean.copy()
         dirty[137] *= 1e6
-        clean_norm = spectral_norm(truncated_cov(MomentSample(clean)))
-        dirty_norm = spectral_norm(truncated_cov(MomentSample(dirty)))
+        clean_norm = np.linalg.norm(truncated_cov(MomentSample(clean)).entries, 2)
+        dirty_norm = np.linalg.norm(truncated_cov(MomentSample(dirty)).entries, 2)
         assert dirty_norm <= 10 * clean_norm
 
     def test_identical_rows_rank_one_psd(self):
@@ -113,7 +112,7 @@ class TestTruncatedCov:
         rows = rng.standard_normal((20_000, 10)) @ np.linalg.cholesky(sigma0).T
         s = MomentSample(rows)
         aux = difference_pairs(s)
-        bound = 0.15 * spectral_norm(sigma0)
+        bound = 0.15 * np.linalg.norm(sigma0, 2)
         for est in (sample_cov, truncated_cov):
             err = np.linalg.norm(est(aux).entries - sigma0, 2)
             assert err <= bound, est.__name__

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from pnormtest.matrix_core import SymMatrix, eigen_bounds, pinv_sqrt, spectral_norm
+from pnormtest.matrix_core import SymMatrix, pinv_sqrt
 
 
 def random_spd(d, seed):
@@ -78,15 +78,3 @@ class TestPinvSqrt:
         right = pinv_sqrt(a).entries / np.sqrt(c)
         assert_allclose(left, right, rtol=1e-9, atol=1e-12)
 
-
-class TestEigenDiagnostics:
-    def test_spectral_norm_examples(self):
-        assert spectral_norm(np.diag([1.0, -3.0, 2.0])) == pytest.approx(3.0)
-        assert spectral_norm(np.eye(7)) == pytest.approx(1.0)
-        u = np.array([1.2, -1.6])  # ||u|| = 2
-        assert spectral_norm(np.outer(u, u)) == pytest.approx(4.0, rel=1e-12)
-
-    def test_eigen_bounds_examples(self):
-        assert eigen_bounds(np.eye(5)) == pytest.approx((1.0, 1.0))
-        assert eigen_bounds(np.diag([0.1, 10.0])) == pytest.approx((0.1, 10.0))
-        assert eigen_bounds(np.diag([0.0, 1.0])) == pytest.approx((0.0, 1.0))

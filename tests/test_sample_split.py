@@ -121,10 +121,14 @@ class TestSelectGreedy:
             hits += np.array_equal(select_greedy(s, 2, 2.0), [3, 7])
         assert hits >= 475
 
-    def test_matches_brute_force_forward_selection(self):
-        # independent check of the Schur recursion: redo each step with an
-        # explicit eigendecomposition of the restricted covariance
-        rng = np.random.default_rng(14)
+    @pytest.mark.parametrize("p", [2.0, 3.0, 3.5, math.inf])
+    def test_matches_brute_force_forward_selection(self, p):
+        # independent check of the Schur recursion (p = 2) and the stacked
+        # whitening step (other p): redo each step with an explicit
+        # eigendecomposition of the restricted covariance per candidate.
+        # On this draw the four exponents pick four different sets:
+        # (0, 1, 5), (1, 2, 5), (1, 5, 6) and (1, 2, 6).
+        rng = np.random.default_rng(27)
         s = shifted_sample(rng, 150, 7, {1: 0.4, 5: 0.3})
         h = math.sqrt(s.n) * s.values.mean(axis=0)
         v = s.values[: 2 * (s.n // 2)]
@@ -138,11 +142,12 @@ class TestSelectGreedy:
                 cols = chosen + [j]
                 sigma = r[:, cols].T @ r[:, cols] / r.shape[0]
                 w, q = np.linalg.eigh(sigma)
-                stat = float(np.linalg.norm(q @ ((q.T @ h[cols]) / np.sqrt(w))))
+                z = q @ ((q.T @ h[cols]) / np.sqrt(w))
+                stat = float(np.linalg.norm(z, ord=p))
                 if stat > best_stat:
                     best, best_stat = j, stat
             chosen.append(best)
-        assert np.array_equal(select_greedy(s, 3, 2.0), np.sort(chosen))
+        assert np.array_equal(select_greedy(s, 3, p), np.sort(chosen))
 
     @pytest.mark.parametrize("p", [2.0, 3.0])
     def test_duplicate_column_skipped_with_warning(self, p):
@@ -160,6 +165,12 @@ class TestSelectGreedy:
         with pytest.warns(RuntimeWarning, match="degenerate"):
             with pytest.raises(RuntimeError, match="no admissible"):
                 select_greedy(s, 2, 2.0)
+
+    @pytest.mark.parametrize("select", [select_top_scaled, select_greedy])
+    def test_rejects_fewer_than_four_rows(self, select):
+        s = MomentSample(np.random.default_rng(0).standard_normal((3, 3)))
+        with pytest.raises(ValueError, match="n >= 4"):
+            select(s, 1)
 
     def test_rejects_bad_exponent_and_d(self):
         s = MomentSample(np.random.default_rng(0).standard_normal((20, 3)))
@@ -232,3 +243,22 @@ class TestSplitTest:
         assert result.report.d == 2
         calibrated = {rec.p.value for rec in result.report.per_p if rec.source == "calibrated"}
         assert calibrated == {2.0, 3.0, math.inf}
+
+
+def test_validates_each_sample_once(monkeypatch, spec4):
+    # MomentSample validates and copies: run_tests builds one, for the
+    # caller's array; split_test builds three, that array and its two folds
+    count = [0]
+    original = MomentSample.__post_init__
+
+    def counted(self):
+        count[0] += 1
+        original(self)
+
+    monkeypatch.setattr(MomentSample, "__post_init__", counted)
+    values = np.random.default_rng(12).standard_normal((200, 30))
+    run_tests(values[:, :4], spec4)
+    assert count[0] == 1
+    count[0] = 0
+    split_test(values, 4, selection="greedy", p=2.0, spec=spec4, seed=3)
+    assert count[0] == 3
