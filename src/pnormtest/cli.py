@@ -261,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run an experiment config")
     sim.add_argument("--config", required=True)
     sim.add_argument("--out", help="report JSON path (default: stdout)")
-    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect")
     sim.set_defaults(func=_cmd_simulate)
 
     spl = sub.add_parser("split-test", help="select d moments on fold 1, test them on fold 2")

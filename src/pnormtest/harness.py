@@ -7,10 +7,9 @@ per-replication streams keyed (seed, rep).  Replications run in fixed
 chunks of about ``_CHUNK_BYTES`` of sample values: each chunk draws its
 replications one stream at a time, stacks them, and whitens and tests the
 whole stack in one call of the test engine's kernel (one ``eigh`` per
-replication, x = V (w^{-1/2} * (V' H))).  A thread pool maps over chunks,
-and each chunk writes its rows of the flag matrix by replication index.
-Every replication's statistics are the same bits as when it is tested
-alone, so neither the chunk size nor the thread count changes a result.
+replication, x = V (w^{-1/2} * (V' H))), writing its rows of the flag
+matrix by replication index.  Every replication's statistics are the same
+bits as when it is tested alone, so the chunk size never changes a result.
 
 Reports split into a deterministic ``results`` section, a pure function
 of the config, and a ``runtime`` section holding the wall clock.
@@ -27,7 +26,6 @@ import csv
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +34,7 @@ from .covariance import MomentSample, _as_sample
 from .critical_values import SCHEMA_VERSION
 from .dgp import IvConfig, RctConfig, gen_iv, gen_rct
 from .dominant_test import calibrate_spec, default_spec
+from .gaussian_moments import as_exponent
 from .test_engine import (  # run_tests stays importable from this module
     _check_table_rows,
     _decide,
@@ -130,14 +129,26 @@ def _need(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
+def _number(cfg: dict, key: str, path: str, kind=float, default=None):
+    """The field converted by ``kind``; required when there is no default."""
+    value = _need(cfg, key, path) if default is None else cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{path}: expected a number, got {value!r}") from None
+
+
 def _build_sampler(dgp: dict):
     """Returns (n, d, draw) where draw(rng) yields one MomentSample."""
     kind = _need(dgp, "kind", "dgp.kind")
     if kind == "gaussian":
-        n, d = int(_need(dgp, "n", "dgp.n")), int(_need(dgp, "d", "dgp.d"))
+        n, d = _number(dgp, "n", "dgp.n", int), _number(dgp, "d", "dgp.d", int)
         if n < 4 or d < 1:
             raise UsageError(f"dgp: need n >= 4 and d >= 1, got n={n}, d={d}")
-        theta = np.asarray(dgp.get("theta", np.zeros(d)), dtype=float)
+        try:
+            theta = np.asarray(dgp.get("theta", np.zeros(d)), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"dgp.theta: {exc}") from None
         if theta.shape != (d,):
             raise UsageError(f"dgp.theta: expected length {d}, got shape {theta.shape}")
         shift = theta / math.sqrt(n)
@@ -152,7 +163,7 @@ def _build_sampler(dgp: dict):
             cfg = IvConfig.from_json_dict(dgp)
         except (ValueError, KeyError) as exc:
             raise UsageError(f"dgp: {exc}") from None
-        beta_star = float(dgp.get("beta_star", cfg.beta_true))
+        beta_star = _number(dgp, "beta_star", "dgp.beta_star", float, cfg.beta_true)
         return cfg.n, cfg.d, lambda rng: gen_iv(cfg, beta_star, rng)
     if kind == "rct":
         try:
@@ -241,10 +252,11 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     """Calibrate once, then replay ``reps`` independent replications.
 
     Deterministic given the config: replication r uses the counter-based
-    stream keyed (seed, r), and rows of the flag matrix are placed by
-    replication index, so any thread count gives the same results.  Emits
-    one ``RuntimeWarning`` naming how many replications had a
-    rank-deficient covariance estimate, if any did.
+    stream keyed (seed, r).  Chunks run one after another on the calling
+    thread; ``threads`` (at least 1) is accepted for compatibility and
+    changes neither the results nor the speed.  Emits one
+    ``RuntimeWarning`` naming how many replications had a rank-deficient
+    covariance estimate, if any did.
     """
     if not isinstance(config, dict):
         raise UsageError("config: expected a JSON object")
@@ -256,10 +268,10 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     if threads < 1:
         raise UsageError(f"threads: must be >= 1, got {threads}")
 
-    reps = int(_need(config, "reps", "reps"))
+    reps = _number(config, "reps", "reps", int)
     if reps < 1:
         raise UsageError(f"reps: must be >= 1, got {reps}")
-    seed = int(config.get("seed", 0))
+    seed = _number(config, "seed", "seed", int, 0)
     if seed < 0:
         raise UsageError(f"seed: must be nonnegative, got {seed}")
     n, d, draw = _build_sampler(_need(config, "dgp", "dgp"))
@@ -270,20 +282,23 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     for key in topts:
         if key not in _TEST_KEYS:
             raise UsageError(f"test.{key}: unknown field")
-    alpha = float(topts.get("alpha", 0.05))
+    alpha = _number(topts, "alpha", "test.alpha", float, 0.05)
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"test.alpha: must lie in (0, 1), got {alpha}")
     try:
         estimator = _estimator_name(str(topts.get("estimator", "sample")))
     except ValueError as exc:
         raise UsageError(f"test.estimator: {exc}") from None
-    trunc_mult = float(topts.get("trunc_mult", 3.0))
+    trunc_mult = _number(topts, "trunc_mult", "test.trunc_mult", float, 3.0)
+    if not trunc_mult > 0:
+        raise UsageError(f"test.trunc_mult: must be positive, got {trunc_mult}")
     mc_reps = topts.get("mc_reps")
-    mc_reps = None if mc_reps is None else int(mc_reps)
-    mc_seed = int(topts.get("mc_seed", 0))
-    extra_ps = tuple(
-        math.inf if str(p) == "inf" else float(p) for p in topts.get("extra_ps", ())
-    )
+    mc_reps = None if mc_reps is None else _number(topts, "mc_reps", "test.mc_reps", int)
+    mc_seed = _number(topts, "mc_seed", "test.mc_seed", int, 0)
+    try:
+        extra_ps = tuple(as_exponent(float(p)) for p in topts.get("extra_ps", ()))
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"test.extra_ps: {exc}") from None
     aux = topts.get("aux_rows", "fold")
     if aux == "fold":
         # match the pipeline's difference-pair count when it is usable
@@ -305,31 +320,19 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     ps, crits = _test_columns(spec, extra_ps)
     flags = np.empty((reps, len(ps) + 1), dtype=bool)
     per_chunk = max(1, _CHUNK_BYTES // (8 * n * d))
-    chunks = range(0, reps, per_chunk)
-    workers = min(threads, len(chunks))
-    # Each worker's chunk buffer is allocated here, on the calling thread:
-    # memory a worker thread allocates and frees stays in its malloc arena.
-    buffers = [np.empty((per_chunk, n, d)) for _ in range(workers)]
-
-    def run_chunks(first: int) -> int:
-        """Test chunks first, first + W, ...; count rank-deficient replications."""
-        deficient = 0
-        for lo in chunks[first::workers]:
-            hi = min(lo + per_chunk, reps)
-            values = buffers[first][: hi - lo]
-            for i, rep in enumerate(range(lo, hi)):
-                rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rep))))
-                values[i] = draw(rng).values
-            x, _, rank, _, _ = _whiten_stack(values, estimator, trunc_mult)
-            _, reject, _, psi = _decide(x, spec, ps, crits)
-            flags[lo:hi, :-1] = reject
-            flags[lo:hi, -1] = psi
-            deficient += int(np.count_nonzero(rank < d))
-        return deficient
-
+    values = np.empty((per_chunk, n, d))
+    deficient = 0
     start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        deficient = sum(pool.map(run_chunks, range(workers)))
+    for lo in range(0, reps, per_chunk):
+        hi = min(lo + per_chunk, reps)
+        for i, rep in enumerate(range(lo, hi)):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rep))))
+            values[i] = draw(rng).values
+        x, _, rank, _, _ = _whiten_stack(values[: hi - lo], estimator, trunc_mult)
+        _, reject, _, psi = _decide(x, spec, ps, crits)
+        flags[lo:hi, :-1] = reject
+        flags[lo:hi, -1] = psi
+        deficient += int(np.count_nonzero(rank < d))
     elapsed = time.perf_counter() - start
     if deficient:
         warnings.warn(

@@ -31,7 +31,7 @@ from .covariance import MomentSample, _as_sample, _pair_rows
 from .critical_values import _batch_pnorms
 from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from .gaussian_moments import as_exponent
-from .test_engine import TestReport, _whiten, central_statistic, run_tests
+from .test_engine import TestReport, _whiten, run_tests
 
 __all__ = [
     "split",
@@ -63,12 +63,12 @@ def split(n: int, frac1: float = 0.5, seed=0) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(perm[:n1]), np.sort(perm[n1:])
 
 
-def _studentized_scores(fold1: MomentSample) -> np.ndarray:
-    mean = fold1.values.mean(axis=0)
-    pair_var = np.mean(_pair_rows(fold1.values) ** 2, axis=0)
-    scores = np.zeros(fold1.d)
+def _studentized_scores(values: np.ndarray) -> np.ndarray:
+    mean = values.mean(axis=0)
+    pair_var = np.mean(_pair_rows(values) ** 2, axis=0)
+    scores = np.zeros(values.shape[1])
     live = pair_var > 0.0
-    scores[live] = math.sqrt(fold1.n) * np.abs(mean[live]) / np.sqrt(pair_var[live])
+    scores[live] = math.sqrt(values.shape[0]) * np.abs(mean[live]) / np.sqrt(pair_var[live])
     return scores
 
 
@@ -76,12 +76,7 @@ def select_top_scaled(fold1, d: int) -> np.ndarray:
     """Indices of the d largest per-coordinate studentized statistics
     sqrt(n1)|mean_j|/sigma_j, ties going to the lower index.  Coordinates
     with zero pair variance score 0 and are picked only if d forces it."""
-    fold1 = _as_sample(fold1)
-    if not 1 <= d <= fold1.d:
-        raise ValueError(f"need 1 <= d <= {fold1.d}, got d={d}")
-    scores = _studentized_scores(fold1)
-    order = np.argsort(-scores, kind="stable")[:d]
-    return np.sort(order)
+    return _select(_as_sample(fold1).values, d, "top")
 
 
 def _pick(step: int, scores: np.ndarray, bad: np.ndarray, selected: list[int]) -> int:
@@ -160,18 +155,23 @@ def select_greedy(fold1, d: int, p=2.0) -> np.ndarray:
     the growing set; plug-in pair covariance restricted to the candidate
     columns, ties to the lower index.  Candidates that are linearly
     dependent on the current set are skipped with a warning."""
-    fold1 = _as_sample(fold1)
-    if not 1 <= d <= fold1.d:
-        raise ValueError(f"need 1 <= d <= {fold1.d}, got d={d}")
+    return _select(_as_sample(fold1).values, d, "greedy", p)
+
+
+def _select(values: np.ndarray, d: int, selection: str, p=2.0) -> np.ndarray:
+    # both selectors on fold-1 rows that the caller has already validated
+    if not 1 <= d <= values.shape[1]:
+        raise ValueError(f"need 1 <= d <= {values.shape[1]}, got d={d}")
+    if selection == "top":
+        return np.sort(np.argsort(-_studentized_scores(values), kind="stable")[:d])
+    if selection != "greedy":
+        raise ValueError(f"selection must be 'top', 'greedy' or indices, got {selection!r}")
     pv = float(p)
     if not (pv >= 2.0 or math.isinf(pv)):
         raise ValueError(f"exponent must lie in [2, inf], got {p}")
-    h = central_statistic(fold1)
-    r = _pair_rows(fold1.values)
-    if pv == 2.0:
-        selected = _greedy_p2(h, r, d)
-    else:
-        selected = _greedy_general(h, r, d, pv)
+    h = math.sqrt(values.shape[0]) * values.mean(axis=0)
+    r = _pair_rows(values)
+    selected = _greedy_p2(h, r, d) if pv == 2.0 else _greedy_general(h, r, d, pv)
     return np.sort(np.asarray(selected, dtype=int))
 
 
@@ -223,14 +223,8 @@ def split_test(
     if not 1 <= d <= s.d:
         raise ValueError(f"need 1 <= d <= {s.d}, got d={d}")
     idx1, idx2 = split(s.n, frac1, seed)
-    fold1 = MomentSample(s.values[idx1])
     if isinstance(selection, str):
-        if selection == "top":
-            chosen = select_top_scaled(fold1, d)
-        elif selection == "greedy":
-            chosen = select_greedy(fold1, d, p)
-        else:
-            raise ValueError(f"selection must be 'top', 'greedy' or indices, got {selection!r}")
+        chosen = _select(s.values[idx1], d, selection, p)
     else:
         chosen = np.unique(np.asarray(list(selection), dtype=int))
         if chosen.size != d:

@@ -1,7 +1,7 @@
 import json
 import math
-import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,22 +106,6 @@ class TestRunExperiment:
             for threads in (1, 2, 3):
                 got = run_experiment(cfg, threads=threads).to_json_dict()["results"]
                 assert got == want, (per_chunk, threads)
-
-    def test_many_threads_with_frequent_thread_switches(self, monkeypatch):
-        # chunks of one replication on 8 threads write rows of one shared
-        # flag matrix; a lost or misplaced row would change the results
-        cfg = gaussian_config(
-            reps=24, dgp={"kind": "gaussian", "n": 40, "d": 3, "theta": [1.5, 0.0, 0.0]}
-        )
-        want = run_experiment(cfg).to_json_dict()["results"]
-        monkeypatch.setattr(harness, "_CHUNK_BYTES", 1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = run_experiment(cfg, threads=8).to_json_dict()["results"]
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == want
 
     def test_flags_match_standalone_run_tests(self):
         # each row equals the decisions of run_tests on that replication's draw
@@ -236,9 +220,45 @@ class TestRunExperiment:
                                      "pi": [0.0, 0.0, 0.0], "endogeneity_rho": 2.0})
             )
 
+    @pytest.mark.parametrize(
+        "field, override",
+        [
+            ("test.trunc_mult", {"test": {"estimator": "truncated", "trunc_mult": 0}}),
+            ("test.extra_ps", {"test": {"extra_ps": [1.5]}}),
+            ("dgp.theta", {"dgp": {"kind": "gaussian", "n": 40, "d": 3,
+                                   "theta": ["up", 0, 0]}}),
+            ("dgp.n", {"dgp": {"kind": "gaussian", "n": "many", "d": 3}}),
+            ("test.mc_reps", {"test": {"mc_reps": [50_000]}}),
+        ],
+    )
+    def test_bad_field_rejected_before_calibration(self, monkeypatch, field, override):
+        calls = []
+        monkeypatch.setattr(harness, "calibrate_spec", lambda *a, **k: calls.append(1))
+        with pytest.raises(UsageError, match=f"^{field}: "):
+            run_experiment(gaussian_config(**override))
+        assert calls == []
+
     def test_report_invariants_enforced(self):
         flags = np.zeros((4, 2), dtype=bool)
         with pytest.raises(ValueError, match="test names"):
             SimulationReport("x", {}, 0, ("a",), flags, 0.1)
         with pytest.raises(ValueError, match="reps x T"):
             SimulationReport("x", {}, 0, ("a",), np.zeros((0, 1), bool), 0.1)
+
+
+GOLDEN_RESULTS = Path(__file__).parent / "data" / "simulate_results.json"
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_results_match_golden_fixture(threads):
+    # Recorded before the harness's thread pool was removed: the benchmark's
+    # weak-IV design at 200 reps, and a Gaussian design whose every
+    # covariance estimate is rank deficient.  Each entry's config is its own
+    # echo; the results must come back byte for byte.
+    text = GOLDEN_RESULTS.read_text()
+    got = {}
+    for name, want in json.loads(text).items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got[name] = run_experiment(want["config"], threads=threads).to_json_dict()["results"]
+    assert json.dumps(got, indent=1, sort_keys=True) + "\n" == text

@@ -247,7 +247,7 @@ class TestSplitTest:
 
 def test_validates_each_sample_once(monkeypatch, spec4):
     # MomentSample validates and copies: run_tests builds one, for the
-    # caller's array; split_test builds three, that array and its two folds
+    # caller's array; split_test builds two, that array and fold 2
     count = [0]
     original = MomentSample.__post_init__
 
@@ -261,4 +261,4 @@ def test_validates_each_sample_once(monkeypatch, spec4):
     assert count[0] == 1
     count[0] = 0
     split_test(values, 4, selection="greedy", p=2.0, spec=spec4, seed=3)
-    assert count[0] == 3
+    assert count[0] == 2
