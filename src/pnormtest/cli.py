@@ -161,9 +161,10 @@ def _cmd_invert(args) -> None:
     if args.model != "iv":
         raise UsageError(f"--model: only 'iv' is built in, got {args.model!r}")
     sample = read_sample_csv(args.data)
-    if sample.d < 3:
+    if sample.d < 3 or sample.n < 4:
         raise DataError(
-            f"{args.data}: the iv model needs columns y, Y, z1..zd (>= 3), got {sample.d}"
+            f"{args.data}: the iv model needs columns y, Y, z1..zd (>= 3) and at least "
+            f"4 rows, got {sample.n} x {sample.d}"
         )
     y = sample.values[:, 0]
     endog = sample.values[:, 1]

@@ -279,9 +279,9 @@ class CriticalValueTable:
     """Jointly calibrated critical values for an exponent grid.
 
     ``entries`` maps each exponent to its (alpha share, kappa at that
-    share); ``standalone`` holds the (1 - alpha_total)-quantile of each
-    norm, i.e. the critical value the exponent would use as a standalone
-    test at the full level.  ``c_n`` is the scale factor of the combined
+    share); ``standalone`` holds, for every exponent, the
+    (1 - alpha_total)-quantile of its norm, i.e. the critical value the
+    exponent would use as a standalone test at the full level.  ``c_n`` is the scale factor of the combined
     test; it is clipped at 1 and ``conservative`` records whether clipping
     was applied.
     """
@@ -314,6 +314,9 @@ class CriticalValueTable:
             )
         if not 0.0 < self.c_n <= 1.0:
             raise ValueError(f"c_n must lie in (0, 1], got {self.c_n}")
+        for p in self.entries:
+            if not self.standalone.get(p, 0.0) > 0.0:
+                raise ValueError(f"standalone kappa at p={p} must be present and positive")
 
     @property
     def exponents(self) -> tuple[Exponent, ...]:
@@ -347,7 +350,7 @@ class CriticalValueTable:
                     "p": key(p),
                     "share": share,
                     "kappa": kappa,
-                    "standalone_kappa": self.standalone.get(p),
+                    "standalone_kappa": self.standalone[p],
                 }
                 for p, (share, kappa) in self.entries.items()
             ],

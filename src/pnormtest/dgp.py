@@ -20,7 +20,7 @@ first stage loads on a single instrument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky, toeplitz
@@ -92,36 +92,6 @@ class IvConfig:
         pi.flags.writeable = False
         object.__setattr__(self, "pi", pi)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "iv",
-            "n": self.n,
-            "d": self.d,
-            "beta_true": self.beta_true,
-            "pi": list(map(float, self.pi)),
-            "endogeneity_rho": self.endogeneity_rho,
-            "instrument_cov": self.instrument_cov,
-            "toeplitz_r": self.toeplitz_r,
-            "error_dist": self.error_dist,
-            "t_dof": self.t_dof,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "IvConfig":
-        if doc.get("kind") != "iv":
-            raise ValueError("document is not an iv config")
-        return cls(
-            n=int(doc["n"]),
-            d=int(doc["d"]),
-            beta_true=float(doc["beta_true"]),
-            pi=np.asarray(doc["pi"], dtype=float),
-            endogeneity_rho=float(doc.get("endogeneity_rho", 0.0)),
-            instrument_cov=str(doc.get("instrument_cov", "identity")),
-            toeplitz_r=float(doc.get("toeplitz_r", 0.5)),
-            error_dist=str(doc.get("error_dist", "gaussian")),
-            t_dof=float(doc.get("t_dof", 8.0)),
-        )
-
 
 @dataclass(frozen=True)
 class RctConfig:
@@ -150,34 +120,6 @@ class RctConfig:
         eff = eff.copy()
         eff.flags.writeable = False
         object.__setattr__(self, "effect", eff)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "rct",
-            "n": self.n,
-            "d": self.d,
-            "pi_treat": self.pi_treat,
-            "effect": list(map(float, self.effect)),
-            "outcome_cov": self.outcome_cov,
-            "toeplitz_r": self.toeplitz_r,
-            "outcome_dist": self.outcome_dist,
-            "t_dof": self.t_dof,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "RctConfig":
-        if doc.get("kind") != "rct":
-            raise ValueError("document is not an rct config")
-        return cls(
-            n=int(doc["n"]),
-            d=int(doc["d"]),
-            pi_treat=float(doc["pi_treat"]),
-            effect=np.asarray(doc["effect"], dtype=float),
-            outcome_cov=str(doc.get("outcome_cov", "identity")),
-            toeplitz_r=float(doc.get("toeplitz_r", 0.5)),
-            outcome_dist=str(doc.get("outcome_dist", "gaussian")),
-            t_dof=float(doc.get("t_dof", 8.0)),
-        )
 
 
 def gen_iv(cfg: IvConfig, beta_star: float, seed) -> MomentSample:

@@ -11,10 +11,17 @@ replication, x = V (w^{-1/2} * (V' H))), writing its rows of the flag
 matrix by replication index.  Every replication's statistics are the same
 bits as when it is tested alone, so the chunk size never changes a result.
 
+The config is parsed once, before calibration, against field tables
+(name -> converter, default): every section rejects unknown fields,
+integer fields must be integral, and every error names its field path.
+The iv and rct tables are read off ``IvConfig`` and ``RctConfig``, so each
+dataclass is the only list of its fields and defaults.
+
 Reports split into a deterministic ``results`` section, a pure function
 of the config, and a ``runtime`` section holding the wall clock.
 Replications with a rank-deficient covariance estimate are counted and
-reported in one warning per experiment.
+reported in one warning per experiment, which says that the tests' size
+is then not controlled.
 
 CSV helpers live here too: one observation per row, first row a header,
 parse failures reported with line and column.
@@ -23,10 +30,12 @@ parse failures reported with line and column.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -39,6 +48,7 @@ from .test_engine import (  # run_tests stays importable from this module
     _check_table_rows,
     _decide,
     _estimator_name,
+    _matched_aux_rows,
     _test_columns,
     _whiten_stack,
     run_tests,
@@ -111,44 +121,104 @@ def read_sample_csv(path) -> MomentSample:
         raise DataError(f"{path}: {exc}") from None
 
 
-_TOP_KEYS = {"schema_version", "experiment", "reps", "seed", "dgp", "test"}
-_TEST_KEYS = {
-    "alpha",
-    "estimator",
-    "trunc_mult",
-    "mc_reps",
-    "mc_seed",
-    "aux_rows",
-    "extra_ps",
-}
+def _integer(value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
-def _need(cfg: dict, key: str, path: str):
-    if key not in cfg:
-        raise UsageError(f"{path}: missing required field")
-    return cfg[key]
+def _vector(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
 
 
-def _number(cfg: dict, key: str, path: str, kind=float, default=None):
-    """The field converted by ``kind``; required when there is no default."""
-    value = _need(cfg, key, path) if default is None else cfg.get(key, default)
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError("expected a JSON object")
+    return value
+
+
+def _aux_rows(value):
+    if value is None or value == "fold":
+        return value
     try:
-        return kind(value)
+        return _integer(value)
     except (TypeError, ValueError):
-        raise UsageError(f"{path}: expected a number, got {value!r}") from None
+        raise ValueError(f"expected an integer, null or 'fold', got {value!r}") from None
+
+
+# Field tables: name -> (convert, default); a MISSING default makes the
+# field required.  IV and RCT tables come from their config dataclasses.
+_TOP_FIELDS = {
+    "schema_version": (_integer, SCHEMA_VERSION),
+    "experiment": (str, "unnamed"),
+    "reps": (_integer, MISSING),
+    "seed": (_integer, 0),
+    "dgp": (_object, MISSING),
+    "test": (_object, {}),
+}
+_TEST_FIELDS = {
+    "alpha": (float, 0.05),
+    "estimator": (_estimator_name, "sample"),
+    "trunc_mult": (float, 3.0),
+    "mc_reps": (lambda reps: None if reps is None else _integer(reps), None),
+    "mc_seed": (_integer, 0),
+    "aux_rows": (_aux_rows, "fold"),
+    "extra_ps": (lambda ps: tuple(as_exponent(float(p)) for p in ps), ()),
+}
+_KIND = {"kind": (str, MISSING)}
+_GAUSSIAN_FIELDS = {**_KIND, "n": (_integer, MISSING), "d": (_integer, MISSING),
+                    "theta": (_vector, None)}
+_CONVERT = {int: _integer, float: float, str: str, np.ndarray: _vector}
+
+
+def _parse(obj, fields: dict, path: str) -> dict:
+    """The fields of JSON object ``obj``, each converted by its table entry.
+
+    Keys outside the table are rejected, and an absent optional field takes
+    its default as is.  Every error is a ``UsageError`` naming the field path.
+    """
+    prefix = f"{path}." if path else ""
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path or 'config'}: expected a JSON object")
+    for key in obj:
+        if key not in fields:
+            raise UsageError(f"{prefix}{key}: unknown field")
+    out = {}
+    for name, (convert, default) in fields.items():
+        if name in obj:
+            try:
+                out[name] = convert(obj[name])
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"{prefix}{name}: {exc}") from None
+        elif default is MISSING:
+            raise UsageError(f"{prefix}{name}: missing required field")
+        else:
+            out[name] = default
+    return out
+
+
+def _parse_config(cls, dgp: dict, beta_star_type):
+    """A ``cls`` instance and ``beta_star`` (None when absent) from a dgp section."""
+    hints = get_type_hints(cls)
+    fields = {f.name: (_CONVERT[hints[f.name]], f.default) for f in dataclasses.fields(cls)}
+    values = _parse(dgp, {**_KIND, **fields, "beta_star": (beta_star_type, None)}, "dgp")
+    try:
+        return cls(**{name: values[name] for name in fields}), values["beta_star"]
+    except ValueError as exc:
+        raise UsageError(f"dgp: {exc}") from None
 
 
 def _build_sampler(dgp: dict):
     """Returns (n, d, draw) where draw(rng) yields one MomentSample."""
-    kind = _need(dgp, "kind", "dgp.kind")
+    if "kind" not in dgp:
+        raise UsageError("dgp.kind: missing required field")
+    kind = dgp["kind"]
     if kind == "gaussian":
-        n, d = _number(dgp, "n", "dgp.n", int), _number(dgp, "d", "dgp.d", int)
+        fields = _parse(dgp, _GAUSSIAN_FIELDS, "dgp")
+        n, d = fields["n"], fields["d"]
         if n < 4 or d < 1:
             raise UsageError(f"dgp: need n >= 4 and d >= 1, got n={n}, d={d}")
-        try:
-            theta = np.asarray(dgp.get("theta", np.zeros(d)), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"dgp.theta: {exc}") from None
+        theta = np.zeros(d) if fields["theta"] is None else fields["theta"]
         if theta.shape != (d,):
             raise UsageError(f"dgp.theta: expected length {d}, got shape {theta.shape}")
         shift = theta / math.sqrt(n)
@@ -159,18 +229,12 @@ def _build_sampler(dgp: dict):
 
         return n, d, draw
     if kind == "iv":
-        try:
-            cfg = IvConfig.from_json_dict(dgp)
-        except (ValueError, KeyError) as exc:
-            raise UsageError(f"dgp: {exc}") from None
-        beta_star = _number(dgp, "beta_star", "dgp.beta_star", float, cfg.beta_true)
+        cfg, beta_star = _parse_config(IvConfig, dgp, float)
+        beta_star = cfg.beta_true if beta_star is None else beta_star
         return cfg.n, cfg.d, lambda rng: gen_iv(cfg, beta_star, rng)
     if kind == "rct":
-        try:
-            cfg = RctConfig.from_json_dict(dgp)
-        except (ValueError, KeyError) as exc:
-            raise UsageError(f"dgp: {exc}") from None
-        beta_star = np.asarray(dgp.get("beta_star", cfg.effect), dtype=float)
+        cfg, beta_star = _parse_config(RctConfig, dgp, _vector)
+        beta_star = cfg.effect if beta_star is None else beta_star
         if beta_star.shape != (cfg.d,):
             raise UsageError(f"dgp.beta_star: expected length {cfg.d}")
         return cfg.n, cfg.d, lambda rng: gen_rct(cfg, beta_star, rng)
@@ -258,66 +322,37 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     ``RuntimeWarning`` naming how many replications had a rank-deficient
     covariance estimate, if any did.
     """
-    if not isinstance(config, dict):
-        raise UsageError("config: expected a JSON object")
-    for key in config:
-        if key not in _TOP_KEYS:
-            raise UsageError(f"{key}: unknown field")
-    if int(config.get("schema_version", SCHEMA_VERSION)) != SCHEMA_VERSION:
+    top = _parse(config, _TOP_FIELDS, "")
+    if top["schema_version"] != SCHEMA_VERSION:
         raise UsageError(f"schema_version: expected {SCHEMA_VERSION}")
     if threads < 1:
         raise UsageError(f"threads: must be >= 1, got {threads}")
-
-    reps = _number(config, "reps", "reps", int)
+    reps, seed = top["reps"], top["seed"]
     if reps < 1:
         raise UsageError(f"reps: must be >= 1, got {reps}")
-    seed = _number(config, "seed", "seed", int, 0)
     if seed < 0:
         raise UsageError(f"seed: must be nonnegative, got {seed}")
-    n, d, draw = _build_sampler(_need(config, "dgp", "dgp"))
+    n, d, draw = _build_sampler(top["dgp"])
 
-    topts = config.get("test", {})
-    if not isinstance(topts, dict):
-        raise UsageError("test: expected a JSON object")
-    for key in topts:
-        if key not in _TEST_KEYS:
-            raise UsageError(f"test.{key}: unknown field")
-    alpha = _number(topts, "alpha", "test.alpha", float, 0.05)
+    opts = _parse(top["test"], _TEST_FIELDS, "test")
+    alpha, estimator, trunc_mult = opts["alpha"], opts["estimator"], opts["trunc_mult"]
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"test.alpha: must lie in (0, 1), got {alpha}")
-    try:
-        estimator = _estimator_name(str(topts.get("estimator", "sample")))
-    except ValueError as exc:
-        raise UsageError(f"test.estimator: {exc}") from None
-    trunc_mult = _number(topts, "trunc_mult", "test.trunc_mult", float, 3.0)
     if not trunc_mult > 0:
         raise UsageError(f"test.trunc_mult: must be positive, got {trunc_mult}")
-    mc_reps = topts.get("mc_reps")
-    mc_reps = None if mc_reps is None else _number(topts, "mc_reps", "test.mc_reps", int)
-    mc_seed = _number(topts, "mc_seed", "test.mc_seed", int, 0)
-    try:
-        extra_ps = tuple(as_exponent(float(p)) for p in topts.get("extra_ps", ()))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"test.extra_ps: {exc}") from None
-    aux = topts.get("aux_rows", "fold")
+    aux = opts["aux_rows"]
     if aux == "fold":
-        # match the pipeline's difference-pair count when it is usable
-        aux = n // 2 if n // 2 >= d + 2 else None
-    elif aux is not None:
-        try:
-            aux = int(aux)
-        except (TypeError, ValueError):
-            raise UsageError(
-                f"test.aux_rows: expected an integer, null or 'fold', got {aux!r}"
-            ) from None
+        aux = _matched_aux_rows(n, d)
 
     try:
-        spec = calibrate_spec(default_spec(d, alpha), reps=mc_reps, seed=mc_seed, aux_rows=aux)
+        spec = calibrate_spec(
+            default_spec(d, alpha), reps=opts["mc_reps"], seed=opts["mc_seed"], aux_rows=aux
+        )
     except ValueError as exc:
         raise UsageError(f"test: {exc}") from None
 
     _check_table_rows(spec, n // 2)
-    ps, crits = _test_columns(spec, extra_ps)
+    ps, crits = _test_columns(spec, opts["extra_ps"])
     flags = np.empty((reps, len(ps) + 1), dtype=bool)
     per_chunk = max(1, _CHUNK_BYTES // (8 * n * d))
     values = np.empty((per_chunk, n, d))
@@ -337,13 +372,14 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     if deficient:
         warnings.warn(
             f"{deficient} of {reps} replications had a rank-deficient covariance "
-            f"estimate (numerical rank < d = {d}); singular directions were projected out",
+            f"estimate (numerical rank < d = {d}); singular directions were projected out "
+            "and the tests' size is not controlled",
             RuntimeWarning,
             stacklevel=2,
         )
 
     return SimulationReport(
-        experiment=str(config.get("experiment", "unnamed")),
+        experiment=top["experiment"],
         config=config,
         seed=seed,
         test_names=tuple(str(p) for p in ps) + ("psi",),

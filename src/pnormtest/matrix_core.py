@@ -10,6 +10,8 @@ import numpy as np
 __all__ = ["SymMatrix", "pinv_sqrt"]
 
 _SYM_RTOL = 1e-10
+# eigenvalues at or below this share of the largest count as zero
+_RANK_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -43,18 +45,18 @@ class SymMatrix:
         return self.entries.shape[0]
 
 
-def _inverse_roots(w: np.ndarray, rank_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def _inverse_roots(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Moore-Penrose inverse square roots of ascending eigenvalues, and ranks.
 
     ``w`` holds the eigenvalues of a stack of symmetric matrices, shape
     (..., d).  The one rank rule of the package: eigenvalues above
-    ``rank_tol * max_eig`` map to lam**-0.5 and count towards the rank, the
-    rest map to 0.  An eigenvalue below ``-rank_tol * max_eig`` (or below
-    ``-rank_tol`` for a zero matrix) means the matrix is materially
+    ``_RANK_RTOL * max_eig`` map to lam**-0.5 and count towards the rank,
+    the rest map to 0.  An eigenvalue below ``-_RANK_RTOL * max_eig`` (or
+    below ``-_RANK_RTOL`` for a zero matrix) means the matrix is materially
     indefinite and is rejected.
     """
-    floor = rank_tol * np.maximum(w[..., -1:], 0.0)
-    bad = w[..., 0] < -np.maximum(floor[..., 0], rank_tol)
+    floor = _RANK_RTOL * np.maximum(w[..., -1:], 0.0)
+    bad = w[..., 0] < -np.maximum(floor[..., 0], _RANK_RTOL)
     if np.any(bad):
         raise ValueError(
             f"matrix is not positive semidefinite: min eigenvalue {w[..., 0][bad][0]:.3e}"
@@ -64,16 +66,12 @@ def _inverse_roots(w: np.ndarray, rank_tol: float = 1e-10) -> tuple[np.ndarray, 
     return inv_roots, np.count_nonzero(keep, axis=-1)
 
 
-def pinv_sqrt(a, rank_tol: float = 1e-10) -> SymMatrix:
-    """Moore-Penrose inverse square root of a symmetric PSD matrix.
-
-    Eigenvalues above ``rank_tol * max_eig`` map to lam**-0.5, the rest to 0,
-    so singular directions are projected out.  Negative eigenvalues below
-    ``-rank_tol * max_eig`` mean the input is materially indefinite and are
-    rejected.
-    """
+def pinv_sqrt(a) -> SymMatrix:
+    """Moore-Penrose inverse square root of a symmetric PSD matrix, by the
+    rank rule of ``_inverse_roots``: singular directions are projected out
+    and a materially indefinite input is rejected."""
     a = a if isinstance(a, SymMatrix) else SymMatrix(a)
     w, v = np.linalg.eigh(a.entries)
-    inv_roots, _ = _inverse_roots(w, rank_tol)
+    inv_roots, _ = _inverse_roots(w)
     out = (v * inv_roots) @ v.T
     return SymMatrix(0.5 * (out + out.T))

@@ -31,7 +31,7 @@ from .covariance import MomentSample, _as_sample, _pair_rows
 from .critical_values import _batch_pnorms
 from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from .gaussian_moments import as_exponent
-from .test_engine import TestReport, _whiten, run_tests
+from .test_engine import TestReport, _matched_aux_rows, _whiten, run_tests
 
 __all__ = [
     "split",
@@ -240,7 +240,7 @@ def split_test(
             stacklevel=2,
         )
     if spec is None:
-        aux = n2 // 2 if n2 // 2 >= d + 2 else None
+        aux = _matched_aux_rows(n2, d)
         spec = calibrate_spec(default_spec(d, alpha), reps=reps, seed=mc_seed, aux_rows=aux)
     report = run_tests(
         MomentSample(s.values[np.ix_(idx2, chosen)]),

@@ -269,6 +269,13 @@ def prepare_standardized(
     )
 
 
+def _matched_aux_rows(n: int, d: int) -> int | None:
+    """The finite-sample reference law's row count for an n x d sample: its
+    n // 2 difference pairs when they can estimate a d x d covariance, else
+    None (the Gaussian limit law)."""
+    return n // 2 if n // 2 >= d + 2 else None
+
+
 def _table_rows_mismatch(spec: DominantTestSpec, m: int) -> str | None:
     """Why the spec's table does not fit m difference pairs, or None if it does."""
     table_rows = spec.table.aux_rows
@@ -482,8 +489,9 @@ def invert_confidence_set(
     evaluated at the candidate.  The critical value defaults to a
     Monte-Carlo quantile under the finite-sample reference matched to the
     sample's difference-pair count; pass ``critical`` to override.  A
-    candidate whose covariance step fails numerically is retained
-    conservatively and marked undetermined.
+    sample of fewer than 4 rows is rejected.  A candidate whose model
+    output is not finite, or whose covariance step fails numerically, is
+    retained conservatively and marked undetermined.
     """
     grid = list(grid)
     if not grid:
@@ -493,11 +501,11 @@ def invert_confidence_set(
 
     first = _as_sample(model(grid[0]))
     d, n = first.d, first.n
+    if n < 4:
+        raise ValueError(f"difference pairs need n >= 4 rows, got {n}")
     if critical is None:
-        m = n // 2
-        aux_rows = m if m >= d + 2 else None
         critical = mc_pnorm_quantile(
-            pv, d, alpha, reps=mc_reps, seed=mc_seed, aux_rows=aux_rows
+            pv, d, alpha, reps=mc_reps, seed=mc_seed, aux_rows=_matched_aux_rows(n, d)
         )
 
     entries = []

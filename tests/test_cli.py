@@ -174,6 +174,22 @@ class TestTest:
         assert code == 3 and out == ""
         assert "aux_rows=30" in err and "has 50" in err
 
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_table_without_standalone_kappas_exit_3(self, tmp_path, table3, capsys, drop):
+        # "standalone_kappa": null, or no such key, in every entry
+        doc = json.loads(table3.read_text())
+        for entry in doc["table"]["entries"]:
+            if drop:
+                del entry["standalone_kappa"]
+            else:
+                entry["standalone_kappa"] = None
+        table = tmp_path / "no_standalone.json"
+        table.write_text(json.dumps(doc))
+        data = write_null_csv(tmp_path / "null.csv")
+        code, out, err = run_cli(capsys, "test", "--data", str(data), "--table", str(table))
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "standalone kappa" in err
+
     def test_missing_file_exit_3(self, tmp_path, table3, capsys):
         code, _, err = run_cli(
             capsys, "test", "--data", str(tmp_path / "nope.csv"), "--table", str(table3)
@@ -232,6 +248,13 @@ class TestInvert:
         narrow = write_null_csv(tmp_path / "narrow.csv", d=2)
         code, _, err = run_cli(capsys, "invert", "--data", str(narrow), "--grid", "0:1:0.5")
         assert code == 3 and "y, Y, z1" in err
+
+    def test_too_few_rows_exit_3(self, tmp_path, capsys):
+        short = write_null_csv(tmp_path / "short.csv", n=3, d=3)
+        code, out, err = run_cli(capsys, "invert", "--data", str(short), "--grid", "0:1:0.5")
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "at least 4 rows" in err
 
 
 class TestSimulate:

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -23,29 +22,6 @@ def rct_cfg(**kw):
 
 
 class TestConfigValidation:
-    def test_iv_roundtrips_through_json(self):
-        cfg = iv_cfg(
-            pi=np.array([0.5, 0.0, -0.25, 0.0, 1.0]),
-            endogeneity_rho=0.4,
-            instrument_cov="toeplitz",
-            toeplitz_r=0.3,
-            error_dist="t",
-            t_dof=6.0,
-        )
-        back = IvConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
-        assert back.to_json_dict() == cfg.to_json_dict()
-
-    def test_rct_roundtrips_through_json(self):
-        cfg = rct_cfg(effect=np.array([0.0, 0.2, 0.0, -0.1]), pi_treat=0.3)
-        back = RctConfig.from_json_dict(json.loads(json.dumps(cfg.to_json_dict())))
-        assert back.to_json_dict() == cfg.to_json_dict()
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(ValueError, match="iv config"):
-            IvConfig.from_json_dict(rct_cfg().to_json_dict())
-        with pytest.raises(ValueError, match="rct config"):
-            RctConfig.from_json_dict(iv_cfg().to_json_dict())
-
     def test_rejects_bad_rho(self):
         with pytest.raises(ValueError, match="rho"):
             iv_cfg(endogeneity_rho=1.0)

@@ -75,6 +75,9 @@ def gaussian_config(**overrides):
     return config
 
 
+IV_DGP = {"kind": "iv", "n": 80, "d": 3, "beta_true": 1.0, "pi": [0.5, 0.0, 0.0]}
+
+
 class TestRunExperiment:
     def test_names_and_shapes(self):
         report = run_experiment(gaussian_config())
@@ -229,6 +232,16 @@ class TestRunExperiment:
                                    "theta": ["up", 0, 0]}}),
             ("dgp.n", {"dgp": {"kind": "gaussian", "n": "many", "d": 3}}),
             ("test.mc_reps", {"test": {"mc_reps": [50_000]}}),
+            ("dgp.thetta", {"dgp": {"kind": "gaussian", "n": 40, "d": 3,
+                                    "thetta": [1.0, 0.0, 0.0]}}),
+            ("dgp.endogenity_rho", {"dgp": {**IV_DGP, "endogenity_rho": 0.5}}),
+            ("dgp.pi", {"dgp": {k: v for k, v in IV_DGP.items() if k != "pi"}}),
+            ("dgp.n", {"dgp": {**IV_DGP, "n": "abc"}}),
+            ("dgp.beta_star", {"dgp": {"kind": "rct", "n": 80, "d": 3, "pi_treat": 0.5,
+                                       "effect": [0, 0, 0], "beta_star": "x"}}),
+            ("schema_version", {"schema_version": "one"}),
+            ("reps", {"reps": 2.7}),
+            ("test.aux_rows", {"test": {"aux_rows": 21.9}}),
         ],
     )
     def test_bad_field_rejected_before_calibration(self, monkeypatch, field, override):
@@ -237,6 +250,15 @@ class TestRunExperiment:
         with pytest.raises(UsageError, match=f"^{field}: "):
             run_experiment(gaussian_config(**override))
         assert calls == []
+
+    def test_readme_minimal_config_runs(self):
+        # the config the README shows must pass the parser as written
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("A minimal experiment config:")[1]
+        cfg = json.loads(block.split("```json\n")[1].split("```")[0])
+        cfg["reps"] = 2
+        report = run_experiment(cfg)
+        assert report.reps == 2 and report.test_names[-1] == "psi"
 
     def test_report_invariants_enforced(self):
         flags = np.zeros((4, 2), dtype=bool)

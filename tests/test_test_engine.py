@@ -371,6 +371,12 @@ class TestInvertConfidenceSet:
         nothing = invert_confidence_set(model, [0.0, 5.0], 2, 0.05, critical=1e-12)
         assert nothing.retained == ()
 
+    def test_fewer_than_four_rows_rejected(self):
+        # a 3 x 2 sample has one difference pair: no candidate can be tested
+        data = np.random.default_rng(4).standard_normal((3, 2))
+        with pytest.raises(ValueError, match="n >= 4"):
+            invert_confidence_set(self.location_model(data), [0.0, 50.0, 1e6], 2, 0.05)
+
     def test_undetermined_candidate_retained(self):
         data = np.random.default_rng(4).standard_normal((40, 2))
 
