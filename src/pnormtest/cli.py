@@ -255,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--p", default="2")
     inv.add_argument("--alpha", type=float, default=0.05)
     inv.add_argument("--estimator", choices=["sample", "trunc", "truncated"], default="sample")
-    inv.add_argument("--mc-reps", type=int, default=200_000)
+    inv.add_argument("--mc-reps", type=int, default=None, help="Monte-Carlo draws (default: auto)")
     inv.add_argument("--mc-seed", type=int, default=0)
     inv.set_defaults(func=_cmd_invert)
 
@@ -297,3 +297,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

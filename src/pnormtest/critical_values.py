@@ -8,11 +8,11 @@ Three sources are implemented:
 * the exact Gaussian sup-norm quantile ``kappa_inf_exact``, the root of
   (2 Phi(t) - 1)^d = 1 - alpha, used as the oracle for the asymptotic
   formula;
-* Monte-Carlo quantiles: ``mc_pnorm_quantile`` for a single exponent and
-  ``calibrate_joint`` for a whole exponent grid.  Joint calibration uses
-  ONE shared set of reference draws for every exponent, because the scale
-  factor c_n is defined through the joint law of all norms of the same
-  reference vector.
+* Monte-Carlo quantiles from ``calibrate_joint``, the one Monte-Carlo
+  path: it uses ONE shared set of reference draws for every exponent of
+  a grid, because the scale factor c_n is defined through the joint law
+  of all norms of the same reference vector.  ``mc_pnorm_quantile`` is
+  its one-exponent case.
 
 Reference laws.  The asymptotic reference is the standard Gaussian vector
 Z_d.  When the covariance is estimated from m auxiliary difference-pair
@@ -46,7 +46,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -254,24 +254,16 @@ def mc_pnorm_quantile(
     p,
     d: int,
     alpha: float,
-    reps: int = 200_000,
+    reps: int | None = None,
     seed: int = 0,
     aux_rows: int | None = None,
 ) -> float:
     """Empirical (1-alpha)-quantile of the reference norm ||Z_d||_p.
 
-    Deterministic given (p, d, alpha, reps, seed, aux_rows).  With
-    ``aux_rows`` set, draws come from the finite-sample elliptical law
-    described in the module docstring instead of the Gaussian limit.
+    The one-exponent case of :func:`calibrate_joint`: same draws, same
+    order statistic, same draw-count rule.
     """
-    alpha = _check_alpha(alpha)
-    seed = _check_seed(seed)
-    if reps < 1000:
-        raise ValueError(f"reps must be >= 1000, got {reps}")
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
-    col = _reference_norms([as_exponent(p)], d, reps, seed, aux_rows)[:, 0]
-    return _order_stat_quantile(col, alpha)
+    return calibrate_joint({p: alpha}, d, alpha, reps, seed, aux_rows).standalone_kappa(p)
 
 
 @dataclass(frozen=True)
@@ -387,36 +379,43 @@ class CriticalValueTable:
         return cls.from_json_dict(json.loads(text))
 
 
+def _auto_reps(min_share: float, reps: int | None = None) -> int:
+    # every share's quantile needs >= 100 draws beyond it; draw >= 200k by default
+    need = math.ceil(100.0 / min_share)
+    if reps is None:
+        return max(200_000, need)
+    if reps < need:
+        raise ValueError(
+            f"reps={reps} too small to resolve the smallest share {min_share:g}; "
+            f"need at least {need}"
+        )
+    return reps
+
+
 def calibrate_joint(
-    shares: Mapping | Iterable[tuple],
+    shares: Mapping,
     d: int,
     alpha_total: float,
-    reps: int = 200_000,
+    reps: int | None = None,
     seed: int = 0,
     aux_rows: int | None = None,
 ) -> CriticalValueTable:
     """Jointly calibrate kappa for every exponent and the scale factor c_n.
 
     ``shares`` maps exponents to positive alpha shares summing to
-    ``alpha_total`` (a mapping or an iterable of (exponent, share) pairs).
-    All kappas come from one shared set of reference
+    ``alpha_total``.  All kappas come from one shared set of reference
     draws; c_n is the (1 - alpha_total)-quantile of
     max_p ||Z||_p / kappa_p over the same draws, clipped at 1 (with the
-    conservative flag set) if the empirical value exceeds 1.
+    conservative flag set) if the empirical value exceeds 1.  With
+    ``reps=None`` the draw count is chosen by :func:`_auto_reps`.
     """
     alpha_total = _check_alpha(alpha_total)
     seed = _check_seed(seed)
-    items = list(shares.items()) if hasattr(shares, "items") else list(shares)
-    if not items:
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if not shares:
         raise ValueError("need at least one exponent share")
-    ps: list[Exponent] = []
-    vals: list[float] = []
-    for p, share in items:
-        ps.append(as_exponent(p))
-        vals.append(float(share))
-    order = np.argsort([pv.value for pv in ps], kind="stable")
-    ps = [ps[i] for i in order]
-    vals = [vals[i] for i in order]
+    ps, vals = zip(*sorted((as_exponent(p), float(s)) for p, s in shares.items()))
     if len(set(ps)) != len(ps):
         raise ValueError("duplicate exponents in the share map")
     for p, share in zip(ps, vals):
@@ -426,12 +425,7 @@ def calibrate_joint(
         raise ValueError(
             f"alpha shares sum to {sum(vals)}, expected alpha_total={alpha_total}"
         )
-    min_share = min(vals)
-    if min_share * reps < 100:
-        raise ValueError(
-            f"reps={reps} too small to resolve the smallest share {min_share:g}; "
-            f"need at least {math.ceil(100 / min_share)}"
-        )
+    reps = _auto_reps(min(vals), reps)
 
     norms = _reference_norms(ps, d, reps, seed, aux_rows)
     # one partition per column yields both its share kappa and its standalone kappa

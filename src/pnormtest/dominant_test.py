@@ -161,8 +161,6 @@ def default_spec(d: int, alpha: float) -> DominantTestSpec:
     """
     if d < 2:
         raise ValueError(f"default_spec needs d >= 2, got {d}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     third = alpha / 3.0
     # ceil(log2 d) in integer arithmetic, immune to float rounding
     m = min((d - 1).bit_length(), 12)
@@ -180,12 +178,6 @@ def default_spec(d: int, alpha: float) -> DominantTestSpec:
     )
 
 
-def _auto_reps(min_share: float) -> int:
-    # default draw count: at least 200k, and enough that the smallest
-    # share is resolved by >= 100 exceedances
-    return max(200_000, math.ceil(100.0 / min_share))
-
-
 def calibrate_spec(
     spec: DominantTestSpec,
     reps: int | None = None,
@@ -194,15 +186,10 @@ def calibrate_spec(
 ) -> DominantTestSpec:
     """Attach a jointly calibrated CriticalValueTable to the spec.
 
-    With ``reps=None`` the draw count is chosen automatically so that
-    even the smallest share is estimated from at least 100 tail draws.
+    ``reps`` (None: automatic) is checked and chosen by
+    :func:`calibrate_joint`, the one owner of the draw-count rule.
     """
-    shares = spec.share_map()
-    if reps is None:
-        reps = _auto_reps(min(shares.values()))
-    table = calibrate_joint(
-        shares, spec.d, spec.alpha_total, reps=reps, seed=seed, aux_rows=aux_rows
-    )
+    table = calibrate_joint(spec.share_map(), spec.d, spec.alpha_total, reps, seed, aux_rows)
     return replace(spec, table=table)
 
 

@@ -128,7 +128,14 @@ def _integer(value) -> int:
 
 
 def _vector(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    value = np.asarray(value, dtype=float)
+    if not np.isfinite(value).all():
+        raise ValueError("must be finite")
+    return value
+
+
+def _real(value) -> float:
+    return float(_vector(float(value)))
 
 
 def _object(value) -> dict:
@@ -157,9 +164,9 @@ _TOP_FIELDS = {
     "test": (_object, {}),
 }
 _TEST_FIELDS = {
-    "alpha": (float, 0.05),
+    "alpha": (_real, 0.05),
     "estimator": (_estimator_name, "sample"),
-    "trunc_mult": (float, 3.0),
+    "trunc_mult": (_real, 3.0),
     "mc_reps": (lambda reps: None if reps is None else _integer(reps), None),
     "mc_seed": (_integer, 0),
     "aux_rows": (_aux_rows, "fold"),
@@ -168,7 +175,7 @@ _TEST_FIELDS = {
 _KIND = {"kind": (str, MISSING)}
 _GAUSSIAN_FIELDS = {**_KIND, "n": (_integer, MISSING), "d": (_integer, MISSING),
                     "theta": (_vector, None)}
-_CONVERT = {int: _integer, float: float, str: str, np.ndarray: _vector}
+_CONVERT = {int: _integer, float: _real, str: str, np.ndarray: _vector}
 
 
 def _parse(obj, fields: dict, path: str) -> dict:
@@ -215,21 +222,18 @@ def _build_sampler(dgp: dict):
     kind = dgp["kind"]
     if kind == "gaussian":
         fields = _parse(dgp, _GAUSSIAN_FIELDS, "dgp")
-        n, d = fields["n"], fields["d"]
-        if n < 4 or d < 1:
-            raise UsageError(f"dgp: need n >= 4 and d >= 1, got n={n}, d={d}")
-        theta = np.zeros(d) if fields["theta"] is None else fields["theta"]
-        if theta.shape != (d,):
+        n, d, theta = fields["n"], fields["d"], fields["theta"]
+        if theta is not None and theta.shape != (d,):
             raise UsageError(f"dgp.theta: expected length {d}, got shape {theta.shape}")
-        shift = theta / math.sqrt(n)
 
         def draw(rng):
             # mean theta/sqrt(n) makes sqrt(n) * rowmean exactly N(theta, I)
-            return MomentSample(rng.standard_normal((n, d)) + shift)
+            z = rng.standard_normal((n, d))
+            return MomentSample(z if theta is None else z + theta / math.sqrt(n))
 
         return n, d, draw
     if kind == "iv":
-        cfg, beta_star = _parse_config(IvConfig, dgp, float)
+        cfg, beta_star = _parse_config(IvConfig, dgp, _real)
         beta_star = cfg.beta_true if beta_star is None else beta_star
         return cfg.n, cfg.d, lambda rng: gen_iv(cfg, beta_star, rng)
     if kind == "rct":
@@ -333,6 +337,10 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     if seed < 0:
         raise UsageError(f"seed: must be nonnegative, got {seed}")
     n, d, draw = _build_sampler(top["dgp"])
+    if n < 4:
+        raise UsageError(f"dgp.n: must be >= 4 for difference pairs, got {n}")
+    if d < 1:
+        raise UsageError(f"dgp.d: must be >= 1, got {d}")
 
     opts = _parse(top["test"], _TEST_FIELDS, "test")
     alpha, estimator, trunc_mult = opts["alpha"], opts["estimator"], opts["trunc_mult"]

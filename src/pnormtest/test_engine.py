@@ -480,7 +480,7 @@ def invert_confidence_set(
     estimator: str = "sample",
     trunc_mult: float = 3.0,
     critical: float | None = None,
-    mc_reps: int = 200_000,
+    mc_reps: int | None = None,
     mc_seed: int = 0,
 ) -> ConfidenceSet:
     """Grid inversion: retain candidates whose statistic stays below kappa.

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +51,16 @@ class TestTabulate:
         assert float(lam) == 1.0
         assert float(sig) == pytest.approx(math.sqrt(2.0))
         assert float(lines[2].split(",")[2]) == pytest.approx(2.0)  # lambda_2(1) = 1 + 1
+
+    def test_runs_as_a_module(self):
+        paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        done = subprocess.run(
+            [sys.executable, "-m", "pnormtest.cli", "tabulate", "--p", "2", "--x", "0"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0
+        assert done.stdout.splitlines()[0] == "p,x,lambda,sigma"
 
     def test_critical_value_table(self, capsys):
         code, out, _ = run_cli(capsys, "tabulate", "--p", "2,inf", "--d", "100", "--alpha", "0.05")

@@ -233,6 +233,10 @@ class TestMcQuantile:
         with pytest.raises(ValueError, match="seed"):
             mc_pnorm_quantile(2, 10, 0.05, reps=2000, seed=-1)
 
+    def test_needs_100_draws_beyond_the_quantile(self):
+        with pytest.raises(ValueError, match="need at least 10000"):
+            mc_pnorm_quantile(2, 10, 0.01, reps=5000)
+
 
 class TestCalibrateJoint:
     def test_single_exponent_scale_factor_is_one(self):
@@ -285,7 +289,7 @@ class TestCalibrateJoint:
     def test_rejects_duplicate_exponents(self):
         with pytest.raises(ValueError, match="duplicate"):
             calibrate_joint(
-                [(2, 0.025), (2.0, 0.025)], d=8, alpha_total=0.05, reps=20_000
+                {2: 0.025, as_exponent(2.0): 0.025}, d=8, alpha_total=0.05, reps=20_000
             )
 
     def test_rejects_unresolvable_share(self):
@@ -293,6 +297,10 @@ class TestCalibrateJoint:
             calibrate_joint(
                 {2: 0.049, 4: 0.001}, d=8, alpha_total=0.05, reps=20_000
             )
+
+    def test_rejects_empty_dimension(self):
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            calibrate_joint({2: 0.05}, d=0, alpha_total=0.05)
 
     def test_finite_sample_reference_plumbs_through(self):
         t = calibrate_joint(

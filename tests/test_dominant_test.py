@@ -1,5 +1,6 @@
 """Tests for the combined-test spec, rejection rule, and loss bound."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from pnormtest.critical_values import _auto_reps
 from pnormtest.dominant_test import (
     DominantTestSpec,
-    _auto_reps,
     calibrate_spec,
     default_spec,
     evaluate_psi,
@@ -147,6 +148,13 @@ class TestCalibrateSpec:
     def test_auto_reps_floor_and_scaling(self):
         assert _auto_reps(0.01) == 200_000
         assert _auto_reps(6.5e-05) == math.ceil(100 / 6.5e-05)
+
+    def test_auto_reps_resolve_their_own_smallest_share(self):
+        # the smallest share at d=2048, alpha=0.5 times ceil(100 / share)
+        # is 99.99999999999999 in floating point; the automatic count must
+        # pass the same integer check it was derived from
+        spec = dataclasses.replace(default_spec(2048, 0.5), d=2)
+        assert calibrate_spec(spec).table.mc_reps == 1_228_200
 
     def test_mismatched_table_rejected(self, calibrated):
         with pytest.raises(ValueError, match="match the spec"):

@@ -76,6 +76,7 @@ def gaussian_config(**overrides):
 
 
 IV_DGP = {"kind": "iv", "n": 80, "d": 3, "beta_true": 1.0, "pi": [0.5, 0.0, 0.0]}
+RCT_DGP = {"kind": "rct", "n": 80, "d": 3, "pi_treat": 0.5, "effect": [0, 0, 0]}
 
 
 class TestRunExperiment:
@@ -242,6 +243,17 @@ class TestRunExperiment:
             ("schema_version", {"schema_version": "one"}),
             ("reps", {"reps": 2.7}),
             ("test.aux_rows", {"test": {"aux_rows": 21.9}}),
+            ("dgp.n", {"dgp": {**IV_DGP, "n": 3}}),
+            ("dgp.n", {"dgp": {**RCT_DGP, "n": 3}}),
+            ("dgp.d", {"dgp": {"kind": "gaussian", "n": 40, "d": 0}}),
+            ("dgp.theta", {"dgp": {"kind": "gaussian", "n": 40, "d": 3,
+                                   "theta": [math.nan, 0, 0]}}),
+            ("dgp.beta_star", {"dgp": {**IV_DGP, "beta_star": math.nan}}),
+            ("dgp.beta_star", {"dgp": {**IV_DGP, "beta_star": math.inf}}),
+            ("dgp.beta_true", {"dgp": {**IV_DGP, "beta_true": math.nan}}),
+            ("dgp.beta_true", {"dgp": {**IV_DGP, "beta_true": -math.inf}}),
+            ("dgp.beta_star", {"dgp": {**RCT_DGP, "beta_star": [math.nan, 0, 0]}}),
+            ("dgp.t_dof", {"dgp": {**IV_DGP, "error_dist": "t", "t_dof": math.inf}}),
         ],
     )
     def test_bad_field_rejected_before_calibration(self, monkeypatch, field, override):
