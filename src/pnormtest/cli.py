@@ -28,7 +28,7 @@ from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from .gaussian_moments import as_exponent, lambda_p, sigma_p
 from .harness import DataError, UsageError, read_sample_csv, run_experiment
 from .sample_split import split_test
-from .test_engine import _table_rows_mismatch, invert_confidence_set, run_tests
+from .test_engine import _ESTIMATORS, _table_rows_mismatch, invert_confidence_set, run_tests
 
 __all__ = ["main"]
 
@@ -242,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tst = sub.add_parser("test", help="run the combined test on a moment CSV")
     tst.add_argument("--data", required=True, help="CSV of moment evaluations at beta*")
     tst.add_argument("--table", required=True, help="calibrated specification JSON")
-    tst.add_argument("--estimator", choices=["sample", "trunc", "truncated"], default="sample")
+    tst.add_argument("--estimator", choices=sorted(_ESTIMATORS), default="sample")
     tst.add_argument("--trunc-mult", type=float, default=3.0)
     tst.add_argument("--extra-p", default="", help="extra exponents reported with formula critical values")
     tst.add_argument("--out", help="report JSON path (default: stdout)")
@@ -254,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--grid", required=True, help="lo:hi:step candidate grid")
     inv.add_argument("--p", default="2")
     inv.add_argument("--alpha", type=float, default=0.05)
-    inv.add_argument("--estimator", choices=["sample", "trunc", "truncated"], default="sample")
+    inv.add_argument("--estimator", choices=sorted(_ESTIMATORS), default="sample")
     inv.add_argument("--mc-reps", type=int, default=None, help="Monte-Carlo draws (default: auto)")
     inv.add_argument("--mc-seed", type=int, default=0)
     inv.set_defaults(func=_cmd_invert)
@@ -275,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     spl.add_argument("--alpha", type=float, default=0.05)
     spl.add_argument("--reps", type=int, default=None)
     spl.add_argument("--mc-seed", type=int, default=0)
-    spl.add_argument("--estimator", choices=["sample", "trunc", "truncated"], default="sample")
+    spl.add_argument("--estimator", choices=sorted(_ESTIMATORS), default="sample")
     spl.add_argument("--out", help="report JSON path (default: stdout)")
     spl.set_defaults(func=_cmd_split_test)
 

@@ -94,6 +94,8 @@ class DominantTestSpec:
                 raise ValueError("calibration table does not match the spec")
             if t.exponents != self.exponents:
                 raise ValueError("calibration table covers a different exponent grid")
+            if any(abs(t.share(p) - share) > 1e-12 for p, share in self.share_map().items()):
+                raise ValueError("calibration table was drawn at other alpha shares")
 
     @property
     def exponents(self) -> tuple[Exponent, ...]:

@@ -3,13 +3,14 @@
 ``run_experiment`` takes a JSON-style config (data-generating process,
 test options, replication count, master seed), calibrates the combined
 test once, then replays independent replications with counter-based
-per-replication streams keyed (seed, rep).  Replications run in fixed
-chunks of about ``_CHUNK_BYTES`` of sample values: each chunk draws its
-replications one stream at a time, stacks them, and whitens and tests the
-whole stack in one call of the test engine's kernel (one ``eigh`` per
-replication, x = V (w^{-1/2} * (V' H))), writing its rows of the flag
-matrix by replication index.  Every replication's statistics are the same
-bits as when it is tested alone, so the chunk size never changes a result.
+per-replication streams keyed (seed, rep).  Replications run through the
+test engine's chunked replay, ``_whiten_chunks``: each replication is drawn
+from its own stream into a slot of the one chunk buffer, each chunk is
+whitened in one kernel call (one ``eigh`` per replication,
+x = V (w^{-1/2} * (V' H))), and its decisions fill the chunk's rows of the
+flag matrix, so only that matrix grows with ``reps``.  Every replication's
+statistics are the same bits as when it is tested alone, so the chunk size
+never changes a result.
 
 The config is parsed once, before calibration, against field tables
 (name -> converter, default): every section rejects unknown fields,
@@ -50,7 +51,7 @@ from .test_engine import (  # run_tests stays importable from this module
     _estimator_name,
     _matched_aux_rows,
     _test_columns,
-    _whiten_stack,
+    _whiten_chunks,
     run_tests,
 )
 
@@ -62,12 +63,6 @@ __all__ = [
     "SimulationReport",
     "run_experiment",
 ]
-
-
-# Replications per kernel call: about 1 MiB of sample values, at least one.
-# Like the calibration block size it is fixed, not tuned per call; results
-# do not depend on it.
-_CHUNK_BYTES = 1 << 20
 
 
 class UsageError(ValueError):
@@ -362,16 +357,14 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     _check_table_rows(spec, n // 2)
     ps, crits = _test_columns(spec, opts["extra_ps"])
     flags = np.empty((reps, len(ps) + 1), dtype=bool)
-    per_chunk = max(1, _CHUNK_BYTES // (8 * n * d))
-    values = np.empty((per_chunk, n, d))
+
+    def fill(rep: int, out: np.ndarray) -> None:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rep))))
+        out[...] = draw(rng).values
+
     deficient = 0
     start = time.perf_counter()
-    for lo in range(0, reps, per_chunk):
-        hi = min(lo + per_chunk, reps)
-        for i, rep in enumerate(range(lo, hi)):
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rep))))
-            values[i] = draw(rng).values
-        x, _, rank, _, _ = _whiten_stack(values[: hi - lo], estimator, trunc_mult)
+    for lo, hi, x, rank in _whiten_chunks(reps, n, d, fill, estimator, trunc_mult):
         _, reject, _, psi = _decide(x, spec, ps, crits)
         flags[lo:hi, :-1] = reject
         flags[lo:hi, -1] = psi

@@ -13,9 +13,13 @@ One private kernel, ``_whiten_stack``, runs this pipeline on a stack of
 samples of shape (..., n, d): every step acts on the trailing two axes,
 with one median per sample for the truncated estimator and one ``eigh``
 per covariance matrix.  The public entry points (``standardize``,
-``prepare_standardized``, ``run_tests``) run it on a stack of one; the
-simulation harness runs it on chunks of replications.  The statistics of
-a stacked sample are the same bits as when that sample is whitened alone.
+``prepare_standardized``, ``run_tests``) run it on a stack of one.  Many
+samples, the simulation harness's replications and the candidates of
+``invert_confidence_set``, go through ``_whiten_chunks``: the kernel on
+chunks of about ``_CHUNK_BYTES`` of sample values, filled one sample at a
+time into one reused buffer.  The statistics of a stacked sample are the
+same bits as when that sample is whitened alone, so the chunk size never
+changes a result.
 
 Covariance degrees of freedom.  The inverse of a second-moment matrix
 built from m difference rows overshoots the true inverse by a factor of
@@ -52,6 +56,7 @@ from .covariance import (
 )
 from .critical_values import (
     _batch_pnorms,
+    _check_alpha,
     kappa_inf_exact,
     kappa_p_asymptotic,
     mc_pnorm_quantile,
@@ -127,6 +132,25 @@ def _whiten_stack(values: np.ndarray, estimator: str, trunc_mult: float):
     h = math.sqrt(n) * values.mean(axis=-2)
     x, w, rank = _whiten(h, sigma)
     return x, w, rank, sigma, aux
+
+
+# Samples per kernel call in ``_whiten_chunks``: about 1 MiB of sample
+# values, at least one.  Like the calibration block size it is fixed, not
+# tuned per call; results do not depend on it.
+_CHUNK_BYTES = 1 << 20
+
+
+def _whiten_chunks(count: int, n: int, d: int, fill, estimator: str, trunc_mult: float):
+    """Kernel over ``count`` n x d samples, one reused chunk buffer at a time:
+    ``fill(i, out)`` writes sample i into ``out``; yields (lo, hi, x, rank)."""
+    per_chunk = max(1, _CHUNK_BYTES // (8 * n * d))
+    values = np.empty((per_chunk, n, d))
+    for lo in range(0, count, per_chunk):
+        hi = min(lo + per_chunk, count)
+        for i in range(lo, hi):
+            fill(i, values[i - lo])
+        x, _, rank, _, _ = _whiten_stack(values[: hi - lo], estimator, trunc_mult)
+        yield lo, hi, x, rank
 
 
 def _warn_rank(rank: int, d: int) -> None:
@@ -485,58 +509,65 @@ def invert_confidence_set(
 ) -> ConfidenceSet:
     """Grid inversion: retain candidates whose statistic stays below kappa.
 
-    ``model(beta)`` must return the n x d array of moment functions
-    evaluated at the candidate.  The critical value defaults to a
-    Monte-Carlo quantile under the finite-sample reference matched to the
-    sample's difference-pair count; pass ``critical`` to override.  A
-    sample of fewer than 4 rows is rejected.  A candidate whose model
-    output is not finite, or whose covariance step fails numerically, is
-    retained conservatively and marked undetermined.
+    ``model(beta)`` must return the n x d moment functions evaluated at
+    the candidate, as a ``MomentSample`` or an array; n and d are read off
+    ``grid[0]``, and a candidate of any other shape is a usage error.  The
+    critical value defaults to a Monte-Carlo quantile under the
+    finite-sample reference matched to the sample's difference-pair count;
+    pass ``critical`` to override.  A sample of fewer than 4 rows is
+    rejected.  A candidate is undetermined when its output has a non-finite
+    entry or a second moment that overflows: it is retained conservatively
+    with a nan statistic.  All candidates are whitened in chunks by the
+    stacked kernel, and one ``RuntimeWarning`` counts the undetermined
+    candidates and those with a rank-deficient covariance estimate.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("candidate grid must be nonempty")
+    alpha = _check_alpha(alpha)
     pv = as_exponent(p)
     estimator = _estimator_name(estimator)
 
-    first = _as_sample(model(grid[0]))
-    d, n = first.d, first.n
-    if n < 4:
-        raise ValueError(f"difference pairs need n >= 4 rows, got {n}")
+    def values(beta) -> np.ndarray:
+        out = model(beta)
+        return out.values if isinstance(out, MomentSample) else np.asarray(out, dtype=float)
+
+    first = values(grid[0])
+    if first.ndim != 2 or first.shape[0] < 4 or first.shape[1] < 1:
+        raise ValueError(f"candidates need n x d samples, n >= 4, d >= 1; got {first.shape}")
+    n, d = first.shape
     if critical is None:
         critical = mc_pnorm_quantile(
             pv, d, alpha, reps=mc_reps, seed=mc_seed, aux_rows=_matched_aux_rows(n, d)
         )
 
-    entries = []
-    for i, beta in enumerate(grid):
-        shape = None
-        try:
-            sample = first if i == 0 else _as_sample(model(beta))
-            shape = (sample.n, sample.d)
-            stat = None
-            if shape == (n, d):
-                x = _whiten_one(sample, estimator, trunc_mult)[0]
-                stat = float(_batch_pnorms(x, [pv])[0, 0])
-        except (ValueError, np.linalg.LinAlgError) as err:
-            warnings.warn(
-                f"candidate beta={beta} undetermined ({err}); retained conservatively",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            entries.append(
-                CandidateRecord(
-                    beta=float(beta), statistic=math.nan, retained=True, undetermined=True
-                )
-            )
-            continue
-        if shape != (n, d):
+    finite = np.zeros(len(grid), dtype=bool)  # False marks an undetermined candidate
+
+    def fill(i: int, out: np.ndarray) -> None:
+        v = first if i == 0 else values(grid[i])
+        if v.shape != (n, d):
             # inconsistent model output is a usage error, not a numerical one
-            raise ValueError(
-                f"candidate {beta} produced a {shape[0]} x {shape[1]} sample, "
-                f"expected {n} x {d}"
-            )
-        entries.append(
-            CandidateRecord(beta=float(beta), statistic=stat, retained=stat <= critical)
+            raise ValueError(f"candidate {grid[i]} produced shape {v.shape}, expected {n} x {d}")
+        # nan, inf or an overflowing second moment: zeros keep the chunk finite
+        finite[i] = np.isfinite(np.vdot(v, v))
+        out[...] = v if finite[i] else 0.0
+
+    stats = np.empty(len(grid))
+    deficient = 0
+    for lo, hi, x, rank in _whiten_chunks(len(grid), n, d, fill, estimator, trunc_mult):
+        stats[lo:hi] = _batch_pnorms(x, [pv])[:, 0]
+        deficient += int(np.count_nonzero(rank[finite[lo:hi]] < d))
+    stats[~finite] = math.nan
+    if not finite.all() or deficient:
+        warnings.warn(
+            f"{np.count_nonzero(~finite)} of {len(grid)} candidates undetermined (non-finite "
+            f"output or second moment) and retained; {deficient} with a rank-deficient "
+            f"covariance estimate (rank < d = {d})",
+            RuntimeWarning,
+            stacklevel=2,
         )
-    return ConfidenceSet(p=pv, alpha=alpha, critical=float(critical), entries=tuple(entries))
+    entries = tuple(
+        CandidateRecord(float(beta), float(stat), bool(not ok or stat <= critical), not ok)
+        for beta, stat, ok in zip(grid, stats, finite)
+    )
+    return ConfidenceSet(p=pv, alpha=alpha, critical=float(critical), entries=entries)

@@ -204,6 +204,17 @@ class TestTest:
         assert code == 3 and out == ""
         assert err.startswith("error:") and "standalone kappa" in err
 
+    def test_table_at_other_shares_exit_3(self, tmp_path, table3, capsys):
+        doc = json.loads(table3.read_text())
+        doc["alpha_2"] += 0.01
+        doc["alpha_inf"] -= 0.01
+        table = tmp_path / "moved_shares.json"
+        table.write_text(json.dumps(doc))
+        data = write_null_csv(tmp_path / "null.csv")
+        code, out, err = run_cli(capsys, "test", "--data", str(data), "--table", str(table))
+        assert code == 3 and out == ""
+        assert "other alpha shares" in err
+
     def test_missing_file_exit_3(self, tmp_path, table3, capsys):
         code, _, err = run_cli(
             capsys, "test", "--data", str(tmp_path / "nope.csv"), "--table", str(table3)

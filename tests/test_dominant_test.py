@@ -169,6 +169,15 @@ class TestCalibrateSpec:
                 table=calibrated.table,
             )
 
+    def test_table_at_other_shares_rejected(self, calibrated):
+        # same total and grid, but the endpoint shares moved by 0.01
+        with pytest.raises(ValueError, match="other alpha shares"):
+            dataclasses.replace(
+                calibrated,
+                alpha_2=calibrated.alpha_2 + 0.01,
+                alpha_inf=calibrated.alpha_inf - 0.01,
+            )
+
 
 class TestEvaluatePsi:
     def zeros(self, spec):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnormtest import harness
+from pnormtest import harness, test_engine
 from pnormtest.covariance import MomentSample
 from pnormtest.dominant_test import calibrate_spec, default_spec
 from pnormtest.harness import (
@@ -106,7 +106,7 @@ class TestRunExperiment:
         )
         want = run_experiment(cfg).to_json_dict()["results"]
         for per_chunk in (1, 3):
-            monkeypatch.setattr(harness, "_CHUNK_BYTES", per_chunk * 8 * 61 * 3)
+            monkeypatch.setattr(test_engine, "_CHUNK_BYTES", per_chunk * 8 * 61 * 3)
             for threads in (1, 2, 3):
                 got = run_experiment(cfg, threads=threads).to_json_dict()["results"]
                 assert got == want, (per_chunk, threads)

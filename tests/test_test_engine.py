@@ -405,6 +405,93 @@ class TestInvertConfidenceSet:
         with pytest.raises(ValueError, match="nonempty"):
             invert_confidence_set(lambda b: None, [], 2, 0.05)
 
+    def test_alpha_checked_with_critical_given(self):
+        data = np.random.default_rng(4).standard_normal((40, 2))
+        with pytest.raises(ValueError, match="alpha"):
+            invert_confidence_set(self.location_model(data), [0.0], 2, 1.5, critical=3.0)
+
+    @staticmethod
+    def spoiled_model(data, bad):
+        # candidates in ``bad`` map to the spoiling function of their sample
+        def model(beta):
+            values = data - beta
+            return bad[beta](values) if beta in bad else values
+
+        return model
+
+    def test_undetermined_first_candidate(self):
+        data = np.random.default_rng(4).standard_normal((40, 2))
+
+        def nan_at(values):
+            values[0, 0] = np.nan
+            return values
+
+        model = self.spoiled_model(data, {99.0: nan_at})
+        with pytest.warns(RuntimeWarning, match="undetermined"):
+            cs = invert_confidence_set(model, [99.0, 0.0], 2, 0.05, critical=3.0)
+        first, second = cs.entries
+        assert first.undetermined and first.retained and math.isnan(first.statistic)
+        assert not second.undetermined and math.isfinite(second.statistic)
+
+    def test_later_candidate_of_other_rank_is_usage_error(self):
+        data = np.random.default_rng(4).standard_normal((40, 2))
+        model = self.spoiled_model(data, {1.0: lambda values: values[..., None]})
+        with pytest.raises(ValueError, match="expected 40 x 2"):
+            invert_confidence_set(model, [0.0, 1.0], 2, 0.05, critical=3.0)
+
+    def test_overflowing_candidate_spares_its_chunk(self):
+        # finite entries whose second moment overflows: the candidate is
+        # undetermined, and its chunk neighbours keep their standalone bits
+        data = np.random.default_rng(4).standard_normal((40, 2))
+        model = self.spoiled_model(data, {0.5: lambda values: values * 1e200})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cs = invert_confidence_set(model, [0.0, 0.5, 1.0], 2, 0.05, critical=3.0)
+        assert [str(w.message) for w in caught if "overflow" in str(w.message)] == []
+        assert [e.undetermined for e in cs.entries] == [False, True, False]
+        for i in (0, 2):
+            alone = invert_confidence_set(model, [cs.entries[i].beta], 2, 0.05, critical=3.0)
+            assert cs.entries[i].statistic == alone.entries[0].statistic
+
+    @pytest.mark.parametrize("per_chunk", [1, 3])
+    def test_statistics_invariant_to_chunk_size(self, monkeypatch, per_chunk):
+        # 7 candidates, the one at 0.5 undetermined: in the middle of the
+        # second chunk of 3, and in one chunk under the default budget
+        data = np.random.default_rng(4).standard_t(5.0, size=(40, 2))
+        model = self.spoiled_model(data, {0.5: lambda values: values * np.inf})
+        grid = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0]
+
+        def stats():
+            with pytest.warns(RuntimeWarning, match="undetermined"):
+                cs = invert_confidence_set(
+                    model, grid, 3, 0.05, estimator="trunc", critical=3.0
+                )
+            return np.array([e.statistic for e in cs.entries])
+
+        want = stats()
+        monkeypatch.setattr(test_engine, "_CHUNK_BYTES", per_chunk * 8 * 40 * 2)
+        got = stats()
+        np.testing.assert_array_equal(got, want)
+        assert np.isnan(got).tolist() == [False] * 3 + [True] + [False] * 3
+
+    def test_one_warning_per_inversion(self):
+        data = np.random.default_rng(4).standard_normal((40, 2))
+        model = self.spoiled_model(
+            data, {1.0: lambda values: values * np.nan, 2.0: lambda values: values * np.inf}
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            invert_confidence_set(model, [0.0, 1.0, 2.0, 3.0], 2, 0.05, critical=3.0)
+        assert len(caught) == 1 and caught[0].category is RuntimeWarning
+        assert "2 of 4 candidates undetermined" in str(caught[0].message)
+
+    def test_rank_deficient_candidates_counted(self):
+        # 8 rows give 4 difference pairs for d = 6
+        data = np.random.default_rng(4).standard_normal((8, 6))
+        with pytest.warns(RuntimeWarning, match="0 of 3 .* 3 with a rank-deficient"):
+            invert_confidence_set(self.location_model(data), [0.0, 1.0, 2.0], 2, 0.05,
+                                  critical=3.0)
+
     def test_single_point_coverage(self):
         # size experiment at the true location: retain rate ~ 1 - alpha
         crit = mc_pnorm_quantile(2, 3, 0.05, reps=50_000, seed=9, aux_rows=40)
