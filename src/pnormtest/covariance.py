@@ -44,16 +44,7 @@ class MomentSample:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 1:
-            v = v.reshape(1, -1)
-        if v.ndim != 2:
-            raise ValueError(f"expected an n x d array, got shape {v.shape}")
-        if v.shape[0] < 1 or v.shape[1] < 1:
-            raise ValueError(f"need n >= 1 and d >= 1, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("moment sample entries must be finite")
-        v = v.copy()
+        v = _checked(self.values).copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -66,8 +57,27 @@ class MomentSample:
         return self.values.shape[1]
 
 
-def _as_sample(s) -> MomentSample:
-    return s if isinstance(s, MomentSample) else MomentSample(s)
+def _checked(s) -> np.ndarray:
+    """The n x d values of ``s``, validated as ``MomentSample`` validates them.
+
+    A ``MomentSample`` gives its own values.  Any other input is read as a
+    C-ordered float array, without a copy when it already is one, and is
+    never marked read-only: functions that keep nothing of their input
+    validate it here instead of copying it into a ``MomentSample``.
+    """
+    if isinstance(s, MomentSample):
+        return s.values
+    # asarray, not ascontiguousarray, so a 0-d input stays 0-d and is rejected
+    v = np.asarray(s, dtype=float, order="C")
+    if v.ndim == 1:
+        v = v.reshape(1, -1)
+    if v.ndim != 2:
+        raise ValueError(f"expected an n x d array, got shape {v.shape}")
+    if v.shape[0] < 1 or v.shape[1] < 1:
+        raise ValueError(f"need n >= 1 and d >= 1, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("moment sample entries must be finite")
+    return v
 
 
 def _pair_rows(values: np.ndarray) -> np.ndarray:
@@ -105,12 +115,12 @@ def difference_pairs(s) -> MomentSample:
     is dropped.  Each output row has population mean zero and the same
     covariance as the input rows.
     """
-    return MomentSample(_pair_rows(_as_sample(s).values))
+    return MomentSample(_pair_rows(_checked(s)))
 
 
 def sample_cov(aux) -> SymMatrix:
     """Uncentered second-moment matrix (1/m) sum_i r_i r_i'."""
-    return SymMatrix(_second_moment(_as_sample(aux).values))
+    return SymMatrix(_second_moment(_checked(aux)))
 
 
 def truncated_cov(aux, trunc_mult: float = 3.0) -> SymMatrix:
@@ -119,7 +129,7 @@ def truncated_cov(aux, trunc_mult: float = 3.0) -> SymMatrix:
     Each row r_i is shrunk to r_i * min(1, tau / ||r_i||_2) with
     tau = trunc_mult * median_j ||r_j||_2, then ``sample_cov`` is applied.
     """
-    rows = _truncate_rows(_as_sample(aux).values, trunc_mult)
+    rows = _truncate_rows(_checked(aux), trunc_mult)
     return SymMatrix(_second_moment(rows))
 
 
@@ -133,7 +143,7 @@ def kurtosis_diagnostic(s, directions: int = 64, seed: int = 0) -> float:
     """
     if directions < 1:
         raise ValueError("need at least one direction")
-    return _kurtosis(_as_sample(s).values, directions, seed)
+    return _kurtosis(_checked(s), directions, seed)
 
 
 def _kurtosis(values: np.ndarray, directions: int, seed: int = 0) -> float:
@@ -143,8 +153,10 @@ def _kurtosis(values: np.ndarray, directions: int, seed: int = 0) -> float:
     t = rng.standard_normal((values.shape[1], directions))
     t /= np.linalg.norm(t, axis=0)
     proj = centered @ t
-    second = np.mean(proj**2, axis=0)
-    fourth = np.mean(proj**4, axis=0)
+    # products, not proj**4: numpy's power is far slower for negative bases
+    sq = proj * proj
+    second = np.mean(sq, axis=0)
+    fourth = np.mean(sq * sq, axis=0)
     usable = second > 1e-14
     if not np.any(usable):
         raise ValueError("all projections degenerate: zero variance sample")

@@ -40,7 +40,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .covariance import MomentSample, _as_sample
+from .covariance import MomentSample, _checked
 from .critical_values import SCHEMA_VERSION
 from .dgp import IvConfig, RctConfig, gen_iv, gen_rct
 from .dominant_test import calibrate_spec, default_spec
@@ -75,9 +75,9 @@ class DataError(ValueError):
 
 def write_sample_csv(sample, path) -> None:
     """Write moment rows as CSV with header m1..md; %.17g round-trips."""
-    s = _as_sample(sample)
-    header = ",".join(f"m{j + 1}" for j in range(s.d))
-    np.savetxt(path, s.values, fmt="%.17g", delimiter=",", header=header, comments="")
+    values = _checked(sample)
+    header = ",".join(f"m{j + 1}" for j in range(values.shape[1]))
+    np.savetxt(path, values, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def read_sample_csv(path) -> MomentSample:

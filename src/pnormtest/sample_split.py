@@ -27,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import MomentSample, _as_sample, _pair_rows
+from .covariance import _checked, _pair_rows
 from .critical_values import _batch_pnorms
 from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from .gaussian_moments import as_exponent
-from .test_engine import TestReport, _matched_aux_rows, _whiten, run_tests
+from .test_engine import TestReport, _check_table_rows, _matched_aux_rows, _run_tests, _whiten
 
 __all__ = [
     "split",
@@ -63,12 +63,17 @@ def split(n: int, frac1: float = 0.5, seed=0) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(perm[:n1]), np.sort(perm[n1:])
 
 
-def _studentized_scores(values: np.ndarray) -> np.ndarray:
-    mean = values.mean(axis=0)
-    pair_var = np.mean(_pair_rows(values) ** 2, axis=0)
-    scores = np.zeros(values.shape[1])
+def _fold_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # what both selectors read of fold-1 rows the caller has already
+    # validated: H = sqrt(n1) * column means, and the difference-pair rows
+    return math.sqrt(values.shape[0]) * values.mean(axis=0), _pair_rows(values)
+
+
+def _studentized_scores(h: np.ndarray, r: np.ndarray) -> np.ndarray:
+    pair_var = np.mean(r**2, axis=0)
+    scores = np.zeros(h.size)
     live = pair_var > 0.0
-    scores[live] = math.sqrt(values.shape[0]) * np.abs(mean[live]) / np.sqrt(pair_var[live])
+    scores[live] = np.abs(h[live]) / np.sqrt(pair_var[live])
     return scores
 
 
@@ -76,7 +81,7 @@ def select_top_scaled(fold1, d: int) -> np.ndarray:
     """Indices of the d largest per-coordinate studentized statistics
     sqrt(n1)|mean_j|/sigma_j, ties going to the lower index.  Coordinates
     with zero pair variance score 0 and are picked only if d forces it."""
-    return _select(_as_sample(fold1).values, d, "top")
+    return _select(*_fold_moments(_checked(fold1)), d, "top")
 
 
 def _pick(step: int, scores: np.ndarray, bad: np.ndarray, selected: list[int]) -> int:
@@ -155,22 +160,20 @@ def select_greedy(fold1, d: int, p=2.0) -> np.ndarray:
     the growing set; plug-in pair covariance restricted to the candidate
     columns, ties to the lower index.  Candidates that are linearly
     dependent on the current set are skipped with a warning."""
-    return _select(_as_sample(fold1).values, d, "greedy", p)
+    return _select(*_fold_moments(_checked(fold1)), d, "greedy", p)
 
 
-def _select(values: np.ndarray, d: int, selection: str, p=2.0) -> np.ndarray:
-    # both selectors on fold-1 rows that the caller has already validated
-    if not 1 <= d <= values.shape[1]:
-        raise ValueError(f"need 1 <= d <= {values.shape[1]}, got d={d}")
+def _select(h: np.ndarray, r: np.ndarray, d: int, selection: str, p=2.0) -> np.ndarray:
+    # both selectors on the moments ``_fold_moments`` reads off fold 1
+    if not 1 <= d <= h.size:
+        raise ValueError(f"need 1 <= d <= {h.size}, got d={d}")
     if selection == "top":
-        return np.sort(np.argsort(-_studentized_scores(values), kind="stable")[:d])
+        return np.sort(np.argsort(-_studentized_scores(h, r), kind="stable")[:d])
     if selection != "greedy":
         raise ValueError(f"selection must be 'top', 'greedy' or indices, got {selection!r}")
     pv = float(p)
     if not (pv >= 2.0 or math.isinf(pv)):
         raise ValueError(f"exponent must lie in [2, inf], got {p}")
-    h = math.sqrt(values.shape[0]) * values.mean(axis=0)
-    r = _pair_rows(values)
     selected = _greedy_p2(h, r, d) if pv == 2.0 else _greedy_general(h, r, d, pv)
     return np.sort(np.asarray(selected, dtype=int))
 
@@ -219,18 +222,20 @@ def split_test(
     at dimension d against the fold-2 reference law.  Critical values are
     therefore those of a d-dimensional test at sample size n2.
     """
-    s = _as_sample(s)
-    if not 1 <= d <= s.d:
-        raise ValueError(f"need 1 <= d <= {s.d}, got d={d}")
-    idx1, idx2 = split(s.n, frac1, seed)
+    values = _checked(s)
+    n, big_d = values.shape
+    if not 1 <= d <= big_d:
+        raise ValueError(f"need 1 <= d <= {big_d}, got d={d}")
+    idx1, idx2 = split(n, frac1, seed)
     if isinstance(selection, str):
-        chosen = _select(s.values[idx1], d, selection, p)
+        # fold 1's rows are freed once its moments are read
+        chosen = _select(*_fold_moments(values[idx1]), d, selection, p)
     else:
         chosen = np.unique(np.asarray(list(selection), dtype=int))
         if chosen.size != d:
             raise ValueError(f"selection must hold {d} distinct indices, got {chosen.size}")
-        if chosen.min() < 0 or chosen.max() >= s.d:
-            raise ValueError(f"selection indices must lie in [0, {s.d})")
+        if chosen.min() < 0 or chosen.max() >= big_d:
+            raise ValueError(f"selection indices must lie in [0, {big_d})")
     n2 = idx2.size
     if d > n2**0.4:
         warnings.warn(
@@ -242,12 +247,8 @@ def split_test(
     if spec is None:
         aux = _matched_aux_rows(n2, d)
         spec = calibrate_spec(default_spec(d, alpha), reps=reps, seed=mc_seed, aux_rows=aux)
-    report = run_tests(
-        MomentSample(s.values[np.ix_(idx2, chosen)]),
-        spec,
-        estimator=estimator,
-        trunc_mult=trunc_mult,
-        extra_ps=extra_ps,
-        kurtosis_directions=kurtosis_directions,
+    report = _run_tests(
+        values[np.ix_(idx2, chosen)], spec, estimator, trunc_mult, extra_ps, kurtosis_directions
     )
+    _check_table_rows(spec, n2 // 2)
     return SplitResult(tuple(int(i) for i in chosen), idx1.size, n2, report)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .covariance import (
     MomentSample,
-    _as_sample,
+    _checked,
     _kurtosis,
     _pair_rows,
     _second_moment,
@@ -162,11 +162,12 @@ def _warn_rank(rank: int, d: int) -> None:
     )
 
 
-def _whiten_one(s: MomentSample, estimator: str, trunc_mult: float):
+def _whiten_one(values: np.ndarray, estimator: str, trunc_mult: float):
     # the stack-of-one case behind the public entry points, which warn
-    x, w, rank, sigma, aux = _whiten_stack(s.values[None], estimator, trunc_mult)
-    if rank[0] < s.d:
-        _warn_rank(int(rank[0]), s.d)
+    x, w, rank, sigma, aux = _whiten_stack(values[None], estimator, trunc_mult)
+    d = values.shape[1]
+    if rank[0] < d:
+        _warn_rank(int(rank[0]), d)
     return x, w, rank, sigma, aux
 
 
@@ -223,8 +224,8 @@ class ThetaProfile:
 
 def central_statistic(s) -> np.ndarray:
     """H = n^{-1/2} sum_i h(X_i) = sqrt(n) times the column means."""
-    s = _as_sample(s)
-    return math.sqrt(s.n) * s.values.mean(axis=0)
+    values = _checked(s)
+    return math.sqrt(values.shape[0]) * values.mean(axis=0)
 
 
 def standardize(h: np.ndarray, sigma_hat) -> StandardizedStat:
@@ -284,8 +285,7 @@ def prepare_standardized(
     s, estimator: str = "sample", trunc_mult: float = 3.0
 ) -> PreparedStats:
     """Full whitening pipeline: difference pairs, covariance, debias, whiten."""
-    s = _as_sample(s)
-    x, w, rank, sigma, aux = _whiten_one(s, _estimator_name(estimator), trunc_mult)
+    x, w, rank, sigma, aux = _whiten_one(_checked(s), _estimator_name(estimator), trunc_mult)
     return PreparedStats(
         stat=StandardizedStat._first(x, w, rank),
         sigma=SymMatrix(sigma[0]),
@@ -438,14 +438,28 @@ def run_tests(
     the spec's table was drawn from the finite-sample law for another
     difference-pair count than this sample's n // 2.
     """
-    s = _as_sample(s)
+    report = _run_tests(_checked(s), spec, estimator, trunc_mult, extra_ps, kurtosis_directions)
+    _check_table_rows(spec, report.n // 2)
+    return report
+
+
+def _run_tests(
+    values: np.ndarray,
+    spec: DominantTestSpec,
+    estimator: str,
+    trunc_mult: float,
+    extra_ps: Iterable,
+    kurtosis_directions: int,
+) -> TestReport:
+    # run_tests on an n x d array the caller has already validated; the
+    # caller checks the table's pair count, so the warning names its caller
+    n, d = values.shape
     if spec.table is None:
         raise ValueError("spec is not calibrated; run calibrate_spec first")
-    if s.d != spec.d:
-        raise ValueError(f"sample has d={s.d} but spec was built for d={spec.d}")
+    if d != spec.d:
+        raise ValueError(f"sample has d={d} but spec was built for d={spec.d}")
     estimator = _estimator_name(estimator)
-    x, w, rank, _, aux = _whiten_one(s, estimator, trunc_mult)
-    _check_table_rows(spec, aux.shape[-2])
+    x, w, rank, _, aux = _whiten_one(values, estimator, trunc_mult)
     ps, crits = _test_columns(spec, extra_ps)
     stats, reject, max_ratio, psi = _decide(x, spec, ps, crits)
     n_grid = len(spec.exponents)
@@ -463,8 +477,8 @@ def run_tests(
     if kurtosis_directions > 0:
         kurt = _kurtosis(aux[0], kurtosis_directions)
     return TestReport(
-        d=s.d,
-        n=s.n,
+        d=d,
+        n=n,
         estimator=estimator,
         per_p=records,
         dominant=DominantRecord(
@@ -514,10 +528,10 @@ def invert_confidence_set(
     ``grid[0]``, and a candidate of any other shape is a usage error.  The
     critical value defaults to a Monte-Carlo quantile under the
     finite-sample reference matched to the sample's difference-pair count;
-    pass ``critical`` to override.  A sample of fewer than 4 rows is
-    rejected.  A candidate is undetermined when its output has a non-finite
-    entry or a second moment that overflows: it is retained conservatively
-    with a nan statistic.  All candidates are whitened in chunks by the
+    pass a finite positive ``critical`` to override.  A sample of fewer than
+    4 rows is rejected.  A candidate is undetermined when its output has a
+    non-finite entry or a second moment that overflows: it is retained
+    conservatively with a nan statistic.  All candidates are whitened in chunks by the
     stacked kernel, and one ``RuntimeWarning`` counts the undetermined
     candidates and those with a rank-deficient covariance estimate.
     """
@@ -525,6 +539,8 @@ def invert_confidence_set(
     if not grid:
         raise ValueError("candidate grid must be nonempty")
     alpha = _check_alpha(alpha)
+    if critical is not None and not (math.isfinite(critical) and critical > 0):
+        raise ValueError(f"critical must be finite and positive, got {critical}")
     pv = as_exponent(p)
     estimator = _estimator_name(estimator)
 

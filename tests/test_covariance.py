@@ -1,14 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from pnormtest.covariance import (
     MomentSample,
+    _kurtosis,
     difference_pairs,
     kurtosis_diagnostic,
     sample_cov,
     truncated_cov,
 )
+from pnormtest.dominant_test import calibrate_spec, default_spec
+from pnormtest.sample_split import select_greedy, select_top_scaled, split_test
+from pnormtest.test_engine import central_statistic, prepare_standardized, run_tests
 
 SQ2 = np.sqrt(2.0)
 
@@ -134,3 +140,92 @@ class TestKurtosisDiagnostic:
         rng = np.random.default_rng(7)
         s = MomentSample(rng.standard_t(5, size=(10_000, 4)))
         assert kurtosis_diagnostic(s, directions=64, seed=1) > 3.0**0.25
+
+    @staticmethod
+    def power_formula(values, directions, seed):
+        # the diagnostic as first written, with the fourth moment as proj**4
+        centered = values - values.mean(axis=0)
+        t = np.random.default_rng(seed).standard_normal((values.shape[1], directions))
+        t /= np.linalg.norm(t, axis=0)
+        proj = centered @ t
+        second = np.mean(proj**2, axis=0)
+        fourth = np.mean(proj**4, axis=0)
+        return float(np.max(fourth**0.25 / np.sqrt(second)))
+
+    def test_matches_power_formula_on_mostly_negative_projections(self):
+        # rows spread along the diagnostic's own direction by a centred
+        # exponential: about 63% of the projections are negative
+        t = np.random.default_rng(3).standard_normal((5, 1))
+        t /= np.linalg.norm(t)
+        e = np.random.default_rng(8).exponential(size=(4000, 1))
+        values = (e - e.mean()) @ t.T
+        proj = (values - values.mean(axis=0)) @ t
+        assert np.mean(proj < 0) > 0.6
+        want = self.power_formula(values, 1, 3)
+        assert _kurtosis(values, 1, 3) == pytest.approx(want, rel=1e-12)
+
+    def test_matches_power_formula_on_heavy_tails(self):
+        values = np.random.default_rng(9).standard_t(4, size=(3000, 7)) - 0.5
+        want = self.power_formula(values, 64, 0)
+        assert kurtosis_diagnostic(values) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def spec4():
+    return calibrate_spec(default_spec(4, 0.05), reps=20_000, seed=2)
+
+
+# every entry point that validates its input in place instead of copying it
+# into a MomentSample, each reduced to comparable plain values
+ENTRY_POINTS = {
+    "run_tests": lambda v, spec: run_tests(v, spec).to_json_dict(),
+    "split_test": lambda v, spec: split_test(
+        v, 4, selection="greedy", spec=spec, seed=1
+    ).to_json_dict(),
+    "select_top_scaled": lambda v, spec: select_top_scaled(v, 3).tolist(),
+    "select_greedy": lambda v, spec: select_greedy(v, 3, p=3.0).tolist(),
+    "kurtosis_diagnostic": lambda v, spec: kurtosis_diagnostic(v),
+    "sample_cov": lambda v, spec: sample_cov(v).entries.tolist(),
+    "truncated_cov": lambda v, spec: truncated_cov(v).entries.tolist(),
+    "central_statistic": lambda v, spec: central_statistic(v).tolist(),
+    "prepare_standardized": lambda v, spec: prepare_standardized(v).stat.vector.tolist(),
+    "difference_pairs": lambda v, spec: difference_pairs(v).values.tolist(),
+}
+
+BAD_INPUTS = {
+    "nan": np.where(np.eye(40, 4) > 0, np.nan, 1.0),
+    "inf": np.where(np.eye(40, 4) > 0, -np.inf, 1.0),
+    "3-D": np.ones((2, 40, 4)),
+    "empty": np.empty((0, 4)),
+}
+
+
+class TestCheckedBoundary:
+    @pytest.mark.parametrize("bad", BAD_INPUTS, ids=str)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=str)
+    def test_rejects_as_moment_sample_does(self, entry, bad, spec4):
+        with pytest.raises(ValueError) as built:
+            MomentSample(BAD_INPUTS[bad])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(built.value))}$"):
+            ENTRY_POINTS[entry](BAD_INPUTS[bad], spec4)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS, ids=str)
+    def test_layouts_and_dtypes_give_the_same_bits(self, entry, spec4):
+        ints = np.random.default_rng(10).integers(-9, 10, size=(120, 4))
+        ints[:, 1] += 2
+        floats = ints.astype(float)
+        want = ENTRY_POINTS[entry](floats.copy(), spec4)
+        for layout in (np.asfortranarray(floats), ints, np.asfortranarray(ints)):
+            before = layout.copy()
+            assert ENTRY_POINTS[entry](layout, spec4) == want
+            assert np.array_equal(layout, before) and layout.dtype == before.dtype
+            assert layout.flags.writeable
+
+    def test_c_ordered_float_input_stays_writeable_and_unchanged(self, spec4):
+        values = np.random.default_rng(11).standard_normal((120, 4))
+        before = values.copy()
+        for entry in ENTRY_POINTS.values():
+            entry(values, spec4)
+        assert np.array_equal(values, before)
+        assert values.flags.writeable
+        values[0, 0] = 1.0

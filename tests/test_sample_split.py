@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pnormtest import covariance, sample_split, test_engine
 from pnormtest.covariance import MomentSample
 from pnormtest.dominant_test import calibrate_spec, default_spec
 from pnormtest.sample_split import (
@@ -246,19 +248,45 @@ class TestSplitTest:
 
 
 def test_validates_each_sample_once(monkeypatch, spec4):
-    # MomentSample validates and copies: run_tests builds one, for the
-    # caller's array; split_test builds two, that array and fold 2
-    count = [0]
-    original = MomentSample.__post_init__
+    # covariance._checked is the one validator: run_tests on an array calls
+    # it once, and split_test calls it once, for the caller's array; fold 2
+    # goes on as an array it has already validated
+    calls = []
+    original = covariance._checked
 
-    def counted(self):
-        count[0] += 1
-        original(self)
+    def counted(s):
+        calls.append(s)
+        return original(s)
 
-    monkeypatch.setattr(MomentSample, "__post_init__", counted)
+    for module in (covariance, test_engine, sample_split):
+        monkeypatch.setattr(module, "_checked", counted)
     values = np.random.default_rng(12).standard_normal((200, 30))
-    run_tests(values[:, :4], spec4)
-    assert count[0] == 1
-    count[0] = 0
+    for sample in (values[:, :4], np.ascontiguousarray(values[:, :4])):
+        calls.clear()
+        run_tests(sample, spec4)
+        assert len(calls) == 1 and calls[0] is sample
+    calls.clear()
     split_test(values, 4, selection="greedy", p=2.0, spec=spec4, seed=3)
-    assert count[0] == 2
+    assert len(calls) == 1 and calls[0] is values
+
+
+def test_mismatched_table_warning_names_the_caller():
+    # fold 2 of 200 rows has 50 difference pairs, the table was drawn for 30
+    spec = calibrate_spec(default_spec(4, 0.05), reps=50_000, seed=2, aux_rows=30)
+    values = np.random.default_rng(14).standard_normal((200, 10))
+    with pytest.warns(RuntimeWarning, match=r"aux_rows=30 .* has 50") as rec:
+        split_test(values, 4, spec=spec, seed=3)
+    assert rec[0].filename == __file__
+
+
+def test_split_test_does_not_copy_its_input(spec4):
+    # a C-ordered float input is validated in place: the peak stays below
+    # one copy of it (fold 1 alone is half of it)
+    values = np.random.default_rng(13).standard_normal((1000, 1000))
+    tracemalloc.start()
+    try:
+        split_test(values, 4, selection="greedy", p=2.0, spec=spec4, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes

@@ -307,8 +307,9 @@ class TestRunTests:
     def test_mismatched_table_aux_rows_warns(self):
         # table drawn for m=150 difference pairs, sample of n=400 has 200
         spec = calibrate_spec(default_spec(20, 0.05), reps=200_000, seed=1, aux_rows=150)
-        with pytest.warns(RuntimeWarning, match=r"aux_rows=150 .* has 200"):
+        with pytest.warns(RuntimeWarning, match=r"aux_rows=150 .* has 200") as rec:
             run_tests(gaussian_sample(400, 20, seed=7), spec, kurtosis_directions=0)
+        assert rec[0].filename == __file__
 
     def test_matched_table_aux_rows_is_silent(self):
         spec = calibrate_spec(default_spec(20, 0.05), reps=200_000, seed=1, aux_rows=200)
@@ -370,6 +371,13 @@ class TestInvertConfidenceSet:
         assert everything.retained == (0.0, 5.0)
         nothing = invert_confidence_set(model, [0.0, 5.0], 2, 0.05, critical=1e-12)
         assert nothing.retained == ()
+
+    @pytest.mark.parametrize("critical", [math.nan, -1.0, 0.0, math.inf])
+    def test_critical_must_be_finite_and_positive(self, critical):
+        # nan, -1 and 0 used to retain no candidate, inf every candidate
+        model = self.location_model(np.random.default_rng(4).standard_normal((40, 2)))
+        with pytest.raises(ValueError, match="critical must be finite and positive"):
+            invert_confidence_set(model, [0.0, 0.1], 2, 0.05, critical=critical)
 
     def test_fewer_than_four_rows_rejected(self):
         # a 3 x 2 sample has one difference pair: no candidate can be tested
