@@ -16,7 +16,7 @@ from .critical_values import (
     kappa_p_asymptotic,
     mc_pnorm_quantile,
 )
-from .dgp import IvConfig, RctConfig, gen_gaussian_limit, gen_iv, gen_rct
+from .dgp import IvConfig, RctConfig, gen_iv, gen_rct
 from .dominant_test import (
     DominantTestSpec,
     calibrate_spec,
@@ -51,7 +51,6 @@ __all__ = [
     "RctConfig",
     "gen_iv",
     "gen_rct",
-    "gen_gaussian_limit",
     "DominantTestSpec",
     "default_spec",
     "calibrate_spec",

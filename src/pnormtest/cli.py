@@ -115,7 +115,8 @@ def _cmd_calibrate(args) -> None:
 def _load_spec(path: str) -> DominantTestSpec:
     try:
         spec = DominantTestSpec.from_json(Path(path).read_text())
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        # a missing field, a null or a wrong JSON type, a number out of range
         raise DataError(f"{path}: not a calibrated test specification: {exc}") from None
     if not spec.calibrated:
         raise DataError(f"{path}: specification has no calibration table; run 'calibrate'")
@@ -192,7 +193,7 @@ def _cmd_simulate(args) -> None:
         config = json.loads(Path(args.config).read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{args.config}: invalid JSON: {exc}") from None
-    report = run_experiment(config, threads=args.threads)
+    report = run_experiment(config)
     _emit(report.to_json_dict(), args.out)
 
 
@@ -262,7 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run an experiment config")
     sim.add_argument("--config", required=True)
     sim.add_argument("--out", help="report JSON path (default: stdout)")
-    sim.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect")
     sim.set_defaults(func=_cmd_simulate)
 
     spl = sub.add_parser("split-test", help="select d moments on fold 1, test them on fold 2")

@@ -133,20 +133,18 @@ def truncated_cov(aux, trunc_mult: float = 3.0) -> SymMatrix:
     return SymMatrix(_second_moment(rows))
 
 
-def kurtosis_diagnostic(s, directions: int = 64, seed: int = 0) -> float:
+def kurtosis_diagnostic(s) -> float:
     """Empirical directional-kurtosis diagnostic.
 
-    Max over random unit directions t of
+    Max over 64 random unit directions t (seed 0) of
     (E_hat <h - mu_hat, t>^4)^(1/4) / (E_hat <h - mu_hat, t>^2)^(1/2),
     an empirical lower bound on the fourth-to-second moment-ratio constant;
     Gaussian data yields about 3^(1/4) ~ 1.316.  Reported, not enforced.
     """
-    if directions < 1:
-        raise ValueError("need at least one direction")
-    return _kurtosis(_checked(s), directions, seed)
+    return _kurtosis(_checked(s))
 
 
-def _kurtosis(values: np.ndarray, directions: int, seed: int = 0) -> float:
+def _kurtosis(values: np.ndarray, directions: int = 64, seed: int = 0) -> float:
     # kurtosis_diagnostic on an n x d array the caller has already validated
     centered = values - values.mean(axis=0)
     rng = np.random.default_rng(seed)

@@ -63,6 +63,15 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+
+def _check_document(doc, kind: str) -> None:
+    """Reject a JSON document that is not a ``kind`` of this schema version."""
+    if not isinstance(doc, dict) or doc.get("kind") != kind:
+        raise ValueError(f"document is not a {kind}")
+    version = doc.get("schema_version")
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise ValueError(f"{kind}: schema_version {version!r} is not {SCHEMA_VERSION}")
+
 # Fixed Monte-Carlo block size; part of the definition of the draw stream,
 # so it must never be tuned per call.
 _BLOCK = 1024
@@ -350,15 +359,14 @@ class CriticalValueTable:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CriticalValueTable":
-        if doc.get("kind") != "critical_value_table":
-            raise ValueError("document is not a critical_value_table")
+        _check_document(doc, "critical_value_table")
         entries: dict[Exponent, tuple[float, float]] = {}
         standalone: dict[Exponent, float] = {}
         for row in doc["entries"]:
             p = INF if row["p"] == "inf" else as_exponent(float(row["p"]))
             entries[p] = (float(row["share"]), float(row["kappa"]))
-            if row.get("standalone_kappa") is not None:
-                standalone[p] = float(row["standalone_kappa"])
+            # absent or null reads as 0.0, which __post_init__ rejects by name
+            standalone[p] = float(row.get("standalone_kappa") or 0.0)
         return cls(
             d=int(doc["d"]),
             alpha_total=float(doc["alpha_total"]),

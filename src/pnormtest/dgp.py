@@ -1,13 +1,11 @@
 """Data-generating processes for the simulation harness.
 
-Three generators, all deterministic given (config, seed):
+Two generators, both deterministic given (config, seed):
 
 * linear IV with one endogenous regressor and d (possibly weak or
   irrelevant) instruments; moment rows (y_i - Y_i b*) z_i;
 * a randomized trial with d outcomes and known treatment probability;
-  moment rows D Y / pi - (1 - D) Y / (1 - pi) - b*;
-* the Gaussian limit experiment Z_d + theta, for validating power
-  formulas with a known identity covariance.
+  moment rows D Y / pi - (1 - D) Y / (1 - pi) - b*.
 
 Error laws are standard normal or multivariate t with dof > 4 (four
 moments are what the covariance estimation theory needs), the t scaled
@@ -26,14 +24,12 @@ import numpy as np
 from scipy.linalg import cholesky, toeplitz
 
 from .covariance import MomentSample
-from .test_engine import ThetaProfile
 
 __all__ = [
     "IvConfig",
     "RctConfig",
     "gen_iv",
     "gen_rct",
-    "gen_gaussian_limit",
 ]
 
 _COV_KINDS = ("identity", "toeplitz")
@@ -165,15 +161,3 @@ def gen_rct(cfg: RctConfig, beta_star, seed) -> MomentSample:
     observed = np.where(treated[:, None], y0 + cfg.effect, y0)
     weight = np.where(treated, 1.0 / cfg.pi_treat, -1.0 / (1.0 - cfg.pi_treat))
     return MomentSample(observed * weight[:, None] - beta_star)
-
-
-def gen_gaussian_limit(theta, seed, reps: int | None = None) -> np.ndarray:
-    """Draws from the limit experiment Z_d + theta with known identity
-    covariance; one d-vector, or a (reps, d) matrix when reps is given."""
-    t = theta.theta if isinstance(theta, ThetaProfile) else np.asarray(theta, dtype=float)
-    rng = np.random.default_rng(seed)
-    if reps is None:
-        return rng.standard_normal(t.shape[0]) + t
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    return rng.standard_normal((reps, t.shape[0])) + t[None, :]

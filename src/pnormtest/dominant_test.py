@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .critical_values import SCHEMA_VERSION, CriticalValueTable, calibrate_joint
+from .critical_values import SCHEMA_VERSION, CriticalValueTable, _check_document, calibrate_joint
 from .gaussian_moments import INF, Exponent, as_exponent, normal_quantile
 
 __all__ = [
@@ -132,8 +132,7 @@ class DominantTestSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DominantTestSpec":
-        if doc.get("kind") != "dominant_test_spec":
-            raise ValueError("document is not a dominant_test_spec")
+        _check_document(doc, "dominant_test_spec")
         table = doc.get("table")
         return cls(
             d=int(doc["d"]),

@@ -14,7 +14,8 @@ never changes a result.
 
 The config is parsed once, before calibration, against field tables
 (name -> converter, default): every section rejects unknown fields,
-integer fields must be integral, and every error names its field path.
+numeric fields reject JSON booleans and strings, integer fields must be
+integral, and every error names its field path.
 The iv and rct tables are read off ``IvConfig`` and ``RctConfig``, so each
 dataclass is the only list of its fields and defaults.
 
@@ -24,8 +25,8 @@ Replications with a rank-deficient covariance estimate are counted and
 reported in one warning per experiment, which says that the tests' size
 is then not controlled.
 
-CSV helpers live here too: one observation per row, first row a header,
-parse failures reported with line and column.
+The CSV reader lives here too: one observation per row, first row a
+header, parse failures reported with line and column.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .covariance import MomentSample, _checked
+from .covariance import MomentSample
 from .critical_values import SCHEMA_VERSION
 from .dgp import IvConfig, RctConfig, gen_iv, gen_rct
 from .dominant_test import calibrate_spec, default_spec
@@ -59,7 +60,6 @@ __all__ = [
     "UsageError",
     "DataError",
     "read_sample_csv",
-    "write_sample_csv",
     "SimulationReport",
     "run_experiment",
 ]
@@ -71,13 +71,6 @@ class UsageError(ValueError):
 
 class DataError(ValueError):
     """Input files that exist but cannot be used as data."""
-
-
-def write_sample_csv(sample, path) -> None:
-    """Write moment rows as CSV with header m1..md; %.17g round-trips."""
-    values = _checked(sample)
-    header = ",".join(f"m{j + 1}" for j in range(values.shape[1]))
-    np.savetxt(path, values, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def read_sample_csv(path) -> MomentSample:
@@ -116,21 +109,32 @@ def read_sample_csv(path) -> MomentSample:
         raise DataError(f"{path}: {exc}") from None
 
 
+def _numeric(value):
+    # int() and float() would read true as 1 and "3" as 3: not numbers here
+    if isinstance(value, list):
+        for item in value:
+            _numeric(item)
+    elif isinstance(value, (bool, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return value
+
+
 def _integer(value) -> int:
+    value = _numeric(value)
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
 def _vector(value) -> np.ndarray:
-    value = np.asarray(value, dtype=float)
+    value = np.asarray(_numeric(value), dtype=float)
     if not np.isfinite(value).all():
         raise ValueError("must be finite")
     return value
 
 
 def _real(value) -> float:
-    return float(_vector(float(value)))
+    return float(_vector(float(_numeric(value))))
 
 
 def _object(value) -> dict:

@@ -31,7 +31,14 @@ from .covariance import _checked, _pair_rows
 from .critical_values import _batch_pnorms
 from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from .gaussian_moments import as_exponent
-from .test_engine import TestReport, _check_table_rows, _matched_aux_rows, _run_tests, _whiten
+from .test_engine import (
+    TestReport,
+    _check_table_rows,
+    _matched_aux_rows,
+    _run_tests,
+    _warn_rank,
+    _whiten,
+)
 
 __all__ = [
     "split",
@@ -210,9 +217,6 @@ def split_test(
     reps: int | None = None,
     mc_seed: int = 0,
     estimator: str = "sample",
-    trunc_mult: float = 3.0,
-    extra_ps=(),
-    kurtosis_directions: int = 64,
 ) -> SplitResult:
     """Select d of the D moment columns on fold 1, test them on fold 2.
 
@@ -247,8 +251,7 @@ def split_test(
     if spec is None:
         aux = _matched_aux_rows(n2, d)
         spec = calibrate_spec(default_spec(d, alpha), reps=reps, seed=mc_seed, aux_rows=aux)
-    report = _run_tests(
-        values[np.ix_(idx2, chosen)], spec, estimator, trunc_mult, extra_ps, kurtosis_directions
-    )
+    report = _run_tests(values[np.ix_(idx2, chosen)], spec, estimator)
+    _warn_rank(report.rank, d)
     _check_table_rows(spec, n2 // 2)
     return SplitResult(tuple(int(i) for i in chosen), idx1.size, n2, report)

@@ -1,5 +1,5 @@
-"""Core test pipeline: central statistic, whitening, p-norm statistics,
-decisions, the noncentrality oracle, and confidence-set inversion.
+"""Core test pipeline: whitening, p-norm statistics, decisions, the
+noncentrality oracle, and confidence-set inversion.
 
 The pipeline for a sample of evaluated moment functions is
 
@@ -32,16 +32,16 @@ argument of the calibration functions.
 
 Rank deficiency is handled by the Moore-Penrose convention: eigenvalues
 at or below 1e-10 times the largest get w^{-1/2} := 0, so singular
-directions are projected out; a warning reports the numerical rank, and
-critical values keep using the nominal d.  A materially negative
-eigenvalue is an error.
+directions are projected out; the public entry points warn with the
+numerical rank, naming their caller, and critical values keep using the
+nominal d.  A materially negative eigenvalue is an error.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -66,13 +66,10 @@ from .gaussian_moments import Exponent, as_exponent
 from .matrix_core import SymMatrix, _inverse_roots
 
 __all__ = [
-    "StandardizedStat",
     "ThetaProfile",
     "TestReport",
     "PerExponentRecord",
     "DominantRecord",
-    "PreparedStats",
-    "central_statistic",
     "standardize",
     "p_norm_stat",
     "theta_oracle",
@@ -85,6 +82,9 @@ __all__ = [
 
 # covariance estimators by accepted name; "trunc" is short for "truncated"
 _ESTIMATORS = {"sample": "sample", "truncated": "truncated", "trunc": "truncated"}
+
+# truncation radius of the truncated estimator, in median row norms
+_TRUNC_MULT = 3.0
 
 
 def _estimator_name(name: str) -> str:
@@ -154,50 +154,14 @@ def _whiten_chunks(count: int, n: int, d: int, fill, estimator: str, trunc_mult:
 
 
 def _warn_rank(rank: int, d: int) -> None:
-    warnings.warn(
-        f"covariance estimate has numerical rank {rank} < d = {d}; "
-        "singular directions are projected out",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-def _whiten_one(values: np.ndarray, estimator: str, trunc_mult: float):
-    # the stack-of-one case behind the public entry points, which warn
-    x, w, rank, sigma, aux = _whiten_stack(values[None], estimator, trunc_mult)
-    d = values.shape[1]
-    if rank[0] < d:
-        _warn_rank(int(rank[0]), d)
-    return x, w, rank, sigma, aux
-
-
-@dataclass(frozen=True)
-class StandardizedStat:
-    """The whitened vector pinv_sqrt(Sigma_hat) H with diagnostics."""
-
-    vector: np.ndarray
-    eigen_diag: tuple[float, float]
-    rank: int
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.vector, dtype=float)
-        if v.ndim != 1:
-            raise ValueError(f"expected a vector, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("standardized statistic must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "vector", v)
-
-    @property
-    def d(self) -> int:
-        return self.vector.shape[0]
-
-    @classmethod
-    def _first(cls, x, w, rank) -> "StandardizedStat":
-        # the first sample of a kernel result
-        return cls(
-            vector=x[0], eigen_diag=(float(w[0, 0]), float(w[0, -1])), rank=int(rank[0])
+    # called by the public entry points themselves, so the warning names
+    # the line that called them
+    if rank < d:
+        warnings.warn(
+            f"covariance estimate has numerical rank {rank} < d = {d}; "
+            "singular directions are projected out",
+            RuntimeWarning,
+            stacklevel=3,
         )
 
 
@@ -222,17 +186,12 @@ class ThetaProfile:
         return self.theta.shape[0]
 
 
-def central_statistic(s) -> np.ndarray:
-    """H = n^{-1/2} sum_i h(X_i) = sqrt(n) times the column means."""
-    values = _checked(s)
-    return math.sqrt(values.shape[0]) * values.mean(axis=0)
-
-
-def standardize(h: np.ndarray, sigma_hat) -> StandardizedStat:
+def standardize(h: np.ndarray, sigma_hat) -> tuple[np.ndarray, np.ndarray, int]:
     """Whiten H by the Moore-Penrose inverse square root of Sigma_hat.
 
-    Warns when the covariance estimate is numerically rank deficient;
-    singular directions are projected out of the statistic.
+    Returns the whitened vector, the ascending eigenvalues of Sigma_hat and
+    its numerical rank.  Warns when Sigma_hat is numerically rank
+    deficient; singular directions are projected out of the statistic.
     """
     sigma = sigma_hat if isinstance(sigma_hat, SymMatrix) else SymMatrix(sigma_hat)
     h = np.asarray(h, dtype=float)
@@ -241,18 +200,17 @@ def standardize(h: np.ndarray, sigma_hat) -> StandardizedStat:
             f"dimension mismatch: H has shape {h.shape}, Sigma is {sigma.dim} x {sigma.dim}"
         )
     x, w, rank = _whiten(h[None], sigma.entries[None])
-    if rank[0] < sigma.dim:
-        _warn_rank(int(rank[0]), sigma.dim)
-    return StandardizedStat._first(x, w, rank)
+    _warn_rank(int(rank[0]), sigma.dim)
+    return x[0], w[0], int(rank[0])
 
 
 def p_norm_stat(v, p) -> float:
     """S_p = ||v||_p, overflow-safe via max-factoring; 0 for the zero vector.
 
-    Accepts a StandardizedStat or a plain vector: the stack-of-one case of
-    the batched p-norms behind every statistic of the package.
+    The stack-of-one case of the batched p-norms behind every statistic of
+    the package.
     """
-    vec = v.vector if isinstance(v, StandardizedStat) else np.asarray(v, dtype=float)
+    vec = np.asarray(v, dtype=float)
     return float(_batch_pnorms(vec.reshape(1, -1), [as_exponent(p)])[0, 0])
 
 
@@ -268,29 +226,18 @@ def theta_oracle(mu: np.ndarray, sigma, n: int) -> ThetaProfile:
     return ThetaProfile(math.sqrt(n) * x[0])
 
 
-@dataclass(frozen=True)
-class PreparedStats:
-    """Standardized statistic plus the covariance matrix that produced it."""
+def prepare_standardized(s, estimator: str = "sample", trunc_mult: float = _TRUNC_MULT):
+    """Full whitening pipeline: difference pairs, covariance, debias, whiten.
 
-    stat: StandardizedStat
-    sigma: SymMatrix
-    aux: MomentSample
-
-    @property
-    def aux_rows(self) -> int:
-        return self.aux.n
-
-
-def prepare_standardized(
-    s, estimator: str = "sample", trunc_mult: float = 3.0
-) -> PreparedStats:
-    """Full whitening pipeline: difference pairs, covariance, debias, whiten."""
-    x, w, rank, sigma, aux = _whiten_one(_checked(s), _estimator_name(estimator), trunc_mult)
-    return PreparedStats(
-        stat=StandardizedStat._first(x, w, rank),
-        sigma=SymMatrix(sigma[0]),
-        aux=MomentSample(aux[0]),
-    )
+    Returns the kernel's arrays for this one sample: the whitened vector
+    (d,), the ascending eigenvalues (d,), the numerical rank, the debiased
+    covariance estimate (d, d) and the difference-pair rows (n // 2, d).
+    """
+    values = _checked(s)
+    out = _whiten_stack(values[None], _estimator_name(estimator), trunc_mult)
+    x, w, rank, sigma, aux = (a[0] for a in out)
+    _warn_rank(int(rank), values.shape[1])
+    return x, w, int(rank), sigma, aux
 
 
 def _matched_aux_rows(n: int, d: int) -> int | None:
@@ -382,7 +329,7 @@ class TestReport:
     dominant: DominantRecord
     eigen_diag: tuple[float, float]
     rank: int
-    kurtosis: float | None = field(default=None)
+    kurtosis: float
 
     def record(self, p) -> PerExponentRecord:
         pv = as_exponent(p)
@@ -424,9 +371,8 @@ def run_tests(
     s,
     spec: DominantTestSpec,
     estimator: str = "sample",
-    trunc_mult: float = 3.0,
+    trunc_mult: float = _TRUNC_MULT,
     extra_ps: Iterable = (),
-    kurtosis_directions: int = 64,
 ) -> TestReport:
     """Evaluate every p-norm test in the spec's grid plus the combined test.
 
@@ -434,11 +380,14 @@ def run_tests(
     alpha_total (critical values from the spec's calibrated table);
     exponents in ``extra_ps`` outside the grid fall back to the
     asymptotic formulas.  The dominant record applies the combined rule
-    max_p S_p / kappa_p >= c_n over the grid exponents only.  Warns when
-    the spec's table was drawn from the finite-sample law for another
+    max_p S_p / kappa_p >= c_n over the grid exponents only.  The
+    directional kurtosis of the difference pairs is always reported.
+    Warns when the covariance estimate is rank deficient, and when the
+    spec's table was drawn from the finite-sample law for another
     difference-pair count than this sample's n // 2.
     """
-    report = _run_tests(_checked(s), spec, estimator, trunc_mult, extra_ps, kurtosis_directions)
+    report = _run_tests(_checked(s), spec, estimator, trunc_mult, extra_ps)
+    _warn_rank(report.rank, report.d)
     _check_table_rows(spec, report.n // 2)
     return report
 
@@ -447,19 +396,18 @@ def _run_tests(
     values: np.ndarray,
     spec: DominantTestSpec,
     estimator: str,
-    trunc_mult: float,
-    extra_ps: Iterable,
-    kurtosis_directions: int,
+    trunc_mult: float = _TRUNC_MULT,
+    extra_ps: Iterable = (),
 ) -> TestReport:
     # run_tests on an n x d array the caller has already validated; the
-    # caller checks the table's pair count, so the warning names its caller
+    # caller warns, so the warnings name its caller
     n, d = values.shape
     if spec.table is None:
         raise ValueError("spec is not calibrated; run calibrate_spec first")
     if d != spec.d:
         raise ValueError(f"sample has d={d} but spec was built for d={spec.d}")
     estimator = _estimator_name(estimator)
-    x, w, rank, _, aux = _whiten_one(values, estimator, trunc_mult)
+    x, w, rank, _, aux = _whiten_stack(values[None], estimator, trunc_mult)
     ps, crits = _test_columns(spec, extra_ps)
     stats, reject, max_ratio, psi = _decide(x, spec, ps, crits)
     n_grid = len(spec.exponents)
@@ -473,9 +421,6 @@ def _run_tests(
         )
         for j, p in enumerate(ps)
     )
-    kurt = None
-    if kurtosis_directions > 0:
-        kurt = _kurtosis(aux[0], kurtosis_directions)
     return TestReport(
         d=d,
         n=n,
@@ -486,7 +431,7 @@ def _run_tests(
         ),
         eigen_diag=(float(w[0, 0]), float(w[0, -1])),
         rank=int(rank[0]),
-        kurtosis=kurt,
+        kurtosis=_kurtosis(aux[0]),
     )
 
 
@@ -516,7 +461,6 @@ def invert_confidence_set(
     p,
     alpha: float,
     estimator: str = "sample",
-    trunc_mult: float = 3.0,
     critical: float | None = None,
     mc_reps: int | None = None,
     mc_seed: int = 0,
@@ -570,7 +514,7 @@ def invert_confidence_set(
 
     stats = np.empty(len(grid))
     deficient = 0
-    for lo, hi, x, rank in _whiten_chunks(len(grid), n, d, fill, estimator, trunc_mult):
+    for lo, hi, x, rank in _whiten_chunks(len(grid), n, d, fill, estimator, _TRUNC_MULT):
         stats[lo:hi] = _batch_pnorms(x, [pv])[:, 0]
         deficient += int(np.count_nonzero(rank[finite[lo:hi]] < d))
     stats[~finite] = math.nan

@@ -31,7 +31,7 @@ from pnormtest.critical_values import (
     kappa_p_asymptotic,
     mc_pnorm_quantile,
 )
-from pnormtest.dgp import IvConfig, gen_gaussian_limit, gen_iv
+from pnormtest.dgp import IvConfig, gen_iv
 from pnormtest.dominant_test import calibrate_spec, default_spec, power_loss_bound
 from pnormtest.gaussian_moments import (
     _lambda_quadrature,
@@ -42,12 +42,7 @@ from pnormtest.gaussian_moments import (
 )
 from pnormtest.matrix_core import pinv_sqrt
 from pnormtest.sample_split import select_greedy, select_top_scaled, split, split_test
-from pnormtest.test_engine import (
-    central_statistic,
-    p_norm_stat,
-    prepare_standardized,
-    run_tests,
-)
+from pnormtest.test_engine import p_norm_stat, prepare_standardized, run_tests
 
 SIZE_BAND = (0.03, 0.07)
 
@@ -89,7 +84,7 @@ def null_size_rates():
     for rep in range(reps):
         rows = _sfc(20260814, rep).standard_normal((n, d))
         for est, acc in hits.items():
-            report = run_tests(rows, spec, estimator=est, kurtosis_directions=0)
+            report = run_tests(rows, spec, estimator=est)
             for p in (2.0, 3.0, 4.0):
                 acc[p] += report.record(p).reject
             acc["inf_exact"] += report.record(math.inf).statistic >= kinf
@@ -127,7 +122,7 @@ def test_local_power_matches_normal_approximation():
     z95 = normal_quantile(1 - alpha)
 
     theta2 = np.full(d, math.sqrt(2.0 / math.sqrt(d)))  # ||theta||^2 = 2 sqrt(d)
-    draws = gen_gaussian_limit(theta2, seed=31, reps=reps)
+    draws = np.random.default_rng(31).standard_normal((reps, d)) + theta2  # Z_d + theta
     power2 = float(np.mean(np.linalg.norm(draws, axis=1) >= kappa_p_asymptotic(2, d, alpha)))
     target2 = 1.0 - normal_cdf(z95 - 2.0 / sigma_p(2))
     assert power2 == pytest.approx(target2, abs=0.05)
@@ -135,7 +130,7 @@ def test_local_power_matches_normal_approximation():
     # per-coordinate shift t solving sum(lambda_4(t) - lambda_4(0)) = 2 sqrt(d),
     # i.e. t^4 + 6 t^2 = 2/sqrt(d)
     t = math.sqrt(-3.0 + math.sqrt(9.0 + 2.0 / math.sqrt(d)))
-    draws = gen_gaussian_limit(np.full(d, t), seed=32, reps=reps)
+    draws = np.random.default_rng(32).standard_normal((reps, d)) + t
     s4 = (np.abs(draws) ** 4).sum(axis=1) ** 0.25
     power4 = float(np.mean(s4 >= kappa_p_asymptotic(4, d, alpha)))
     target4 = 1.0 - normal_cdf(z95 - 2.0 / sigma_p(4))
@@ -307,7 +302,7 @@ def test_sample_split_size_and_power(spec12):
             ("top", select_top_scaled(fold1, d)),
             ("greedy", select_greedy(fold1, d, 2.0)),
         ):
-            report = run_tests(fold2[:, chosen], spec12, kurtosis_directions=0)
+            report = run_tests(fold2[:, chosen], spec12)
             hits[(rule, "2")] += report.record(2.0).reject
             hits[(rule, "inf")] += report.record(math.inf).reject
             hits[(rule, "psi")] += report.dominant.reject
@@ -335,10 +330,10 @@ def test_iv_p2_is_anderson_rubin_and_robust_to_weak_instruments():
     )
     for rep in range(50):
         s = gen_iv(cfg, beta_star=0.5, seed=rep)
-        prep = prepare_standardized(s)
-        s2 = p_norm_stat(prep.stat, 2)
-        h = central_statistic(s)
-        ar = math.sqrt(h @ pinvh(prep.sigma.entries) @ h)
+        x, _, _, sigma, _ = prepare_standardized(s)
+        s2 = p_norm_stat(x, 2)
+        h = math.sqrt(s.n) * s.values.mean(axis=0)  # H = n^{-1/2} sum_i h(X_i)
+        ar = math.sqrt(h @ pinvh(sigma) @ h)
         assert s2 == pytest.approx(ar, rel=1e-9)
 
     # pi = 0: beta is not identified, yet the test keeps its level at any
@@ -350,7 +345,7 @@ def test_iv_p2_is_anderson_rubin_and_robust_to_weak_instruments():
         hits = 0
         for rep in range(reps):
             s = gen_iv(cfg0, beta_star=beta_star, seed=np.random.SeedSequence((91, bi, rep)))
-            hits += p_norm_stat(prepare_standardized(s).stat, 2) >= crit
+            hits += p_norm_stat(prepare_standardized(s)[0], 2) >= crit
         rate = hits / reps
         assert SIZE_BAND[0] <= rate <= SIZE_BAND[1], f"beta*={beta_star}: rate {rate}"
 

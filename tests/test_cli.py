@@ -215,6 +215,40 @@ class TestTest:
         assert code == 3 and out == ""
         assert "other alpha shares" in err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: {**doc, "d": None},
+            lambda doc: [doc],
+            lambda doc: {**doc, "p_grid": None},
+            lambda doc: {**doc, "table": {**doc["table"], "entries": [1.5]}},
+            lambda doc: {**doc, "table": {**doc["table"], "mc_reps": math.inf}},
+        ],
+        ids=["null d", "top-level array", "null grid", "number entry", "infinite reps"],
+    )
+    def test_malformed_spec_exit_3(self, tmp_path, table3, capsys, edit):
+        table = tmp_path / "malformed.json"
+        table.write_text(json.dumps(edit(json.loads(table3.read_text()))))
+        data = write_null_csv(tmp_path / "null.csv")
+        code, out, err = run_cli(capsys, "test", "--data", str(data), "--table", str(table))
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and "not a calibrated test specification" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("where", ["spec", "table", "both"])
+    def test_other_schema_version_exit_3(self, tmp_path, table3, capsys, where):
+        doc = json.loads(table3.read_text())
+        if where in ("spec", "both"):
+            doc["schema_version"] = 7
+        if where in ("table", "both"):
+            doc["table"]["schema_version"] = 7
+        table = tmp_path / "v7.json"
+        table.write_text(json.dumps(doc))
+        data = write_null_csv(tmp_path / "null.csv")
+        code, out, err = run_cli(capsys, "test", "--data", str(data), "--table", str(table))
+        assert code == 3 and out == ""
+        assert "schema_version 7 is not 1" in err
+
     def test_missing_file_exit_3(self, tmp_path, table3, capsys):
         code, _, err = run_cli(
             capsys, "test", "--data", str(tmp_path / "nope.csv"), "--table", str(table3)
@@ -302,7 +336,7 @@ class TestSimulate:
     def test_runs_and_reports(self, config_path, tmp_path, capsys):
         out = tmp_path / "report.json"
         code, _, _ = run_cli(
-            capsys, "simulate", "--config", str(config_path), "--out", str(out), "--threads", "2"
+            capsys, "simulate", "--config", str(config_path), "--out", str(out)
         )
         assert code == 0
         doc = json.loads(out.read_text())

@@ -5,8 +5,7 @@ import pytest
 from scipy.linalg import toeplitz
 
 from pnormtest.covariance import MomentSample, kurtosis_diagnostic, sample_cov
-from pnormtest.dgp import IvConfig, RctConfig, gen_gaussian_limit, gen_iv, gen_rct
-from pnormtest.test_engine import ThetaProfile
+from pnormtest.dgp import IvConfig, RctConfig, gen_iv, gen_rct
 
 
 def iv_cfg(**kw):
@@ -164,33 +163,3 @@ class TestGenRct:
     def test_rejects_wrong_beta_star_shape(self):
         with pytest.raises(ValueError, match="d-vector"):
             gen_rct(rct_cfg(), np.zeros(3), seed=0)
-
-
-class TestGaussianLimit:
-    def test_single_draw_shape_and_determinism(self):
-        theta = np.array([1.0, -2.0, 0.0])
-        a = gen_gaussian_limit(theta, seed=0)
-        assert a.shape == (3,)
-        assert np.array_equal(a, gen_gaussian_limit(theta, seed=0))
-
-    def test_accepts_theta_profile(self):
-        prof = ThetaProfile(np.array([0.5, 0.5]))
-        assert np.array_equal(
-            gen_gaussian_limit(prof, seed=3), gen_gaussian_limit(prof.theta, seed=3)
-        )
-
-    def test_batch_mean_matches_theta(self):
-        # theta = 0: pooled coordinate mean over 10^6 draws is ~N(0, 1e-6)
-        draws = gen_gaussian_limit(np.zeros(50), seed=7, reps=20_000)
-        assert draws.shape == (20_000, 50)
-        assert abs(draws.mean()) <= 0.005
-
-    def test_mean_squared_norm_is_d_plus_theta_norm(self):
-        theta = np.full(10, 0.7)
-        draws = gen_gaussian_limit(theta, seed=2, reps=50_000)
-        target = 10.0 + float(theta @ theta)
-        assert np.mean(np.sum(draws**2, axis=1)) == pytest.approx(target, abs=0.1)
-
-    def test_rejects_nonpositive_reps(self):
-        with pytest.raises(ValueError, match="reps"):
-            gen_gaussian_limit(np.zeros(3), seed=0, reps=0)

@@ -15,19 +15,18 @@ from pnormtest.harness import (
     UsageError,
     read_sample_csv,
     run_experiment,
-    write_sample_csv,
 )
 from pnormtest.test_engine import run_tests
 
 
 class TestCsvRoundtrip:
     def test_write_then_read_is_exact(self, tmp_path):
+        # %.17g round-trips every float64
         values = np.random.default_rng(0).standard_normal((17, 4)) * 1e3
         path = tmp_path / "sample.csv"
-        write_sample_csv(MomentSample(values), path)
+        np.savetxt(path, values, fmt="%.17g", delimiter=",", header="a,b,c,d", comments="")
         back = read_sample_csv(path)
         assert np.array_equal(back.values, values)
-        assert path.read_text().splitlines()[0] == "m1,m2,m3,m4"
 
     def test_bad_cell_reported_with_line_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -122,7 +121,7 @@ class TestRunExperiment:
         spec = calibrate_spec(default_spec(d, 0.05), reps=50_000, aux_rows=n // 2)
         for rep in range(cfg["reps"]):
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((3, rep))))
-            alone = run_tests(draw(rng), spec, extra_ps=(2.5,), kurtosis_directions=0)
+            alone = run_tests(draw(rng), spec, extra_ps=(2.5,))
             row = [rec.reject for rec in alone.per_p] + [alone.dominant.reject]
             assert report.flags[rep].tolist() == row
         assert report.test_names == ("2", "3", "4", "inf", "2.5", "psi")
@@ -260,6 +259,28 @@ class TestRunExperiment:
         calls = []
         monkeypatch.setattr(harness, "calibrate_spec", lambda *a, **k: calls.append(1))
         with pytest.raises(UsageError, match=f"^{field}: "):
+            run_experiment(gaussian_config(**override))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "field, override",
+        [
+            ("reps", {"reps": True}),
+            ("reps", {"reps": "3"}),
+            ("seed", {"seed": False}),
+            ("dgp.n", {"dgp": {"kind": "gaussian", "n": "40", "d": 3}}),
+            ("dgp.theta", {"dgp": {"kind": "gaussian", "n": 40, "d": 3,
+                                   "theta": [True, 0, 0]}}),
+            ("dgp.pi", {"dgp": {**IV_DGP, "pi": [0.5, "0", 0]}}),
+            ("dgp.beta_true", {"dgp": {**IV_DGP, "beta_true": "1.0"}}),
+            ("test.alpha", {"test": {"alpha": "0.05"}}),
+            ("test.mc_reps", {"test": {"mc_reps": "50000"}}),
+        ],
+    )
+    def test_json_booleans_and_strings_are_not_numbers(self, monkeypatch, field, override):
+        calls = []
+        monkeypatch.setattr(harness, "calibrate_spec", lambda *a, **k: calls.append(1))
+        with pytest.raises(UsageError, match=f"^{field}: expected a number, got "):
             run_experiment(gaussian_config(**override))
         assert calls == []
 

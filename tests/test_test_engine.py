@@ -17,11 +17,10 @@ from pnormtest.critical_values import kappa_p_asymptotic, mc_pnorm_quantile
 from pnormtest.dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from pnormtest.gaussian_moments import INF, as_exponent
 from pnormtest.matrix_core import SymMatrix
+from pnormtest.sample_split import split_test
 from pnormtest import test_engine
 from pnormtest.test_engine import (
-    StandardizedStat,
     _whiten_stack,
-    central_statistic,
     invert_confidence_set,
     p_norm_stat,
     prepare_standardized,
@@ -38,35 +37,23 @@ def gaussian_sample(n, d, seed, shift=None):
     return MomentSample(rows)
 
 
-class TestCentralStatistic:
-    def test_four_equal_rows(self):
-        s = MomentSample(np.tile([1.0, -2.0], (4, 1)))
-        assert np.allclose(central_statistic(s), [2.0, -4.0])
-
-    def test_zero_sample(self):
-        assert np.all(central_statistic(MomentSample(np.zeros((5, 3)))) == 0.0)
-
-    def test_single_row(self):
-        assert np.allclose(central_statistic(MomentSample([3.0])), [3.0])
-
-
 class TestStandardize:
     def test_diagonal(self):
-        out = standardize(np.array([2.0, 3.0]), np.diag([4.0, 9.0]))
-        assert np.allclose(out.vector, [1.0, 1.0])
-        assert out.eigen_diag == pytest.approx((4.0, 9.0))
-        assert out.rank == 2
+        x, w, rank = standardize(np.array([2.0, 3.0]), np.diag([4.0, 9.0]))
+        assert np.allclose(x, [1.0, 1.0])
+        assert (w[0], w[-1]) == pytest.approx((4.0, 9.0))
+        assert rank == 2
 
     def test_identity_passthrough(self):
         h = np.array([0.3, -1.2, 4.0])
-        out = standardize(h, np.eye(3))
-        assert np.allclose(out.vector, h)
+        x, _, _ = standardize(h, np.eye(3))
+        assert np.allclose(x, h)
 
     def test_singular_direction_projected(self):
         with pytest.warns(RuntimeWarning, match="rank 1"):
-            out = standardize(np.array([1.0, 1.0]), np.diag([1.0, 0.0]))
-        assert np.allclose(out.vector, [1.0, 0.0])
-        assert out.rank == 1
+            x, _, rank = standardize(np.array([1.0, 1.0]), np.diag([1.0, 0.0]))
+        assert np.allclose(x, [1.0, 0.0])
+        assert rank == 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -80,12 +67,6 @@ class TestPNormStat:
         assert p_norm_stat([1.0, 1.0, 1.0, 1.0], 4) == pytest.approx(
             4.0**0.25, abs=1e-12
         )
-
-    def test_accepts_standardized_stat(self):
-        stat = StandardizedStat(
-            vector=np.array([3.0, 4.0]), eigen_diag=(1.0, 1.0), rank=2
-        )
-        assert p_norm_stat(stat, 2) == pytest.approx(5.0)
 
     def test_zero_vector(self):
         assert p_norm_stat(np.zeros(7), 3) == 0.0
@@ -104,7 +85,7 @@ class TestPNormStat:
             mat = rng.standard_normal((d + 4, d))
             sigma = SymMatrix(mat.T @ mat / (d + 4))
             h = rng.standard_normal(d)
-            s2 = p_norm_stat(standardize(h, sigma), 2)
+            s2 = p_norm_stat(standardize(h, sigma)[0], 2)
             quad = float(h @ pinvh(sigma.entries) @ h)
             assert s2**2 == pytest.approx(quad, rel=1e-9)
 
@@ -148,33 +129,52 @@ class TestThetaOracle:
 class TestPrepareStandardized:
     def test_debias_factor_applied(self):
         s = gaussian_sample(12, 2, seed=0)
-        prep = prepare_standardized(s)
+        _, _, _, sigma, pairs = prepare_standardized(s)
         aux = difference_pairs(s)
         m, d = aux.n, aux.d
         raw = sample_cov(aux)
-        assert np.allclose(prep.sigma.entries, raw.entries * (m / (m - d - 1)))
-        assert prep.aux_rows == 6
+        assert np.allclose(sigma, raw.entries * (m / (m - d - 1)))
+        assert pairs.shape[0] == 6
 
     def test_no_debias_when_m_too_small(self):
         # m = 3 rows, d = 2 -> m < d + 2, the raw estimate is kept
         s = gaussian_sample(6, 2, seed=1)
-        prep = prepare_standardized(s)
-        assert np.allclose(
-            prep.sigma.entries, sample_cov(difference_pairs(s)).entries
-        )
+        sigma = prepare_standardized(s)[3]
+        assert np.allclose(sigma, sample_cov(difference_pairs(s)).entries)
 
     def test_truncation_plumbs_through(self):
         rows = np.random.default_rng(2).standard_normal((40, 3))
         rows[0] *= 50.0
-        plain = prepare_standardized(MomentSample(rows), estimator="sample")
+        plain = prepare_standardized(MomentSample(rows), estimator="sample")[3]
         trunc = prepare_standardized(
             MomentSample(rows), estimator="truncated", trunc_mult=1.0
-        )
-        assert not np.allclose(plain.sigma.entries, trunc.sigma.entries)
+        )[3]
+        assert not np.allclose(plain, trunc)
 
     def test_unknown_estimator(self):
         with pytest.raises(ValueError, match="estimator"):
             prepare_standardized(gaussian_sample(12, 2, seed=0), estimator="ledoit")
+
+
+class TestRankWarning:
+    """A rank-deficient covariance estimate warns at the caller's line."""
+
+    @pytest.mark.parametrize(
+        "entry", ["run_tests", "split_test", "prepare_standardized", "standardize"]
+    )
+    def test_warning_names_the_caller(self, entry):
+        rows = np.random.default_rng(4).standard_normal((400, 4))
+        rows[:, 1] = rows[:, 0]  # rank 3
+        spec = calibrate_spec(default_spec(4, 0.05), reps=20_000, seed=2)
+        calls = {
+            "run_tests": lambda: run_tests(rows, spec),
+            "split_test": lambda: split_test(rows, 4, selection=range(4), spec=spec),
+            "prepare_standardized": lambda: prepare_standardized(rows),
+            "standardize": lambda: standardize(np.ones(4), np.cov(rows.T)),
+        }
+        with pytest.warns(RuntimeWarning, match="numerical rank 3") as rec:
+            calls[entry]()
+        assert [w.filename for w in rec if "numerical rank" in str(w.message)] == [__file__]
 
 
 class TestWhitenStack:
@@ -196,11 +196,9 @@ class TestWhitenStack:
     def test_matches_prepare_standardized(self):
         values = np.random.default_rng(3).standard_normal((2, 50, 6))
         x, w, rank, sigma, aux = _whiten_stack(values, "sample", 3.0)
-        prep = prepare_standardized(values[1])
-        assert np.array_equal(prep.stat.vector, x[1])
-        assert np.array_equal(prep.sigma.entries, sigma[1])
-        assert np.array_equal(prep.aux.values, aux[1])
-        assert prep.stat.eigen_diag == (w[1, 0], w[1, -1])
+        got = prepare_standardized(values[1])
+        for array, want in zip(got, (x[1], w[1], rank[1], sigma[1], aux[1])):
+            assert np.array_equal(array, want)
 
     def test_indefinite_member_rejected(self):
         # a covariance matrix is never indefinite, so whiten one directly
@@ -223,7 +221,7 @@ class TestRunTests:
             assert rec.source == "calibrated"
             assert rec.reject == (rec.statistic >= rec.critical)
         assert report.dominant.c_n == spec20.table.c_n
-        assert report.kurtosis is not None
+        assert isinstance(report.kurtosis, float) and report.kurtosis > 0
         assert report.rank == 20
 
     def test_big_shift_rejects_sup_and_psi(self, spec20):
@@ -255,15 +253,15 @@ class TestRunTests:
             reps=20_000,
             seed=2,
         )
-        report = run_tests(gaussian_sample(60, 1, seed=3), spec, kurtosis_directions=0)
+        report = run_tests(gaussian_sample(60, 1, seed=3), spec)
         stats = [r.statistic for r in report.per_p]
         assert stats[0] == pytest.approx(stats[1], rel=1e-12)
 
     def test_scale_invariance(self, spec20):
         base = gaussian_sample(400, 20, seed=11)
         scaled = MomentSample(base.values * 37.5)
-        a = run_tests(base, spec20, kurtosis_directions=0)
-        b = run_tests(scaled, spec20, kurtosis_directions=0)
+        a = run_tests(base, spec20)
+        b = run_tests(scaled, spec20)
         for ra, rb in zip(a.per_p, b.per_p):
             assert rb.statistic == pytest.approx(ra.statistic, rel=1e-8)
             assert ra.reject == rb.reject
@@ -276,11 +274,7 @@ class TestRunTests:
         for seed in range(60):
             shift = np.zeros(20)
             shift[0] = 0.18  # borderline shift, mixes rejections and not
-            report = run_tests(
-                gaussian_sample(400, 20, seed=seed, shift=shift),
-                spec20,
-                kurtosis_directions=0,
-            )
+            report = run_tests(gaussian_sample(400, 20, seed=seed, shift=shift), spec20)
             exceeds = any(
                 report.record(p).statistic >= spec20.table.kappa(p)
                 for p in spec20.exponents
@@ -295,7 +289,6 @@ class TestRunTests:
             gaussian_sample(400, 20, seed=7),
             spec20,
             extra_ps=(6.5, 2),  # 2 is already in the grid and is not duplicated
-            kurtosis_directions=0,
         )
         extras = [r for r in report.per_p if r.source == "formula"]
         assert [r.p for r in extras] == [as_exponent(6.5)]
@@ -308,15 +301,15 @@ class TestRunTests:
         # table drawn for m=150 difference pairs, sample of n=400 has 200
         spec = calibrate_spec(default_spec(20, 0.05), reps=200_000, seed=1, aux_rows=150)
         with pytest.warns(RuntimeWarning, match=r"aux_rows=150 .* has 200") as rec:
-            run_tests(gaussian_sample(400, 20, seed=7), spec, kurtosis_directions=0)
+            run_tests(gaussian_sample(400, 20, seed=7), spec)
         assert rec[0].filename == __file__
 
     def test_matched_table_aux_rows_is_silent(self):
         spec = calibrate_spec(default_spec(20, 0.05), reps=200_000, seed=1, aux_rows=200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            run_tests(gaussian_sample(400, 20, seed=7), spec, kurtosis_directions=0)
-            run_tests(gaussian_sample(401, 20, seed=7), spec, kurtosis_directions=0)
+            run_tests(gaussian_sample(400, 20, seed=7), spec)
+            run_tests(gaussian_sample(401, 20, seed=7), spec)
 
     def test_one_eigh_and_no_eigvalsh(self, spec20, monkeypatch):
         calls = {"eigh": 0, "eigvalsh": 0}
@@ -338,8 +331,8 @@ class TestRunTests:
 
     def test_trunc_alias(self, spec20):
         s = gaussian_sample(400, 20, seed=7)
-        short = run_tests(s, spec20, estimator="trunc", kurtosis_directions=0)
-        full = run_tests(s, spec20, estimator="truncated", kurtosis_directions=0)
+        short = run_tests(s, spec20, estimator="trunc")
+        full = run_tests(s, spec20, estimator="truncated")
         assert short.estimator == "truncated"
         assert short.to_json_dict() == full.to_json_dict()
 
