@@ -31,12 +31,20 @@ counter-based Philox stream keyed (seed, block index), so results are
 bit-identical regardless of how blocks are scheduled across threads.
 Blocks run on a thread pool of W = min(number of blocks, cores this
 process may run on) workers; worker w computes blocks w, w + W, w + 2W, ...
-and writes each block's rows into its own slice of the result, so every
-table and quantile is the same for any W.  numpy releases the GIL while
-it fills normals and runs the ufunc loops that dominate a block.
+numpy releases the GIL while it fills normals and runs the ufunc loops
+that dominate a block.
 
 Empirical quantiles use the order statistic at the 1-based index
-ceil((1 - alpha) * reps), the conservative direction for test size.
+ceil((1 - alpha) * reps), the conservative direction for test size.  Every
+order statistic calibration reads lies among the top reps - k of its
+column (or of the ratios behind c_n), k being the smallest 0-based index
+read, so the reps x |grid| matrix of norms is never stored.  The workers
+offer each block's rows to one shared candidate buffer that keeps only
+the rows that can hold such a value (``_TopRows``, which states why none
+is lost), and the order statistics are read from the kept rows with an
+index offset.  Which rows are kept depends on thread timing; the values
+read do not, so every table and quantile is the same for any W.  About
+10% of the rows are kept at alpha 0.05.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -203,10 +212,91 @@ def _worker_count(blocks: int) -> int:
     return max(1, min(blocks, cores))
 
 
+class _TopRows:
+    """The rows of a stream of norm rows that can hold a column's ``top`` largest values.
+
+    Rows arrive from several threads through :meth:`add` and are stored
+    column by column in one buffer.  When the buffer passes ``limit`` rows
+    it is pruned in place: each column's cut becomes the ``top``-th largest
+    value the buffer holds, and a row stays while any of its values is at
+    or above its column's cut.  Later rows below every cut are dropped on
+    arrival.
+
+    Nothing needed is lost.  Let s_j be the ``top``-th largest value of
+    column j over the whole stream.  A cut is the ``top``-th largest value
+    of some of the rows, so it is at most s_j, and a row is dropped only
+    when every value lies below its cut.  So every row with a value at or
+    above s_j in some column j is kept, and each column's ``top`` largest
+    values are among the kept rows.  So are the ``top`` largest values of
+    the ratio r = max_j fl(x_j / k_j), for any positive k_j, using only that
+    rounded division is monotone.  Let c be r's ``top``-th largest value.
+    As r >= fl(x_j / k_j) row by row, c >= fl(s_j / k_j) for every j.  If
+    c = fl(s_j / k_j) for some j, the ``top`` or more kept rows with
+    x_j >= s_j all have r >= c.  Otherwise a row with r >= c has
+    fl(x_j / k_j) > fl(s_j / k_j) in its argmax column j, so x_j > s_j and
+    the row is kept.  Either way ``top`` kept rows have r >= c.
+
+    The limit starts at 4 ``top``: a pruned buffer of the default grids
+    holds about 2 ``top`` rows, so each prune frees about half of it.  A
+    prune that frees less than a quarter doubles the limit, so the pruning
+    work stays proportional to the rows added.
+    """
+
+    def __init__(self, columns: int, top: int, reps: int):
+        self.top, self.reps = top, reps
+        self.limit = 4 * top
+        self.cols = np.empty((columns, min(reps, self.limit + _BLOCK)))
+        self.n = 0
+        self.cut = np.full(columns, -np.inf)
+        self.lock = threading.Lock()
+
+    def add(self, norms: np.ndarray) -> None:
+        """Offer a (rows, columns) block; at most ``_BLOCK`` rows per call."""
+        # every cut ever set is at most s_j, so one read while another thread prunes is safe
+        new = norms[(norms >= self.cut).any(axis=1)]
+        with self.lock:
+            end = self.n + len(new)
+            self.cols[:, self.n : end] = new.T
+            self.n = end
+            if end > self.limit:
+                self._prune()
+
+    def _prune(self) -> None:
+        cols = self.cols[:, : self.n]
+        cut = np.array([np.partition(col, -self.top)[-self.top] for col in cols])
+        keep = np.zeros(self.n, dtype=bool)
+        for col, c in zip(cols, cut):
+            keep |= col >= c
+        n = int(np.count_nonzero(keep))
+        for col in cols:
+            col[:n] = col[keep]
+        self.n, self.cut = n, cut
+        if n > 3 * self.limit // 4:
+            self.limit *= 2
+            grown = np.empty((len(cols), min(self.reps, self.limit + _BLOCK)))
+            grown[:, :n] = cols[:, :n]
+            self.cols = grown
+
+    def kept(self) -> np.ndarray:
+        return self.cols[:, : self.n]
+
+
+# A block is drawn and normed in passes of at most about this many
+# entries: a pass's three arrays stay in cache, and a worker's scratch
+# stays small at any d.
+_PASS_ENTRIES = 1 << 15
+
+
 def _reference_norms(
-    ps: list[Exponent], d: int, reps: int, seed: int, aux_rows: int | None
+    ps: list[Exponent], d: int, reps: int, seed: int, aux_rows: int | None, top: int
 ) -> np.ndarray:
-    """(reps, len(ps)) matrix of reference norms from the shared draw stream."""
+    """Reference norms of every draw that can hold a column's ``top`` largest value.
+
+    Returns an array of shape (len(ps), kept): column j of the reps x
+    len(ps) matrix of reference norms from the shared draw stream,
+    restricted to the same kept rows for every j (see :class:`_TopRows`).
+    With ``top = reps`` every row is kept.
+    """
     radius_scale = None
     if aux_rows is not None:
         m = int(aux_rows)
@@ -216,47 +306,50 @@ def _reference_norms(
             )
         # squared radius = (m-d-1) d / (m-d+1) * F(d, m-d+1)
         radius_scale = (m - d - 1.0) * d / (m - d + 1.0)
-    out = np.empty((reps, len(ps)))
     blocks = (reps + _BLOCK - 1) // _BLOCK
     workers = _worker_count(blocks)
-    # Each worker's block-sized arrays (normals plus two temporaries) are
-    # allocated here, on the calling thread: memory that a worker thread
-    # allocates and frees stays in its malloc arena, and would keep the
-    # process's resident size up long after calibration returns.
-    scratch = [np.empty((3, _BLOCK, d)) for _ in range(workers)]
+    rows = math.ceil(_BLOCK / math.ceil(_BLOCK * d / _PASS_ENTRIES))
+    # The candidate buffer and each worker's pass-sized arrays (normals plus
+    # two temporaries) are allocated here, on the calling thread: memory
+    # that a worker thread allocates and frees stays in its malloc arena,
+    # and would keep the process's resident size up long after
+    # calibration returns.
+    candidates = _TopRows(len(ps), top, reps)
+    scratch = [np.empty((3, rows, d)) for _ in range(workers)]
 
     def fill(first: int) -> None:
         # static strided share of the blocks: first, first + W, first + 2W, ...
         buf = scratch[first]
         for block in range(first, blocks, workers):
-            lo = block * _BLOCK
-            b = min(_BLOCK, reps - lo)
+            b = min(_BLOCK, reps - block * _BLOCK)
             rng = _block_rng(seed, block)
-            z = rng.standard_normal(out=buf[0, :b])
-            norms = _batch_pnorms(z, ps, buf[1:])
+            norms = np.empty((b, len(ps)))
+            z_norm = np.empty(b)
+            # successive draws continue the block's stream: the same normals
+            # as one draw of b rows
+            for lo in range(0, b, rows):
+                z = rng.standard_normal(out=buf[0, : min(rows, b - lo)])
+                norms[lo : lo + len(z)] = _batch_pnorms(z, ps, buf[1:])
+                if radius_scale is not None:
+                    # ||z||_2 exactly as np.linalg.norm(z, axis=1) forms it
+                    sq = np.multiply(z, z, out=buf[1, : len(z)])
+                    z_norm[lo : lo + len(z)] = np.sqrt(sq.sum(axis=1))
             if radius_scale is not None:
                 f = rng.f(d, m - d + 1, size=b)
                 radius = np.sqrt(radius_scale * f)
-                # ||z||_2 exactly as np.linalg.norm(z, axis=1) forms it
-                z_norm = np.sqrt(np.multiply(z, z, out=buf[1, :b]).sum(axis=1))
                 norms *= (radius / z_norm)[:, None]
-            out[lo : lo + b] = norms
+            candidates.add(norms)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # consuming the results re-raises any worker's exception here
         list(pool.map(fill, range(workers)))
-    return out
+    return candidates.kept()
 
 
 def _order_index(alpha: float, size: int) -> int:
     # 0-based index of the order statistic at 1-based ceil((1 - alpha) * size)
     k = math.ceil((1.0 - alpha) * size)
     return min(max(k, 1), size) - 1
-
-
-def _order_stat_quantile(values: np.ndarray, alpha: float) -> float:
-    k = _order_index(alpha, values.size)
-    return float(np.partition(values, k)[k])
 
 
 def mc_pnorm_quantile(
@@ -435,20 +528,25 @@ def calibrate_joint(
         )
     reps = _auto_reps(min(vals), reps)
 
-    norms = _reference_norms(ps, d, reps, seed, aux_rows)
+    ks = [_order_index(a, reps) for a in (alpha_total, *vals)]
+    # every order statistic read below is among the top reps - min(ks)
+    # values of its column or of the ratios, so only rows that can hold
+    # one are kept: full-sample index k is kept-row index k - skip
+    norms = _reference_norms(ps, d, reps, seed, aux_rows, reps - min(ks))
+    skip = reps - norms.shape[1]
+    k_alpha, *k_shares = (k - skip for k in ks)
     # one partition per column yields both its share kappa and its standalone kappa
-    k_alpha = _order_index(alpha_total, reps)
     kappas = np.empty(len(ps))
     standalone = {}
-    for j, (p, share) in enumerate(zip(ps, vals)):
-        ks = [_order_index(share, reps), k_alpha]
-        kappas[j], alone = np.partition(norms[:, j], ks)[ks]
+    for j, (p, k_share) in enumerate(zip(ps, k_shares)):
+        pair = [k_share, k_alpha]
+        kappas[j], alone = np.partition(norms[j], pair)[pair]
         standalone[p] = float(alone)
-    # running max over columns: no second reps x |grid| matrix
-    ratios = norms[:, 0] / kappas[0]
+    # running max over columns: one vector of ratios
+    ratios = norms[0] / kappas[0]
     for j in range(1, len(ps)):
-        np.maximum(ratios, norms[:, j] / kappas[j], out=ratios)
-    c_raw = _order_stat_quantile(ratios, alpha_total)
+        np.maximum(ratios, norms[j] / kappas[j], out=ratios)
+    c_raw = float(np.partition(ratios, k_alpha)[k_alpha])
     conservative = c_raw > 1.0
     return CriticalValueTable(
         d=d,

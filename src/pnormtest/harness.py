@@ -45,7 +45,7 @@ from .covariance import MomentSample
 from .critical_values import SCHEMA_VERSION
 from .dgp import IvConfig, RctConfig, gen_iv, gen_rct
 from .dominant_test import calibrate_spec, default_spec
-from .gaussian_moments import as_exponent
+from .gaussian_moments import INF, as_exponent
 from .test_engine import (  # run_tests stays importable from this module
     _check_table_rows,
     _decide,
@@ -137,6 +137,20 @@ def _real(value) -> float:
     return float(_vector(float(_numeric(value))))
 
 
+def _string(value) -> str:
+    # str() would report null as "None" and 5 as "5"
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _exponents(value) -> tuple:
+    # a list of numbers; "inf" names the sup norm, as in a table's "p" keys
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of exponents, got {value!r}")
+    return tuple(INF if p == "inf" else as_exponent(float(_numeric(p))) for p in value)
+
+
 def _object(value) -> dict:
     if not isinstance(value, dict):
         raise ValueError("expected a JSON object")
@@ -156,7 +170,7 @@ def _aux_rows(value):
 # field required.  IV and RCT tables come from their config dataclasses.
 _TOP_FIELDS = {
     "schema_version": (_integer, SCHEMA_VERSION),
-    "experiment": (str, "unnamed"),
+    "experiment": (_string, "unnamed"),
     "reps": (_integer, MISSING),
     "seed": (_integer, 0),
     "dgp": (_object, MISSING),
@@ -169,12 +183,12 @@ _TEST_FIELDS = {
     "mc_reps": (lambda reps: None if reps is None else _integer(reps), None),
     "mc_seed": (_integer, 0),
     "aux_rows": (_aux_rows, "fold"),
-    "extra_ps": (lambda ps: tuple(as_exponent(float(p)) for p in ps), ()),
+    "extra_ps": (_exponents, ()),
 }
-_KIND = {"kind": (str, MISSING)}
+_KIND = {"kind": (_string, MISSING)}
 _GAUSSIAN_FIELDS = {**_KIND, "n": (_integer, MISSING), "d": (_integer, MISSING),
                     "theta": (_vector, None)}
-_CONVERT = {int: _integer, float: _real, str: str, np.ndarray: _vector}
+_CONVERT = {int: _integer, float: _real, str: _string, np.ndarray: _vector}
 
 
 def _parse(obj, fields: dict, path: str) -> dict:

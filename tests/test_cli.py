@@ -357,6 +357,16 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2 and "reps" in err
 
+    @pytest.mark.parametrize(
+        "field, value", [("experiment", None), ("test", {"extra_ps": ["3"]})]
+    )
+    def test_non_string_and_string_exponent_exit_2(self, tmp_path, capsys, field, value):
+        path = tmp_path / "bad.json"
+        config = {"reps": 1, "dgp": {"kind": "gaussian", "n": 40, "d": 3}, field: value}
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2 and field in err
+
     def test_malformed_json_exit_3(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

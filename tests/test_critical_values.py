@@ -8,6 +8,7 @@ brentq root of (2 Phi(t) - 1)^d = 1 - alpha for the exact sup-norm value.
 import math
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,9 @@ from pnormtest.critical_values import (
     _BLOCK,
     CriticalValueTable,
     _batch_pnorms,
-    _order_stat_quantile,
+    _block_rng,
+    _order_index,
+    _TopRows,
     _worker_count,
     calibrate_joint,
     kappa_inf_asymptotic,
@@ -163,15 +166,17 @@ class TestBatchPnorms:
 
 
 class TestOrderStatQuantile:
+    """The empirical (1 - alpha)-quantile is order statistic ceil((1 - alpha) n)."""
+
     def test_index_rule(self):
         v = np.arange(1.0, 101.0)
-        assert _order_stat_quantile(v, 0.05) == 95.0
-        assert _order_stat_quantile(v, 0.049) == 96.0
-        assert _order_stat_quantile(v, 0.5) == 50.0
+        assert v[_order_index(0.05, v.size)] == 95.0
+        assert v[_order_index(0.049, v.size)] == 96.0
+        assert v[_order_index(0.5, v.size)] == 50.0
 
     def test_unsorted_input(self):
         v = np.array([3.0, 1.0, 2.0, 5.0, 4.0])
-        assert _order_stat_quantile(v, 0.2) == 4.0
+        assert np.sort(v)[_order_index(0.2, v.size)] == 4.0
 
 
 class TestMcQuantile:
@@ -385,6 +390,113 @@ class TestBlockSchedule:
         # every table built from it must stay byte-identical
         table = calibrate_spec(default_spec(d, 0.05), aux_rows=aux_rows).table
         assert table.to_json() + "\n" == (DATA / name).read_text()
+
+
+def full_matrix_calibration(shares, d, alpha_total, reps, seed, aux_rows):
+    """Calibration read from the whole reps x |grid| matrix of reference norms.
+
+    The oracle for the kept-row selection: every block of the draw stream
+    is stored, each column is partitioned at its share's and at the full
+    level's order statistic, and c_n is the order statistic of the running
+    max of norm / kappa over all rows.
+    """
+    ps, vals = zip(*sorted((as_exponent(p), float(s)) for p, s in shares.items()))
+    norms = np.empty((reps, len(ps)))
+    for block in range(-(-reps // _BLOCK)):
+        lo = block * _BLOCK
+        b = min(_BLOCK, reps - lo)
+        rng = _block_rng(seed, block)
+        z = rng.standard_normal((b, d))
+        rows = _batch_pnorms(z, list(ps))
+        if aux_rows is not None:
+            m = aux_rows
+            radius = np.sqrt((m - d - 1.0) * d / (m - d + 1.0) * rng.f(d, m - d + 1, size=b))
+            rows *= (radius / np.linalg.norm(z, axis=1))[:, None]
+        norms[lo : lo + b] = rows
+    k_alpha = _order_index(alpha_total, reps)
+    entries, standalone, kappas = {}, {}, []
+    for j, (p, share) in enumerate(zip(ps, vals)):
+        ks = [_order_index(share, reps), k_alpha]
+        kappa, alone = np.partition(norms[:, j], ks)[ks]
+        entries[p] = (share, float(kappa))
+        standalone[p] = float(alone)
+        kappas.append(kappa)
+    ratios = norms[:, 0] / kappas[0]
+    for j in range(1, len(ps)):
+        np.maximum(ratios, norms[:, j] / kappas[j], out=ratios)
+    c_raw = float(np.partition(ratios, k_alpha)[k_alpha])
+    return entries, standalone, min(c_raw, 1.0), c_raw > 1.0
+
+
+class TestKeptRows:
+    """Calibration keeps only the rows that can set a kappa or c_n."""
+
+    GRID = {2: 0.02, 3: 0.01, 4: 0.01, 6: 0.005, math.inf: 0.005}
+    # (shares, d, alpha_total, reps): a grid, a one-exponent map (share ==
+    # alpha), and d = 1, where every exponent's norm is |z| and the
+    # columns tie row by row; no reps is a multiple of the block size
+    CASES = [
+        (GRID, 12, 0.05, 30 * _BLOCK + 123),
+        ({3: 0.05}, 12, 0.05, 20 * _BLOCK + 5),
+        ({2: 0.02, 5: 0.01, math.inf: 0.02}, 1, 0.05, 20 * _BLOCK + 17),
+    ]
+
+    @pytest.mark.parametrize("aux_rows", [None, 30])
+    @pytest.mark.parametrize("shares,d,alpha,reps", CASES)
+    def test_equals_full_matrix_oracle(self, monkeypatch, shares, d, alpha, reps, aux_rows):
+        want = full_matrix_calibration(shares, d, alpha, reps, 5, aux_rows)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(critical_values, "_worker_count", lambda blocks: workers)
+            table = calibrate_joint(shares, d, alpha, reps=reps, seed=5, aux_rows=aux_rows)
+            got = (table.entries, table.standalone, table.c_n, table.conservative)
+            assert got == want, f"differs at {workers} workers"
+
+    def test_keeps_a_small_share_of_the_rows(self):
+        ps = [as_exponent(p) for p in self.GRID]
+        reps = 30 * _BLOCK + 123
+        top = reps - _order_index(0.05, reps)
+        kept = critical_values._reference_norms(ps, 12, reps, 5, None, top)
+        assert kept.shape[0] == len(ps)
+        assert top <= kept.shape[1] <= 4 * top + _BLOCK
+        full = critical_values._reference_norms(ps, 12, reps, 5, None, reps)
+        assert full.shape == (len(ps), reps)
+
+    def test_peak_memory_is_a_fraction_of_the_norm_matrix(self, monkeypatch):
+        # one worker: each worker adds its own scratch, which does not grow with reps
+        monkeypatch.setattr(critical_values, "_worker_count", lambda blocks: 1)
+        ps = (2, 3, 4, 5, 6, 7, 8, 9, 10, math.inf)
+        reps = 200_000
+        tracemalloc.start()
+        try:
+            calibrate_joint({p: 0.005 for p in ps}, 200, 0.05, reps=reps, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.35 * reps * len(ps) * 8
+
+    @pytest.mark.parametrize("levels", [None, 7])
+    def test_buffer_keeps_every_top_value_of_unrelated_columns(self, levels):
+        # six independent columns: the union of their top sets outgrows the
+        # first limit, so the buffer must grow; integer levels make ties
+        rng = np.random.default_rng(2)
+        reps, top = 40 * _BLOCK + 9, 2000
+        values = rng.random((reps, 6))
+        if levels is not None:
+            values = np.floor(values * levels)
+        buffer = _TopRows(6, top, reps)
+        for lo in range(0, reps, _BLOCK):
+            buffer.add(values[lo : lo + _BLOCK])
+        kept = buffer.kept()
+        assert buffer.limit > 4 * top
+        assert kept.shape[1] < reps
+        tops = kept.shape[1] - top
+        for j in range(6):
+            want = np.sort(values[:, j])[-top:]
+            assert np.array_equal(np.sort(kept[j])[tops:], want)
+        scale = np.sort(values, axis=0)[-top] + 0.5
+        want = np.sort((values / scale).max(axis=1))[-top:]
+        got = np.sort((kept.T / scale).max(axis=1))[tops:]
+        assert np.array_equal(got, want)
 
 
 class TestCriticalValueTable:

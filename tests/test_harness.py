@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -281,6 +282,32 @@ class TestRunExperiment:
         calls = []
         monkeypatch.setattr(harness, "calibrate_spec", lambda *a, **k: calls.append(1))
         with pytest.raises(UsageError, match=f"^{field}: expected a number, got "):
+            run_experiment(gaussian_config(**override))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "field, override, message",
+        [
+            ("experiment", {"experiment": None}, "expected a string, got None"),
+            ("experiment", {"experiment": 5}, "expected a string, got 5"),
+            ("dgp.error_dist", {"dgp": {**IV_DGP, "error_dist": None}},
+             "expected a string, got None"),
+            ("dgp.instrument_cov", {"dgp": {**IV_DGP, "instrument_cov": 1}},
+             "expected a string, got 1"),
+            ("dgp.outcome_dist", {"dgp": {**RCT_DGP, "outcome_dist": ["gaussian"]}},
+             "expected a string, got "),
+            ("test.extra_ps", {"test": {"extra_ps": ["3"]}}, "expected a number, got '3'"),
+            ("test.extra_ps", {"test": {"extra_ps": [2.5, True]}},
+             "expected a number, got True"),
+            ("test.extra_ps", {"test": {"extra_ps": "34"}},
+             "expected a list of exponents, got '34'"),
+            ("test.extra_ps", {"test": {"extra_ps": 3}}, "expected a list of exponents, got 3"),
+        ],
+    )
+    def test_strings_and_exponents_are_checked(self, monkeypatch, field, override, message):
+        calls = []
+        monkeypatch.setattr(harness, "calibrate_spec", lambda *a, **k: calls.append(1))
+        with pytest.raises(UsageError, match=f"^{field}: {re.escape(message)}"):
             run_experiment(gaussian_config(**override))
         assert calls == []
 
