@@ -96,6 +96,10 @@ def _second_moment(rows: np.ndarray) -> np.ndarray:
     return np.swapaxes(rows, -1, -2) @ rows / rows.shape[-2]
 
 
+# default truncation radius of the truncated estimator, in median row norms
+_TRUNC_MULT = 3.0
+
+
 def _truncate_rows(rows: np.ndarray, trunc_mult: float) -> np.ndarray:
     # shrink each row onto the ball of radius trunc_mult times its own
     # sample's median row norm; one median per stacked sample
@@ -123,7 +127,7 @@ def sample_cov(aux) -> SymMatrix:
     return SymMatrix(_second_moment(_checked(aux)))
 
 
-def truncated_cov(aux, trunc_mult: float = 3.0) -> SymMatrix:
+def truncated_cov(aux, trunc_mult: float = _TRUNC_MULT) -> SymMatrix:
     """Norm-truncated second-moment matrix.
 
     Each row r_i is shrunk to r_i * min(1, tau / ||r_i||_2) with

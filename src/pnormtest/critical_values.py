@@ -45,6 +45,11 @@ is lost), and the order statistics are read from the kept rows with an
 index offset.  Which rows are kept depends on thread timing; the values
 read do not, so every table and quantile is the same for any W.  About
 10% of the rows are kept at alpha 0.05.
+
+JSON documents.  ``_document`` writes every document's ``schema_version``
+and ``kind``.  Every document read, a spec, a table or an experiment
+config, goes through the one field-table reader ``_parse``, which names the
+field path of each error, such as ``table.entries[0].kappa``.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -73,13 +78,141 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def _check_document(doc, kind: str) -> None:
-    """Reject a JSON document that is not a ``kind`` of this schema version."""
-    if not isinstance(doc, dict) or doc.get("kind") != kind:
-        raise ValueError(f"document is not a {kind}")
-    version = doc.get("schema_version")
-    if isinstance(version, bool) or version != SCHEMA_VERSION:
-        raise ValueError(f"{kind}: schema_version {version!r} is not {SCHEMA_VERSION}")
+class UsageError(ValueError):
+    """Bad flags, or a config, spec or table document that cannot be read."""
+
+
+class _JsonDocument:
+    """``to_json`` and ``from_json`` over a class's ``to_json_dict`` and ``from_json_dict``."""
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
+
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_json_dict(json.loads(text))
+
+
+def _document(kind: str, body: dict) -> dict:
+    """A JSON document of this schema: version and kind, then ``body``'s fields."""
+    return {"schema_version": SCHEMA_VERSION, "kind": kind, **body}
+
+
+def _parse(obj, fields: dict, path: str) -> dict:
+    """The fields of JSON object ``obj``, each converted by its table entry.
+
+    ``fields`` maps name -> (convert, default); a MISSING default makes the
+    field required.  Fields are read in table order, then unknown keys are
+    rejected.  Every error is a ``UsageError`` naming the field path.
+    """
+    prefix = f"{path}." if path else ""
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path or 'document'}: expected a JSON object")
+    out = {}
+    for name, (convert, default) in fields.items():
+        if name in obj:
+            try:
+                out[name] = convert(obj[name])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise UsageError(f"{prefix}{name}: {exc}") from None
+        elif default is MISSING:
+            raise UsageError(f"{prefix}{name}: missing required field")
+        else:
+            out[name] = default
+    for key in obj:
+        if key not in fields:
+            raise UsageError(f"{prefix}{key}: unknown field")
+    return out
+
+
+def _read_document(doc, kind: str, fields: dict, path: str) -> dict:
+    """``_parse`` for a ``kind`` document of this schema version, less those two fields."""
+
+    def check_kind(value):
+        if value != kind:
+            raise ValueError(f"expected {kind!r}, got {value!r}")
+
+    envelope = {"kind": (check_kind, MISSING), "schema_version": (_version, MISSING)}
+    body = _parse(doc, {**envelope, **fields}, path)
+    del body["kind"], body["schema_version"]
+    return body
+
+
+# Converters for field tables.  JSON booleans and strings are not numbers
+# (int() and float() would read true as 1 and "3" as 3), and no value is
+# cast to a string or a flag (str() would read null as "None").
+
+
+def _numeric(value):
+    if isinstance(value, list):
+        for item in value:
+            _numeric(item)
+    elif value is None or isinstance(value, (bool, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return value
+
+
+def _integer(value) -> int:
+    value = _numeric(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _vector(value) -> np.ndarray:
+    value = np.asarray(_numeric(value), dtype=float)
+    if not np.isfinite(value).all():
+        raise ValueError("must be finite")
+    return value
+
+
+def _real(value) -> float:
+    return float(_vector(float(_numeric(value))))
+
+
+def _instance(cls: type, what: str):
+    def read(value):
+        if not isinstance(value, cls):
+            raise ValueError(f"expected {what}, got {value!r}")
+        return value
+
+    return read
+
+
+_boolean = _instance(bool, "true or false")
+_string = _instance(str, "a string")
+_object = _instance(dict, "a JSON object")
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _list_of(convert, what: str):
+    def read(value) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list of {what}, got {value!r}")
+        return tuple(convert(item) for item in value)
+
+    return read
+
+
+def _version(value) -> int:
+    version = _integer(value)
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"schema_version {version!r} is not {SCHEMA_VERSION}")
+    return version
+
+
+def _exponent(value) -> Exponent:
+    """An exponent from its JSON form: a number, or "inf" for the sup norm."""
+    return INF if value == "inf" else as_exponent(_numeric(value))
+
+
+def _exponent_key(p: Exponent):
+    """The JSON form of an exponent, read back by ``_exponent``."""
+    return "inf" if p.is_inf else p.value
+
 
 # Fixed Monte-Carlo block size; part of the definition of the draw stream,
 # so it must never be tuned per call.
@@ -150,6 +283,12 @@ def kappa_inf_exact(d: int, alpha: float) -> float:
         raise ValueError(f"d must be >= 1, got {d}")
     tail = -math.expm1(math.log1p(-alpha) / d) / 2.0
     return -normal_quantile(tail)
+
+
+def _formula_kappa(p, d: int, alpha: float) -> float:
+    """The formula critical value of exponent ``p``: exact at p = inf, asymptotic below."""
+    p = as_exponent(p)
+    return kappa_inf_exact(d, alpha) if p.is_inf else kappa_p_asymptotic(p, d, alpha)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -369,7 +508,7 @@ def mc_pnorm_quantile(
 
 
 @dataclass(frozen=True)
-class CriticalValueTable:
+class CriticalValueTable(_JsonDocument):
     """Jointly calibrated critical values for an exponent grid.
 
     ``entries`` maps each exponent to its (alpha share, kappa at that
@@ -391,26 +530,27 @@ class CriticalValueTable:
     standalone: dict[Exponent, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        # every check is written so that NaN fails it
         if not self.entries:
             raise ValueError("table needs at least one exponent entry")
         total = 0.0
         for p, (share, kappa) in self.entries.items():
             if not isinstance(p, Exponent):
                 raise TypeError("entry keys must be Exponent instances")
-            if kappa <= 0.0:
-                raise ValueError(f"kappa must be positive, got {kappa} at p={p}")
+            if not 0.0 < kappa < math.inf:
+                raise ValueError(f"kappa must be positive and finite, got {kappa} at p={p}")
             if not 0.0 < share < 1.0:
                 raise ValueError(f"alpha share must lie in (0,1), got {share} at p={p}")
             total += share
-        if abs(total - self.alpha_total) > 1e-12:
+        if not abs(total - self.alpha_total) <= 1e-12:
             raise ValueError(
                 f"alpha shares sum to {total}, expected alpha_total={self.alpha_total}"
             )
         if not 0.0 < self.c_n <= 1.0:
             raise ValueError(f"c_n must lie in (0, 1], got {self.c_n}")
         for p in self.entries:
-            if not self.standalone.get(p, 0.0) > 0.0:
-                raise ValueError(f"standalone kappa at p={p} must be present and positive")
+            if not 0.0 < self.standalone.get(p, 0.0) < math.inf:
+                raise ValueError(f"standalone kappa at p={p} must be present, positive and finite")
 
     @property
     def exponents(self) -> tuple[Exponent, ...]:
@@ -426,12 +566,7 @@ class CriticalValueTable:
         return self.standalone[as_exponent(p)]
 
     def to_json_dict(self) -> dict:
-        def key(p: Exponent):
-            return "inf" if p.is_inf else p.value
-
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "critical_value_table",
+        return _document("critical_value_table", {
             "d": self.d,
             "alpha_total": self.alpha_total,
             "c_n": self.c_n,
@@ -441,43 +576,49 @@ class CriticalValueTable:
             "aux_rows": self.aux_rows,
             "entries": [
                 {
-                    "p": key(p),
+                    "p": _exponent_key(p),
                     "share": share,
                     "kappa": kappa,
                     "standalone_kappa": self.standalone[p],
                 }
                 for p, (share, kappa) in self.entries.items()
             ],
-        }
+        })
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "CriticalValueTable":
-        _check_document(doc, "critical_value_table")
-        entries: dict[Exponent, tuple[float, float]] = {}
-        standalone: dict[Exponent, float] = {}
-        for row in doc["entries"]:
-            p = INF if row["p"] == "inf" else as_exponent(float(row["p"]))
-            entries[p] = (float(row["share"]), float(row["kappa"]))
-            # absent or null reads as 0.0, which __post_init__ rejects by name
-            standalone[p] = float(row.get("standalone_kappa") or 0.0)
-        return cls(
-            d=int(doc["d"]),
-            alpha_total=float(doc["alpha_total"]),
-            entries=entries,
-            c_n=float(doc["c_n"]),
-            conservative=bool(doc["conservative"]),
-            mc_reps=int(doc["mc_reps"]),
-            seed=int(doc["seed"]),
-            aux_rows=None if doc.get("aux_rows") is None else int(doc["aux_rows"]),
-            standalone=standalone,
-        )
+        return _read_table(doc, "")
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "CriticalValueTable":
-        return cls.from_json_dict(json.loads(text))
+_TABLE_FIELDS = {
+    "d": (_integer, MISSING),
+    "alpha_total": (_real, MISSING),
+    "c_n": (_real, MISSING),
+    "conservative": (_boolean, MISSING),
+    "mc_reps": (_integer, MISSING),
+    "seed": (_integer, MISSING),
+    "aux_rows": (_optional(_integer), None),
+    "entries": (_list_of(_object, "objects"), MISSING),
+}
+_ENTRY_FIELDS = {
+    "p": (_exponent, MISSING),
+    "share": (_real, MISSING),
+    "kappa": (_real, MISSING),
+    # absent or null reads as NaN, which __post_init__ rejects by name
+    "standalone_kappa": (lambda v: math.nan if v is None else _real(v), math.nan),
+}
+
+
+def _read_table(doc, path: str) -> CriticalValueTable:
+    """A table document read at field path ``path`` ("" for a whole document)."""
+    fields = _read_document(doc, "critical_value_table", _TABLE_FIELDS, path)
+    prefix = f"{path}." if path else ""
+    entries, standalone = {}, {}
+    for i, row in enumerate(fields.pop("entries")):
+        row = _parse(row, _ENTRY_FIELDS, f"{prefix}entries[{i}]")
+        entries[row["p"]] = (row["share"], row["kappa"])
+        standalone[row["p"]] = row["standalone_kappa"]
+    return CriticalValueTable(**fields, entries=entries, standalone=standalone)
 
 
 def _auto_reps(min_share: float, reps: int | None = None) -> int:
@@ -520,7 +661,7 @@ def calibrate_joint(
     if len(set(ps)) != len(ps):
         raise ValueError("duplicate exponents in the share map")
     for p, share in zip(ps, vals):
-        if share <= 0.0:
+        if not share > 0.0:
             raise ValueError(f"alpha share must be positive, got {share} at p={p}")
     if abs(sum(vals) - alpha_total) > 1e-12:
         raise ValueError(

@@ -19,14 +19,25 @@ invariants can be calibrated and evaluated.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
 
-from .critical_values import SCHEMA_VERSION, CriticalValueTable, _check_document, calibrate_joint
+from .critical_values import (
+    CriticalValueTable,
+    _document,
+    _integer,
+    _JsonDocument,
+    _list_of,
+    _object,
+    _optional,
+    _read_document,
+    _read_table,
+    _real,
+    calibrate_joint,
+)
 from .gaussian_moments import INF, Exponent, as_exponent, normal_quantile
 
 __all__ = [
@@ -39,7 +50,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DominantTestSpec:
+class DominantTestSpec(_JsonDocument):
     """Exponent grid and size allocation for the combined test.
 
     ``p_grid`` holds the interior exponents (strictly increasing, all in
@@ -59,15 +70,16 @@ class DominantTestSpec:
     table: CriticalValueTable | None = field(default=None)
 
     def __post_init__(self) -> None:
-        if self.d < 1:
+        # every check is written so that NaN fails it
+        if not self.d >= 1:
             raise ValueError(f"d must be >= 1, got {self.d}")
         if not 0.0 < self.alpha_total < 1.0:
             raise ValueError(f"alpha_total must lie in (0, 1), got {self.alpha_total}")
         for name in ("alpha_2", "alpha_I", "alpha_inf"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be nonnegative")
         parts = self.alpha_2 + self.alpha_I + self.alpha_inf
-        if abs(parts - self.alpha_total) > 1e-12:
+        if not abs(parts - self.alpha_total) <= 1e-12:
             raise ValueError(
                 f"alpha_2 + alpha_I + alpha_inf = {parts}, "
                 f"expected alpha_total = {self.alpha_total}"
@@ -79,9 +91,9 @@ class DominantTestSpec:
                 raise ValueError(f"interior exponents must lie in (2, inf), got {p}")
         if any(b <= a for a, b in zip(self.p_grid, self.p_grid[1:])):
             raise ValueError("p_grid must be strictly increasing")
-        if any(s <= 0.0 for s in self.per_p_shares):
+        if not all(s > 0.0 for s in self.per_p_shares):
             raise ValueError("every interior share must be positive")
-        if abs(sum(self.per_p_shares) - self.alpha_I) > 1e-12:
+        if not abs(sum(self.per_p_shares) - self.alpha_I) <= 1e-12:
             raise ValueError(
                 f"interior shares sum to {sum(self.per_p_shares)}, "
                 f"expected alpha_I = {self.alpha_I}"
@@ -117,9 +129,7 @@ class DominantTestSpec:
         return out
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "dominant_test_spec",
+        return _document("dominant_test_spec", {
             "d": self.d,
             "alpha_total": self.alpha_total,
             "alpha_2": self.alpha_2,
@@ -128,29 +138,26 @@ class DominantTestSpec:
             "p_grid": list(self.p_grid),
             "per_p_shares": list(self.per_p_shares),
             "table": None if self.table is None else self.table.to_json_dict(),
-        }
+        })
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DominantTestSpec":
-        _check_document(doc, "dominant_test_spec")
-        table = doc.get("table")
-        return cls(
-            d=int(doc["d"]),
-            alpha_total=float(doc["alpha_total"]),
-            alpha_2=float(doc["alpha_2"]),
-            alpha_I=float(doc["alpha_I"]),
-            alpha_inf=float(doc["alpha_inf"]),
-            p_grid=tuple(float(p) for p in doc["p_grid"]),
-            per_p_shares=tuple(float(s) for s in doc["per_p_shares"]),
-            table=None if table is None else CriticalValueTable.from_json_dict(table),
-        )
+        fields = _read_document(doc, "dominant_test_spec", _SPEC_FIELDS, "")
+        if fields["table"] is not None:
+            fields["table"] = _read_table(fields["table"], "table")
+        return cls(**fields)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "DominantTestSpec":
-        return cls.from_json_dict(json.loads(text))
+_SPEC_FIELDS = {
+    "d": (_integer, MISSING),
+    "alpha_total": (_real, MISSING),
+    "alpha_2": (_real, MISSING),
+    "alpha_I": (_real, MISSING),
+    "alpha_inf": (_real, MISSING),
+    "p_grid": (_list_of(_real, "numbers"), MISSING),
+    "per_p_shares": (_list_of(_real, "numbers"), MISSING),
+    "table": (_optional(_object), None),
+}
 
 
 def default_spec(d: int, alpha: float) -> DominantTestSpec:

@@ -13,9 +13,10 @@ statistics are the same bits as when it is tested alone, so the chunk size
 never changes a result.
 
 The config is parsed once, before calibration, against field tables
-(name -> converter, default): every section rejects unknown fields,
+(name -> converter, default) by ``critical_values._parse``, the reader of
+spec and table documents too: every section rejects unknown fields,
 numeric fields reject JSON booleans and strings, integer fields must be
-integral, and every error names its field path.
+integral, real fields finite, and every error names its field path.
 The iv and rct tables are read off ``IvConfig`` and ``RctConfig``, so each
 dataclass is the only list of its fields and defaults.
 
@@ -41,11 +42,25 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .covariance import MomentSample
-from .critical_values import SCHEMA_VERSION
+from .covariance import _TRUNC_MULT, MomentSample
+from .critical_values import (
+    SCHEMA_VERSION,
+    UsageError,
+    _block_rng,
+    _document,
+    _exponent,
+    _integer,
+    _list_of,
+    _object,
+    _optional,
+    _parse,
+    _real,
+    _string,
+    _vector,
+    _version,
+)
 from .dgp import IvConfig, RctConfig, gen_iv, gen_rct
 from .dominant_test import calibrate_spec, default_spec
-from .gaussian_moments import INF, as_exponent
 from .test_engine import (  # run_tests stays importable from this module
     _check_table_rows,
     _decide,
@@ -63,10 +78,6 @@ __all__ = [
     "SimulationReport",
     "run_experiment",
 ]
-
-
-class UsageError(ValueError):
-    """Bad flags or config: the caller asked for something malformed."""
 
 
 class DataError(ValueError):
@@ -109,54 +120,6 @@ def read_sample_csv(path) -> MomentSample:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _numeric(value):
-    # int() and float() would read true as 1 and "3" as 3: not numbers here
-    if isinstance(value, list):
-        for item in value:
-            _numeric(item)
-    elif isinstance(value, (bool, str)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return value
-
-
-def _integer(value) -> int:
-    value = _numeric(value)
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _vector(value) -> np.ndarray:
-    value = np.asarray(_numeric(value), dtype=float)
-    if not np.isfinite(value).all():
-        raise ValueError("must be finite")
-    return value
-
-
-def _real(value) -> float:
-    return float(_vector(float(_numeric(value))))
-
-
-def _string(value) -> str:
-    # str() would report null as "None" and 5 as "5"
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
-    return value
-
-
-def _exponents(value) -> tuple:
-    # a list of numbers; "inf" names the sup norm, as in a table's "p" keys
-    if not isinstance(value, list):
-        raise ValueError(f"expected a list of exponents, got {value!r}")
-    return tuple(INF if p == "inf" else as_exponent(float(_numeric(p))) for p in value)
-
-
-def _object(value) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError("expected a JSON object")
-    return value
-
-
 def _aux_rows(value):
     if value is None or value == "fold":
         return value
@@ -166,10 +129,10 @@ def _aux_rows(value):
         raise ValueError(f"expected an integer, null or 'fold', got {value!r}") from None
 
 
-# Field tables: name -> (convert, default); a MISSING default makes the
-# field required.  IV and RCT tables come from their config dataclasses.
+# Field tables: name -> (convert, default), read by ``_parse``.  IV and RCT
+# tables come from their config dataclasses.
 _TOP_FIELDS = {
-    "schema_version": (_integer, SCHEMA_VERSION),
+    "schema_version": (_version, SCHEMA_VERSION),
     "experiment": (_string, "unnamed"),
     "reps": (_integer, MISSING),
     "seed": (_integer, 0),
@@ -179,42 +142,17 @@ _TOP_FIELDS = {
 _TEST_FIELDS = {
     "alpha": (_real, 0.05),
     "estimator": (_estimator_name, "sample"),
-    "trunc_mult": (_real, 3.0),
-    "mc_reps": (lambda reps: None if reps is None else _integer(reps), None),
+    "trunc_mult": (_real, _TRUNC_MULT),
+    "mc_reps": (_optional(_integer), None),
     "mc_seed": (_integer, 0),
     "aux_rows": (_aux_rows, "fold"),
-    "extra_ps": (_exponents, ()),
+    # "inf" names the sup norm, as in a table's "p" keys
+    "extra_ps": (_list_of(_exponent, "exponents"), ()),
 }
 _KIND = {"kind": (_string, MISSING)}
 _GAUSSIAN_FIELDS = {**_KIND, "n": (_integer, MISSING), "d": (_integer, MISSING),
                     "theta": (_vector, None)}
 _CONVERT = {int: _integer, float: _real, str: _string, np.ndarray: _vector}
-
-
-def _parse(obj, fields: dict, path: str) -> dict:
-    """The fields of JSON object ``obj``, each converted by its table entry.
-
-    Keys outside the table are rejected, and an absent optional field takes
-    its default as is.  Every error is a ``UsageError`` naming the field path.
-    """
-    prefix = f"{path}." if path else ""
-    if not isinstance(obj, dict):
-        raise UsageError(f"{path or 'config'}: expected a JSON object")
-    for key in obj:
-        if key not in fields:
-            raise UsageError(f"{prefix}{key}: unknown field")
-    out = {}
-    for name, (convert, default) in fields.items():
-        if name in obj:
-            try:
-                out[name] = convert(obj[name])
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"{prefix}{name}: {exc}") from None
-        elif default is MISSING:
-            raise UsageError(f"{prefix}{name}: missing required field")
-        else:
-            out[name] = default
-    return out
 
 
 def _parse_config(cls, dgp: dict, beta_star_type):
@@ -303,9 +241,7 @@ class SimulationReport:
         }
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "simulation_report",
+        return _document("simulation_report", {
             "results": {
                 "experiment": self.experiment,
                 "seed": self.seed,
@@ -326,7 +262,7 @@ class SimulationReport:
                 "mc_se": self.mc_se,
             },
             "runtime": {"wall_clock_s": self.wall_clock},
-        }
+        })
 
 
 def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
@@ -340,8 +276,6 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     covariance estimate, if any did.
     """
     top = _parse(config, _TOP_FIELDS, "")
-    if top["schema_version"] != SCHEMA_VERSION:
-        raise UsageError(f"schema_version: expected {SCHEMA_VERSION}")
     if threads < 1:
         raise UsageError(f"threads: must be >= 1, got {threads}")
     reps, seed = top["reps"], top["seed"]
@@ -377,8 +311,7 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     flags = np.empty((reps, len(ps) + 1), dtype=bool)
 
     def fill(rep: int, out: np.ndarray) -> None:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, rep))))
-        out[...] = draw(rng).values
+        out[...] = draw(_block_rng(seed, rep)).values
 
     deficient = 0
     start = time.perf_counter()

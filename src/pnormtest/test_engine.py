@@ -47,6 +47,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .covariance import (
+    _TRUNC_MULT,
     MomentSample,
     _checked,
     _kurtosis,
@@ -57,8 +58,8 @@ from .covariance import (
 from .critical_values import (
     _batch_pnorms,
     _check_alpha,
-    kappa_inf_exact,
-    kappa_p_asymptotic,
+    _exponent_key,
+    _formula_kappa,
     mc_pnorm_quantile,
 )
 from .dominant_test import DominantTestSpec, _max_ratio
@@ -82,10 +83,6 @@ __all__ = [
 
 # covariance estimators by accepted name; "trunc" is short for "truncated"
 _ESTIMATORS = {"sample": "sample", "truncated": "truncated", "trunc": "truncated"}
-
-# truncation radius of the truncated estimator, in median row norms
-_TRUNC_MULT = 3.0
-
 
 def _estimator_name(name: str) -> str:
     """Canonical estimator name: the one place the "trunc" alias is resolved."""
@@ -276,8 +273,7 @@ def _test_columns(spec: DominantTestSpec, extra_ps: Iterable):
     extras = sorted({as_exponent(p) for p in extra_ps} - set(grid))
     alpha = spec.alpha_total
     crits = [spec.table.standalone_kappa(p) for p in grid] + [
-        kappa_inf_exact(spec.d, alpha) if p.is_inf else kappa_p_asymptotic(p, spec.d, alpha)
-        for p in extras
+        _formula_kappa(p, spec.d, alpha) for p in extras
     ]
     return grid + extras, np.asarray(crits)
 
@@ -345,7 +341,7 @@ class TestReport:
             "estimator": self.estimator,
             "per_p": [
                 {
-                    "p": "inf" if r.p.is_inf else r.p.value,
+                    "p": _exponent_key(r.p),
                     "statistic": r.statistic,
                     "critical": r.critical,
                     "reject": r.reject,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from pnormtest import harness
+from pnormtest import critical_values, harness
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -44,3 +44,15 @@ def test_every_counted_class_validates_its_array_field(tracer):
 
 def test_run_experiment_accepts_threads():
     assert "threads" in inspect.signature(harness.run_experiment).parameters
+
+
+def test_names_the_bench_imports_resolve():
+    # bench/workloads.py imports SCHEMA_VERSION; bench/tests swaps harness.run_tests
+    assert isinstance(critical_values.SCHEMA_VERSION, int)
+    assert callable(harness.run_tests)
+
+
+def test_reference_norms_binds_its_counted_arguments():
+    # the tracer's hook binds these parameters by name to count draws
+    params = inspect.signature(critical_values._reference_norms).parameters
+    assert {"ps", "d", "reps"} <= set(params)

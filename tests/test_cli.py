@@ -235,6 +235,38 @@ class TestTest:
         assert err.startswith("error:") and "not a calibrated test specification" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(d=doc["d"] + 0.9), "d: expected an integer, got 3.9"),
+            (lambda doc: doc.update(d=str(doc["d"])), "d: expected a number, got '3'"),
+            (lambda doc: doc["table"].update(conservative="no"),
+             "table.conservative: expected true or false, got 'no'"),
+            (lambda doc: doc["table"].update(seed=True), "table.seed: expected a number, got True"),
+            (lambda doc: doc["table"].update(mc_reps=2.5),
+             "table.mc_reps: expected an integer, got 2.5"),
+            (lambda doc: doc["table"]["entries"][0].update(kappa=math.nan),
+             "table.entries[0].kappa: must be finite"),
+            (lambda doc: doc["table"]["entries"][1].update(kappa=math.inf),
+             "table.entries[1].kappa: must be finite"),
+            (lambda doc: doc.update(note="hand edited"), "note: unknown field"),
+            (lambda doc: doc["table"]["entries"][0].update(sigma=1.0),
+             "table.entries[0].sigma: unknown field"),
+        ],
+        ids=["fractional d", "string d", "string flag", "boolean seed", "fractional reps",
+             "nan kappa", "infinite kappa", "unknown key", "unknown entry key"],
+    )
+    def test_lax_spec_field_exit_3(self, tmp_path, table3, capsys, edit, message):
+        # each edit loaded, coerced or ignored, before the strict reader
+        doc = json.loads(table3.read_text())
+        edit(doc)
+        table = tmp_path / "edited.json"
+        table.write_text(json.dumps(doc))
+        data = write_null_csv(tmp_path / "null.csv")
+        code, out, err = run_cli(capsys, "test", "--data", str(data), "--table", str(table))
+        assert code == 3 and out == ""
+        assert err == f"error: {table}: not a calibrated test specification: {message}\n"
+
     @pytest.mark.parametrize("where", ["spec", "table", "both"])
     def test_other_schema_version_exit_3(self, tmp_path, table3, capsys, where):
         doc = json.loads(table3.read_text())

@@ -7,6 +7,7 @@ brentq root of (2 Phi(t) - 1)^d = 1 - alpha for the exact sup-norm value.
 
 import math
 import os
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -514,6 +515,11 @@ class TestCriticalValueTable:
         t = self.make()
         assert CriticalValueTable.from_json(t.to_json()) == t
 
+    @pytest.mark.parametrize("name", ["table_d12.json", "table_d40_aux200.json"])
+    def test_golden_tables_round_trip(self, name):
+        text = (DATA / name).read_text()
+        assert CriticalValueTable.from_json(text).to_json() + "\n" == text
+
     def test_json_keys(self):
         doc = self.make().to_json_dict()
         assert doc["schema_version"] == 1
@@ -544,3 +550,40 @@ class TestCriticalValueTable:
         bad_entries = {as_exponent(2): (0.05, -1.0)}
         with pytest.raises(ValueError, match="kappa"):
             CriticalValueTable(**{**good, "entries": bad_entries})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, value):
+        t = self.make()
+        good = dict(
+            d=t.d, alpha_total=t.alpha_total, entries=t.entries, c_n=t.c_n,
+            conservative=t.conservative, mc_reps=t.mc_reps, seed=t.seed,
+            standalone=t.standalone,
+        )
+        p, (share, _) = next(iter(t.entries.items()))
+        with pytest.raises(ValueError, match="^kappa must be positive"):
+            CriticalValueTable(**{**good, "entries": {**t.entries, p: (share, value)}})
+        with pytest.raises(ValueError, match="^standalone kappa"):
+            CriticalValueTable(**{**good, "standalone": {**t.standalone, p: value}})
+        with pytest.raises(ValueError, match="sum"):
+            CriticalValueTable(**{**good, "alpha_total": value})
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(d=9.5), "d: expected an integer, got 9.5"),
+            (lambda doc: doc.update(aux_rows="50"), "aux_rows: expected a number, got '50'"),
+            (lambda doc: doc.update(conservative=0), "conservative: expected true or false, got 0"),
+            (lambda doc: doc.update(c_n=math.nan), "c_n: must be finite"),
+            (lambda doc: doc["entries"][1].update(p="3.5"), "entries[1].p: expected a number"),
+            (lambda doc: doc["entries"][2].update(kappa=math.inf), "entries[2].kappa: must be finite"),
+            (lambda doc: doc["entries"][0].update(note=1), "entries[0].note: unknown field"),
+            (lambda doc: doc.pop("entries"), "entries: missing required field"),
+        ],
+        ids=["fractional d", "string aux_rows", "number flag", "nan c_n", "string p",
+             "infinite kappa", "unknown entry key", "no entries"],
+    )
+    def test_reader_names_the_field_path(self, edit, message):
+        doc = self.make().to_json_dict()
+        edit(doc)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            CriticalValueTable.from_json_dict(doc)

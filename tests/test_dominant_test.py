@@ -98,6 +98,26 @@ class TestSpecInvariants:
         with pytest.raises(ValueError, match="2, inf"):
             self.base(p_grid=(2.0, 4.0))
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"alpha_2": math.nan},
+            {"alpha_inf": math.nan},
+            {"per_p_shares": (math.nan, 0.008)},
+            {"alpha_I": math.nan, "per_p_shares": (math.nan, math.nan)},
+        ],
+        ids=["nan alpha_2", "nan alpha_inf", "nan interior share", "nan alpha_I"],
+    )
+    def test_rejects_nan_shares(self, override):
+        with pytest.raises(ValueError):
+            self.base(**override)
+
+    def test_reads_a_spec_document_only(self):
+        doc = self.base().to_json_dict()
+        doc["kind"] = "critical_value_table"
+        with pytest.raises(ValueError, match="^kind: expected 'dominant_test_spec'"):
+            DominantTestSpec.from_json_dict(doc)
+
     def test_p2_only_spec_is_valid(self):
         s = DominantTestSpec(
             d=8,
