@@ -138,6 +138,10 @@ def _cmd_test(args) -> None:
     _emit(_document("test_report", report.to_json_dict()), args.out)
 
 
+# most candidate points that ``invert --grid`` may name
+_MAX_GRID_POINTS = 10**6
+
+
 def _parse_grid_range(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
@@ -146,14 +150,15 @@ def _parse_grid_range(text: str) -> np.ndarray:
         lo, hi, step = (float(tok) for tok in parts)
     except ValueError as exc:
         raise UsageError(f"--grid: {exc}") from None
-    if step <= 0 or hi < lo:
-        raise UsageError(f"--grid: need lo <= hi and step > 0, got {text!r}")
+    if not (lo <= hi and 0 < step < math.inf):
+        raise UsageError(f"--grid: need lo <= hi and a finite step > 0, got {text!r}")
+    if not (hi - lo) / step + 1 <= _MAX_GRID_POINTS:  # NaN and infinite bounds fail it
+        raise UsageError(f"--grid: {text!r} needs at most {_MAX_GRID_POINTS} points")
     return np.arange(lo, hi + 0.5 * step, step)
 
 
 def _cmd_invert(args) -> None:
-    if args.model != "iv":
-        raise UsageError(f"--model: only 'iv' is built in, got {args.model!r}")
+    grid = _parse_grid_range(args.grid)
     sample = read_sample_csv(args.data)
     if sample.d < 3 or sample.n < 4:
         raise DataError(
@@ -167,7 +172,6 @@ def _cmd_invert(args) -> None:
     def model(beta: float) -> np.ndarray:
         return (y - endog * beta)[:, None] * z
 
-    grid = _parse_grid_range(args.grid)
     conf = invert_confidence_set(
         model,
         grid,
@@ -234,19 +238,18 @@ def _build_parser() -> argparse.ArgumentParser:
     tst = sub.add_parser("test", help="run the combined test on a moment CSV")
     tst.add_argument("--data", required=True, help="CSV of moment evaluations at beta*")
     tst.add_argument("--table", required=True, help="calibrated specification JSON")
-    tst.add_argument("--estimator", choices=sorted(_ESTIMATORS), default="sample")
+    tst.add_argument("--estimator", choices=_ESTIMATORS, default="sample")
     tst.add_argument("--trunc-mult", type=float, default=_TRUNC_MULT)
     tst.add_argument("--extra-p", default="", help="extra exponents reported with formula critical values")
     tst.add_argument("--out", help="report JSON path (default: stdout)")
     tst.set_defaults(func=_cmd_test)
 
     inv = sub.add_parser("invert", help="retain candidate beta values by grid inversion")
-    inv.add_argument("--model", default="iv", help="only 'iv': columns y, Y, z1..zd")
-    inv.add_argument("--data", required=True)
+    inv.add_argument("--data", required=True, help="IV data CSV: columns y, Y, z1..zd")
     inv.add_argument("--grid", required=True, help="lo:hi:step candidate grid")
     inv.add_argument("--p", default="2")
     inv.add_argument("--alpha", type=float, default=0.05)
-    inv.add_argument("--estimator", choices=sorted(_ESTIMATORS), default="sample")
+    inv.add_argument("--estimator", choices=_ESTIMATORS, default="sample")
     inv.add_argument("--mc-reps", type=int, default=None, help="Monte-Carlo draws (default: auto)")
     inv.add_argument("--mc-seed", type=int, default=0)
     inv.set_defaults(func=_cmd_invert)
@@ -266,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     spl.add_argument("--alpha", type=float, default=0.05)
     spl.add_argument("--reps", type=int, default=None)
     spl.add_argument("--mc-seed", type=int, default=0)
-    spl.add_argument("--estimator", choices=sorted(_ESTIMATORS), default="sample")
+    spl.add_argument("--estimator", choices=_ESTIMATORS, default="sample")
     spl.add_argument("--out", help="report JSON path (default: stdout)")
     spl.set_defaults(func=_cmd_split_test)
 

@@ -9,8 +9,8 @@ that, both estimators use the uncentered second-moment form.
 each auxiliary row onto the ball of radius ``trunc_mult`` times the median
 row norm before forming the second-moment matrix.  The theoretically
 optimal robust estimators this stands in for are not practical to
-implement.  The test engine selects its estimator by name: ``"sample"``
-or ``"truncated"`` (alias ``"trunc"``); other estimators are not pluggable.
+implement.  The test engine selects its estimator by one of two names,
+``"sample"`` or ``"truncated"``; other estimators are not pluggable.
 """
 
 from __future__ import annotations

@@ -531,6 +531,14 @@ class CriticalValueTable(_JsonDocument):
 
     def __post_init__(self) -> None:
         # every check is written so that NaN fails it
+        if not self.d >= 1:
+            raise ValueError(f"d must be >= 1, got {self.d}")
+        if not self.mc_reps >= 1:
+            raise ValueError(f"mc_reps must be >= 1, got {self.mc_reps}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if not (self.aux_rows is None or self.aux_rows >= self.d + 2):
+            raise ValueError(f"aux_rows must be null or >= d + 2, got {self.aux_rows}")
         if not self.entries:
             raise ValueError("table needs at least one exponent entry")
         total = 0.0

@@ -62,9 +62,8 @@ from .critical_values import (
 from .dgp import IvConfig, RctConfig, gen_iv, gen_rct
 from .dominant_test import calibrate_spec, default_spec
 from .test_engine import (  # run_tests stays importable from this module
-    _check_table_rows,
+    _check_estimator,
     _decide,
-    _estimator_name,
     _matched_aux_rows,
     _test_columns,
     _whiten_chunks,
@@ -123,10 +122,7 @@ def read_sample_csv(path) -> MomentSample:
 def _aux_rows(value):
     if value is None or value == "fold":
         return value
-    try:
-        return _integer(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"expected an integer, null or 'fold', got {value!r}") from None
+    raise ValueError(f"expected 'fold' or null, got {value!r}")
 
 
 # Field tables: name -> (convert, default), read by ``_parse``.  IV and RCT
@@ -141,7 +137,7 @@ _TOP_FIELDS = {
 }
 _TEST_FIELDS = {
     "alpha": (_real, 0.05),
-    "estimator": (_estimator_name, "sample"),
+    "estimator": (_check_estimator, "sample"),
     "trunc_mult": (_real, _TRUNC_MULT),
     "mc_reps": (_optional(_integer), None),
     "mc_seed": (_integer, 0),
@@ -295,9 +291,7 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
         raise UsageError(f"test.alpha: must lie in (0, 1), got {alpha}")
     if not trunc_mult > 0:
         raise UsageError(f"test.trunc_mult: must be positive, got {trunc_mult}")
-    aux = opts["aux_rows"]
-    if aux == "fold":
-        aux = _matched_aux_rows(n, d)
+    aux = _matched_aux_rows(n, d) if opts["aux_rows"] == "fold" else None
 
     try:
         spec = calibrate_spec(
@@ -306,7 +300,6 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     except ValueError as exc:
         raise UsageError(f"test: {exc}") from None
 
-    _check_table_rows(spec, n // 2)
     ps, crits = _test_columns(spec, opts["extra_ps"])
     flags = np.empty((reps, len(ps) + 1), dtype=bool)
 

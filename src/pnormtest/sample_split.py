@@ -15,8 +15,7 @@ Two built-in selectors:
   eigendecomposition per step, whitening every candidate's enlarged set
   through the test engine's kernel).
 
-Any other selector can be used by passing an explicit index list to
-``split_test``.
+``split_test`` selects by name, "top" or "greedy".
 """
 
 from __future__ import annotations
@@ -177,7 +176,7 @@ def _select(h: np.ndarray, r: np.ndarray, d: int, selection: str, p=2.0) -> np.n
     if selection == "top":
         return np.sort(np.argsort(-_studentized_scores(h, r), kind="stable")[:d])
     if selection != "greedy":
-        raise ValueError(f"selection must be 'top', 'greedy' or indices, got {selection!r}")
+        raise ValueError(f"selection must be 'top' or 'greedy', got {selection!r}")
     pv = float(p)
     if not (pv >= 2.0 or math.isinf(pv)):
         raise ValueError(f"exponent must lie in [2, inf], got {p}")
@@ -208,7 +207,7 @@ def split_test(
     s,
     d: int,
     *,
-    selection="top",
+    selection: str = "top",
     p=2.0,
     frac1: float = 0.5,
     seed=0,
@@ -220,26 +219,16 @@ def split_test(
 ) -> SplitResult:
     """Select d of the D moment columns on fold 1, test them on fold 2.
 
-    ``selection`` is "top", "greedy" (using exponent ``p``), or an
-    explicit iterable of d column indices.  When no calibrated ``spec``
-    is passed, the default exponent grid at level ``alpha`` is calibrated
-    at dimension d against the fold-2 reference law.  Critical values are
-    therefore those of a d-dimensional test at sample size n2.
+    ``selection`` is "top" or "greedy" (using exponent ``p``).  When no
+    calibrated ``spec`` is passed, the default exponent grid at level
+    ``alpha`` is calibrated at dimension d against the fold-2 reference
+    law.  Critical values are therefore those of a d-dimensional test at
+    sample size n2.
     """
     values = _checked(s)
-    n, big_d = values.shape
-    if not 1 <= d <= big_d:
-        raise ValueError(f"need 1 <= d <= {big_d}, got d={d}")
-    idx1, idx2 = split(n, frac1, seed)
-    if isinstance(selection, str):
-        # fold 1's rows are freed once its moments are read
-        chosen = _select(*_fold_moments(values[idx1]), d, selection, p)
-    else:
-        chosen = np.unique(np.asarray(list(selection), dtype=int))
-        if chosen.size != d:
-            raise ValueError(f"selection must hold {d} distinct indices, got {chosen.size}")
-        if chosen.min() < 0 or chosen.max() >= big_d:
-            raise ValueError(f"selection indices must lie in [0, {big_d})")
+    idx1, idx2 = split(values.shape[0], frac1, seed)
+    # fold 1's rows are freed once its moments are read
+    chosen = _select(*_fold_moments(values[idx1]), d, selection, p)
     n2 = idx2.size
     if d > n2**0.4:
         warnings.warn(

@@ -19,7 +19,9 @@ samples, the simulation harness's replications and the candidates of
 chunks of about ``_CHUNK_BYTES`` of sample values, filled one sample at a
 time into one reused buffer.  The statistics of a stacked sample are the
 same bits as when that sample is whitened alone, so the chunk size never
-changes a result.
+changes a result.  Each input has one form: the estimator is named
+``"sample"`` or ``"truncated"``, and the model of ``invert_confidence_set``
+returns each candidate's sample as an n x d array.
 
 Covariance degrees of freedom.  The inverse of a second-moment matrix
 built from m difference rows overshoots the true inverse by a factor of
@@ -48,7 +50,6 @@ import numpy as np
 
 from .covariance import (
     _TRUNC_MULT,
-    MomentSample,
     _checked,
     _kurtosis,
     _pair_rows,
@@ -81,16 +82,14 @@ __all__ = [
     "CandidateRecord",
 ]
 
-# covariance estimators by accepted name; "trunc" is short for "truncated"
-_ESTIMATORS = {"sample": "sample", "truncated": "truncated", "trunc": "truncated"}
+# covariance estimators by name
+_ESTIMATORS = ("sample", "truncated")
 
-def _estimator_name(name: str) -> str:
-    """Canonical estimator name: the one place the "trunc" alias is resolved."""
+
+def _check_estimator(name: str) -> str:
     if name not in _ESTIMATORS:
-        raise ValueError(
-            f"unknown estimator {name!r}; expected one of {sorted(_ESTIMATORS)}"
-        )
-    return _ESTIMATORS[name]
+        raise ValueError(f"unknown estimator {name!r}; expected one of {list(_ESTIMATORS)}")
+    return name
 
 
 def _whiten(h: np.ndarray, sigma: np.ndarray):
@@ -114,7 +113,7 @@ def _whiten_stack(values: np.ndarray, estimator: str, trunc_mult: float):
 
     Difference pairs, the sample or truncated second moment (one median
     per sample), the m/(m-d-1) debias when m >= d + 2, then ``_whiten``.
-    ``estimator`` is a canonical name.  Returns (x, w, rank, sigma, aux):
+    ``estimator`` is a checked name.  Returns (x, w, rank, sigma, aux):
     whitened vectors (..., d), eigenvalues (..., d), ranks (...), debiased
     covariance estimates (..., d, d) and difference-pair rows (..., m, d).
     """
@@ -231,7 +230,7 @@ def prepare_standardized(s, estimator: str = "sample", trunc_mult: float = _TRUN
     covariance estimate (d, d) and the difference-pair rows (n // 2, d).
     """
     values = _checked(s)
-    out = _whiten_stack(values[None], _estimator_name(estimator), trunc_mult)
+    out = _whiten_stack(values[None], _check_estimator(estimator), trunc_mult)
     x, w, rank, sigma, aux = (a[0] for a in out)
     _warn_rank(int(rank), values.shape[1])
     return x, w, int(rank), sigma, aux
@@ -402,7 +401,7 @@ def _run_tests(
         raise ValueError("spec is not calibrated; run calibrate_spec first")
     if d != spec.d:
         raise ValueError(f"sample has d={d} but spec was built for d={spec.d}")
-    estimator = _estimator_name(estimator)
+    estimator = _check_estimator(estimator)
     x, w, rank, _, aux = _whiten_stack(values[None], estimator, trunc_mult)
     ps, crits = _test_columns(spec, extra_ps)
     stats, reject, max_ratio, psi = _decide(x, spec, ps, crits)
@@ -463,9 +462,9 @@ def invert_confidence_set(
 ) -> ConfidenceSet:
     """Grid inversion: retain candidates whose statistic stays below kappa.
 
-    ``model(beta)`` must return the n x d moment functions evaluated at
-    the candidate, as a ``MomentSample`` or an array; n and d are read off
-    ``grid[0]``, and a candidate of any other shape is a usage error.  The
+    ``model(beta)`` must return the n x d array of moment functions
+    evaluated at the candidate; n and d are read off ``grid[0]``, and a
+    candidate of any other shape is a usage error.  The
     critical value defaults to a Monte-Carlo quantile under the
     finite-sample reference matched to the sample's difference-pair count;
     pass a finite positive ``critical`` to override.  A sample of fewer than
@@ -482,11 +481,10 @@ def invert_confidence_set(
     if critical is not None and not (math.isfinite(critical) and critical > 0):
         raise ValueError(f"critical must be finite and positive, got {critical}")
     pv = as_exponent(p)
-    estimator = _estimator_name(estimator)
+    estimator = _check_estimator(estimator)
 
     def values(beta) -> np.ndarray:
-        out = model(beta)
-        return out.values if isinstance(out, MomentSample) else np.asarray(out, dtype=float)
+        return np.asarray(model(beta), dtype=float)
 
     first = values(grid[0])
     if first.ndim != 2 or first.shape[0] < 4 or first.shape[1] < 1:

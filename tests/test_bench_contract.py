@@ -1,9 +1,12 @@
-"""The library names that the benchmark's tracer wraps and counts.
+"""The library names that the benchmark's tracer wraps and counts, and
+the calls its workloads make.
 
 ``bench/tracer.py`` replaces library attributes by name while it traces a
 run.  These tests read its tables, without editing the file, so that a
 renamed or deleted library name fails here rather than in a traced
-benchmark run.
+benchmark run.  Likewise, each call in ``bench/workloads.py`` is bound
+against its function's signature, so that a signature edit that would
+break a workload fails here first.
 """
 
 import dataclasses
@@ -14,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from pnormtest import critical_values, harness
+from pnormtest import critical_values, dominant_test, harness, sample_split, test_engine
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -56,3 +59,38 @@ def test_reference_norms_binds_its_counted_arguments():
     # the tracer's hook binds these parameters by name to count draws
     params = inspect.signature(critical_values._reference_norms).parameters
     assert {"ps", "d", "reps"} <= set(params)
+
+
+# The calls bench/workloads.py makes, argument for argument; the values
+# stand in for its data, specs and configs.
+_SPEC_FIELDS = {
+    "d": 200,
+    "alpha_total": 0.05,
+    "alpha_2": 0.05 / 6,
+    "alpha_I": 0.05 * 4 / 6,
+    "alpha_inf": 0.05 / 6,
+    "p_grid": (3.0, 4.0, 6.0, 8.0),
+    "per_p_shares": (0.05 / 6,) * 4,
+}
+BENCH_CALLS = {
+    "split_test": (
+        sample_split.split_test,
+        ("data", 12),
+        {"selection": "greedy", "p": 2.0, "seed": 0, "spec": "spec"},
+    ),
+    "run_tests": (test_engine.run_tests, ("inp", "spec"), {}),
+    "calibrate_spec": (dominant_test.calibrate_spec, ("spec",), {"aux_rows": 1000}),
+    "calibrate_spec with reps": (
+        dominant_test.calibrate_spec, ("spec",), {"reps": 20_000, "aux_rows": 1000}
+    ),
+    "default_spec": (dominant_test.default_spec, (200, 0.05), {}),
+    "DominantTestSpec": (dominant_test.DominantTestSpec, (), _SPEC_FIELDS),
+    "run_experiment": (harness.run_experiment, ("config",), {"threads": 2}),
+}
+
+
+@pytest.mark.parametrize("name", list(BENCH_CALLS))
+def test_bench_call_binds_to_its_signature(name):
+    func, args, kwargs = BENCH_CALLS[name]
+    inspect.signature(func).bind(*args, **kwargs)
+

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnormtest.cli import main
+from pnormtest.cli import _MAX_GRID_POINTS, _parse_grid_range, main
 from pnormtest.critical_values import kappa_inf_exact, kappa_p_asymptotic
 from pnormtest.dominant_test import DominantTestSpec, default_spec
 
@@ -147,7 +147,7 @@ class TestTest:
         data = write_null_csv(tmp_path / "shift.csv", n=100, shift=1.5)
         code, out, _ = run_cli(
             capsys, "test", "--data", str(data), "--table", str(table3),
-            "--estimator", "trunc", "--extra-p", "8",
+            "--estimator", "truncated", "--extra-p", "8",
         )
         assert code == 0
         doc = json.loads(out)
@@ -203,6 +203,19 @@ class TestTest:
         code, out, err = run_cli(capsys, "test", "--data", str(data), "--table", str(table))
         assert code == 3 and out == ""
         assert err.startswith("error:") and "standalone kappa" in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("d", 0), ("mc_reps", -5), ("seed", -3), ("aux_rows", -7)]
+    )
+    def test_table_field_out_of_range_exit_3(self, tmp_path, table3, capsys, field, value):
+        doc = json.loads(table3.read_text())
+        doc["table"][field] = value
+        table = tmp_path / "out_of_range.json"
+        table.write_text(json.dumps(doc))
+        data = write_null_csv(tmp_path / "null.csv")
+        code, out, err = run_cli(capsys, "test", "--data", str(data), "--table", str(table))
+        assert code == 3 and out == ""
+        assert err.startswith("error:") and f"{field} must be" in err
 
     def test_table_at_other_shares_exit_3(self, tmp_path, table3, capsys):
         doc = json.loads(table3.read_text())
@@ -322,10 +335,24 @@ class TestInvert:
             assert code == 2 and "--grid" in err
 
     def test_unknown_model_exit_2(self, iv_csv, capsys):
-        code, _, err = run_cli(
-            capsys, "invert", "--data", str(iv_csv), "--grid", "0:1:0.5", "--model", "gmm"
+        # iv is the only model, so there is no --model flag, not even for iv
+        for model in ("iv", "gmm"):
+            code, _, err = run_cli(
+                capsys, "invert", "--data", str(iv_csv), "--grid", "0:1:0.5", "--model", model
+            )
+            assert code == 2 and "unrecognized arguments: --model" in err
+
+    @pytest.mark.parametrize("grid", ["0:1:1e-13", "0:1000000:1", "0:inf:1", "0:nan:1", "0:1:inf"])
+    def test_oversized_grid_exit_2(self, tmp_path, capsys, grid):
+        # rejected before the data file is read or any grid point allocated
+        code, out, err = run_cli(
+            capsys, "invert", "--data", str(tmp_path / "absent.csv"), "--grid", grid
         )
-        assert code == 2 and "--model" in err
+        assert code == 2 and out == ""
+        assert err.startswith("error: --grid:")
+
+    def test_largest_grid_is_accepted(self):
+        assert _parse_grid_range("0:999999:1").size == _MAX_GRID_POINTS == 10**6
 
     def test_bad_parameters_exit_2(self, iv_csv, capsys):
         for argv, msg in ((("--alpha", "2"), "alpha"), (("--mc-reps", "10"), "reps")):
@@ -399,6 +426,18 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2 and field in err
 
+    @pytest.mark.parametrize(
+        "field, value", [("estimator", "trunc"), ("aux_rows", 30)]
+    )
+    def test_removed_test_field_forms_exit_2(self, tmp_path, capsys, field, value):
+        path = tmp_path / "bad.json"
+        config = {"reps": 1, "dgp": {"kind": "gaussian", "n": 40, "d": 3},
+                  "test": {field: value}}
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: test.{field}: ")
+
     def test_malformed_json_exit_3(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -442,3 +481,20 @@ class TestExitCodes:
     def test_missing_required_flag_exits_two(self, capsys):
         code, _, err = run_cli(capsys, "calibrate", "--d", "3")
         assert code == 2 and "required" in err
+
+
+@pytest.mark.parametrize(
+    "command, required",
+    [
+        ("test", ("--table", "spec.json")),
+        ("invert", ("--grid", "0:1:1")),
+        ("split-test", ("--d", "2")),
+    ],
+)
+def test_estimator_takes_full_names_only(tmp_path, capsys, command, required):
+    code, out, err = run_cli(
+        capsys, command, "--data", str(tmp_path / "absent.csv"), *required,
+        "--estimator", "trunc",
+    )
+    assert code == 2 and out == ""
+    assert "invalid choice: 'trunc'" in err

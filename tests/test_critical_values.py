@@ -587,3 +587,26 @@ class TestCriticalValueTable:
         edit(doc)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             CriticalValueTable.from_json_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("d", 0, "d must be >= 1, got 0"),
+            ("mc_reps", -5, "mc_reps must be >= 1, got -5"),
+            ("mc_reps", 0, "mc_reps must be >= 1, got 0"),
+            ("seed", -3, "seed must be nonnegative, got -3"),
+            ("aux_rows", -7, "aux_rows must be null or >= d + 2, got -7"),
+            ("aux_rows", 10, "aux_rows must be null or >= d + 2, got 10"),
+        ],
+    )
+    def test_reader_rejects_out_of_range_fields(self, field, value, message):
+        # provenance that no calibration can produce
+        doc = self.make().to_json_dict()
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CriticalValueTable.from_json_dict(doc)
+
+    def test_smallest_finite_sample_table_loads(self):
+        # d = 9: aux_rows = d + 2 is the smallest finite-sample reference
+        doc = {**self.make().to_json_dict(), "aux_rows": 11, "seed": 0}
+        assert CriticalValueTable.from_json_dict(doc).aux_rows == 11

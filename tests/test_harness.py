@@ -101,7 +101,7 @@ class TestRunExperiment:
         cfg = gaussian_config(
             reps=8,
             dgp={"kind": "gaussian", "n": 61, "d": 3, "theta": [1.5, 0.0, -0.5]},
-            test={"alpha": 0.05, "mc_reps": 50_000, "estimator": "trunc",
+            test={"alpha": 0.05, "mc_reps": 50_000, "estimator": "truncated",
                   "trunc_mult": 1.2, "extra_ps": [2.5, 7]},
         )
         want = run_experiment(cfg).to_json_dict()["results"]
@@ -254,6 +254,8 @@ class TestRunExperiment:
             ("dgp.beta_true", {"dgp": {**IV_DGP, "beta_true": -math.inf}}),
             ("dgp.beta_star", {"dgp": {**RCT_DGP, "beta_star": [math.nan, 0, 0]}}),
             ("dgp.t_dof", {"dgp": {**IV_DGP, "error_dist": "t", "t_dof": math.inf}}),
+            ("test.aux_rows", {"test": {"aux_rows": 30}}),
+            ("test.estimator", {"test": {"estimator": "trunc"}}),
         ],
     )
     def test_bad_field_rejected_before_calibration(self, monkeypatch, field, override):

@@ -189,11 +189,10 @@ def spec4():
 
 class TestSplitTest:
     def test_identity_selection_reduces_to_second_fold_test(self):
+        # "top" with d = D selects every column
         spec6 = calibrate_spec(default_spec(6, 0.05), reps=50_000, seed=3)
         values = np.random.default_rng(17).standard_normal((200, 6))
-        result = split_test(
-            MomentSample(values), 6, selection=range(6), spec=spec6, seed=4
-        )
+        result = split_test(MomentSample(values), 6, selection="top", spec=spec6, seed=4)
         _, idx2 = split(200, 0.5, seed=4)
         direct = run_tests(MomentSample(values[idx2]), spec6)
         assert result.selected == (0, 1, 2, 3, 4, 5)
@@ -220,7 +219,7 @@ class TestSplitTest:
     def test_warns_when_d_outgrows_second_fold(self, spec4):
         s = MomentSample(np.random.default_rng(3).standard_normal((40, 5)))
         with pytest.warns(UserWarning, match=r"n2\^\(2/5\)"):
-            split_test(s, 4, selection=range(4), spec=spec4, seed=0)
+            split_test(s, 4, selection="top", spec=spec4, seed=0)
 
     def test_json_dict_carries_selection_and_report(self, spec4):
         s = MomentSample(np.random.default_rng(4).standard_normal((200, 8)))
@@ -229,15 +228,11 @@ class TestSplitTest:
         assert len(doc["selected"]) == 4
 
     def test_rejects_bad_explicit_selection(self, spec4):
+        # selection is by name only, never by an index list
         s = MomentSample(np.random.default_rng(5).standard_normal((200, 8)))
-        with pytest.raises(ValueError, match="distinct"):
-            split_test(s, 4, selection=[0, 1, 2], spec=spec4)
-        with pytest.raises(ValueError, match="distinct"):
-            split_test(s, 4, selection=[0, 1, 2, 2], spec=spec4)
-        with pytest.raises(ValueError, match=r"lie in \[0, 8\)"):
-            split_test(s, 4, selection=[0, 1, 2, 9], spec=spec4)
-        with pytest.raises(ValueError, match="selection"):
-            split_test(s, 4, selection="lasso", spec=spec4)
+        for selection in (range(4), [0, 1, 2, 3], (0, 1, 2, 9), "lasso"):
+            with pytest.raises(ValueError, match="selection must be 'top' or 'greedy'"):
+                split_test(s, 4, selection=selection, spec=spec4)
 
     def test_default_spec_is_calibrated_at_d(self):
         values = np.random.default_rng(6).standard_normal((120, 12))

@@ -168,7 +168,7 @@ class TestRankWarning:
         spec = calibrate_spec(default_spec(4, 0.05), reps=20_000, seed=2)
         calls = {
             "run_tests": lambda: run_tests(rows, spec),
-            "split_test": lambda: split_test(rows, 4, selection=range(4), spec=spec),
+            "split_test": lambda: split_test(rows, 4, selection="top", spec=spec),
             "prepare_standardized": lambda: prepare_standardized(rows),
             "standardize": lambda: standardize(np.ones(4), np.cov(rows.T)),
         }
@@ -331,10 +331,10 @@ class TestRunTests:
 
     def test_trunc_alias(self, spec20):
         s = gaussian_sample(400, 20, seed=7)
-        short = run_tests(s, spec20, estimator="trunc")
-        full = run_tests(s, spec20, estimator="truncated")
-        assert short.estimator == "truncated"
-        assert short.to_json_dict() == full.to_json_dict()
+        message = r"unknown estimator 'trunc'; expected one of \['sample', 'truncated'\]"
+        with pytest.raises(ValueError, match=message):
+            run_tests(s, spec20, estimator="trunc")
+        assert run_tests(s, spec20, estimator="truncated").estimator == "truncated"
 
     def test_json_dict(self, spec20):
         doc = run_tests(gaussian_sample(400, 20, seed=7), spec20).to_json_dict()
@@ -346,7 +346,7 @@ class TestRunTests:
 class TestInvertConfidenceSet:
     @staticmethod
     def location_model(data):
-        return lambda beta: MomentSample(data - beta)
+        return lambda beta: data - beta
 
     def test_grid_separation(self):
         data = np.random.default_rng(4).standard_normal((200, 3))
@@ -401,6 +401,14 @@ class TestInvertConfidenceSet:
 
         with pytest.raises(ValueError, match="expected 40 x 2"):
             invert_confidence_set(model, [0.0, 1.0], 2, 0.05, critical=3.0)
+
+    def test_moment_sample_output_rejected(self):
+        # the model returns an array; a MomentSample is not read through
+        data = np.random.default_rng(4).standard_normal((40, 2))
+        with pytest.raises(TypeError, match="not 'MomentSample'"):
+            invert_confidence_set(
+                lambda beta: MomentSample(data - beta), [0.0], 2, 0.05, critical=3.0
+            )
 
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -465,7 +473,7 @@ class TestInvertConfidenceSet:
         def stats():
             with pytest.warns(RuntimeWarning, match="undetermined"):
                 cs = invert_confidence_set(
-                    model, grid, 3, 0.05, estimator="trunc", critical=3.0
+                    model, grid, 3, 0.05, estimator="truncated", critical=3.0
                 )
             return np.array([e.statistic for e in cs.entries])
 
