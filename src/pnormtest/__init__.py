@@ -3,8 +3,7 @@
 The top-level namespace re-exports the pieces most workflows touch: build
 or load a sample, calibrate a :class:`DominantTestSpec`, call
 :func:`run_tests`, and inspect the :class:`TestReport`.  Everything else
-(quadrature oracles, consistency criteria, the simulation harness) lives
-in the submodules.
+(consistency criteria, the simulation harness) lives in the submodules.
 """
 
 from .covariance import MomentSample, difference_pairs, kurtosis_diagnostic

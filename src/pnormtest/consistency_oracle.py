@@ -98,7 +98,7 @@ def local_power(p, alpha: float, c: float) -> float:
     """Asymptotic power 1 - Phi(Phi^{-1}(1-alpha) - c / sigma_p) at drift c."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if c < 0.0:
+    if not c >= 0.0:
         raise ValueError(f"drift c must be >= 0, got {c}")
     return 1.0 - normal_cdf(normal_quantile(1.0 - alpha) - c / sigma_p(p))
 

@@ -241,7 +241,7 @@ def kappa_p_asymptotic(p, d: int, alpha: float) -> float:
     if pv.is_inf:
         raise ValueError("use kappa_inf_asymptotic for the sup norm")
     alpha = _check_alpha(alpha)
-    if d < 1:
+    if not d >= 1:
         raise ValueError(f"d must be >= 1, got {d}")
     bracket = normal_quantile(1.0 - alpha) * math.sqrt(d) * sigma_p(pv) + d * lambda_p(
         pv, 0.0
@@ -258,7 +258,7 @@ def kappa_inf_asymptotic(d: int, alpha: float) -> float:
                  - ln(-ln(1-alpha)/2) / sqrt(2 ln d).
     """
     alpha = _check_alpha(alpha)
-    if d < 3:
+    if not d >= 3:
         raise ValueError("kappa_inf_asymptotic needs d >= 3; use kappa_inf_exact")
     root = math.sqrt(2.0 * math.log(d))
     val = (
@@ -279,7 +279,7 @@ def kappa_inf_exact(d: int, alpha: float) -> float:
     accurate to full precision even at very large d.
     """
     alpha = _check_alpha(alpha)
-    if d < 1:
+    if not d >= 1:
         raise ValueError(f"d must be >= 1, got {d}")
     tail = -math.expm1(math.log1p(-alpha) / d) / 2.0
     return -normal_quantile(tail)

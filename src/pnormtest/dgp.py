@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, toeplitz
 
 from .covariance import MomentSample
 
@@ -51,6 +50,9 @@ def _cov_root(kind: str, r: float, d: int) -> np.ndarray | None:
     """Lower Cholesky factor of the covariance, or None for identity."""
     if kind == "identity":
         return None
+    # imported here so identity designs never load scipy
+    from scipy.linalg import cholesky, toeplitz
+
     return cholesky(toeplitz(r ** np.arange(d)), lower=True)
 
 

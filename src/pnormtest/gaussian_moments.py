@@ -17,12 +17,16 @@ identity
     E|Z + x|**p = lambda_p(0) * 1F1(-p/2; 1/2; -x**2 / 2),
 
 with lambda_p(0) = 2**(p/2) * Gamma((p+1)/2) / sqrt(pi).  The identity is
-machine accurate uniformly in x (Gauss-Hermite quadrature, kept here as
-``_lambda_quadrature`` for cross-checking, loses ~1e-5 near the kink of
-|t + x|**p for odd p, enough to break monotonicity in |x| at small
+machine accurate uniformly in x (Gauss-Hermite quadrature, the
+independent oracle in ``tests/_oracles.py``, loses ~1e-5 near the kink
+of |t + x|**p for odd p, enough to break monotonicity in |x| at small
 shifts).  Beyond |x| = 1e8 a two-term tail expansion in the log domain
 takes over; at that point its relative error is below 1e-28 and it
 degrades gracefully to ``inf`` once |x|**p leaves the float64 range.
+
+scipy.special is imported inside the functions that call it, so importing
+this module, and the Monte-Carlo paths that use only ``Exponent``, load no
+scipy.
 
 Exponents are represented by :class:`Exponent`, a thin wrapper around a
 float that enforces p >= 2 and provides the distinguished value ``INF``.
@@ -36,8 +40,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
-from scipy.special import gammaln, hyp1f1, log_ndtr, ndtr, ndtri
 
 __all__ = [
     "Exponent",
@@ -50,12 +52,6 @@ __all__ = [
     "normal_quantile",
     "mills_odds",
 ]
-
-_GH_NODES = 200
-_gh_s, _gh_w = hermgauss(_GH_NODES)
-# E f(Z) = sum_i w_i f(sqrt(2) s_i) / sqrt(pi) for the Hermite rule
-_GH_T = math.sqrt(2.0) * _gh_s
-_GH_W = _gh_w / math.sqrt(math.pi)
 
 _ASYMPTOTIC_CUTOFF = 1e8
 
@@ -114,15 +110,11 @@ def _lambda_closed_form_zero(p: float) -> float:
     # the double factorial (p-1)!!, which stays exact in floating point
     if p == int(p) and int(p) % 2 == 0:
         return float(math.prod(range(1, int(p), 2)))
+    from scipy.special import gammaln
+
     return math.exp(
         0.5 * p * math.log(2.0) + gammaln(0.5 * (p + 1.0)) - 0.5 * math.log(math.pi)
     )
-
-
-def _lambda_quadrature(p: float, x: float) -> float:
-    # independent evaluation route used by the tests; see module docstring
-    # for its accuracy limits at odd p
-    return float(np.dot(_GH_W, np.abs(_GH_T + x) ** p))
 
 
 def lambda_p(p, x: float) -> float:
@@ -150,6 +142,8 @@ def lambda_p(p, x: float) -> float:
     if ax > _ASYMPTOTIC_CUTOFF:
         logv = pv * math.log(ax) + math.log1p(pv * (pv - 1.0) / (2.0 * x * x))
         return math.inf if logv > 709.7 else math.exp(logv)
+    from scipy.special import hyp1f1
+
     return _lambda_closed_form_zero(pv) * float(hyp1f1(-0.5 * pv, 0.5, -0.5 * x * x))
 
 
@@ -174,14 +168,18 @@ def g_p(p, x):
 
 def normal_cdf(x):
     """Standard normal cdf Phi(x)."""
+    from scipy.special import ndtr
+
     out = ndtr(np.asarray(x, dtype=float))
     return float(out) if np.ndim(x) == 0 else out
 
 
 def normal_quantile(u):
     """Standard normal quantile Phi^{-1}(u) for u in (0, 1)."""
+    from scipy.special import ndtri
+
     arr = np.asarray(u, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise ValueError("quantile argument must lie strictly in (0, 1)")
     out = ndtri(arr)
     return float(out) if np.ndim(u) == 0 else out
@@ -195,6 +193,8 @@ def mills_odds(x):
     returns ``inf``; far in the right tail it underflows to 0.  Both are
     the correctly rounded limits.
     """
+    from scipy.special import log_ndtr
+
     arr = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
         out = np.exp(log_ndtr(-arr) - log_ndtr(arr))

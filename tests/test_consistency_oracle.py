@@ -181,6 +181,11 @@ class TestLocalPower:
         with pytest.raises(ValueError, match="c must"):
             local_power(2, 0.05, -0.1)
 
+    @pytest.mark.parametrize("p", [2, 3, 4.5])
+    def test_rejects_nan_drift(self, p):
+        with pytest.raises(ValueError, match="c must"):
+            local_power(p, 0.05, math.nan)
+
 
 class TestMakeAlternative:
     def test_sparse_d55(self):

@@ -83,6 +83,11 @@ class TestKappaAsymptotic:
         with pytest.raises(ValueError, match="alpha"):
             kappa_p_asymptotic(2, 100, 1.0)
 
+    @pytest.mark.parametrize("p", [2, 3, 2.5])
+    def test_rejects_nan_d(self, p):
+        with pytest.raises(ValueError, match="d must"):
+            kappa_p_asymptotic(p, math.nan, 0.05)
+
 
 class TestKappaInfExact:
     @pytest.mark.parametrize("d", [1, 2, 3, 10, 1000, 100_000])
@@ -112,6 +117,11 @@ class TestKappaInfExact:
         with pytest.raises(ValueError, match="d must"):
             kappa_inf_exact(0, 0.05)
 
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.5])
+    def test_rejects_nan_d(self, alpha):
+        with pytest.raises(ValueError, match="d must"):
+            kappa_inf_exact(math.nan, alpha)
+
 
 class TestKappaInfAsymptotic:
     def test_d1000_value(self):
@@ -134,6 +144,11 @@ class TestKappaInfAsymptotic:
     def test_small_d_directs_to_exact(self):
         with pytest.raises(ValueError, match="kappa_inf_exact"):
             kappa_inf_asymptotic(2, 0.05)
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.5])
+    def test_rejects_nan_d(self, alpha):
+        with pytest.raises(ValueError, match="d >= 3"):
+            kappa_inf_asymptotic(math.nan, alpha)
 
 
 class TestBatchPnorms:

@@ -10,7 +10,6 @@ from scipy.stats import norm
 from pnormtest.gaussian_moments import (
     INF,
     Exponent,
-    _lambda_quadrature,
     as_exponent,
     g_p,
     lambda_p,
@@ -19,6 +18,8 @@ from pnormtest.gaussian_moments import (
     normal_quantile,
     sigma_p,
 )
+
+from _oracles import lambda_quadrature
 
 # Closed-form oracles, derived independently of the implementation:
 #   lambda_2(x) = 1 + x^2
@@ -85,12 +86,12 @@ class TestLambdaP:
         for p in (2, 4, 6, 8):
             for x in (0.3, 1.0, 5.0, 20.0):
                 assert lambda_p(p, x) == pytest.approx(
-                    _lambda_quadrature(float(p), x), rel=1e-11
+                    lambda_quadrature(float(p), x), rel=1e-11
                 )
         for p in (2.5, 3.0, 5.0):
             for x in (0.3, 1.0, 5.0, 20.0):
                 assert lambda_p(p, x) == pytest.approx(
-                    _lambda_quadrature(float(p), x), rel=1e-4
+                    lambda_quadrature(float(p), x), rel=1e-4
                 )
 
     def test_tail_branch_continuity(self):
@@ -151,10 +152,10 @@ class TestSigmaP:
         # gamma closed form versus raw quadrature; quadrature is exact for
         # even p (both p and 2p polynomial) and kink-limited otherwise
         for p in (2.0, 4.0, 6.0, 8.0):
-            quad_var = _lambda_quadrature(2 * p, 0.0) - _lambda_quadrature(p, 0.0) ** 2
+            quad_var = lambda_quadrature(2 * p, 0.0) - lambda_quadrature(p, 0.0) ** 2
             assert sigma_p(p) == pytest.approx(math.sqrt(quad_var), rel=1e-9)
         for p in (2.5, 3.0, 5.0):
-            quad_var = _lambda_quadrature(2 * p, 0.0) - _lambda_quadrature(p, 0.0) ** 2
+            quad_var = lambda_quadrature(2 * p, 0.0) - lambda_quadrature(p, 0.0) ** 2
             assert sigma_p(p) == pytest.approx(math.sqrt(quad_var), rel=1e-4)
 
 
@@ -194,6 +195,11 @@ class TestNormalFunctions:
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
                 normal_quantile(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, np.array([0.5, math.nan])])
+    def test_quantile_rejects_nan(self, bad):
+        with pytest.raises(ValueError, match="strictly in"):
+            normal_quantile(bad)
 
     def test_mills_odds(self):
         assert mills_odds(0.0) == pytest.approx(1.0, abs=1e-14)
