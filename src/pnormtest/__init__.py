@@ -1,12 +1,12 @@
 """p-norm tests for many moment equalities.
 
 The top-level namespace re-exports the pieces most workflows touch: build
-or load a sample, calibrate a :class:`DominantTestSpec`, call
+or load a sample (an n x d array), calibrate a :class:`DominantTestSpec`, call
 :func:`run_tests`, and inspect the :class:`TestReport`.  Everything else
 (consistency criteria, the simulation harness) lives in the submodules.
 """
 
-from .covariance import MomentSample, difference_pairs, kurtosis_diagnostic
+from .covariance import difference_pairs, kurtosis_diagnostic
 from .critical_values import (
     CriticalValueTable,
     calibrate_joint,
@@ -37,7 +37,6 @@ from .test_engine import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MomentSample",
     "difference_pairs",
     "kurtosis_diagnostic",
     "CriticalValueTable",

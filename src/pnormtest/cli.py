@@ -122,7 +122,7 @@ def _cmd_test(args) -> None:
     sample = read_sample_csv(args.data)
     spec = _load_spec(args.table)
     extras = tuple(_parse_exponent(tok) for tok in args.extra_p.split(",") if tok.strip())
-    mismatch = _table_rows_mismatch(spec, sample.n // 2)
+    mismatch = _table_rows_mismatch(spec, sample.shape[0] // 2)
     if mismatch is not None:
         raise DataError(f"{args.data}: {mismatch}")
     try:
@@ -160,14 +160,13 @@ def _parse_grid_range(text: str) -> np.ndarray:
 def _cmd_invert(args) -> None:
     grid = _parse_grid_range(args.grid)
     sample = read_sample_csv(args.data)
-    if sample.d < 3 or sample.n < 4:
+    n, cols = sample.shape
+    if cols < 3 or n < 4:
         raise DataError(
             f"{args.data}: the iv model needs columns y, Y, z1..zd (>= 3) and at least "
-            f"4 rows, got {sample.n} x {sample.d}"
+            f"4 rows, got {n} x {cols}"
         )
-    y = sample.values[:, 0]
-    endog = sample.values[:, 1]
-    z = sample.values[:, 2:]
+    y, endog, z = sample[:, 0], sample[:, 1], sample[:, 2:]
 
     def model(beta: float) -> np.ndarray:
         return (y - endog * beta)[:, None] * z

@@ -1,4 +1,5 @@
-"""Consistency criteria and asymptotic power formulas on theta profiles.
+"""Consistency criteria and asymptotic power formulas on theta profiles,
+the d-vectors of noncentralities, taken and returned as plain arrays.
 
 Each p-norm test is consistent against a drifting sequence of
 alternatives iff its criterion diverges along the sequence:
@@ -38,7 +39,6 @@ import math
 import numpy as np
 
 from .gaussian_moments import g_p, lambda_p, mills_odds, normal_cdf, normal_quantile, sigma_p
-from .test_engine import ThetaProfile
 
 __all__ = [
     "sup_threshold",
@@ -53,10 +53,14 @@ __all__ = [
 ALTERNATIVE_KINDS = ("sparse", "dense", "semi_sparse")
 
 
-def _as_theta(theta) -> ThetaProfile:
-    if isinstance(theta, ThetaProfile):
-        return theta
-    return ThetaProfile(np.asarray(theta, dtype=float))
+def _as_theta(theta) -> np.ndarray:
+    # the one check of a theta argument
+    t = np.asarray(theta, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"expected a vector, got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("theta entries must be finite")
+    return t
 
 
 def sup_threshold(d: int) -> float:
@@ -73,24 +77,24 @@ def sup_threshold(d: int) -> float:
 def finite_p_criterion(theta, p) -> float:
     """d^{-1/2} sum_i g_p(theta_i); diverges iff the p-norm test is consistent."""
     t = _as_theta(theta)
-    return float(np.sum(g_p(p, t.theta))) / math.sqrt(t.d)
+    return float(np.sum(g_p(p, t))) / math.sqrt(t.size)
 
 
 def lambda_criterion(theta, p) -> float:
     """d^{-1/2} sum_i (lambda_p(theta_i) - lambda_p(0)); same divergence."""
     t = _as_theta(theta)
     # profiles are typically few-valued; evaluate lambda_p once per value
-    vals, counts = np.unique(np.abs(t.theta), return_counts=True)
+    vals, counts = np.unique(np.abs(t), return_counts=True)
     base = lambda_p(p, 0.0)
     total = sum(c * (lambda_p(p, v) - base) for v, c in zip(vals, counts))
-    return float(total) / math.sqrt(t.d)
+    return float(total) / math.sqrt(t.size)
 
 
 def sup_criterion(theta) -> float:
     """sum_i MillsOdds(c_d - |theta_i|); strictly positive even at theta = 0."""
     t = _as_theta(theta)
-    vals, counts = np.unique(np.abs(t.theta), return_counts=True)
-    odds = mills_odds(sup_threshold(t.d) - vals)
+    vals, counts = np.unique(np.abs(t), return_counts=True)
+    odds = mills_odds(sup_threshold(t.size) - vals)
     return float(np.dot(counts, odds))
 
 
@@ -103,7 +107,7 @@ def local_power(p, alpha: float, c: float) -> float:
     return 1.0 - normal_cdf(normal_quantile(1.0 - alpha) - c / sigma_p(p))
 
 
-def make_alternative(kind: str, d: int, t: float = 0.08, scale: float = 1.0) -> ThetaProfile:
+def make_alternative(kind: str, d: int, t: float = 0.08, scale: float = 1.0) -> np.ndarray:
     """Canonical alternative families; see the module docstring.
 
     ``scale`` multiplies every nonzero coordinate (used to sweep a family
@@ -113,7 +117,7 @@ def make_alternative(kind: str, d: int, t: float = 0.08, scale: float = 1.0) -> 
         raise ValueError(f"unknown kind {kind!r}; expected one of {ALTERNATIVE_KINDS}")
     if d < 2:
         raise ValueError(f"alternative families need d >= 2, got {d}")
-    if scale <= 0.0:
+    if not scale > 0.0:  # NaN fails it
         raise ValueError(f"scale must be positive, got {scale}")
     theta = np.zeros(d)
     if kind == "sparse":
@@ -121,10 +125,10 @@ def make_alternative(kind: str, d: int, t: float = 0.08, scale: float = 1.0) -> 
     elif kind == "dense":
         theta[:] = scale / math.sqrt(math.log(d))
     else:
-        if t <= 0.0:
-            raise ValueError(f"semi-sparse needs t > 0, got {t}")
+        if not t > 0.0:
+            raise ValueError(f"semi-sparse needs t > 0, got t={t}")
         k = math.ceil(math.sqrt(d) / math.log(d) ** 2)
         if k > d:
             raise ValueError(f"d={d} too small for the semi-sparse family (k={k} > d)")
         theta[:k] = scale * math.sqrt(2.0 * t * math.log(d))
-    return ThetaProfile(theta)
+    return _as_theta(theta)  # an infinite scale or t, or an overflow, fails it

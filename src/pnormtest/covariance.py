@@ -11,6 +11,7 @@ row norm before forming the second-moment matrix.  The theoretically
 optimal robust estimators this stands in for are not practical to
 implement.  The test engine selects its estimator by one of two names,
 ``"sample"`` or ``"truncated"``; other estimators are not pluggable.
+Samples are n x d arrays, checked once by ``_checked`` and never copied.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 from .matrix_core import SymMatrix
 
 __all__ = [
-    "MomentSample",
     "difference_pairs",
     "sample_cov",
     "truncated_cov",
@@ -30,16 +30,11 @@ __all__ = [
 ]
 
 
+# Kept only because bench/tracer.py counts its __post_init__ (COUNTED_CLASSES),
+# which tests/test_bench_contract.py pins; no library function builds or takes one.
 @dataclass(frozen=True)
 class MomentSample:
-    """An n x d array whose row i holds the evaluated moment functions
-    h(X_i, beta*).
-
-    The natural regime is n >= 4 (difference pairs need at least two), but
-    construction only requires n >= 1 so that degenerate inputs such as a
-    single pre-aggregated row remain expressible; operations that need more
-    rows enforce their own lower bounds.
-    """
+    """A validated, read-only copy of an n x d sample."""
 
     values: np.ndarray
 
@@ -58,15 +53,11 @@ class MomentSample:
 
 
 def _checked(s) -> np.ndarray:
-    """The n x d values of ``s``, validated as ``MomentSample`` validates them.
+    """The n x d sample ``s``, validated: the one check of a sample.
 
-    A ``MomentSample`` gives its own values.  Any other input is read as a
-    C-ordered float array, without a copy when it already is one, and is
-    never marked read-only: functions that keep nothing of their input
-    validate it here instead of copying it into a ``MomentSample``.
+    Read as a C-ordered float array, without a copy when it already is one,
+    and never marked read-only; a 1-D input is one row.
     """
-    if isinstance(s, MomentSample):
-        return s.values
     # asarray, not ascontiguousarray, so a 0-d input stays 0-d and is rejected
     v = np.asarray(s, dtype=float, order="C")
     if v.ndim == 1:
@@ -112,14 +103,14 @@ def _truncate_rows(rows: np.ndarray, trunc_mult: float) -> np.ndarray:
     return rows * shrink[..., None]
 
 
-def difference_pairs(s) -> MomentSample:
+def difference_pairs(s) -> np.ndarray:
     """Auxiliary sample of scaled successive differences.
 
     Rows (h_2 - h_1)/sqrt(2), (h_4 - h_3)/sqrt(2), ...; an odd trailing row
     is dropped.  Each output row has population mean zero and the same
     covariance as the input rows.
     """
-    return MomentSample(_pair_rows(_checked(s)))
+    return _pair_rows(_checked(s))
 
 
 def sample_cov(aux) -> SymMatrix:

@@ -226,6 +226,13 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _check_d(d, least: int = 1, hint: str = "") -> int:
+    # NaN, infinite and fractional dimensions fail it
+    if not (math.isfinite(d) and d == math.floor(d) and d >= least):
+        raise ValueError(f"d must be >= {least} and a finite integer, got {d}{hint}")
+    return int(d)
+
+
 def _check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
@@ -241,8 +248,7 @@ def kappa_p_asymptotic(p, d: int, alpha: float) -> float:
     if pv.is_inf:
         raise ValueError("use kappa_inf_asymptotic for the sup norm")
     alpha = _check_alpha(alpha)
-    if not d >= 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = _check_d(d)
     bracket = normal_quantile(1.0 - alpha) * math.sqrt(d) * sigma_p(pv) + d * lambda_p(
         pv, 0.0
     )
@@ -258,8 +264,7 @@ def kappa_inf_asymptotic(d: int, alpha: float) -> float:
                  - ln(-ln(1-alpha)/2) / sqrt(2 ln d).
     """
     alpha = _check_alpha(alpha)
-    if not d >= 3:
-        raise ValueError("kappa_inf_asymptotic needs d >= 3; use kappa_inf_exact")
+    d = _check_d(d, 3, "; the asymptotic formula needs d >= 3, use kappa_inf_exact")
     root = math.sqrt(2.0 * math.log(d))
     val = (
         root
@@ -279,8 +284,7 @@ def kappa_inf_exact(d: int, alpha: float) -> float:
     accurate to full precision even at very large d.
     """
     alpha = _check_alpha(alpha)
-    if not d >= 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = _check_d(d)
     tail = -math.expm1(math.log1p(-alpha) / d) / 2.0
     return -normal_quantile(tail)
 
@@ -661,8 +665,7 @@ def calibrate_joint(
     """
     alpha_total = _check_alpha(alpha_total)
     seed = _check_seed(seed)
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = _check_d(d)
     if not shares:
         raise ValueError("need at least one exponent share")
     ps, vals = zip(*sorted((as_exponent(p), float(s)) for p, s in shares.items()))

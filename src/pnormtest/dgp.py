@@ -1,6 +1,7 @@
 """Data-generating processes for the simulation harness.
 
-Two generators, both deterministic given (config, seed):
+Two generators, both deterministic given (config, seed), each returning
+the n x d float array of its moment rows:
 
 * linear IV with one endogenous regressor and d (possibly weak or
   irrelevant) instruments; moment rows (y_i - Y_i b*) z_i;
@@ -21,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .covariance import MomentSample
 
 __all__ = [
     "IvConfig",
@@ -120,7 +119,7 @@ class RctConfig:
         object.__setattr__(self, "effect", eff)
 
 
-def gen_iv(cfg: IvConfig, beta_star: float, seed) -> MomentSample:
+def gen_iv(cfg: IvConfig, beta_star: float, seed) -> np.ndarray:
     """Moment rows (y_i - Y_i beta_star) z_i.
 
     Population moments are zero whenever beta_star = beta_true, and also
@@ -141,10 +140,10 @@ def gen_iv(cfg: IvConfig, beta_star: float, seed) -> MomentSample:
         u, v = u * w, v * w
     endog = z @ cfg.pi + v
     y = endog * cfg.beta_true + u
-    return MomentSample((y - endog * float(beta_star))[:, None] * z)
+    return (y - endog * float(beta_star))[:, None] * z
 
 
-def gen_rct(cfg: RctConfig, beta_star, seed) -> MomentSample:
+def gen_rct(cfg: RctConfig, beta_star, seed) -> np.ndarray:
     """Moment rows D Y / pi - (1 - D) Y / (1 - pi) - beta_star.
 
     Population mean is the true effect vector minus beta_star.
@@ -162,4 +161,4 @@ def gen_rct(cfg: RctConfig, beta_star, seed) -> MomentSample:
     treated = rng.random(cfg.n) < cfg.pi_treat
     observed = np.where(treated[:, None], y0 + cfg.effect, y0)
     weight = np.where(treated, 1.0 / cfg.pi_treat, -1.0 / (1.0 - cfg.pi_treat))
-    return MomentSample(observed * weight[:, None] - beta_star)
+    return observed * weight[:, None] - beta_star

@@ -27,7 +27,8 @@ reported in one warning per experiment, which says that the tests' size
 is then not controlled.
 
 The CSV reader lives here too: one observation per row, first row a
-header, parse failures reported with line and column.
+header, parse failures reported with line and column.  It returns the
+n x d array, validated as every library function validates a sample.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .covariance import _TRUNC_MULT, MomentSample
+from .covariance import _TRUNC_MULT, _checked
 from .critical_values import (
     SCHEMA_VERSION,
     UsageError,
@@ -83,7 +84,7 @@ class DataError(ValueError):
     """Input files that exist but cannot be used as data."""
 
 
-def read_sample_csv(path) -> MomentSample:
+def read_sample_csv(path) -> np.ndarray:
     """Parse a moment CSV; bad cells are reported with line and column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -114,7 +115,7 @@ def read_sample_csv(path) -> MomentSample:
     if not rows:
         raise DataError(f"{path}: no data rows after the header")
     try:
-        return MomentSample(np.asarray(rows))
+        return _checked(np.asarray(rows))
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -163,7 +164,7 @@ def _parse_config(cls, dgp: dict, beta_star_type):
 
 
 def _build_sampler(dgp: dict):
-    """Returns (n, d, draw) where draw(rng) yields one MomentSample."""
+    """Returns (n, d, draw) where draw(rng) yields one n x d array."""
     if "kind" not in dgp:
         raise UsageError("dgp.kind: missing required field")
     kind = dgp["kind"]
@@ -176,7 +177,7 @@ def _build_sampler(dgp: dict):
         def draw(rng):
             # mean theta/sqrt(n) makes sqrt(n) * rowmean exactly N(theta, I)
             z = rng.standard_normal((n, d))
-            return MomentSample(z if theta is None else z + theta / math.sqrt(n))
+            return z if theta is None else z + theta / math.sqrt(n)
 
         return n, d, draw
     if kind == "iv":
@@ -307,7 +308,7 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     flags = np.empty((reps, len(ps) + 1), dtype=bool)
 
     def fill(rep: int, out: np.ndarray) -> None:
-        out[...] = draw(_block_rng(seed, rep)).values
+        out[...] = draw(_block_rng(seed, rep))
 
     deficient = 0
     start = time.perf_counter()

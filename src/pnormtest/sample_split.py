@@ -99,7 +99,7 @@ def _pick(step: int, scores: np.ndarray, bad: np.ndarray, selected: list[int]) -
         warnings.warn(
             f"greedy step {step}: skipped {n_skipped} degenerate candidate(s)",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=5,  # _pick <- _greedy_* <- _select <- entry point <- its caller
         )
     scores = np.where(bad, -np.inf, scores)
     if not np.isfinite(scores.max()):

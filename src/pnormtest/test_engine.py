@@ -68,7 +68,6 @@ from .gaussian_moments import Exponent, as_exponent
 from .matrix_core import SymMatrix, _inverse_roots
 
 __all__ = [
-    "ThetaProfile",
     "TestReport",
     "PerExponentRecord",
     "DominantRecord",
@@ -161,27 +160,6 @@ def _warn_rank(rank: int, d: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class ThetaProfile:
-    """Noncentrality vector theta = sqrt(n) pinv_sqrt(Sigma) mu."""
-
-    theta: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.theta, dtype=float)
-        if t.ndim != 1:
-            raise ValueError(f"expected a vector, got shape {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("theta entries must be finite")
-        t = t.copy()
-        t.flags.writeable = False
-        object.__setattr__(self, "theta", t)
-
-    @property
-    def d(self) -> int:
-        return self.theta.shape[0]
-
-
 def standardize(h: np.ndarray, sigma_hat) -> tuple[np.ndarray, np.ndarray, int]:
     """Whiten H by the Moore-Penrose inverse square root of Sigma_hat.
 
@@ -210,16 +188,20 @@ def p_norm_stat(v, p) -> float:
     return float(_batch_pnorms(vec.reshape(1, -1), [as_exponent(p)])[0, 0])
 
 
-def theta_oracle(mu: np.ndarray, sigma, n: int) -> ThetaProfile:
-    """Population noncentrality profile theta = sqrt(n) pinv_sqrt(Sigma) mu."""
-    if n < 1:
+def theta_oracle(mu: np.ndarray, sigma, n: int) -> np.ndarray:
+    """Population noncentrality profile theta = sqrt(n) pinv_sqrt(Sigma) mu,
+    a d-vector."""
+    if not n >= 1:  # NaN fails it
         raise ValueError(f"n must be >= 1, got {n}")
     sigma = sigma if isinstance(sigma, SymMatrix) else SymMatrix(sigma)
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (sigma.dim,):
         raise ValueError(f"mu has shape {mu.shape}, Sigma is {sigma.dim} x {sigma.dim}")
     x, _, _ = _whiten(mu[None], sigma.entries[None])
-    return ThetaProfile(math.sqrt(n) * x[0])
+    theta = math.sqrt(n) * x[0]
+    if not np.all(np.isfinite(theta)):  # n = inf, or an overflow
+        raise ValueError("theta entries must be finite")
+    return theta
 
 
 def prepare_standardized(s, estimator: str = "sample", trunc_mult: float = _TRUNC_MULT):

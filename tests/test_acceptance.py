@@ -23,7 +23,6 @@ from pnormtest.consistency_oracle import (
     make_alternative,
     sup_criterion,
 )
-from pnormtest.covariance import MomentSample
 from pnormtest.critical_values import (
     calibrate_joint,
     kappa_inf_asymptotic,
@@ -216,7 +215,7 @@ def test_power_ordering_on_semi_sparse_alternatives():
     alone = {p: table.standalone_kappa(p) for p in (2.0, 4.0, 6.0)}
 
     def spike(scale):
-        return make_alternative("semi_sparse", d, scale=scale).theta
+        return make_alternative("semi_sparse", d, scale=scale)
 
     def probe_power6(scale):
         z = _sfc(67).standard_normal((2000, d)) + spike(scale)
@@ -297,7 +296,7 @@ def test_sample_split_size_and_power(spec12):
     for rep in range(reps):
         rows = _sfc(81, rep).standard_normal((n, D))
         idx1, idx2 = split(n, seed=rep)
-        fold1 = MomentSample(rows[idx1])
+        fold1 = rows[idx1]
         fold2 = rows[idx2]
         for rule, chosen in (
             ("top", select_top_scaled(fold1, d)),
@@ -318,7 +317,7 @@ def test_sample_split_size_and_power(spec12):
     for rep in range(power_reps):
         rows = _sfc(82, rep).standard_normal((n, D))
         rows[:, col] += 8.0 / math.sqrt(n)
-        result = split_test(MomentSample(rows), d, selection="top", spec=spec12, seed=rep)
+        result = split_test(rows, d, selection="top", spec=spec12, seed=rep)
         rejects += result.report.dominant.reject
     assert rejects / power_reps >= 0.9
 
@@ -333,7 +332,7 @@ def test_iv_p2_is_anderson_rubin_and_robust_to_weak_instruments():
         s = gen_iv(cfg, beta_star=0.5, seed=rep)
         x, _, _, sigma, _ = prepare_standardized(s)
         s2 = p_norm_stat(x, 2)
-        h = math.sqrt(s.n) * s.values.mean(axis=0)  # H = n^{-1/2} sum_i h(X_i)
+        h = math.sqrt(s.shape[0]) * s.mean(axis=0)  # H = n^{-1/2} sum_i h(X_i)
         ar = math.sqrt(h @ pinvh(sigma) @ h)
         assert s2 == pytest.approx(ar, rel=1e-9)
 

@@ -23,7 +23,6 @@ from pnormtest.consistency_oracle import (
     sup_threshold,
 )
 from pnormtest.gaussian_moments import sigma_p
-from pnormtest.test_engine import ThetaProfile
 
 D_GRID = [10**2, 10**3, 10**4, 10**5, 10**6]
 
@@ -189,30 +188,30 @@ class TestLocalPower:
 
 class TestMakeAlternative:
     def test_sparse_d55(self):
-        theta = make_alternative("sparse", 55).theta
+        theta = make_alternative("sparse", 55)
         assert theta[0] == pytest.approx(math.sqrt(3 * math.log(55)), rel=1e-12)
         assert theta[0] == pytest.approx(3.467, abs=1e-3)
         assert np.all(theta[1:] == 0.0)
 
     def test_dense_d100(self):
-        theta = make_alternative("dense", 100).theta
+        theta = make_alternative("dense", 100)
         assert np.all(theta == theta[0])
         assert theta[0] == pytest.approx(0.466, abs=1e-3)
 
     def test_semi_sparse_d1e4(self):
-        theta = make_alternative("semi_sparse", 10**4).theta
+        theta = make_alternative("semi_sparse", 10**4)
         nz = theta[theta != 0.0]
         assert nz.size == 2
         assert nz[0] == pytest.approx(1.214, abs=1e-3)
 
     def test_scale_multiplies(self):
-        a = make_alternative("dense", 50).theta
-        b = make_alternative("dense", 50, scale=2.5).theta
+        a = make_alternative("dense", 50)
+        b = make_alternative("dense", 50, scale=2.5)
         assert np.allclose(b, 2.5 * a)
 
     def test_semi_sparse_t_parameter(self):
-        hot = make_alternative("semi_sparse", 10**4, t=0.32).theta
-        cold = make_alternative("semi_sparse", 10**4, t=0.08).theta
+        hot = make_alternative("semi_sparse", 10**4, t=0.32)
+        cold = make_alternative("semi_sparse", 10**4, t=0.08)
         assert np.max(hot) == pytest.approx(2.0 * np.max(cold), rel=1e-12)
 
     def test_errors(self):
@@ -228,4 +227,29 @@ class TestMakeAlternative:
             make_alternative("dense", 100, scale=0.0)
 
     def test_returns_theta_profile(self):
-        assert isinstance(make_alternative("dense", 10), ThetaProfile)
+        assert isinstance(make_alternative("dense", 10), np.ndarray)
+
+    def test_rejects_nan_scale(self):
+        with pytest.raises(ValueError, match="scale must be positive, got nan"):
+            make_alternative("dense", 100, scale=math.nan)
+
+    def test_rejects_nan_t(self):
+        with pytest.raises(ValueError, match="t > 0, got t=nan"):
+            make_alternative("semi_sparse", 100, t=math.nan)
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense", "semi_sparse"])
+    def test_rejects_infinite_scale(self, kind):
+        with pytest.raises(ValueError, match="theta entries must be finite"):
+            make_alternative(kind, 100, scale=math.inf)
+
+
+class TestThetaArgument:
+    @pytest.mark.parametrize(
+        "criterion",
+        [lambda t: finite_p_criterion(t, 4), lambda t: lambda_criterion(t, 4), sup_criterion],
+    )
+    def test_one_check_of_every_theta(self, criterion):
+        with pytest.raises(ValueError, match=r"expected a vector, got shape \(2, 2\)"):
+            criterion(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="theta entries must be finite"):
+            criterion([0.5, math.nan])

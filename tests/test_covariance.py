@@ -36,48 +36,48 @@ class TestMomentSample:
 
 class TestDifferencePairs:
     def test_worked_example(self):
-        s = MomentSample([[1, 0], [3, 2], [5, 5], [5, 1]])
+        s = [[1, 0], [3, 2], [5, 5], [5, 1]]
         out = difference_pairs(s)
-        assert_allclose(out.values, [[SQ2, SQ2], [0.0, -2 * SQ2]], atol=1e-14)
+        assert_allclose(out, [[SQ2, SQ2], [0.0, -2 * SQ2]], atol=1e-14)
 
     def test_constant_sample_gives_zero_rows(self):
-        s = MomentSample(np.tile([2.0, -1.0], (6, 1)))
-        assert_allclose(difference_pairs(s).values, np.zeros((3, 2)))
+        s = np.tile([2.0, -1.0], (6, 1))
+        assert_allclose(difference_pairs(s), np.zeros((3, 2)))
 
     def test_odd_trailing_row_dropped(self):
-        s = MomentSample(np.arange(10.0).reshape(5, 2))
-        assert difference_pairs(s).n == 2
+        s = np.arange(10.0).reshape(5, 2)
+        assert difference_pairs(s).shape[0] == 2
 
     def test_n_below_four_rejected(self):
         with pytest.raises(ValueError):
-            difference_pairs(MomentSample(np.ones((3, 2))))
+            difference_pairs(np.ones((3, 2)))
 
     def test_mean_shrinks_with_n(self):
         rng = np.random.default_rng(0)
-        s = MomentSample(rng.standard_normal((20_000, 5)))
+        s = rng.standard_normal((20_000, 5))
         aux = difference_pairs(s)
         maxdiag = sample_cov(aux).entries.diagonal().max()
-        bound = 5 * np.sqrt(maxdiag / aux.n)
-        assert np.max(np.abs(aux.values.mean(axis=0))) <= bound
+        bound = 5 * np.sqrt(maxdiag / aux.shape[0])
+        assert np.max(np.abs(aux.mean(axis=0))) <= bound
 
 
 class TestSampleCov:
     def test_single_row(self):
-        out = sample_cov(MomentSample([[2.0, 0.0]]))
+        out = sample_cov([[2.0, 0.0]])
         assert_allclose(out.entries, [[4.0, 0.0], [0.0, 0.0]])
 
     def test_two_rows(self):
-        out = sample_cov(MomentSample([[1.0, 1.0], [-1.0, -1.0]]))
+        out = sample_cov([[1.0, 1.0], [-1.0, -1.0]])
         assert_allclose(out.entries, [[1.0, 1.0], [1.0, 1.0]])
 
     def test_law_of_large_numbers(self):
         rng = np.random.default_rng(1)
-        out = sample_cov(MomentSample(rng.standard_normal((100_000, 3))))
+        out = sample_cov(rng.standard_normal((100_000, 3)))
         assert np.max(np.abs(out.entries - np.eye(3))) <= 0.05
 
     def test_psd(self):
         rng = np.random.default_rng(2)
-        out = sample_cov(MomentSample(rng.standard_normal((30, 8))))
+        out = sample_cov(rng.standard_normal((30, 8)))
         w = np.linalg.eigvalsh(out.entries)
         assert w[0] >= -1e-10 * max(w[-1], 1.0)
 
@@ -85,7 +85,7 @@ class TestSampleCov:
 class TestTruncatedCov:
     def test_inactive_for_large_multiplier(self):
         rng = np.random.default_rng(3)
-        s = MomentSample(rng.standard_normal((500, 6)))
+        s = rng.standard_normal((500, 6))
         assert_allclose(
             truncated_cov(s, 10.0).entries, sample_cov(s).entries, atol=1e-12
         )
@@ -95,12 +95,12 @@ class TestTruncatedCov:
         clean = rng.standard_normal((1000, 5))
         dirty = clean.copy()
         dirty[137] *= 1e6
-        clean_norm = np.linalg.norm(truncated_cov(MomentSample(clean)).entries, 2)
-        dirty_norm = np.linalg.norm(truncated_cov(MomentSample(dirty)).entries, 2)
+        clean_norm = np.linalg.norm(truncated_cov(clean).entries, 2)
+        dirty_norm = np.linalg.norm(truncated_cov(dirty).entries, 2)
         assert dirty_norm <= 10 * clean_norm
 
     def test_identical_rows_rank_one_psd(self):
-        s = MomentSample(np.tile([1.0, 2.0], (8, 1)))
+        s = np.tile([1.0, 2.0], (8, 1))
         out = truncated_cov(s, 0.5)
         w = np.linalg.eigvalsh(out.entries)
         assert w[0] >= -1e-12
@@ -108,7 +108,7 @@ class TestTruncatedCov:
 
     def test_rejects_bad_multiplier(self):
         with pytest.raises(ValueError):
-            truncated_cov(MomentSample(np.ones((4, 2))), 0.0)
+            truncated_cov(np.ones((4, 2)), 0.0)
 
     def test_desk_scale_consistency_both_estimators(self):
         # i.i.d. N(0, Sigma0) rows, d=10, n=20000: within 0.15 ||Sigma0||
@@ -116,8 +116,7 @@ class TestTruncatedCov:
         root = rng.standard_normal((10, 10)) / np.sqrt(10)
         sigma0 = root @ root.T + 0.5 * np.eye(10)
         rows = rng.standard_normal((20_000, 10)) @ np.linalg.cholesky(sigma0).T
-        s = MomentSample(rows)
-        aux = difference_pairs(s)
+        aux = difference_pairs(rows)
         bound = 0.15 * np.linalg.norm(sigma0, 2)
         for est in (sample_cov, truncated_cov):
             err = np.linalg.norm(est(aux).entries - sigma0, 2)
@@ -127,17 +126,17 @@ class TestTruncatedCov:
 class TestKurtosisDiagnostic:
     def test_gaussian_value(self):
         rng = np.random.default_rng(6)
-        s = MomentSample(rng.standard_normal((50_000, 5)))
+        s = rng.standard_normal((50_000, 5))
         assert kurtosis_diagnostic(s) == pytest.approx(3.0**0.25, abs=0.1)
 
     def test_constant_sample_errors(self):
         with pytest.raises(ValueError, match="zero variance"):
-            kurtosis_diagnostic(MomentSample(np.ones((10, 3))))
+            kurtosis_diagnostic(np.ones((10, 3)))
 
     def test_heavy_tails_exceed_gaussian(self):
         rng = np.random.default_rng(7)
-        s = MomentSample(rng.standard_t(5, size=(10_000, 4)))
-        assert _kurtosis(s.values, 64, seed=1) > 3.0**0.25
+        s = rng.standard_t(5, size=(10_000, 4))
+        assert _kurtosis(s, 64, seed=1) > 3.0**0.25
 
     @staticmethod
     def power_formula(values, directions, seed):
@@ -173,8 +172,8 @@ def spec4():
     return calibrate_spec(default_spec(4, 0.05), reps=20_000, seed=2)
 
 
-# every entry point that validates its input in place instead of copying it
-# into a MomentSample, each reduced to comparable plain values
+# every entry point that validates its input in place instead of copying it,
+# each reduced to comparable plain values
 ENTRY_POINTS = {
     "run_tests": lambda v, spec: run_tests(v, spec).to_json_dict(),
     "split_test": lambda v, spec: split_test(
@@ -186,7 +185,7 @@ ENTRY_POINTS = {
     "sample_cov": lambda v, spec: sample_cov(v).entries.tolist(),
     "truncated_cov": lambda v, spec: truncated_cov(v).entries.tolist(),
     "prepare_standardized": lambda v, spec: prepare_standardized(v)[0].tolist(),
-    "difference_pairs": lambda v, spec: difference_pairs(v).values.tolist(),
+    "difference_pairs": lambda v, spec: difference_pairs(v).tolist(),
 }
 
 BAD_INPUTS = {

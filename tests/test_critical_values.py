@@ -88,6 +88,11 @@ class TestKappaAsymptotic:
         with pytest.raises(ValueError, match="d must"):
             kappa_p_asymptotic(p, math.nan, 0.05)
 
+    @pytest.mark.parametrize("d", [math.inf, math.nan, 2.5])
+    def test_rejects_unusable_d(self, d):
+        with pytest.raises(ValueError, match=f"d must be >= 1 and a finite integer, got {d}"):
+            kappa_p_asymptotic(3, d, 0.05)
+
 
 class TestKappaInfExact:
     @pytest.mark.parametrize("d", [1, 2, 3, 10, 1000, 100_000])
@@ -122,6 +127,11 @@ class TestKappaInfExact:
         with pytest.raises(ValueError, match="d must"):
             kappa_inf_exact(math.nan, alpha)
 
+    @pytest.mark.parametrize("d", [math.inf, math.nan, 2.5])
+    def test_rejects_unusable_d(self, d):
+        with pytest.raises(ValueError, match=f"d must be >= 1 and a finite integer, got {d}"):
+            kappa_inf_exact(d, 0.05)
+
 
 class TestKappaInfAsymptotic:
     def test_d1000_value(self):
@@ -149,6 +159,11 @@ class TestKappaInfAsymptotic:
     def test_rejects_nan_d(self, alpha):
         with pytest.raises(ValueError, match="d >= 3"):
             kappa_inf_asymptotic(math.nan, alpha)
+
+    @pytest.mark.parametrize("d", [math.inf, math.nan, 2.5])
+    def test_rejects_unusable_d(self, d):
+        with pytest.raises(ValueError, match=f"d must be >= 3 and a finite integer, got {d}"):
+            kappa_inf_asymptotic(d, 0.05)
 
 
 class TestBatchPnorms:
@@ -322,6 +337,11 @@ class TestCalibrateJoint:
     def test_rejects_empty_dimension(self):
         with pytest.raises(ValueError, match="d must be >= 1"):
             calibrate_joint({2: 0.05}, d=0, alpha_total=0.05)
+
+    @pytest.mark.parametrize("d", [math.inf, math.nan, 2.5])
+    def test_rejects_unusable_d(self, d):
+        with pytest.raises(ValueError, match=f"d must be >= 1 and a finite integer, got {d}"):
+            calibrate_joint({2: 0.05}, d=d, alpha_total=0.05, reps=1000)
 
     def test_finite_sample_reference_plumbs_through(self):
         t = calibrate_joint(

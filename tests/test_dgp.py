@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import toeplitz
 
-from pnormtest.covariance import MomentSample, kurtosis_diagnostic, sample_cov
+from pnormtest.covariance import kurtosis_diagnostic, sample_cov
 from pnormtest.dgp import IvConfig, RctConfig, gen_iv, gen_rct
 
 
@@ -66,13 +66,13 @@ class TestGenIv:
         a = gen_iv(cfg, 0.7, seed=11)
         b = gen_iv(cfg, 0.7, seed=11)
         c = gen_iv(cfg, 0.7, seed=12)
-        assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_returns_moment_sample_with_config_shape(self):
         s = gen_iv(iv_cfg(n=37, d=5), 0.0, seed=0)
-        assert isinstance(s, MomentSample)
-        assert (s.n, s.d) == (37, 5)
+        assert isinstance(s, np.ndarray) and s.dtype == np.float64
+        assert s.shape == (37, 5)
 
     def test_irrelevant_instruments_keep_null_at_every_beta(self):
         # pi = 0 makes the moment mean zero no matter the candidate value
@@ -83,7 +83,7 @@ class TestGenIv:
             # Var[(u + delta v) z_j] = 1 + delta^2 + 2 rho delta
             maxvar = 1.0 + delta * delta + 2.0 * cfg.endogeneity_rho * delta
             bound = 5.0 * math.sqrt(maxvar / cfg.n)
-            assert np.max(np.abs(s.values.mean(axis=0))) <= bound
+            assert np.max(np.abs(s.mean(axis=0))) <= bound
 
     def test_single_instrument_population_moment(self):
         # pi = a e_1, identity instruments: E h = (a (beta_true - beta*), 0, ...)
@@ -94,7 +94,7 @@ class TestGenIv:
         target[0] = a * (cfg.beta_true - beta_star)
         delta = cfg.beta_true - beta_star
         maxvar = (1.0 + delta * delta) * (1.0 + 3.0 * (a * delta) ** 2)
-        assert np.max(np.abs(s.values.mean(axis=0) - target)) <= 5.0 * math.sqrt(
+        assert np.max(np.abs(s.mean(axis=0) - target)) <= 5.0 * math.sqrt(
             maxvar / cfg.n
         )
 
@@ -103,7 +103,7 @@ class TestGenIv:
         cfg = iv_cfg(n=200, endogeneity_rho=0.5)
         h = np.array(
             [
-                math.sqrt(cfg.n) * gen_iv(cfg, cfg.beta_true, seed=r).values.mean(axis=0)
+                math.sqrt(cfg.n) * gen_iv(cfg, cfg.beta_true, seed=r).mean(axis=0)
                 for r in range(400)
             ]
         )
@@ -125,7 +125,7 @@ class TestGenIv:
         cfg_t = iv_cfg(n=50_000, error_dist="t", t_dof=5.0)
         rows_g = gen_iv(cfg_g, cfg_g.beta_true, seed=8)
         rows_t = gen_iv(cfg_t, cfg_t.beta_true, seed=8)
-        assert np.allclose(rows_t.values.var(axis=0), 1.0, atol=0.1)
+        assert np.allclose(rows_t.var(axis=0), 1.0, atol=0.1)
         assert kurtosis_diagnostic(rows_t) > kurtosis_diagnostic(rows_g)
 
 
@@ -133,16 +133,16 @@ class TestGenRct:
     def test_deterministic_in_seed(self):
         cfg = rct_cfg(effect=np.array([0.1, 0.0, 0.0, 0.2]), outcome_dist="t", t_dof=6.0)
         b = np.zeros(4)
-        assert np.array_equal(gen_rct(cfg, b, 4).values, gen_rct(cfg, b, 4).values)
-        assert not np.array_equal(gen_rct(cfg, b, 4).values, gen_rct(cfg, b, 5).values)
+        assert np.array_equal(gen_rct(cfg, b, 4), gen_rct(cfg, b, 4))
+        assert not np.array_equal(gen_rct(cfg, b, 4), gen_rct(cfg, b, 5))
 
     def test_zero_effect_null_and_exact_gaussian_scale(self):
         # with pi_treat = 1/2 the rows are 2 s Y, s = +-1, so the row law is
         # N(0, 4 Sigma) exactly under a zero effect
         cfg = rct_cfg(n=50_000)
         s = gen_rct(cfg, np.zeros(4), seed=1)
-        assert np.max(np.abs(s.values.mean(axis=0))) <= 5.0 * math.sqrt(4.0 / cfg.n)
-        assert np.allclose(s.values.var(axis=0), 4.0, atol=0.15)
+        assert np.max(np.abs(s.mean(axis=0))) <= 5.0 * math.sqrt(4.0 / cfg.n)
+        assert np.allclose(s.var(axis=0), 4.0, atol=0.15)
 
     def test_true_effect_cancels_exactly_in_population(self):
         effect = np.array([0.3, -0.2, 0.0, 1.0])
@@ -150,13 +150,13 @@ class TestGenRct:
         s = gen_rct(cfg, effect, seed=6)
         # variances are bounded by E[Y^2/pi^2] with the shifted outcome
         bound = 5.0 * math.sqrt((1.0 + np.max(effect**2)) / (0.4**2) / cfg.n)
-        assert np.max(np.abs(s.values.mean(axis=0))) <= bound
+        assert np.max(np.abs(s.mean(axis=0))) <= bound
 
     def test_single_coordinate_effect_shows_up_in_that_moment(self):
         delta = 0.25
         effect = np.array([0.0, 0.0, delta, 0.0])
         cfg = rct_cfg(n=200_000, effect=effect)
-        mean = gen_rct(cfg, np.zeros(4), seed=9).values.mean(axis=0)
+        mean = gen_rct(cfg, np.zeros(4), seed=9).mean(axis=0)
         assert abs(mean[2] - delta) <= 5.0 * math.sqrt(5.0 / cfg.n)
         assert np.max(np.abs(np.delete(mean, 2))) <= 5.0 * math.sqrt(4.0 / cfg.n)
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from pnormtest import harness, test_engine
-from pnormtest.covariance import MomentSample
 from pnormtest.dominant_test import calibrate_spec, default_spec
 from pnormtest.harness import (
     DataError,
@@ -27,7 +26,7 @@ class TestCsvRoundtrip:
         path = tmp_path / "sample.csv"
         np.savetxt(path, values, fmt="%.17g", delimiter=",", header="a,b,c,d", comments="")
         back = read_sample_csv(path)
-        assert np.array_equal(back.values, values)
+        assert np.array_equal(back, values)
 
     def test_bad_cell_reported_with_line_and_column(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -60,7 +59,7 @@ class TestCsvRoundtrip:
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("a,b\n1.0,2.0\n\n3.0,4.0\n")
-        assert read_sample_csv(path).n == 2
+        assert read_sample_csv(path).shape == (2, 2)
 
 
 def gaussian_config(**overrides):

@@ -2,11 +2,15 @@
 importing and running the package loads."""
 
 import ast
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import pnormtest
 
@@ -18,11 +22,11 @@ _NUMPY_PATHS = """
 import numpy as np
 import pnormtest
 import pnormtest.cli
-from pnormtest import MomentSample, calibrate_spec, default_spec, run_experiment, run_tests, split_test
+from pnormtest import calibrate_spec, default_spec, run_experiment, run_tests, split_test
 
 spec = calibrate_spec(default_spec(8, 0.05), aux_rows=100)
 rng = np.random.default_rng(0)
-run_tests(MomentSample(rng.standard_normal((200, 8))), spec)
+run_tests(rng.standard_normal((200, 8)), spec)
 split_test(rng.standard_normal((400, 20)), 8, selection="greedy", p=2.0, spec=spec)
 run_experiment({
     "experiment": "import_guard", "reps": 5, "seed": 1,
@@ -42,7 +46,7 @@ cfg = IvConfig(n=6, d=3, beta_true=1.0, pi=np.full(3, 0.5), instrument_cov="toep
 print(repr(kappa_p_asymptotic(3, 50, 0.05)))
 print(repr(kappa_inf_exact(50, 0.05)))
 print(repr(normal_quantile(0.975)))
-print(repr(gen_iv(cfg, 1.0, 7).values[1].tolist()))
+print(repr(gen_iv(cfg, 1.0, 7)[1].tolist()))
 """
 
 _LIST_SCIPY = "\nimport sys\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
@@ -63,6 +67,15 @@ def test_readme_lists_exactly_the_top_level_names():
     listed = re.findall(r"`(\w+)`", section)
     assert len(listed) == len(set(listed))
     assert set(listed) == set(pnormtest.__all__)
+
+
+@pytest.mark.parametrize(
+    "module", sorted(m.name for m in pkgutil.iter_modules(pnormtest.__path__)), ids=str
+)
+def test_every_submodule_all_name_resolves(module):
+    mod = importlib.import_module(f"pnormtest.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
 
 
 def test_import_and_numpy_paths_load_no_scipy():

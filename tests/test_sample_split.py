@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pnormtest import covariance, sample_split, test_engine
-from pnormtest.covariance import MomentSample
 from pnormtest.dominant_test import calibrate_spec, default_spec
 from pnormtest.sample_split import (
     SplitResult,
@@ -56,7 +55,7 @@ def shifted_sample(rng, n, big_d, shifts):
     values = rng.standard_normal((n, big_d))
     for j, s in shifts.items():
         values[:, j] += s
-    return MomentSample(values)
+    return values
 
 
 class TestSelectTopScaled:
@@ -71,22 +70,20 @@ class TestSelectTopScaled:
         assert hits >= 990
 
     def test_d_equal_to_total_selects_everything(self):
-        s = MomentSample(np.random.default_rng(0).standard_normal((40, 6)))
+        s = np.random.default_rng(0).standard_normal((40, 6))
         assert np.array_equal(select_top_scaled(s, 6), np.arange(6))
 
     def test_exact_tie_goes_to_lower_index(self):
         rng = np.random.default_rng(5)
         strong = rng.standard_normal(60) + 2.0
         weak = rng.standard_normal(60)
-        s = MomentSample(np.column_stack([strong, weak, strong]))
+        s = np.column_stack([strong, weak, strong])
         assert select_top_scaled(s, 1)[0] == 0
 
     def test_zero_variance_scores_zero(self):
         rng = np.random.default_rng(9)
         const = np.full(80, 7.0)
-        s = MomentSample(
-            np.column_stack([const, rng.standard_normal(80) + 0.3, rng.standard_normal(80)])
-        )
+        s = np.column_stack([const, rng.standard_normal(80) + 0.3, rng.standard_normal(80)])
         assert 0 not in select_top_scaled(s, 2)
         assert 0 in select_top_scaled(s, 3)  # forced only when d = D
 
@@ -94,12 +91,12 @@ class TestSelectTopScaled:
         rng = np.random.default_rng(11)
         values = rng.standard_normal((60, 8)) + rng.uniform(-0.5, 0.5, size=8)
         pi = rng.permutation(8)
-        base = set(select_top_scaled(MomentSample(values), 3).tolist())
-        permuted = select_top_scaled(MomentSample(values[:, pi]), 3)
+        base = set(select_top_scaled(values, 3).tolist())
+        permuted = select_top_scaled(values[:, pi], 3)
         assert set(pi[permuted].tolist()) == base
 
     def test_rejects_bad_d(self):
-        s = MomentSample(np.zeros((10, 3)))
+        s = np.zeros((10, 3))
         with pytest.raises(ValueError, match="1 <= d"):
             select_top_scaled(s, 0)
         with pytest.raises(ValueError, match="1 <= d"):
@@ -132,8 +129,8 @@ class TestSelectGreedy:
         # (0, 1, 5), (1, 2, 5), (1, 5, 6) and (1, 2, 6).
         rng = np.random.default_rng(27)
         s = shifted_sample(rng, 150, 7, {1: 0.4, 5: 0.3})
-        h = math.sqrt(s.n) * s.values.mean(axis=0)
-        v = s.values[: 2 * (s.n // 2)]
+        h = math.sqrt(s.shape[0]) * s.mean(axis=0)
+        v = s[: 2 * (s.shape[0] // 2)]
         r = (v[1::2] - v[0::2]) / math.sqrt(2.0)
         chosen: list[int] = []
         for _ in range(3):
@@ -156,30 +153,49 @@ class TestSelectGreedy:
         rng = np.random.default_rng(8)
         lead = rng.standard_normal(100) + 1.0
         other = rng.standard_normal(100) + 0.5
-        s = MomentSample(np.column_stack([lead, lead, other]))
+        s = np.column_stack([lead, lead, other])
         with pytest.warns(RuntimeWarning, match="degenerate"):
             chosen = select_greedy(s, 2, p)
         assert np.array_equal(chosen, [0, 2])
 
     def test_exhausted_candidates_raise(self):
         col = np.random.default_rng(2).standard_normal(50) + 1.0
-        s = MomentSample(np.column_stack([col, col]))
+        s = np.column_stack([col, col])
         with pytest.warns(RuntimeWarning, match="degenerate"):
             with pytest.raises(RuntimeError, match="no admissible"):
                 select_greedy(s, 2, 2.0)
 
     @pytest.mark.parametrize("select", [select_top_scaled, select_greedy])
     def test_rejects_fewer_than_four_rows(self, select):
-        s = MomentSample(np.random.default_rng(0).standard_normal((3, 3)))
+        s = np.random.default_rng(0).standard_normal((3, 3))
         with pytest.raises(ValueError, match="n >= 4"):
             select(s, 1)
 
     def test_rejects_bad_exponent_and_d(self):
-        s = MomentSample(np.random.default_rng(0).standard_normal((20, 3)))
+        s = np.random.default_rng(0).standard_normal((20, 3))
         with pytest.raises(ValueError, match="exponent"):
             select_greedy(s, 1, 1.5)
         with pytest.raises(ValueError, match="1 <= d"):
             select_greedy(s, 5, 2.0)
+
+
+class TestGreedyWarning:
+    """A degenerate greedy step warns at the line that called the library."""
+
+    @pytest.mark.parametrize("p", [2.0, 4.0])
+    @pytest.mark.parametrize("entry", ["select_greedy", "split_test"])
+    def test_warning_names_the_caller(self, entry, p):
+        rng = np.random.default_rng(8)
+        lead = rng.standard_normal(200) + 1.0
+        values = np.column_stack([lead, lead, rng.standard_normal((200, 2)) + 0.5])
+        spec = calibrate_spec(default_spec(2, 0.05), reps=20_000, seed=2, aux_rows=50)
+        calls = {
+            "select_greedy": lambda: select_greedy(values, 2, p),
+            "split_test": lambda: split_test(values, 2, selection="greedy", p=p, spec=spec),
+        }
+        with pytest.warns(RuntimeWarning, match="degenerate") as rec:
+            calls[entry]()
+        assert [w.filename for w in rec if "degenerate" in str(w.message)] == [__file__]
 
 
 @pytest.fixture(scope="module")
@@ -192,9 +208,9 @@ class TestSplitTest:
         # "top" with d = D selects every column
         spec6 = calibrate_spec(default_spec(6, 0.05), reps=50_000, seed=3)
         values = np.random.default_rng(17).standard_normal((200, 6))
-        result = split_test(MomentSample(values), 6, selection="top", spec=spec6, seed=4)
+        result = split_test(values, 6, selection="top", spec=spec6, seed=4)
         _, idx2 = split(200, 0.5, seed=4)
-        direct = run_tests(MomentSample(values[idx2]), spec6)
+        direct = run_tests(values[idx2], spec6)
         assert result.selected == (0, 1, 2, 3, 4, 5)
         for rec, ref in zip(result.report.per_p, direct.per_p):
             assert rec.statistic == ref.statistic and rec.reject == ref.reject
@@ -217,26 +233,26 @@ class TestSplitTest:
         assert 2 in result.selected
 
     def test_warns_when_d_outgrows_second_fold(self, spec4):
-        s = MomentSample(np.random.default_rng(3).standard_normal((40, 5)))
+        s = np.random.default_rng(3).standard_normal((40, 5))
         with pytest.warns(UserWarning, match=r"n2\^\(2/5\)"):
             split_test(s, 4, selection="top", spec=spec4, seed=0)
 
     def test_json_dict_carries_selection_and_report(self, spec4):
-        s = MomentSample(np.random.default_rng(4).standard_normal((200, 8)))
+        s = np.random.default_rng(4).standard_normal((200, 8))
         doc = split_test(s, 4, selection="top", spec=spec4, seed=2).to_json_dict()
         assert sorted(doc) == ["n1", "n2", "report", "selected"]
         assert len(doc["selected"]) == 4
 
     def test_rejects_bad_explicit_selection(self, spec4):
         # selection is by name only, never by an index list
-        s = MomentSample(np.random.default_rng(5).standard_normal((200, 8)))
+        s = np.random.default_rng(5).standard_normal((200, 8))
         for selection in (range(4), [0, 1, 2, 3], (0, 1, 2, 9), "lasso"):
             with pytest.raises(ValueError, match="selection must be 'top' or 'greedy'"):
                 split_test(s, 4, selection=selection, spec=spec4)
 
     def test_default_spec_is_calibrated_at_d(self):
         values = np.random.default_rng(6).standard_normal((120, 12))
-        result = split_test(MomentSample(values), 2, selection="top", reps=20_000, seed=3)
+        result = split_test(values, 2, selection="top", reps=20_000, seed=3)
         assert result.report.d == 2
         calibrated = {rec.p.value for rec in result.report.per_p if rec.source == "calibrated"}
         assert calibrated == {2.0, 3.0, math.inf}
