@@ -38,6 +38,7 @@ import math
 
 import numpy as np
 
+from .critical_values import _check_d
 from .gaussian_moments import g_p, lambda_p, mills_odds, normal_cdf, normal_quantile, sigma_p
 
 __all__ = [
@@ -65,8 +66,7 @@ def _as_theta(theta) -> np.ndarray:
 
 def sup_threshold(d: int) -> float:
     """The sup-norm consistency threshold c_d; c_1 is defined as 0."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    d = _check_d(d)
     if d == 1:
         return 0.0
     root = math.sqrt(2.0 * math.log(d))
@@ -115,8 +115,7 @@ def make_alternative(kind: str, d: int, t: float = 0.08, scale: float = 1.0) -> 
     """
     if kind not in ALTERNATIVE_KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {ALTERNATIVE_KINDS}")
-    if d < 2:
-        raise ValueError(f"alternative families need d >= 2, got {d}")
+    d = _check_d(d, 2, "; alternative families need d >= 2")
     if not scale > 0.0:  # NaN fails it
         raise ValueError(f"scale must be positive, got {scale}")
     theta = np.zeros(d)

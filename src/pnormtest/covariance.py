@@ -66,7 +66,12 @@ def _checked(s) -> np.ndarray:
         raise ValueError(f"expected an n x d array, got shape {v.shape}")
     if v.shape[0] < 1 or v.shape[1] < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    # a NaN or infinite entry makes the sum non-finite, so a finite sum
+    # proves every entry finite without an n x d boolean; only a sum that
+    # overflowed or met a non-finite entry is checked entry by entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.add.reduce(v, axis=None)
+    if not np.isfinite(total) and not np.all(np.isfinite(v)):
         raise ValueError("moment sample entries must be finite")
     return v
 

@@ -2,9 +2,11 @@
 
 The sample is split once: fold 1 picks d promising coordinates out of D,
 fold 2 runs the ordinary testing pipeline on those d columns only.  The
-folds are physically separate arrays, so the second-stage statistics
+folds are disjoint sets of row indices, so the second-stage statistics
 never see the rows that drove selection, and the second stage is an
-honest size-alpha test no matter how the selection behaved.
+honest size-alpha test no matter how the selection behaved.  Fold 1 is
+read block by block into its column means and difference-pair rows and
+is never copied whole; only fold 2's chosen columns are gathered.
 
 Two built-in selectors:
 
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import _checked, _pair_rows
+from .covariance import _checked
 from .critical_values import _batch_pnorms
 from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from .gaussian_moments import as_exponent
@@ -49,6 +51,10 @@ __all__ = [
 
 _MIN_FOLD = 4
 
+# bytes of the one row buffer through which fold 1, and the squared pair
+# rows, are summed block by block
+_BLOCK_BYTES = 1 << 19
+
 # candidates whose residual variance falls below this fraction of their own
 # raw variance are linearly dependent on the current set up to roundoff
 _DEGENERACY_RTOL = 1e-12
@@ -69,14 +75,73 @@ def split(n: int, frac1: float = 0.5, seed=0) -> tuple[np.ndarray, np.ndarray]:
     return np.sort(perm[:n1]), np.sort(perm[n1:])
 
 
-def _fold_moments(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # what both selectors read of fold-1 rows the caller has already
-    # validated: H = sqrt(n1) * column means, and the difference-pair rows
-    return math.sqrt(values.shape[0]) * values.mean(axis=0), _pair_rows(values)
+def _block_rows(n: int, width: int) -> int:
+    # rows per block of a running sum over n rows: an even number (so no
+    # difference pair straddles two blocks), at least 2, or all n.  numpy
+    # sums a single column pairwise, not row by row, so one column is read
+    # in one block.
+    if width == 1:
+        return n
+    return min(n, max(2, _BLOCK_BYTES // (16 * width) * 2))
+
+
+def _add_rows(buf: np.ndarray, start: int, k: int) -> None:
+    # buf[0] += the k rows in buf[1 : k + 1], where the first block (the
+    # only one of a single column) starts the sum.  numpy reduces two or
+    # more columns over axis 0 row by row, starting from 0, so the sum
+    # carried in buf[0] equals one reduction over all rows bit for bit.
+    buf[0] = np.add.reduce(buf[int(start == 0) : k + 1], axis=0)
+
+
+def _fold_moments(
+    values: np.ndarray, idx: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """What both selectors read of fold 1, rows ``idx`` (sorted; all rows
+    when None) of an array the caller has already validated:
+    H = sqrt(n1) * column means, and the difference-pair rows.
+
+    Fold 1 is never copied whole: its rows are gathered block by block into
+    one buffer of about ``_BLOCK_BYTES``, which carries the column sums and
+    from which each block's pairs go straight into the returned rows.  Both
+    results equal ``sqrt(n1) * values[idx].mean(axis=0)`` and
+    ``_pair_rows(values[idx])`` bit for bit.
+    """
+    if idx is None:
+        idx = np.arange(values.shape[0])
+    n1, width = idx.size, values.shape[1]
+    if n1 < 4:
+        raise ValueError(f"difference pairs need n >= 4 rows, got {n1}")
+    rows = _block_rows(n1, width)
+    buf = np.empty((rows + 1, width))
+    r = np.empty((n1 // 2, width))
+    for start in range(0, n1, rows):
+        k = min(rows, n1 - start)
+        block = buf[1 : k + 1]
+        # idx comes from ``split`` or arange, so clipping never acts; unlike
+        # "raise" it lets take write into ``out`` without a buffer
+        np.take(values, idx[start : start + k], axis=0, out=block, mode="clip")
+        pairs = r[start // 2 : (start + k) // 2]
+        np.subtract(block[1 : 2 * len(pairs) : 2], block[0 : 2 * len(pairs) : 2], out=pairs)
+        pairs /= np.sqrt(2.0)
+        _add_rows(buf, start, k)
+    return math.sqrt(n1) * (buf[0] / n1), r
+
+
+def _column_mean_squares(r: np.ndarray) -> np.ndarray:
+    # np.mean(r * r, axis=0) bit for bit, squaring one block of rows at a
+    # time instead of all of r
+    m, width = r.shape
+    rows = _block_rows(m, width)
+    buf = np.empty((rows + 1, width))
+    for start in range(0, m, rows):
+        k = min(rows, m - start)
+        np.multiply(r[start : start + k], r[start : start + k], out=buf[1 : k + 1])
+        _add_rows(buf, start, k)
+    return buf[0] / m
 
 
 def _studentized_scores(h: np.ndarray, r: np.ndarray) -> np.ndarray:
-    pair_var = np.mean(r**2, axis=0)
+    pair_var = _column_mean_squares(r)
     scores = np.zeros(h.size)
     live = pair_var > 0.0
     scores[live] = np.abs(h[live]) / np.sqrt(pair_var[live])
@@ -115,7 +180,7 @@ def _greedy_p2(h: np.ndarray, r: np.ndarray, d: int) -> list[int]:
     # row w = (Sigma_{j*,.} - W_{j*}'W) / l, l = sqrt(den_{j*}), so each
     # step costs one m x D matvec instead of refactoring from scratch.
     m = r.shape[0]
-    diag = np.mean(r * r, axis=0)
+    diag = _column_mean_squares(r)
     floor = _DEGENERACY_RTOL * np.maximum(diag, np.finfo(float).tiny)
     w = np.empty((d, r.shape[1]))
     num_root = h.copy()
@@ -143,7 +208,7 @@ def _greedy_general(h: np.ndarray, r: np.ndarray, d: int, p) -> list[int]:
     # column j of one cross-product (set x all columns); every candidate
     # of a step is whitened in one stacked call and scored by its p-norm.
     m, big_d = r.shape
-    diag = np.mean(r * r, axis=0)
+    diag = _column_mean_squares(r)
     ps = [as_exponent(p)]
     selected: list[int] = []
     for step in range(d):
@@ -227,8 +292,7 @@ def split_test(
     """
     values = _checked(s)
     idx1, idx2 = split(values.shape[0], frac1, seed)
-    # fold 1's rows are freed once its moments are read
-    chosen = _select(*_fold_moments(values[idx1]), d, selection, p)
+    chosen = _select(*_fold_moments(values, idx1), d, selection, p)
     n2 = idx2.size
     if d > n2**0.4:
         warnings.warn(

@@ -50,6 +50,11 @@ class TestSupThreshold:
         vals = [sup_threshold(d) for d in (3, 10, 100, 10**4, 10**8)]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("d", [0, math.nan, math.inf, 2.5])
+    def test_rejects_a_dimension_that_is_not_a_positive_integer(self, d):
+        with pytest.raises(ValueError, match=f"d must be >= 1 and a finite integer, got {d}"):
+            sup_threshold(d)
+
 
 class TestFinitePCriterion:
     def test_zero_profile(self):
@@ -225,6 +230,12 @@ class TestMakeAlternative:
             make_alternative("semi_sparse", 100, t=0.0)
         with pytest.raises(ValueError, match="scale"):
             make_alternative("dense", 100, scale=0.0)
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense", "semi_sparse"])
+    @pytest.mark.parametrize("d", [1, math.nan, math.inf, 2.5])
+    def test_rejects_a_dimension_that_is_not_an_integer_of_at_least_2(self, kind, d):
+        with pytest.raises(ValueError, match=f"d must be >= 2 and a finite integer, got {d}"):
+            make_alternative(kind, d)
 
     def test_returns_theta_profile(self):
         assert isinstance(make_alternative("dense", 10), np.ndarray)

@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from pnormtest.covariance import (
     MomentSample,
+    _checked,
     _kurtosis,
     difference_pairs,
     kurtosis_diagnostic,
@@ -225,3 +228,41 @@ class TestCheckedBoundary:
         assert np.array_equal(values, before)
         assert values.flags.writeable
         values[0, 0] = 1.0
+
+
+class TestCheckedFiniteness:
+    # _checked proves finiteness from the sum of all entries and checks entry
+    # by entry only when that sum is not finite
+
+    def test_finite_entries_whose_sum_overflows_are_accepted_quietly(self):
+        values = np.random.default_rng(15).standard_normal((40, 3))
+        values[:, 1] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _checked(values) is values
+            pairs = difference_pairs(values)
+        assert np.array_equal(pairs, (values[1::2] - values[::2]) / SQ2)
+        assert np.all(pairs[:, 1] == 0.0)
+
+    @pytest.mark.parametrize(
+        "entries",
+        [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+        ids=["nan", "+inf", "-inf", "+inf and -inf"],
+    )
+    def test_rejects_each_kind_of_non_finite_entry(self, entries):
+        values = np.ones((40, 3))
+        values[3, : len(entries)] = entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^moment sample entries must be finite$"):
+                _checked(values)
+
+    def test_allocates_nothing_of_the_input_size(self):
+        values = np.random.default_rng(16).standard_normal((2000, 2000))
+        tracemalloc.start()
+        try:
+            _checked(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

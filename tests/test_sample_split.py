@@ -291,13 +291,56 @@ def test_mismatched_table_warning_names_the_caller():
 
 
 def test_split_test_does_not_copy_its_input(spec4):
-    # a C-ordered float input is validated in place: the peak stays below
-    # one copy of it (fold 1 alone is half of it)
-    values = np.random.default_rng(13).standard_normal((1000, 1000))
+    # a C-ordered float input is validated in place and fold 1 is read
+    # block by block: beyond the input, the peak is fold 1's difference-pair
+    # rows (a quarter of the input here) and one small buffer
+    values = np.random.default_rng(13).standard_normal((2000, 2000))
     tracemalloc.start()
     try:
         split_test(values, 4, selection="greedy", p=2.0, spec=spec4, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < values.nbytes
+    assert peak <= 0.3 * values.nbytes
+
+
+# _BLOCK_BYTES = 1 reads 2-row blocks; 1 << 62 reads any fold in one block
+BLOCK_SIZES = [1, sample_split._BLOCK_BYTES, 1 << 62]
+
+
+class TestBlockedFoldMoments:
+    # _fold_moments and _column_mean_squares stream rows through a buffer;
+    # their results must be the whole-array formulas' bits at any block size
+
+    @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+    @pytest.mark.parametrize("big_d", [1, 2, 12, 5000])
+    @pytest.mark.parametrize("n", [9, 75])
+    def test_equal_the_whole_fold_formulas(self, monkeypatch, block_bytes, big_d, n):
+        monkeypatch.setattr(sample_split, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(big_d * n)
+        # wide-ranging magnitudes, so any change of summation order shows
+        values = rng.standard_normal((n, big_d)) * np.exp(3.0 * rng.standard_normal((n, big_d)))
+        idx1, _ = split(n, 0.5, seed=1)  # 5 (odd) and 38 rows
+        for idx, fold in ((idx1, values[idx1]), (None, values)):
+            h, r = sample_split._fold_moments(values, idx)
+            n1 = fold.shape[0]
+            assert np.array_equal(h, math.sqrt(n1) * fold.mean(axis=0))
+            assert np.array_equal(r, covariance._pair_rows(fold))
+            assert np.array_equal(sample_split._column_mean_squares(r), np.mean(r * r, axis=0))
+
+    @pytest.mark.parametrize("select", [select_top_scaled, select_greedy])
+    def test_selectors_reject_a_fold_too_small_for_pairs(self, select):
+        with pytest.raises(ValueError, match="difference pairs need n >= 4 rows, got 3"):
+            select(np.random.default_rng(19).standard_normal((3, 5)), 1)
+
+    @pytest.mark.parametrize("selection", ["top", "greedy"])
+    def test_split_test_does_not_depend_on_the_block_size(
+        self, monkeypatch, spec4, selection
+    ):
+        values = np.random.default_rng(18).standard_normal((301, 40))
+        values[:, 7] += 0.3
+        docs = []
+        for block_bytes in BLOCK_SIZES:
+            monkeypatch.setattr(sample_split, "_BLOCK_BYTES", block_bytes)
+            docs.append(split_test(values, 4, selection=selection, spec=spec4).to_json_dict())
+        assert docs[0] == docs[1] == docs[2]
