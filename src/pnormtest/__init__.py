@@ -23,7 +23,7 @@ from .dominant_test import (
     evaluate_psi,
     power_loss_bound,
 )
-from .gaussian_moments import Exponent, as_exponent, g_p, lambda_p, sigma_p
+from .gaussian_moments import g_p, lambda_p, sigma_p
 from .harness import run_experiment
 from .sample_split import SplitResult, split_test
 from .test_engine import (
@@ -54,8 +54,6 @@ __all__ = [
     "calibrate_spec",
     "evaluate_psi",
     "power_loss_bound",
-    "Exponent",
-    "as_exponent",
     "lambda_p",
     "sigma_p",
     "g_p",

@@ -26,7 +26,7 @@ import numpy as np
 from .covariance import _TRUNC_MULT
 from .critical_values import _document, _formula_kappa
 from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
-from .gaussian_moments import as_exponent, lambda_p, sigma_p
+from .gaussian_moments import _check_p, lambda_p, sigma_p
 from .harness import DataError, UsageError, read_sample_csv, run_experiment
 from .sample_split import split_test
 from .test_engine import _ESTIMATORS, _table_rows_mismatch, invert_confidence_set, run_tests
@@ -36,11 +36,9 @@ __all__ = ["main"]
 
 def _parse_exponent(token: str) -> float:
     try:
-        value = math.inf if token.strip().lower() == "inf" else float(token)
-        as_exponent(value)
-    except (TypeError, ValueError) as exc:
+        return _check_p(float(token))
+    except ValueError as exc:
         raise UsageError(f"bad exponent {token!r}: {exc}") from None
-    return value
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:

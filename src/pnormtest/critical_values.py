@@ -64,7 +64,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .gaussian_moments import INF, Exponent, as_exponent, lambda_p, normal_quantile, sigma_p
+from .gaussian_moments import _check_p, lambda_p, normal_quantile, sigma_p
 
 __all__ = [
     "CriticalValueTable",
@@ -204,14 +204,14 @@ def _version(value) -> int:
     return version
 
 
-def _exponent(value) -> Exponent:
+def _exponent(value) -> float:
     """An exponent from its JSON form: a number, or "inf" for the sup norm."""
-    return INF if value == "inf" else as_exponent(_numeric(value))
+    return math.inf if value == "inf" else _check_p(_numeric(value))
 
 
-def _exponent_key(p: Exponent):
+def _exponent_key(p: float):
     """The JSON form of an exponent, read back by ``_exponent``."""
-    return "inf" if p.is_inf else p.value
+    return "inf" if math.isinf(p) else p
 
 
 # Fixed Monte-Carlo block size; part of the definition of the draw stream,
@@ -244,17 +244,15 @@ def kappa_p_asymptotic(p, d: int, alpha: float) -> float:
 
     kappa = [ Phi^{-1}(1-alpha) sqrt(d) sigma_p + d lambda_p(0) ]^(1/p).
     """
-    pv = as_exponent(p)
-    if pv.is_inf:
+    p = _check_p(p)
+    if math.isinf(p):
         raise ValueError("use kappa_inf_asymptotic for the sup norm")
     alpha = _check_alpha(alpha)
     d = _check_d(d)
-    bracket = normal_quantile(1.0 - alpha) * math.sqrt(d) * sigma_p(pv) + d * lambda_p(
-        pv, 0.0
-    )
+    bracket = normal_quantile(1.0 - alpha) * math.sqrt(d) * sigma_p(p) + d * lambda_p(p, 0.0)
     if bracket <= 0.0:
         raise ValueError(f"asymptotic formula invalid at this (d, alpha)=({d}, {alpha})")
-    return bracket ** (1.0 / pv.value)
+    return bracket ** (1.0 / p)
 
 
 def kappa_inf_asymptotic(d: int, alpha: float) -> float:
@@ -291,8 +289,7 @@ def kappa_inf_exact(d: int, alpha: float) -> float:
 
 def _formula_kappa(p, d: int, alpha: float) -> float:
     """The formula critical value of exponent ``p``: exact at p = inf, asymptotic below."""
-    p = as_exponent(p)
-    return kappa_inf_exact(d, alpha) if p.is_inf else kappa_p_asymptotic(p, d, alpha)
+    return kappa_inf_exact(d, alpha) if math.isinf(p) else kappa_p_asymptotic(p, d, alpha)
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -300,7 +297,7 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 def _batch_pnorms(
-    z: np.ndarray, ps: list[Exponent], scratch: np.ndarray | None = None
+    z: np.ndarray, ps: list[float], scratch: np.ndarray | None = None
 ) -> np.ndarray:
     """p-norms of each row of z for every exponent, with max-factoring.
 
@@ -321,9 +318,7 @@ def _batch_pnorms(
     power = scratch[1, :rows]
     out = np.empty((rows, len(ps)))
 
-    int_targets = sorted(
-        {int(p.value) for p in ps if not p.is_inf and float(p.value).is_integer()}
-    )
+    int_targets = sorted({int(p) for p in ps if p.is_integer()})
     int_sums: dict[int, np.ndarray] = {}
     k = 0
     for target in int_targets:
@@ -336,13 +331,13 @@ def _batch_pnorms(
         int_sums[target] = power.sum(axis=1)
 
     for j, p in enumerate(ps):
-        if p.is_inf:
+        if math.isinf(p):
             out[:, j] = mx
-        elif float(p.value).is_integer():
-            out[:, j] = safe * int_sums[int(p.value)] ** (1.0 / p.value)
+        elif p.is_integer():
+            out[:, j] = safe * int_sums[int(p)] ** (1.0 / p)
         else:
-            np.power(an, p.value, out=power)
-            out[:, j] = safe * power.sum(axis=1) ** (1.0 / p.value)
+            np.power(an, p, out=power)
+            out[:, j] = safe * power.sum(axis=1) ** (1.0 / p)
     return out
 
 
@@ -431,7 +426,7 @@ _PASS_ENTRIES = 1 << 15
 
 
 def _reference_norms(
-    ps: list[Exponent], d: int, reps: int, seed: int, aux_rows: int | None, top: int
+    ps: list[float], d: int, reps: int, seed: int, aux_rows: int | None, top: int
 ) -> np.ndarray:
     """Reference norms of every draw that can hold a column's ``top`` largest value.
 
@@ -508,7 +503,8 @@ def mc_pnorm_quantile(
     The one-exponent case of :func:`calibrate_joint`: same draws, same
     order statistic, same draw-count rule.
     """
-    return calibrate_joint({p: alpha}, d, alpha, reps, seed, aux_rows).standalone_kappa(p)
+    (kappa,) = calibrate_joint({p: alpha}, d, alpha, reps, seed, aux_rows).standalone.values()
+    return kappa
 
 
 @dataclass(frozen=True)
@@ -525,20 +521,19 @@ class CriticalValueTable(_JsonDocument):
 
     d: int
     alpha_total: float
-    entries: dict[Exponent, tuple[float, float]]
+    entries: dict[float, tuple[float, float]]
     c_n: float
     conservative: bool
     mc_reps: int
     seed: int
     aux_rows: int | None = None
-    standalone: dict[Exponent, float] = field(default_factory=dict)
+    standalone: dict[float, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         # every check is written so that NaN fails it
-        if not self.d >= 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if not self.mc_reps >= 1:
-            raise ValueError(f"mc_reps must be >= 1, got {self.mc_reps}")
+        _check_d(self.d)
+        if not (isinstance(self.mc_reps, (int, np.integer)) and self.mc_reps >= 1):
+            raise ValueError(f"mc_reps must be an integer >= 1, got {self.mc_reps}")
         if not self.seed >= 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not (self.aux_rows is None or self.aux_rows >= self.d + 2):
@@ -547,35 +542,38 @@ class CriticalValueTable(_JsonDocument):
             raise ValueError("table needs at least one exponent entry")
         total = 0.0
         for p, (share, kappa) in self.entries.items():
-            if not isinstance(p, Exponent):
-                raise TypeError("entry keys must be Exponent instances")
+            if not isinstance(p, float):
+                raise TypeError(f"entry keys must be float exponents, got {p!r}")
+            _check_p(p)
             if not 0.0 < kappa < math.inf:
-                raise ValueError(f"kappa must be positive and finite, got {kappa} at p={p}")
+                raise ValueError(f"kappa must be positive and finite, got {kappa} at p={p:g}")
             if not 0.0 < share < 1.0:
-                raise ValueError(f"alpha share must lie in (0,1), got {share} at p={p}")
+                raise ValueError(f"alpha share must lie in (0,1), got {share} at p={p:g}")
             total += share
         if not abs(total - self.alpha_total) <= 1e-12:
             raise ValueError(
                 f"alpha shares sum to {total}, expected alpha_total={self.alpha_total}"
             )
+        if not 0.0 < self.alpha_total < 1.0:
+            raise ValueError(f"alpha_total must lie in (0, 1), got {self.alpha_total}")
         if not 0.0 < self.c_n <= 1.0:
             raise ValueError(f"c_n must lie in (0, 1], got {self.c_n}")
         for p in self.entries:
             if not 0.0 < self.standalone.get(p, 0.0) < math.inf:
-                raise ValueError(f"standalone kappa at p={p} must be present, positive and finite")
+                raise ValueError(f"standalone kappa at p={p:g} must be present, positive and finite")
 
     @property
-    def exponents(self) -> tuple[Exponent, ...]:
+    def exponents(self) -> tuple[float, ...]:
         return tuple(self.entries)
 
     def share(self, p) -> float:
-        return self.entries[as_exponent(p)][0]
+        return self.entries[p][0]
 
     def kappa(self, p) -> float:
-        return self.entries[as_exponent(p)][1]
+        return self.entries[p][1]
 
     def standalone_kappa(self, p) -> float:
-        return self.standalone[as_exponent(p)]
+        return self.standalone[p]
 
     def to_json_dict(self) -> dict:
         return _document("critical_value_table", {
@@ -668,12 +666,12 @@ def calibrate_joint(
     d = _check_d(d)
     if not shares:
         raise ValueError("need at least one exponent share")
-    ps, vals = zip(*sorted((as_exponent(p), float(s)) for p, s in shares.items()))
+    ps, vals = zip(*sorted((_check_p(p), float(s)) for p, s in shares.items()))
     if len(set(ps)) != len(ps):
         raise ValueError("duplicate exponents in the share map")
     for p, share in zip(ps, vals):
         if not share > 0.0:
-            raise ValueError(f"alpha share must be positive, got {share} at p={p}")
+            raise ValueError(f"alpha share must be positive, got {share} at p={p:g}")
     if abs(sum(vals) - alpha_total) > 1e-12:
         raise ValueError(
             f"alpha shares sum to {sum(vals)}, expected alpha_total={alpha_total}"

@@ -27,6 +27,7 @@ import numpy as np
 
 from .critical_values import (
     CriticalValueTable,
+    _check_d,
     _document,
     _integer,
     _JsonDocument,
@@ -38,7 +39,7 @@ from .critical_values import (
     _real,
     calibrate_joint,
 )
-from .gaussian_moments import INF, Exponent, as_exponent, normal_quantile
+from .gaussian_moments import _check_p, normal_quantile
 
 __all__ = [
     "DominantTestSpec",
@@ -71,8 +72,7 @@ class DominantTestSpec(_JsonDocument):
 
     def __post_init__(self) -> None:
         # every check is written so that NaN fails it
-        if not self.d >= 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
+        _check_d(self.d)
         if not 0.0 < self.alpha_total < 1.0:
             raise ValueError(f"alpha_total must lie in (0, 1), got {self.alpha_total}")
         for name in ("alpha_2", "alpha_I", "alpha_inf"):
@@ -87,7 +87,7 @@ class DominantTestSpec(_JsonDocument):
         if len(self.p_grid) != len(self.per_p_shares):
             raise ValueError("p_grid and per_p_shares must have equal length")
         for p in self.p_grid:
-            if not 2.0 < p < math.inf:
+            if _check_p(p) in (2.0, math.inf):
                 raise ValueError(f"interior exponents must lie in (2, inf), got {p}")
         if any(b <= a for a, b in zip(self.p_grid, self.p_grid[1:])):
             raise ValueError("p_grid must be strictly increasing")
@@ -110,7 +110,7 @@ class DominantTestSpec(_JsonDocument):
                 raise ValueError("calibration table was drawn at other alpha shares")
 
     @property
-    def exponents(self) -> tuple[Exponent, ...]:
+    def exponents(self) -> tuple[float, ...]:
         """Full grid in increasing order, endpoints included when active."""
         return tuple(self.share_map())
 
@@ -118,14 +118,14 @@ class DominantTestSpec(_JsonDocument):
     def calibrated(self) -> bool:
         return self.table is not None
 
-    def share_map(self) -> dict[Exponent, float]:
-        out: dict[Exponent, float] = {}
+    def share_map(self) -> dict[float, float]:
+        out: dict[float, float] = {}
         if self.alpha_2 > 0.0:
-            out[as_exponent(2.0)] = self.alpha_2
+            out[2.0] = self.alpha_2
         for p, s in zip(self.p_grid, self.per_p_shares):
-            out[as_exponent(p)] = s
+            out[_check_p(p)] = s
         if self.alpha_inf > 0.0:
-            out[INF] = self.alpha_inf
+            out[math.inf] = self.alpha_inf
         return out
 
     def to_json_dict(self) -> dict:
@@ -167,8 +167,7 @@ def default_spec(d: int, alpha: float) -> DominantTestSpec:
     interior exponents 2 + j for j = 1..min(ceil(log2 d), 12) with
     geometric shares 2^{-j}, normalised to sum to alpha/3.
     """
-    if d < 2:
-        raise ValueError(f"default_spec needs d >= 2, got {d}")
+    d = _check_d(d, 2, "; the default grid needs d >= 2")
     third = alpha / 3.0
     # ceil(log2 d) in integer arithmetic, immune to float rounding
     m = min((d - 1).bit_length(), 12)
@@ -219,11 +218,10 @@ def evaluate_psi(stats: Mapping, spec: DominantTestSpec) -> bool:
     """
     if spec.table is None:
         raise ValueError("spec is not calibrated; run calibrate_spec first")
-    lookup = {as_exponent(p): float(v) for p, v in stats.items()}
     for p in spec.exponents:
-        if p not in lookup:
-            raise ValueError(f"missing statistic for exponent {p}")
-    row = np.asarray([[lookup[p] for p in spec.exponents]])
+        if p not in stats:
+            raise ValueError(f"missing statistic for exponent {p:g}")
+    row = np.asarray([[float(stats[p]) for p in spec.exponents]])
     return bool(_max_ratio(row, spec)[1][0])
 
 
@@ -243,8 +241,7 @@ def power_loss_bound(p, alpha_total: float, alpha_p: float) -> float:
         )
     if not alpha_total < 1.0:
         raise ValueError(f"alpha_total must lie in (0, 1), got {alpha_total}")
-    pv = as_exponent(p)
-    if pv.is_inf:
+    if math.isinf(_check_p(p)):
         def f(x: float) -> float:
             return math.log(-math.log1p(-x) / 2.0)
 

@@ -25,26 +25,23 @@ takes over; at that point its relative error is below 1e-28 and it
 degrades gracefully to ``inf`` once |x|**p leaves the float64 range.
 
 scipy.special is imported inside the functions that call it, so importing
-this module, and the Monte-Carlo paths that use only ``Exponent``, load no
+this module, and the Monte-Carlo paths that use only ``_check_p``, load no
 scipy.
 
-Exponents are represented by :class:`Exponent`, a thin wrapper around a
-float that enforces p >= 2 and provides the distinguished value ``INF``.
-All functions also accept plain numbers for convenience.
+Exponents are plain floats in [2, inf], with ``math.inf`` for the sup norm
+(``"inf"`` in JSON documents and on the command line).  ``_check_p`` is the
+one check of that range; every public function that computes with an
+exponent runs it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Exponent",
-    "INF",
-    "as_exponent",
     "lambda_p",
     "sigma_p",
     "g_p",
@@ -56,53 +53,23 @@ __all__ = [
 _ASYMPTOTIC_CUTOFF = 1e8
 
 
-@dataclass(frozen=True, order=True)
-class Exponent:
-    """A norm exponent: a finite real p >= 2 or the symbol ``INF``.
-
-    Instances are totally ordered by their value, so ``INF`` compares
-    greater than every finite exponent.
-    """
-
-    value: float
-
-    def __post_init__(self) -> None:
-        v = self.value
-        if not isinstance(v, numbers.Real) or isinstance(v, bool):
-            raise TypeError(f"exponent must be a real number, got {v!r}")
-        v = float(v)
-        if math.isnan(v):
-            raise ValueError("exponent must not be NaN")
-        if v < 2.0:
-            raise ValueError(f"exponent must satisfy p >= 2, got {v}")
-        object.__setattr__(self, "value", v)
-
-    @property
-    def is_inf(self) -> bool:
-        return math.isinf(self.value)
-
-    def __repr__(self) -> str:
-        return "INF" if self.is_inf else f"Exponent({self.value:g})"
-
-    def __str__(self) -> str:
-        return "inf" if self.is_inf else f"{self.value:g}"
-
-
-INF = Exponent(math.inf)
-
-
-def as_exponent(p) -> Exponent:
-    """Coerce a number or Exponent to an :class:`Exponent`."""
-    if isinstance(p, Exponent):
-        return p
-    return Exponent(p)
+def _check_p(p) -> float:
+    """The exponent p as a float: a real number, not a bool, p >= 2 or inf."""
+    if not isinstance(p, numbers.Real) or isinstance(p, bool):
+        raise TypeError(f"exponent must be a real number, got {p!r}")
+    p = float(p)
+    if math.isnan(p):
+        raise ValueError("exponent must not be NaN")
+    if p < 2.0:
+        raise ValueError(f"exponent must satisfy p >= 2, got {p:g}")
+    return p
 
 
 def _finite_exponent(p) -> float:
-    e = as_exponent(p)
-    if e.is_inf:
+    p = _check_p(p)
+    if math.isinf(p):
         raise ValueError("this operation requires a finite exponent")
-    return e.value
+    return p
 
 
 def _lambda_closed_form_zero(p: float) -> float:
@@ -122,7 +89,7 @@ def lambda_p(p, x: float) -> float:
 
     Parameters
     ----------
-    p : Exponent or float
+    p : float
         Finite exponent, p >= 2.
     x : float
         Shift; must be finite.

@@ -331,7 +331,7 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
         experiment=top["experiment"],
         config=config,
         seed=seed,
-        test_names=tuple(str(p) for p in ps) + ("psi",),
+        test_names=tuple(f"{p:g}" for p in ps) + ("psi",),
         flags=flags,
         wall_clock=elapsed,
     )

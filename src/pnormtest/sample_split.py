@@ -31,7 +31,7 @@ import numpy as np
 from .covariance import _checked
 from .critical_values import _batch_pnorms
 from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
-from .gaussian_moments import as_exponent
+from .gaussian_moments import _check_p
 from .test_engine import (
     TestReport,
     _check_table_rows,
@@ -209,7 +209,7 @@ def _greedy_general(h: np.ndarray, r: np.ndarray, d: int, p) -> list[int]:
     # of a step is whitened in one stacked call and scored by its p-norm.
     m, big_d = r.shape
     diag = _column_mean_squares(r)
-    ps = [as_exponent(p)]
+    ps = [p]
     selected: list[int] = []
     for step in range(d):
         cross = r[:, selected].T @ r / m
@@ -242,10 +242,8 @@ def _select(h: np.ndarray, r: np.ndarray, d: int, selection: str, p=2.0) -> np.n
         return np.sort(np.argsort(-_studentized_scores(h, r), kind="stable")[:d])
     if selection != "greedy":
         raise ValueError(f"selection must be 'top' or 'greedy', got {selection!r}")
-    pv = float(p)
-    if not (pv >= 2.0 or math.isinf(pv)):
-        raise ValueError(f"exponent must lie in [2, inf], got {p}")
-    selected = _greedy_p2(h, r, d) if pv == 2.0 else _greedy_general(h, r, d, pv)
+    p = _check_p(p)
+    selected = _greedy_p2(h, r, d) if p == 2.0 else _greedy_general(h, r, d, p)
     return np.sort(np.asarray(selected, dtype=int))
 
 

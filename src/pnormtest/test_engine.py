@@ -64,7 +64,7 @@ from .critical_values import (
     mc_pnorm_quantile,
 )
 from .dominant_test import DominantTestSpec, _max_ratio
-from .gaussian_moments import Exponent, as_exponent
+from .gaussian_moments import _check_p
 from .matrix_core import SymMatrix, _inverse_roots
 
 __all__ = [
@@ -185,7 +185,7 @@ def p_norm_stat(v, p) -> float:
     the package.
     """
     vec = np.asarray(v, dtype=float)
-    return float(_batch_pnorms(vec.reshape(1, -1), [as_exponent(p)])[0, 0])
+    return float(_batch_pnorms(vec.reshape(1, -1), [_check_p(p)])[0, 0])
 
 
 def theta_oracle(mu: np.ndarray, sigma, n: int) -> np.ndarray:
@@ -251,7 +251,7 @@ def _test_columns(spec: DominantTestSpec, extra_ps: Iterable):
     order (asymptotic formulas at alpha_total).
     """
     grid = list(spec.exponents)
-    extras = sorted({as_exponent(p) for p in extra_ps} - set(grid))
+    extras = sorted({_check_p(p) for p in extra_ps} - set(grid))
     alpha = spec.alpha_total
     crits = [spec.table.standalone_kappa(p) for p in grid] + [
         _formula_kappa(p, spec.d, alpha) for p in extras
@@ -275,7 +275,7 @@ def _decide(x: np.ndarray, spec: DominantTestSpec, ps: list, crits: np.ndarray):
 class PerExponentRecord:
     """A standalone test of one exponent at the full level."""
 
-    p: Exponent
+    p: float
     statistic: float
     critical: float
     reject: bool
@@ -309,11 +309,11 @@ class TestReport:
     kurtosis: float
 
     def record(self, p) -> PerExponentRecord:
-        pv = as_exponent(p)
+        p = _check_p(p)
         for rec in self.per_p:
-            if rec.p == pv:
+            if rec.p == p:
                 return rec
-        raise KeyError(f"no record for exponent {pv}")
+        raise KeyError(f"no record for exponent {p:g}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -422,7 +422,7 @@ class CandidateRecord:
 
 @dataclass(frozen=True)
 class ConfidenceSet:
-    p: Exponent
+    p: float
     alpha: float
     critical: float
     entries: tuple[CandidateRecord, ...]
@@ -462,7 +462,7 @@ def invert_confidence_set(
     alpha = _check_alpha(alpha)
     if critical is not None and not (math.isfinite(critical) and critical > 0):
         raise ValueError(f"critical must be finite and positive, got {critical}")
-    pv = as_exponent(p)
+    p = _check_p(p)
     estimator = _check_estimator(estimator)
 
     def values(beta) -> np.ndarray:
@@ -474,7 +474,7 @@ def invert_confidence_set(
     n, d = first.shape
     if critical is None:
         critical = mc_pnorm_quantile(
-            pv, d, alpha, reps=mc_reps, seed=mc_seed, aux_rows=_matched_aux_rows(n, d)
+            p, d, alpha, reps=mc_reps, seed=mc_seed, aux_rows=_matched_aux_rows(n, d)
         )
 
     finite = np.zeros(len(grid), dtype=bool)  # False marks an undetermined candidate
@@ -491,7 +491,7 @@ def invert_confidence_set(
     stats = np.empty(len(grid))
     deficient = 0
     for lo, hi, x, rank in _whiten_chunks(len(grid), n, d, fill, estimator, _TRUNC_MULT):
-        stats[lo:hi] = _batch_pnorms(x, [pv])[:, 0]
+        stats[lo:hi] = _batch_pnorms(x, [p])[:, 0]
         deficient += int(np.count_nonzero(rank[finite[lo:hi]] < d))
     stats[~finite] = math.nan
     if not finite.all() or deficient:
@@ -506,4 +506,4 @@ def invert_confidence_set(
         CandidateRecord(float(beta), float(stat), bool(not ok or stat <= critical), not ok)
         for beta, stat, ok in zip(grid, stats, finite)
     )
-    return ConfidenceSet(p=pv, alpha=alpha, critical=float(critical), entries=entries)
+    return ConfidenceSet(p=p, alpha=alpha, critical=float(critical), entries=entries)

@@ -259,7 +259,7 @@ def test_combined_test_bounded_power_loss():
     d, alpha, reps = 100, 0.05, 5000
     spec = calibrate_spec(default_spec(d, alpha), seed=7)
     table = spec.table
-    ps = [p.value if not p.is_inf else math.inf for p in table.exponents]
+    ps = table.exponents
     kap = {p: table.kappa(p) for p in ps}
     alone2 = table.standalone_kappa(2.0)
     assert table.share(2.0) == pytest.approx(alpha / 3.0)

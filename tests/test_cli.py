@@ -110,7 +110,7 @@ class TestCalibrate:
         )
         assert code == 0
         spec = DominantTestSpec.from_json(out.read_text())
-        assert [e.value for e in spec.exponents] == [2.0, 4.0, math.inf]
+        assert spec.exponents == (2.0, 4.0, math.inf)
         assert spec.alpha_2 == spec.alpha_inf == pytest.approx(0.02)
         assert spec.per_p_shares == (pytest.approx(0.02),)
 

@@ -35,7 +35,6 @@ from pnormtest.critical_values import (
     mc_pnorm_quantile,
 )
 from pnormtest.dominant_test import calibrate_spec, default_spec
-from pnormtest.gaussian_moments import INF, as_exponent
 
 DATA = Path(__file__).parent / "data"
 
@@ -170,7 +169,7 @@ class TestBatchPnorms:
     def test_matches_naive(self):
         rng = np.random.default_rng(7)
         z = rng.standard_normal((20, 7))
-        ps = [as_exponent(p) for p in (2, 2.5, 3, 7)] + [INF]
+        ps = [2.0, 2.5, 3.0, 7.0, math.inf]
         got = _batch_pnorms(z, ps)
         for j, p in enumerate((2, 2.5, 3, 7)):
             naive = (np.abs(z) ** p).sum(axis=1) ** (1.0 / p)
@@ -179,18 +178,18 @@ class TestBatchPnorms:
 
     def test_no_overflow_at_extreme_scale(self):
         z = np.full((1, 5), 1e280)
-        got = _batch_pnorms(z, [as_exponent(4)])
+        got = _batch_pnorms(z, [4.0])
         assert np.isfinite(got[0, 0])
         assert got[0, 0] == pytest.approx(1e280 * 5**0.25, rel=1e-12)
 
     def test_zero_rows(self):
-        got = _batch_pnorms(np.zeros((2, 3)), [as_exponent(2), INF])
+        got = _batch_pnorms(np.zeros((2, 3)), [2.0, math.inf])
         assert np.all(got == 0.0)
 
     def test_scratch_rows_beyond_z_and_z_unchanged(self):
         z = np.random.default_rng(3).standard_normal((5, 4))
         before = z.copy()
-        ps = [as_exponent(p) for p in (2, 3, 4.5)] + [INF]
+        ps = [2.0, 3.0, 4.5, math.inf]
         got = _batch_pnorms(z, ps, np.empty((2, 8, 4)))
         assert np.array_equal(got, _batch_pnorms(z, ps))
         assert np.array_equal(z, before)
@@ -316,7 +315,8 @@ class TestCalibrateJoint:
         t = calibrate_joint(
             {math.inf: 0.02, 2: 0.03}, d=8, alpha_total=0.05, reps=20_000, seed=1
         )
-        assert t.exponents == (as_exponent(2), INF)
+        assert t.exponents == (2.0, math.inf)
+        assert all(type(p) is float for p in t.exponents)
 
     def test_rejects_share_mismatch(self):
         with pytest.raises(ValueError, match="sum"):
@@ -325,7 +325,8 @@ class TestCalibrateJoint:
     def test_rejects_duplicate_exponents(self):
         with pytest.raises(ValueError, match="duplicate"):
             calibrate_joint(
-                {2: 0.025, as_exponent(2.0): 0.025}, d=8, alpha_total=0.05, reps=20_000
+                # distinct Python numbers that round to the same float
+                {2**53: 0.025, 2**53 + 1: 0.025}, d=8, alpha_total=0.05, reps=20_000
             )
 
     def test_rejects_unresolvable_share(self):
@@ -436,7 +437,7 @@ def full_matrix_calibration(shares, d, alpha_total, reps, seed, aux_rows):
     level's order statistic, and c_n is the order statistic of the running
     max of norm / kappa over all rows.
     """
-    ps, vals = zip(*sorted((as_exponent(p), float(s)) for p, s in shares.items()))
+    ps, vals = zip(*sorted((float(p), float(s)) for p, s in shares.items()))
     norms = np.empty((reps, len(ps)))
     for block in range(-(-reps // _BLOCK)):
         lo = block * _BLOCK
@@ -488,7 +489,7 @@ class TestKeptRows:
             assert got == want, f"differs at {workers} workers"
 
     def test_keeps_a_small_share_of_the_rows(self):
-        ps = [as_exponent(p) for p in self.GRID]
+        ps = [float(p) for p in self.GRID]
         reps = 30 * _BLOCK + 123
         top = reps - _order_index(0.05, reps)
         kept = critical_values._reference_norms(ps, 12, reps, 5, None, top)
@@ -582,9 +583,36 @@ class TestCriticalValueTable:
             CriticalValueTable(**{**good, "c_n": 0.0})
         with pytest.raises(ValueError, match="sum"):
             CriticalValueTable(**{**good, "alpha_total": 0.2})
-        bad_entries = {as_exponent(2): (0.05, -1.0)}
+        bad_entries = {2.0: (0.05, -1.0)}
         with pytest.raises(ValueError, match="kappa"):
             CriticalValueTable(**{**good, "entries": bad_entries})
+
+    @pytest.mark.parametrize(
+        "override, error, message",
+        [
+            ({"d": 2.5}, ValueError, "d must be >= 1 and a finite integer, got 2.5"),
+            ({"d": math.nan}, ValueError, "d must be >= 1 and a finite integer, got nan"),
+            ({"mc_reps": 10.5}, ValueError, "mc_reps must be an integer >= 1, got 10.5"),
+            ({"mc_reps": math.nan}, ValueError, "mc_reps must be an integer >= 1, got nan"),
+            (
+                {"alpha_total": 1.5, "entries": {2.0: (0.9, 3.0), math.inf: (0.6, 3.0)}},
+                ValueError,
+                "alpha_total must lie in (0, 1), got 1.5",
+            ),
+            ({"entries": {2: (0.05, 3.0)}}, TypeError, "entry keys must be float exponents, got 2"),
+            ({"entries": {1.5: (0.05, 3.0)}}, ValueError, "exponent must satisfy p >= 2, got 1.5"),
+            ({"entries": {math.nan: (0.05, 3.0)}}, ValueError, "exponent must not be NaN"),
+        ],
+        ids=["fractional d", "nan d", "fractional mc_reps", "nan mc_reps",
+             "alpha_total above 1", "int key", "key below 2", "nan key"],
+    )
+    def test_constructor_rejects(self, override, error, message):
+        good = dict(
+            d=4, alpha_total=0.05, entries={2.0: (0.05, 3.0)}, c_n=1.0,
+            conservative=False, mc_reps=20_000, seed=0, standalone={2.0: 3.0},
+        )
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            CriticalValueTable(**{**good, **override})
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_values_rejected(self, value):
@@ -626,9 +654,9 @@ class TestCriticalValueTable:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("d", 0, "d must be >= 1, got 0"),
-            ("mc_reps", -5, "mc_reps must be >= 1, got -5"),
-            ("mc_reps", 0, "mc_reps must be >= 1, got 0"),
+            ("d", 0, "d must be >= 1 and a finite integer, got 0"),
+            ("mc_reps", -5, "mc_reps must be an integer >= 1, got -5"),
+            ("mc_reps", 0, "mc_reps must be an integer >= 1, got 0"),
             ("seed", -3, "seed must be nonnegative, got -3"),
             ("aux_rows", -7, "aux_rows must be null or >= d + 2, got -7"),
             ("aux_rows", 10, "aux_rows must be null or >= d + 2, got 10"),

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,6 @@ from pnormtest.dominant_test import (
     evaluate_psi,
     power_loss_bound,
 )
-from pnormtest.gaussian_moments import INF, as_exponent
 
 
 class TestDefaultSpec:
@@ -57,6 +57,16 @@ class TestDefaultSpec:
         with pytest.raises(ValueError, match="alpha"):
             default_spec(8, 0.0)
 
+    def test_accepts_a_numpy_integer_d(self):
+        s = default_spec(np.int64(40), 0.05)
+        assert s == default_spec(40, 0.05)
+        assert type(s.d) is int
+
+    @pytest.mark.parametrize("d", [2.5, math.nan, math.inf], ids=str)
+    def test_rejects_unusable_d(self, d):
+        with pytest.raises(ValueError, match=f"^d must be >= 2 and a finite integer, got {d}"):
+            default_spec(d, 0.05)
+
 
 class TestSpecInvariants:
     def base(self, **kw):
@@ -74,13 +84,13 @@ class TestSpecInvariants:
 
     def test_valid_base(self):
         s = self.base()
-        assert s.exponents == (as_exponent(2), as_exponent(3), as_exponent(4), INF)
+        assert s.exponents == (2.0, 3.0, 4.0, math.inf)
         assert not s.calibrated
 
     def test_zero_endpoint_drops_exponent(self):
         s = self.base(alpha_2=0.0, alpha_inf=0.03)
-        assert as_exponent(2) not in s.exponents
-        assert INF in s.exponents
+        assert 2.0 not in s.exponents
+        assert math.inf in s.exponents
 
     def test_rejects_partition_mismatch(self):
         with pytest.raises(ValueError, match="alpha_total"):
@@ -93,6 +103,11 @@ class TestSpecInvariants:
     def test_rejects_unsorted_grid(self):
         with pytest.raises(ValueError, match="increasing"):
             self.base(p_grid=(4.0, 3.0))
+
+    @pytest.mark.parametrize("d", [2.5, math.nan], ids=str)
+    def test_rejects_unusable_d(self, d):
+        with pytest.raises(ValueError, match=f"^d must be >= 1 and a finite integer, got {d}$"):
+            self.base(d=d)
 
     def test_rejects_out_of_range_exponent(self):
         with pytest.raises(ValueError, match="2, inf"):
@@ -128,7 +143,7 @@ class TestSpecInvariants:
             p_grid=(),
             per_p_shares=(),
         )
-        assert s.exponents == (as_exponent(2),)
+        assert s.exponents == (2.0,)
 
     def test_rejects_all_zero_allocation(self):
         with pytest.raises(ValueError, match="no positive share"):
@@ -226,7 +241,7 @@ class TestEvaluatePsi:
 
     def test_missing_exponent_errors(self, calibrated):
         stats = self.zeros(calibrated)
-        del stats[INF]
+        del stats[math.inf]
         with pytest.raises(ValueError, match="missing"):
             evaluate_psi(stats, calibrated)
 
@@ -254,7 +269,7 @@ class TestEvaluatePsi:
 class TestPowerLossBound:
     def test_zero_at_full_share(self):
         assert power_loss_bound(2, 0.05, 0.05) == 0.0
-        assert power_loss_bound(INF, 0.05, 0.05) == 0.0
+        assert power_loss_bound(math.inf, 0.05, 0.05) == 0.0
 
     def test_finite_p_third_share(self):
         oracle = (norm.ppf(1 - 0.05 / 3) - norm.ppf(0.95)) / math.sqrt(2 * math.pi)
@@ -265,13 +280,13 @@ class TestPowerLossBound:
     def test_sup_third_share(self):
         f = lambda x: math.log(-math.log(1 - x) / 2)
         oracle = f(0.05) - f(0.05 / 3)
-        got = power_loss_bound(INF, 0.05, 0.05 / 3)
+        got = power_loss_bound(math.inf, 0.05, 0.05 / 3)
         assert got == pytest.approx(oracle, abs=1e-12)
         assert got == pytest.approx(1.1158, abs=2e-4)
 
     def test_increasing_as_share_shrinks(self):
         shares = [0.05, 0.02, 0.01, 0.004, 0.001]
-        for p in (2, 5, INF):
+        for p in (2, 5, math.inf):
             vals = [power_loss_bound(p, 0.05, a) for a in shares]
             assert all(b > a for a, b in zip(vals, vals[1:]))
             assert all(v >= 0.0 for v in vals)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import norm
 
+from pnormtest.critical_values import calibrate_joint, kappa_p_asymptotic, mc_pnorm_quantile
+from pnormtest.dominant_test import calibrate_spec, default_spec, power_loss_bound
 from pnormtest.gaussian_moments import (
-    INF,
-    Exponent,
-    as_exponent,
+    _check_p,
     g_p,
     lambda_p,
     mills_odds,
@@ -18,6 +19,8 @@ from pnormtest.gaussian_moments import (
     normal_quantile,
     sigma_p,
 )
+from pnormtest.sample_split import split_test
+from pnormtest.test_engine import invert_confidence_set, p_norm_stat, run_tests
 
 from _oracles import lambda_quadrature
 
@@ -35,24 +38,68 @@ def mc_draws():
     return np.random.default_rng(20240817).standard_normal(1_000_000)
 
 
-class TestExponent:
+class TestCheckP:
+    @pytest.mark.parametrize(
+        "p, want",
+        [(2, 2.0), (2.5, 2.5), (np.int64(3), 3.0), (np.float64(4.5), 4.5), (math.inf, math.inf)],
+        ids=str,
+    )
+    def test_returns_a_float(self, p, want):
+        got = _check_p(p)
+        assert got == want and type(got) is float
+
     def test_rejects_p_below_two(self):
-        with pytest.raises(ValueError):
-            Exponent(1.9)
+        with pytest.raises(ValueError, match="^exponent must satisfy p >= 2, got 1.9$"):
+            _check_p(1.9)
+        with pytest.raises(ValueError, match="p >= 2"):
+            _check_p(-math.inf)
 
     def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            Exponent(float("nan"))
+        with pytest.raises(ValueError, match="^exponent must not be NaN$"):
+            _check_p(float("nan"))
 
-    def test_inf_compares_greater_than_every_finite(self):
-        assert INF > Exponent(2.0)
-        assert INF > Exponent(1e12)
-        assert Exponent(3) < Exponent(4) < INF
+    @pytest.mark.parametrize("p", [True, "3", None, 3 + 0j], ids=repr)
+    def test_rejects_non_real_values(self, p):
+        with pytest.raises(TypeError, match="^exponent must be a real number"):
+            _check_p(p)
 
-    def test_coercion(self):
-        assert as_exponent(2) == Exponent(2.0)
-        assert as_exponent(INF) is INF
-        assert as_exponent(math.inf).is_inf
+
+@pytest.fixture(scope="module")
+def spec4():
+    return calibrate_spec(default_spec(4, 0.05), reps=20_000, seed=2)
+
+
+SAMPLE = np.random.default_rng(5).standard_normal((80, 6))
+
+# every public function that computes with an exponent, called with exponent p
+EXPONENT_ENTRY_POINTS = {
+    "lambda_p": lambda p, spec: lambda_p(p, 0.0),
+    "sigma_p": lambda p, spec: sigma_p(p),
+    "g_p": lambda p, spec: g_p(p, 1.0),
+    "p_norm_stat": lambda p, spec: p_norm_stat(SAMPLE[0], p),
+    "kappa_p_asymptotic": lambda p, spec: kappa_p_asymptotic(p, 10, 0.05),
+    "power_loss_bound": lambda p, spec: power_loss_bound(p, 0.05, 0.01),
+    "mc_pnorm_quantile": lambda p, spec: mc_pnorm_quantile(p, 4, 0.05, reps=2000),
+    "calibrate_joint": lambda p, spec: calibrate_joint({2: 0.025, p: 0.025}, 4, 0.05, 4000),
+    "invert_confidence_set": lambda p, spec: invert_confidence_set(
+        lambda beta: SAMPLE, [0.0], p, 0.05, critical=3.0
+    ),
+    "greedy split_test": lambda p, spec: split_test(
+        SAMPLE, 4, selection="greedy", p=p, spec=spec, seed=1
+    ),
+    "run_tests extra_ps": lambda p, spec: run_tests(SAMPLE[:, :4], spec, extra_ps=[p]),
+    "TestReport.record": lambda p, spec: run_tests(SAMPLE[:, :4], spec).record(p),
+}
+
+
+class TestExponentBoundary:
+    @pytest.mark.parametrize("bad", [True, math.nan, 1.9, "3"], ids=repr)
+    @pytest.mark.parametrize("entry", EXPONENT_ENTRY_POINTS, ids=str)
+    def test_rejects_as_check_p_does(self, entry, bad, spec4):
+        with pytest.raises((TypeError, ValueError)) as want:
+            _check_p(bad)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            EXPONENT_ENTRY_POINTS[entry](bad, spec4)
 
 
 class TestLambdaP:
@@ -111,7 +158,7 @@ class TestLambdaP:
         with pytest.raises(ValueError):
             lambda_p(1.5, 0.0)
         with pytest.raises(ValueError):
-            lambda_p(INF, 0.0)
+            lambda_p(math.inf, 0.0)
         with pytest.raises(ValueError):
             lambda_p(2, math.inf)
 

@@ -254,7 +254,7 @@ class TestSplitTest:
         values = np.random.default_rng(6).standard_normal((120, 12))
         result = split_test(values, 2, selection="top", reps=20_000, seed=3)
         assert result.report.d == 2
-        calibrated = {rec.p.value for rec in result.report.per_p if rec.source == "calibrated"}
+        calibrated = {rec.p for rec in result.report.per_p if rec.source == "calibrated"}
         assert calibrated == {2.0, 3.0, math.inf}
 
 
