@@ -354,10 +354,10 @@ class _TopRows:
     """The rows of a stream of norm rows that can hold a column's ``top`` largest values.
 
     Rows arrive from several threads through :meth:`add` and are stored
-    column by column in one buffer.  When the buffer passes ``limit`` rows
-    it is pruned in place: each column's cut becomes the ``top``-th largest
-    value the buffer holds, and a row stays while any of its values is at
-    or above its column's cut.  Later rows below every cut are dropped on
+    row by row in one buffer.  When the buffer passes ``limit`` rows it is
+    pruned in place: each column's cut becomes the ``top``-th largest value
+    the buffer holds, and a row stays while any of its values is at or
+    above its column's cut.  Later rows below every cut are dropped on
     arrival.
 
     Nothing needed is lost.  Let s_j be the ``top``-th largest value of
@@ -374,16 +374,25 @@ class _TopRows:
     fl(x_j / k_j) > fl(s_j / k_j) in its argmax column j, so x_j > s_j and
     the row is kept.  Either way ``top`` kept rows have r >= c.
 
-    The limit starts at 4 ``top``: a pruned buffer of the default grids
-    holds about 2 ``top`` rows, so each prune frees about half of it.  A
-    prune that frees less than a quarter doubles the limit, so the pruning
-    work stays proportional to the rows added.
+    The resident size follows the rows held, not the capacity.  The
+    buffer is row-major, so only the prefix written so far is in memory:
+    numpy asks for transparent huge pages on large arrays, and in a
+    column-major buffer the first row written would bring in a 2 MB page
+    for every column.  The first prune comes past 2 ``top`` rows, and each
+    prune sets the limit to the rows it keeps plus a fixed slack of
+    ``top // 2`` rows (at least one block).  Every prune therefore admits
+    at least the slack, so the pruning work stays proportional to the rows
+    added, and a prune never starts with more than the slack and one
+    block beyond the rows the last prune kept.  The capacity grows only
+    when the limit and one block no longer fit.  Compaction moves the kept
+    rows forward one block at a time, so its temporary is one block.
     """
 
     def __init__(self, columns: int, top: int, reps: int):
         self.top, self.reps = top, reps
-        self.limit = 4 * top
-        self.cols = np.empty((columns, min(reps, self.limit + _BLOCK)))
+        self.slack = max(top // 2, _BLOCK)
+        self.limit = 2 * top
+        self.rows = np.empty((min(reps, 4 * top + _BLOCK), columns))
         self.n = 0
         self.cut = np.full(columns, -np.inf)
         self.lock = threading.Lock()
@@ -394,29 +403,35 @@ class _TopRows:
         new = norms[(norms >= self.cut).any(axis=1)]
         with self.lock:
             end = self.n + len(new)
-            self.cols[:, self.n : end] = new.T
+            self.rows[self.n : end] = new
             self.n = end
             if end > self.limit:
                 self._prune()
 
     def _prune(self) -> None:
-        cols = self.cols[:, : self.n]
-        cut = np.array([np.partition(col, -self.top)[-self.top] for col in cols])
+        held = self.rows[: self.n]
+        cut = np.array([np.partition(col, -self.top)[-self.top] for col in held.T])
         keep = np.zeros(self.n, dtype=bool)
-        for col, c in zip(cols, cut):
+        for col, c in zip(held.T, cut):
             keep |= col >= c
-        n = int(np.count_nonzero(keep))
-        for col in cols:
-            col[:n] = col[keep]
+        # a block's kept rows land at or before the block, so no rows are
+        # overwritten before they are read
+        n = 0
+        for lo in range(0, self.n, _BLOCK):
+            block = held[lo : lo + _BLOCK][keep[lo : lo + _BLOCK]]
+            held[n : n + len(block)] = block
+            n += len(block)
         self.n, self.cut = n, cut
-        if n > 3 * self.limit // 4:
-            self.limit *= 2
-            grown = np.empty((len(cols), min(self.reps, self.limit + _BLOCK)))
-            grown[:, :n] = cols[:, :n]
-            self.cols = grown
+        self.limit = n + self.slack
+        capacity = min(self.reps, self.limit + _BLOCK)
+        if capacity > len(self.rows):
+            grown = np.empty((capacity, held.shape[1]))
+            grown[:n] = held[:n]
+            self.rows = grown
 
     def kept(self) -> np.ndarray:
-        return self.cols[:, : self.n]
+        """The kept rows as a (columns, kept) view."""
+        return self.rows[: self.n].T
 
 
 # A block is drawn and normed in passes of at most about this many
@@ -561,6 +576,9 @@ class CriticalValueTable(_JsonDocument):
         for p in self.entries:
             if not 0.0 < self.standalone.get(p, 0.0) < math.inf:
                 raise ValueError(f"standalone kappa at p={p:g} must be present, positive and finite")
+        # the reader's converters too, so that to_json writes no table from_json rejects
+        scalars = {name: rule for name, rule in _TABLE_FIELDS.items() if name != "entries"}
+        _parse({name: getattr(self, name) for name in scalars}, scalars, "")
 
     @property
     def exponents(self) -> tuple[float, ...]:

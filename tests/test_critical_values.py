@@ -498,6 +498,24 @@ class TestKeptRows:
         full = critical_values._reference_norms(ps, 12, reps, 5, None, reps)
         assert full.shape == (len(ps), reps)
 
+    def test_buffer_fill_stays_near_the_kept_rows(self, monkeypatch):
+        # the rows held on entry to every prune, on the default d = 200 grid
+        monkeypatch.setattr(critical_values, "_worker_count", lambda blocks: 1)
+        fills = []
+        prune = _TopRows._prune
+
+        def recording_prune(buffer):
+            fills.append(buffer.n)
+            prune(buffer)
+
+        monkeypatch.setattr(_TopRows, "_prune", recording_prune)
+        ps = list(default_spec(200, 0.05).share_map())
+        reps = 200_000
+        top = reps - _order_index(0.05, reps)
+        critical_values._reference_norms(ps, 200, reps, 0, None, top)
+        assert fills
+        assert max(fills) <= 3 * top + _BLOCK
+
     def test_peak_memory_is_a_fraction_of_the_norm_matrix(self, monkeypatch):
         # one worker: each worker adds its own scratch, which does not grow with reps
         monkeypatch.setattr(critical_values, "_worker_count", lambda blocks: 1)
@@ -602,9 +620,20 @@ class TestCriticalValueTable:
             ({"entries": {2: (0.05, 3.0)}}, TypeError, "entry keys must be float exponents, got 2"),
             ({"entries": {1.5: (0.05, 3.0)}}, ValueError, "exponent must satisfy p >= 2, got 1.5"),
             ({"entries": {math.nan: (0.05, 3.0)}}, ValueError, "exponent must not be NaN"),
+            # values in range that the reader's converters reject: to_json
+            # would write a document that from_json cannot read
+            ({"seed": 2.5}, ValueError, "seed: expected an integer, got 2.5"),
+            ({"seed": True}, ValueError, "seed: expected a number, got True"),
+            ({"aux_rows": 7.5}, ValueError, "aux_rows: expected an integer, got 7.5"),
+            ({"mc_reps": True}, ValueError, "mc_reps: expected a number, got True"),
+            ({"d": True, "aux_rows": 3}, ValueError, "d: expected a number, got True"),
+            ({"conservative": "no"}, ValueError, "conservative: expected true or false, got 'no'"),
+            ({"c_n": True}, ValueError, "c_n: expected a number, got True"),
         ],
         ids=["fractional d", "nan d", "fractional mc_reps", "nan mc_reps",
-             "alpha_total above 1", "int key", "key below 2", "nan key"],
+             "alpha_total above 1", "int key", "key below 2", "nan key",
+             "fractional seed", "flag seed", "fractional aux_rows", "flag mc_reps",
+             "flag d", "string flag", "flag c_n"],
     )
     def test_constructor_rejects(self, override, error, message):
         good = dict(
