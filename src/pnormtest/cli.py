@@ -228,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--reps", type=int, default=None, help="Monte-Carlo draws (default: auto)")
     cal.add_argument("--seed", type=int, default=0)
     cal.add_argument("--aux-rows", type=int, default=None,
-                     help="finite-sample reference with this many estimator rows")
+                     help="finite-sample reference at this many difference pairs, at least d + 2")
     cal.add_argument("--out", required=True)
     cal.set_defaults(func=_cmd_calibrate)
 

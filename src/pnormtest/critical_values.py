@@ -24,7 +24,8 @@ data is exactly elliptical:
 with F an F(d, m-d+1) variable independent of Z.  Passing ``aux_rows=m``
 draws the reference from this finite-sample law instead, which makes the
 Monte-Carlo critical values exact at any (d, m) rather than only in the
-limit m -> infinity (where the two laws coincide).  Requires m >= d + 2.
+limit m -> infinity (where the two laws coincide).  ``_RadialLaw`` owns
+the law, its debias and its radius draw; m must be an integer >= d + 2.
 
 Monte-Carlo draws are organised in fixed-size blocks, each fed by its own
 counter-based Philox stream keyed (seed, block index), so results are
@@ -234,7 +235,7 @@ def _check_d(d, least: int = 1, hint: str = "") -> int:
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     return int(seed)
 
@@ -290,6 +291,30 @@ def kappa_inf_exact(d: int, alpha: float) -> float:
 def _formula_kappa(p, d: int, alpha: float) -> float:
     """The formula critical value of exponent ``p``: exact at p = inf, asymptotic below."""
     return kappa_inf_exact(d, alpha) if math.isinf(p) else kappa_p_asymptotic(p, d, alpha)
+
+
+class _RadialLaw:
+    """The finite-sample reference law at m pairs in dimension d; None marks the Gaussian limit."""
+
+    def __init__(self, d: int, m: int) -> None:
+        if not self.names(m, d):
+            raise ValueError(f"aux_rows must be null or an integer >= d + 2, got {m!r}")
+        self.d, self.m = d, int(m)
+        # the covariance debias, and the squared radius (m-d-1) d / (m-d+1) * F(d, m-d+1)
+        self.debias, self.radius_scale = m / (m - d - 1.0), (m - d - 1.0) * d / (m - d + 1.0)
+
+    @staticmethod
+    def names(m, d: int) -> bool:
+        """Whether m pairs name the law: m is an integer, not a bool, and m >= d + 2."""
+        return isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= d + 2
+
+    @classmethod
+    def matched_rows(cls, n: int, d: int) -> int | None:
+        """The n // 2 difference pairs of an n-row sample if they name the law, else None."""
+        return n // 2 if cls.names(n // 2, d) else None
+
+    def radii(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return np.sqrt(self.radius_scale * rng.f(self.d, self.m - self.d + 1, size=size))
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -441,24 +466,15 @@ _PASS_ENTRIES = 1 << 15
 
 
 def _reference_norms(
-    ps: list[float], d: int, reps: int, seed: int, aux_rows: int | None, top: int
+    ps: list[float], d: int, reps: int, seed: int, law: _RadialLaw | None, top: int
 ) -> np.ndarray:
     """Reference norms of every draw that can hold a column's ``top`` largest value.
 
     Returns an array of shape (len(ps), kept): column j of the reps x
-    len(ps) matrix of reference norms from the shared draw stream,
+    len(ps) matrix of reference norms under ``law`` (None: Gaussian),
     restricted to the same kept rows for every j (see :class:`_TopRows`).
     With ``top = reps`` every row is kept.
     """
-    radius_scale = None
-    if aux_rows is not None:
-        m = int(aux_rows)
-        if m < d + 2:
-            raise ValueError(
-                f"finite-sample reference needs aux_rows >= d + 2, got m={m}, d={d}"
-            )
-        # squared radius = (m-d-1) d / (m-d+1) * F(d, m-d+1)
-        radius_scale = (m - d - 1.0) * d / (m - d + 1.0)
     blocks = (reps + _BLOCK - 1) // _BLOCK
     workers = _worker_count(blocks)
     rows = math.ceil(_BLOCK / math.ceil(_BLOCK * d / _PASS_ENTRIES))
@@ -483,14 +499,12 @@ def _reference_norms(
             for lo in range(0, b, rows):
                 z = rng.standard_normal(out=buf[0, : min(rows, b - lo)])
                 norms[lo : lo + len(z)] = _batch_pnorms(z, ps, buf[1:])
-                if radius_scale is not None:
+                if law is not None:
                     # ||z||_2 exactly as np.linalg.norm(z, axis=1) forms it
                     sq = np.multiply(z, z, out=buf[1, : len(z)])
                     z_norm[lo : lo + len(z)] = np.sqrt(sq.sum(axis=1))
-            if radius_scale is not None:
-                f = rng.f(d, m - d + 1, size=b)
-                radius = np.sqrt(radius_scale * f)
-                norms *= (radius / z_norm)[:, None]
+            if law is not None:
+                norms *= (law.radii(rng, b) / z_norm)[:, None]
             candidates.add(norms)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -551,8 +565,6 @@ class CriticalValueTable(_JsonDocument):
             raise ValueError(f"mc_reps must be an integer >= 1, got {self.mc_reps}")
         if not self.seed >= 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not (self.aux_rows is None or self.aux_rows >= self.d + 2):
-            raise ValueError(f"aux_rows must be null or >= d + 2, got {self.aux_rows}")
         if not self.entries:
             raise ValueError("table needs at least one exponent entry")
         total = 0.0
@@ -579,6 +591,8 @@ class CriticalValueTable(_JsonDocument):
         # the reader's converters too, so that to_json writes no table from_json rejects
         scalars = {name: rule for name, rule in _TABLE_FIELDS.items() if name != "entries"}
         _parse({name: getattr(self, name) for name in scalars}, scalars, "")
+        if self.aux_rows is not None:
+            _RadialLaw(self.d, self.aux_rows)
 
     @property
     def exponents(self) -> tuple[float, ...]:
@@ -682,6 +696,7 @@ def calibrate_joint(
     alpha_total = _check_alpha(alpha_total)
     seed = _check_seed(seed)
     d = _check_d(d)
+    law = None if aux_rows is None else _RadialLaw(d, aux_rows)
     if not shares:
         raise ValueError("need at least one exponent share")
     ps, vals = zip(*sorted((_check_p(p), float(s)) for p, s in shares.items()))
@@ -700,7 +715,7 @@ def calibrate_joint(
     # every order statistic read below is among the top reps - min(ks)
     # values of its column or of the ratios, so only rows that can hold
     # one are kept: full-sample index k is kept-row index k - skip
-    norms = _reference_norms(ps, d, reps, seed, aux_rows, reps - min(ks))
+    norms = _reference_norms(ps, d, reps, seed, law, reps - min(ks))
     skip = reps - norms.shape[1]
     k_alpha, *k_shares = (k - skip for k in ks)
     # one partition per column yields both its share kappa and its standalone kappa
@@ -724,6 +739,6 @@ def calibrate_joint(
         conservative=conservative,
         mc_reps=reps,
         seed=seed,
-        aux_rows=aux_rows,
+        aux_rows=None if law is None else law.m,
         standalone=standalone,
     )

@@ -45,14 +45,26 @@ def _check_cov_dist(cov: str, r: float, dist: str, dof: float) -> None:
         raise ValueError(f"t errors need dof > 4, got {dof}")
 
 
-def _cov_root(kind: str, r: float, d: int) -> np.ndarray | None:
-    """Lower Cholesky factor of the covariance, or None for identity."""
+def _correlated(z: np.ndarray, kind: str, r: float) -> np.ndarray:
+    """Rows of z given covariance ``kind``: z itself for identity, else z @ L' for
+    the lower Cholesky factor L of the Toeplitz matrix r^|i-j|."""
     if kind == "identity":
-        return None
+        return z
     # imported here so identity designs never load scipy
     from scipy.linalg import cholesky, toeplitz
 
-    return cholesky(toeplitz(r ** np.arange(d)), lower=True)
+    return z @ cholesky(toeplitz(r ** np.arange(z.shape[1])), lower=True).T
+
+
+def _frozen_vector(value, d: int, name: str) -> np.ndarray:
+    """A read-only copy of ``value`` as a finite d-vector."""
+    v = np.array(value, dtype=float)
+    if v.shape != (d,):
+        raise ValueError(f"{name} must be a d-vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} entries must be finite")
+    v.flags.writeable = False
+    return v
 
 
 def _unit_t_scale(rng: np.random.Generator, dof: float, n: int) -> np.ndarray:
@@ -77,17 +89,10 @@ class IvConfig:
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
-        pi = np.asarray(self.pi, dtype=float)
-        if pi.shape != (self.d,):
-            raise ValueError(f"pi must be a d-vector, got shape {pi.shape}")
-        if not np.all(np.isfinite(pi)):
-            raise ValueError("pi entries must be finite")
+        object.__setattr__(self, "pi", _frozen_vector(self.pi, self.d, "pi"))
         if not -1.0 < self.endogeneity_rho < 1.0:
             raise ValueError(f"|rho| < 1 required, got {self.endogeneity_rho}")
         _check_cov_dist(self.instrument_cov, self.toeplitz_r, self.error_dist, self.t_dof)
-        pi = pi.copy()
-        pi.flags.writeable = False
-        object.__setattr__(self, "pi", pi)
 
 
 @dataclass(frozen=True)
@@ -108,15 +113,8 @@ class RctConfig:
             raise ValueError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
         if not 0.0 < self.pi_treat < 1.0:
             raise ValueError(f"pi_treat must lie in (0, 1), got {self.pi_treat}")
-        eff = np.asarray(self.effect, dtype=float)
-        if eff.shape != (self.d,):
-            raise ValueError(f"effect must be a d-vector, got shape {eff.shape}")
-        if not np.all(np.isfinite(eff)):
-            raise ValueError("effect entries must be finite")
+        object.__setattr__(self, "effect", _frozen_vector(self.effect, self.d, "effect"))
         _check_cov_dist(self.outcome_cov, self.toeplitz_r, self.outcome_dist, self.t_dof)
-        eff = eff.copy()
-        eff.flags.writeable = False
-        object.__setattr__(self, "effect", eff)
 
 
 def gen_iv(cfg: IvConfig, beta_star: float, seed) -> np.ndarray:
@@ -127,10 +125,7 @@ def gen_iv(cfg: IvConfig, beta_star: float, seed) -> np.ndarray:
     null true at all candidate values).
     """
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((cfg.n, cfg.d))
-    root = _cov_root(cfg.instrument_cov, cfg.toeplitz_r, cfg.d)
-    if root is not None:
-        z = z @ root.T
+    z = _correlated(rng.standard_normal((cfg.n, cfg.d)), cfg.instrument_cov, cfg.toeplitz_r)
     e = rng.standard_normal((cfg.n, 2))
     rho = cfg.endogeneity_rho
     u = e[:, 0]
@@ -152,10 +147,7 @@ def gen_rct(cfg: RctConfig, beta_star, seed) -> np.ndarray:
     if beta_star.shape != (cfg.d,):
         raise ValueError(f"beta_star must be a d-vector, got shape {beta_star.shape}")
     rng = np.random.default_rng(seed)
-    y0 = rng.standard_normal((cfg.n, cfg.d))
-    root = _cov_root(cfg.outcome_cov, cfg.toeplitz_r, cfg.d)
-    if root is not None:
-        y0 = y0 @ root.T
+    y0 = _correlated(rng.standard_normal((cfg.n, cfg.d)), cfg.outcome_cov, cfg.toeplitz_r)
     if cfg.outcome_dist == "t":
         y0 = y0 * _unit_t_scale(rng, cfg.t_dof, cfg.n)[:, None]
     treated = rng.random(cfg.n) < cfg.pi_treat

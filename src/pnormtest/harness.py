@@ -47,6 +47,7 @@ from .covariance import _TRUNC_MULT, _checked
 from .critical_values import (
     SCHEMA_VERSION,
     UsageError,
+    _RadialLaw,
     _block_rng,
     _document,
     _exponent,
@@ -65,7 +66,6 @@ from .dominant_test import calibrate_spec, default_spec
 from .test_engine import (  # run_tests stays importable from this module
     _check_estimator,
     _decide,
-    _matched_aux_rows,
     _test_columns,
     _whiten_chunks,
     run_tests,
@@ -295,7 +295,7 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
         raise UsageError(f"test.alpha: must lie in (0, 1), got {alpha}")
     if not trunc_mult > 0:
         raise UsageError(f"test.trunc_mult: must be positive, got {trunc_mult}")
-    aux = _matched_aux_rows(n, d) if opts["aux_rows"] == "fold" else None
+    aux = _RadialLaw.matched_rows(n, d) if opts["aux_rows"] == "fold" else None
 
     try:
         spec = calibrate_spec(

@@ -29,13 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import _checked
-from .critical_values import _batch_pnorms
+from .critical_values import _RadialLaw, _batch_pnorms
 from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from .gaussian_moments import _check_p
 from .test_engine import (
     TestReport,
     _check_table_rows,
-    _matched_aux_rows,
     _run_tests,
     _warn_rank,
     _whiten,
@@ -300,7 +299,7 @@ def split_test(
             stacklevel=2,
         )
     if spec is None:
-        aux = _matched_aux_rows(n2, d)
+        aux = _RadialLaw.matched_rows(n2, d)
         spec = calibrate_spec(default_spec(d, alpha), reps=reps, seed=mc_seed, aux_rows=aux)
     report = _run_tests(values[np.ix_(idx2, chosen)], spec, estimator)
     _warn_rank(report.rank, d)

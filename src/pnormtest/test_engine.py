@@ -28,9 +28,9 @@ built from m difference rows overshoots the true inverse by a factor of
 roughly m/(m-d-1) (exactly, in expectation, for Wishart draws).  To keep
 the standardized coordinates on the unit-variance scale that every
 critical value in this package assumes, the kernel multiplies the
-estimate by m/(m-d-1) whenever m >= d + 2.  The matching finite-sample
-reference law for critical values is available through the ``aux_rows``
-argument of the calibration functions.
+estimate by m/(m-d-1) whenever its m pairs have the finite-sample reference
+law.  The ``critical_values`` docstring states that law and when m pairs
+have it; the ``aux_rows`` argument of calibration draws from it.
 
 Rank deficiency is handled by the Moore-Penrose convention: eigenvalues
 at or below 1e-10 times the largest get w^{-1/2} := 0, so singular
@@ -57,6 +57,7 @@ from .covariance import (
     _truncate_rows,
 )
 from .critical_values import (
+    _RadialLaw,
     _batch_pnorms,
     _check_alpha,
     _exponent_key,
@@ -111,7 +112,7 @@ def _whiten_stack(values: np.ndarray, estimator: str, trunc_mult: float):
     """Whitening kernel for a stack of samples ``values`` of shape (..., n, d).
 
     Difference pairs, the sample or truncated second moment (one median
-    per sample), the m/(m-d-1) debias when m >= d + 2, then ``_whiten``.
+    per sample), the debias of the matched reference law if any, then ``_whiten``.
     ``estimator`` is a checked name.  Returns (x, w, rank, sigma, aux):
     whitened vectors (..., d), eigenvalues (..., d), ranks (...), debiased
     covariance estimates (..., d, d) and difference-pair rows (..., m, d).
@@ -120,10 +121,10 @@ def _whiten_stack(values: np.ndarray, estimator: str, trunc_mult: float):
     aux = _pair_rows(values)
     rows = _truncate_rows(aux, trunc_mult) if estimator == "truncated" else aux
     sigma = _second_moment(rows)
-    m = aux.shape[-2]
-    if m >= d + 2:
+    m = _RadialLaw.matched_rows(n, d)
+    if m is not None:
         # unbias the inverse: E[(c W)^-1] = Sigma^-1 at c = m/(m-d-1)
-        sigma *= m / (m - d - 1.0)
+        sigma *= _RadialLaw(d, m).debias
     h = math.sqrt(n) * values.mean(axis=-2)
     x, w, rank = _whiten(h, sigma)
     return x, w, rank, sigma, aux
@@ -216,13 +217,6 @@ def prepare_standardized(s, estimator: str = "sample", trunc_mult: float = _TRUN
     x, w, rank, sigma, aux = (a[0] for a in out)
     _warn_rank(int(rank), values.shape[1])
     return x, w, int(rank), sigma, aux
-
-
-def _matched_aux_rows(n: int, d: int) -> int | None:
-    """The finite-sample reference law's row count for an n x d sample: its
-    n // 2 difference pairs when they can estimate a d x d covariance, else
-    None (the Gaussian limit law)."""
-    return n // 2 if n // 2 >= d + 2 else None
 
 
 def _table_rows_mismatch(spec: DominantTestSpec, m: int) -> str | None:
@@ -474,7 +468,7 @@ def invert_confidence_set(
     n, d = first.shape
     if critical is None:
         critical = mc_pnorm_quantile(
-            p, d, alpha, reps=mc_reps, seed=mc_seed, aux_rows=_matched_aux_rows(n, d)
+            p, d, alpha, reps=mc_reps, seed=mc_seed, aux_rows=_RadialLaw.matched_rows(n, d)
         )
 
     finite = np.zeros(len(grid), dtype=bool)  # False marks an undetermined candidate

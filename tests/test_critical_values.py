@@ -256,17 +256,27 @@ class TestMcQuantile:
         finite = mc_pnorm_quantile(3, d, 0.05, reps=100_000, seed=8, aux_rows=10**6)
         assert finite == pytest.approx(gauss, abs=0.02)
 
-    def test_aux_rows_too_small(self):
+    @pytest.mark.parametrize("aux_rows", [11, 100.5, "100", True, math.nan])
+    def test_aux_rows_too_small(self, monkeypatch, aux_rows):
+        # at d = 10 only an integer aux_rows >= 12 names a reference law; any
+        # other value is refused before the draw count is checked or drawn
+        def no_draws(seed, block):
+            raise AssertionError("drew reference vectors before checking aux_rows")
+
+        monkeypatch.setattr(critical_values, "_block_rng", no_draws)
         with pytest.raises(ValueError, match="aux_rows"):
-            mc_pnorm_quantile(2, 10, 0.05, reps=2000, seed=0, aux_rows=11)
+            mc_pnorm_quantile(2, 10, 0.05, reps=2000, seed=0, aux_rows=aux_rows)
+        with pytest.raises(ValueError, match="aux_rows"):
+            calibrate_joint({2: 0.05}, 10, 0.05, reps=999, seed=0, aux_rows=aux_rows)
 
     def test_rejects_tiny_reps(self):
         with pytest.raises(ValueError, match="reps"):
             mc_pnorm_quantile(2, 10, 0.05, reps=999, seed=0)
 
-    def test_rejects_bad_seed(self):
+    @pytest.mark.parametrize("seed", [-1, True])
+    def test_rejects_bad_seed(self, seed):
         with pytest.raises(ValueError, match="seed"):
-            mc_pnorm_quantile(2, 10, 0.05, reps=2000, seed=-1)
+            mc_pnorm_quantile(2, 10, 0.05, reps=2000, seed=seed)
 
     def test_needs_100_draws_beyond_the_quantile(self):
         with pytest.raises(ValueError, match="need at least 10000"):
@@ -569,6 +579,12 @@ class TestCriticalValueTable:
         t = self.make()
         assert CriticalValueTable.from_json(t.to_json()) == t
 
+    def test_numpy_integer_arguments_are_written_as_ints(self):
+        seed, aux_rows = np.int64(1), np.int64(30)
+        t = calibrate_joint({2: 0.05}, 4, 0.05, reps=2000, seed=seed, aux_rows=aux_rows)
+        assert type(t.seed) is int and type(t.aux_rows) is int
+        assert CriticalValueTable.from_json(t.to_json()) == t
+
     @pytest.mark.parametrize("name", ["table_d12.json", "table_d40_aux200.json"])
     def test_golden_tables_round_trip(self, name):
         text = (DATA / name).read_text()
@@ -687,8 +703,8 @@ class TestCriticalValueTable:
             ("mc_reps", -5, "mc_reps must be an integer >= 1, got -5"),
             ("mc_reps", 0, "mc_reps must be an integer >= 1, got 0"),
             ("seed", -3, "seed must be nonnegative, got -3"),
-            ("aux_rows", -7, "aux_rows must be null or >= d + 2, got -7"),
-            ("aux_rows", 10, "aux_rows must be null or >= d + 2, got 10"),
+            ("aux_rows", -7, "aux_rows must be null or an integer >= d + 2, got -7"),
+            ("aux_rows", 10, "aux_rows must be null or an integer >= d + 2, got 10"),
         ],
     )
     def test_reader_rejects_out_of_range_fields(self, field, value, message):

@@ -12,8 +12,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import pinvh
 
-from pnormtest.covariance import MomentSample, difference_pairs, sample_cov
-from pnormtest.critical_values import kappa_p_asymptotic, mc_pnorm_quantile
+from pnormtest.covariance import _TRUNC_MULT, MomentSample, difference_pairs, sample_cov
+from pnormtest.critical_values import (
+    CriticalValueTable,
+    _RadialLaw,
+    kappa_p_asymptotic,
+    mc_pnorm_quantile,
+)
 from pnormtest.dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from pnormtest.matrix_core import SymMatrix
 from pnormtest.sample_split import split_test
@@ -134,21 +139,40 @@ class TestThetaOracle:
             theta_oracle(np.ones(2), np.eye(2), math.inf)
 
 
-class TestPrepareStandardized:
-    def test_debias_factor_applied(self):
-        s = gaussian_sample(12, 2, seed=0)
-        _, _, _, sigma, pairs = prepare_standardized(s)
-        aux = difference_pairs(s)
-        m, d = aux.shape
-        raw = sample_cov(aux)
-        assert np.allclose(sigma, raw.entries * (m / (m - d - 1)))
-        assert pairs.shape[0] == 6
+def law_at(m, d, seed):
+    """For a 2m x d sample: its matched law's row count, whether a table
+    accepts aux_rows=m, and the kernel's covariance estimate with the raw
+    second moment of the sample's m difference pairs."""
+    s = gaussian_sample(2 * m, d, seed=seed)
+    table = dict(
+        d=d, alpha_total=0.05, entries={2.0: (0.05, 3.0)}, c_n=1.0,
+        conservative=False, mc_reps=20_000, seed=0, standalone={2.0: 3.0},
+    )
+    try:
+        accepted = CriticalValueTable(**table, aux_rows=m).aux_rows == m
+    except ValueError:
+        accepted = False
+    sigma, pairs = _whiten_stack(s[None], "sample", _TRUNC_MULT)[3:]
+    assert pairs.shape == (1, m, d)
+    raw = sample_cov(difference_pairs(s)).entries
+    return _RadialLaw.matched_rows(2 * m, d), accepted, sigma[0], raw
 
-    def test_no_debias_when_m_too_small(self):
-        # m = 3 rows, d = 2 -> m < d + 2, the raw estimate is kept
-        s = gaussian_sample(6, 2, seed=1)
-        sigma = prepare_standardized(s)[3]
-        assert np.allclose(sigma, sample_cov(difference_pairs(s)).entries)
+
+class TestPrepareStandardized:
+    # the matched law, the table's aux_rows check and the kernel's debias
+    # follow one rule: m = d + 2 difference pairs name the law, m = d + 1 do not
+    @pytest.mark.parametrize("d", [1, 9, 40])
+    def test_debias_factor_applied(self, d):
+        m = d + 2
+        rows, accepted, sigma, raw = law_at(m, d, seed=0)
+        assert rows == m and accepted
+        assert np.allclose(sigma, raw * (m / (m - d - 1)))
+
+    @pytest.mark.parametrize("d", [1, 9, 40])
+    def test_no_debias_when_m_too_small(self, d):
+        rows, accepted, sigma, raw = law_at(d + 1, d, seed=1)
+        assert rows is None and not accepted
+        assert np.array_equal(sigma, raw)
 
     def test_truncation_plumbs_through(self):
         rows = np.random.default_rng(2).standard_normal((40, 3))
