@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .covariance import _TRUNC_MULT
+from .covariance import _TRUNC_MULT, _check_trunc_mult
 from .critical_values import _document, _formula_kappa
 from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from .gaussian_moments import _check_p, lambda_p, sigma_p
@@ -117,6 +117,8 @@ def _load_spec(path: str) -> DominantTestSpec:
 
 
 def _cmd_test(args) -> None:
+    # a bad parameter exits 2 here; run_tests' errors below are the data's
+    _check_trunc_mult(args.trunc_mult)
     sample = read_sample_csv(args.data)
     spec = _load_spec(args.table)
     extras = tuple(_parse_exponent(tok) for tok in args.extra_p.split(",") if tok.strip())

@@ -96,11 +96,15 @@ def _second_moment(rows: np.ndarray) -> np.ndarray:
 _TRUNC_MULT = 3.0
 
 
+def _check_trunc_mult(trunc_mult: float) -> float:
+    if not trunc_mult > 0:  # NaN fails it
+        raise ValueError(f"trunc_mult must be positive, got {trunc_mult}")
+    return trunc_mult
+
+
 def _truncate_rows(rows: np.ndarray, trunc_mult: float) -> np.ndarray:
     # shrink each row onto the ball of radius trunc_mult times its own
     # sample's median row norm; one median per stacked sample
-    if not trunc_mult > 0:
-        raise ValueError(f"trunc_mult must be positive, got {trunc_mult}")
     norms = np.linalg.norm(rows, axis=-1)
     tau = trunc_mult * np.median(norms, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -129,7 +133,7 @@ def truncated_cov(aux, trunc_mult: float = _TRUNC_MULT) -> SymMatrix:
     Each row r_i is shrunk to r_i * min(1, tau / ||r_i||_2) with
     tau = trunc_mult * median_j ||r_j||_2, then ``sample_cov`` is applied.
     """
-    rows = _truncate_rows(_checked(aux), trunc_mult)
+    rows = _truncate_rows(_checked(aux), _check_trunc_mult(trunc_mult))
     return SymMatrix(_second_moment(rows))
 
 

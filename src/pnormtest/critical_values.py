@@ -28,24 +28,24 @@ limit m -> infinity (where the two laws coincide).  ``_RadialLaw`` owns
 the law, its debias and its radius draw; m must be an integer >= d + 2.
 
 Monte-Carlo draws are organised in fixed-size blocks, each fed by its own
-counter-based Philox stream keyed (seed, block index), so results are
-bit-identical regardless of how blocks are scheduled across threads.
-Blocks run on a thread pool of W = min(number of blocks, cores this
-process may run on) workers; worker w computes blocks w, w + W, w + 2W, ...
-numpy releases the GIL while it fills normals and runs the ufunc loops
-that dominate a block.
+counter-based Philox stream keyed (seed, block index).  Blocks run on a
+thread pool of W = min(number of blocks, cores this process may run on)
+workers; numpy releases the GIL while it fills normals and runs the ufunc
+loops that dominate a block.  A worker only draws a block and forms its
+norms; the calling thread takes the blocks' norms in block order, so
+everything built from them is bit-identical for any W.
 
 Empirical quantiles use the order statistic at the 1-based index
 ceil((1 - alpha) * reps), the conservative direction for test size.  Every
 order statistic calibration reads lies among the top reps - k of its
 column (or of the ratios behind c_n), k being the smallest 0-based index
-read, so the reps x |grid| matrix of norms is never stored.  The workers
-offer each block's rows to one shared candidate buffer that keeps only
-the rows that can hold such a value (``_TopRows``, which states why none
-is lost), and the order statistics are read from the kept rows with an
-index offset.  Which rows are kept depends on thread timing; the values
-read do not, so every table and quantile is the same for any W.  About
-10% of the rows are kept at alpha 0.05.
+read, so the reps x |grid| matrix of norms is never stored.  The calling
+thread offers each block's rows to a candidate buffer that keeps only the
+rows that can hold such a value (``_TopRows``, which states why none is
+lost), and the order statistics are read from the kept rows with an index
+offset.  The buffer sees the same rows in the same order for any W, so
+the kept rows, not only the tables and quantiles, are the same on any
+core count.  About 10% of the rows are kept at alpha 0.05.
 
 JSON documents.  ``_document`` writes every document's ``schema_version``
 and ``kind``.  Every document read, a spec, a table or an experiment
@@ -57,8 +57,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
-import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field
 from typing import Mapping
@@ -378,11 +379,11 @@ def _worker_count(blocks: int) -> int:
 class _TopRows:
     """The rows of a stream of norm rows that can hold a column's ``top`` largest values.
 
-    Rows arrive from several threads through :meth:`add` and are stored
-    row by row in one buffer.  When the buffer passes ``limit`` rows it is
-    pruned in place: each column's cut becomes the ``top``-th largest value
-    the buffer holds, and a row stays while any of its values is at or
-    above its column's cut.  Later rows below every cut are dropped on
+    Rows arrive in stream order through :meth:`add`, on one thread, and are
+    stored row by row in one buffer.  When the buffer passes ``limit`` rows
+    it is pruned in place: each column's cut becomes the ``top``-th largest
+    value the buffer holds, and a row stays while any of its values is at
+    or above its column's cut.  Later rows below every cut are dropped on
     arrival.
 
     Nothing needed is lost.  Let s_j be the ``top``-th largest value of
@@ -420,18 +421,14 @@ class _TopRows:
         self.rows = np.empty((min(reps, 4 * top + _BLOCK), columns))
         self.n = 0
         self.cut = np.full(columns, -np.inf)
-        self.lock = threading.Lock()
 
     def add(self, norms: np.ndarray) -> None:
         """Offer a (rows, columns) block; at most ``_BLOCK`` rows per call."""
-        # every cut ever set is at most s_j, so one read while another thread prunes is safe
         new = norms[(norms >= self.cut).any(axis=1)]
-        with self.lock:
-            end = self.n + len(new)
-            self.rows[self.n : end] = new
-            self.n = end
-            if end > self.limit:
-                self._prune()
+        self.rows[self.n : self.n + len(new)] = new
+        self.n += len(new)
+        if self.n > self.limit:
+            self._prune()
 
     def _prune(self) -> None:
         held = self.rows[: self.n]
@@ -478,22 +475,22 @@ def _reference_norms(
     blocks = (reps + _BLOCK - 1) // _BLOCK
     workers = _worker_count(blocks)
     rows = math.ceil(_BLOCK / math.ceil(_BLOCK * d / _PASS_ENTRIES))
-    # The candidate buffer and each worker's pass-sized arrays (normals plus
+    # The candidate buffer and the W pass-sized scratch arrays (normals plus
     # two temporaries) are allocated here, on the calling thread: memory
     # that a worker thread allocates and frees stays in its malloc arena,
     # and would keep the process's resident size up long after
-    # calibration returns.
+    # calibration returns.  A running block borrows one of the W arrays, so
+    # one is always free when a worker starts a block.
     candidates = _TopRows(len(ps), top, reps)
-    scratch = [np.empty((3, rows, d)) for _ in range(workers)]
+    scratch = deque(np.empty((3, rows, d)) for _ in range(workers))
 
-    def fill(first: int) -> None:
-        # static strided share of the blocks: first, first + W, first + 2W, ...
-        buf = scratch[first]
-        for block in range(first, blocks, workers):
-            b = min(_BLOCK, reps - block * _BLOCK)
-            rng = _block_rng(seed, block)
-            norms = np.empty((b, len(ps)))
-            z_norm = np.empty(b)
+    def block_norms(block: int) -> np.ndarray:
+        b = min(_BLOCK, reps - block * _BLOCK)
+        rng = _block_rng(seed, block)
+        norms = np.empty((b, len(ps)))
+        z_norm = np.empty(b)
+        buf = scratch.pop()
+        try:
             # successive draws continue the block's stream: the same normals
             # as one draw of b rows
             for lo in range(0, b, rows):
@@ -503,13 +500,16 @@ def _reference_norms(
                     # ||z||_2 exactly as np.linalg.norm(z, axis=1) forms it
                     sq = np.multiply(z, z, out=buf[1, : len(z)])
                     z_norm[lo : lo + len(z)] = np.sqrt(sq.sum(axis=1))
-            if law is not None:
-                norms *= (law.radii(rng, b) / z_norm)[:, None]
-            candidates.add(norms)
+        finally:
+            scratch.append(buf)
+        if law is not None:
+            norms *= (law.radii(rng, b) / z_norm)[:, None]
+        return norms
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # consuming the results re-raises any worker's exception here
-        list(pool.map(fill, range(workers)))
+        # in block order; a worker's exception re-raises here and cancels the rest
+        for norms in pool.map(block_norms, range(blocks)):
+            candidates.add(norms)
     return candidates.kept()
 
 
@@ -588,9 +588,11 @@ class CriticalValueTable(_JsonDocument):
         for p in self.entries:
             if not 0.0 < self.standalone.get(p, 0.0) < math.inf:
                 raise ValueError(f"standalone kappa at p={p:g} must be present, positive and finite")
-        # the reader's converters too, so that to_json writes no table from_json rejects
+        # the reader's converters too, so that to_json writes no table
+        # from_json rejects, and what they return is stored
         scalars = {name: rule for name, rule in _TABLE_FIELDS.items() if name != "entries"}
-        _parse({name: getattr(self, name) for name in scalars}, scalars, "")
+        for name, value in _parse({n: getattr(self, n) for n in scalars}, scalars, "").items():
+            object.__setattr__(self, name, value)
         if self.aux_rows is not None:
             _RadialLaw(self.d, self.aux_rows)
 
@@ -668,12 +670,15 @@ def _auto_reps(min_share: float, reps: int | None = None) -> int:
     need = math.ceil(100.0 / min_share)
     if reps is None:
         return max(200_000, need)
+    whole = isinstance(reps, numbers.Integral) or isinstance(reps, float) and reps.is_integer()
+    if isinstance(reps, bool) or not whole:
+        raise ValueError(f"reps must be an integer, got {reps!r}")
     if reps < need:
         raise ValueError(
             f"reps={reps} too small to resolve the smallest share {min_share:g}; "
             f"need at least {need}"
         )
-    return reps
+    return int(reps)
 
 
 def calibrate_joint(

@@ -98,6 +98,10 @@ class DominantTestSpec(_JsonDocument):
                 f"interior shares sum to {sum(self.per_p_shares)}, "
                 f"expected alpha_I = {self.alpha_I}"
             )
+        # stored as checked, so that the spec is hashable and writes plain JSON
+        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "p_grid", tuple(map(float, self.p_grid)))
+        object.__setattr__(self, "per_p_shares", tuple(map(float, self.per_p_shares)))
         if not self.share_map():
             raise ValueError("spec allocates no positive share to any exponent")
         if self.table is not None:

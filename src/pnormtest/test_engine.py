@@ -50,6 +50,7 @@ import numpy as np
 
 from .covariance import (
     _TRUNC_MULT,
+    _check_trunc_mult,
     _checked,
     _kurtosis,
     _pair_rows,
@@ -113,9 +114,10 @@ def _whiten_stack(values: np.ndarray, estimator: str, trunc_mult: float):
 
     Difference pairs, the sample or truncated second moment (one median
     per sample), the debias of the matched reference law if any, then ``_whiten``.
-    ``estimator`` is a checked name.  Returns (x, w, rank, sigma, aux):
-    whitened vectors (..., d), eigenvalues (..., d), ranks (...), debiased
-    covariance estimates (..., d, d) and difference-pair rows (..., m, d).
+    ``estimator`` is a checked name and ``trunc_mult`` a checked multiplier.
+    Returns (x, w, rank, sigma, aux): whitened vectors (..., d), eigenvalues
+    (..., d), ranks (...), debiased covariance estimates (..., d, d) and
+    difference-pair rows (..., m, d).
     """
     n, d = values.shape[-2:]
     aux = _pair_rows(values)
@@ -213,7 +215,8 @@ def prepare_standardized(s, estimator: str = "sample", trunc_mult: float = _TRUN
     covariance estimate (d, d) and the difference-pair rows (n // 2, d).
     """
     values = _checked(s)
-    out = _whiten_stack(values[None], _check_estimator(estimator), trunc_mult)
+    estimator, trunc_mult = _check_estimator(estimator), _check_trunc_mult(trunc_mult)
+    out = _whiten_stack(values[None], estimator, trunc_mult)
     x, w, rank, sigma, aux = (a[0] for a in out)
     _warn_rank(int(rank), values.shape[1])
     return x, w, int(rank), sigma, aux
@@ -377,7 +380,7 @@ def _run_tests(
         raise ValueError("spec is not calibrated; run calibrate_spec first")
     if d != spec.d:
         raise ValueError(f"sample has d={d} but spec was built for d={spec.d}")
-    estimator = _check_estimator(estimator)
+    estimator, trunc_mult = _check_estimator(estimator), _check_trunc_mult(trunc_mult)
     x, w, rank, _, aux = _whiten_stack(values[None], estimator, trunc_mult)
     ps, crits = _test_columns(spec, extra_ps)
     stats, reject, max_ratio, psi = _decide(x, spec, ps, crits)

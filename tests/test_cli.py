@@ -498,3 +498,15 @@ def test_estimator_takes_full_names_only(tmp_path, capsys, command, required):
     )
     assert code == 2 and out == ""
     assert "invalid choice: 'trunc'" in err
+
+
+@pytest.mark.parametrize("estimator", ["sample", "truncated"])
+@pytest.mark.parametrize("trunc_mult", ["0", "-1", "nan"])
+def test_bad_trunc_mult_exit_2(tmp_path, table3, capsys, estimator, trunc_mult):
+    data = write_null_csv(tmp_path / "s.csv")
+    code, out, err = run_cli(
+        capsys, "test", "--data", str(data), "--table", str(table3),
+        "--estimator", estimator, "--trunc-mult", trunc_mult,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: trunc_mult must be positive") and "s.csv" not in err

@@ -5,6 +5,7 @@ quantiles of chi-square and F for the Monte-Carlo reference laws, and a
 brentq root of (2 Phi(t) - 1)^d = 1 - alpha for the exact sup-norm value.
 """
 
+import dataclasses
 import math
 import os
 import re
@@ -269,9 +270,24 @@ class TestMcQuantile:
         with pytest.raises(ValueError, match="aux_rows"):
             calibrate_joint({2: 0.05}, 10, 0.05, reps=999, seed=0, aux_rows=aux_rows)
 
-    def test_rejects_tiny_reps(self):
-        with pytest.raises(ValueError, match="reps"):
-            mc_pnorm_quantile(2, 10, 0.05, reps=999, seed=0)
+    @pytest.mark.parametrize(
+        "reps, message",
+        [(999, "too small")]
+        + [(r, "must be an integer") for r in (True, 2000.5, "2000", math.nan, math.inf)],
+    )
+    def test_rejects_tiny_reps(self, monkeypatch, reps, message):
+        # a bool, fractional or non-numeric count is refused before any draw
+        def no_draws(seed, block):
+            raise AssertionError("drew reference vectors before checking reps")
+
+        monkeypatch.setattr(critical_values, "_block_rng", no_draws)
+        with pytest.raises(ValueError, match=f"^reps.*{message}"):
+            mc_pnorm_quantile(2, 10, 0.05, reps=reps, seed=0)
+
+    def test_integral_float_reps_is_drawn_as_int(self):
+        t = calibrate_joint({2: 0.05}, 4, 0.05, reps=2000.0, seed=1)
+        assert type(t.mc_reps) is int
+        assert t == calibrate_joint({2: 0.05}, 4, 0.05, reps=2000, seed=1)
 
     @pytest.mark.parametrize("seed", [-1, True])
     def test_rejects_bad_seed(self, seed):
@@ -415,6 +431,26 @@ class TestBlockSchedule:
     def test_worker_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert _worker_count(10**6) == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("switch_interval", [None, 1e-6])
+    def test_kept_rows_identical_for_any_worker_count(self, monkeypatch, switch_interval):
+        # d=40, m=200, 300k draws and top=15000: the buffer is pruned many
+        # times, and every kept row, not only the table, must be the same
+        ps = [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, math.inf]
+        law = critical_values._RadialLaw(40, 200)
+        interval = sys.getswitchinterval()
+        if switch_interval is not None:
+            sys.setswitchinterval(switch_interval)
+        try:
+            kept = {}
+            for workers in (1, 2, 3, 8):
+                monkeypatch.setattr(critical_values, "_worker_count", lambda blocks: workers)
+                kept[workers] = critical_values._reference_norms(ps, 40, 300_000, 0, law, 15_000)
+        finally:
+            sys.setswitchinterval(interval)
+        for w in (2, 3, 8):
+            assert kept[w].shape == kept[1].shape, f"kept rows differ at {w} workers"
+            assert kept[w].tobytes() == kept[1].tobytes(), f"norms differ at {w} workers"
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         real = critical_values._batch_pnorms
@@ -580,10 +616,17 @@ class TestCriticalValueTable:
         assert CriticalValueTable.from_json(t.to_json()) == t
 
     def test_numpy_integer_arguments_are_written_as_ints(self):
-        seed, aux_rows = np.int64(1), np.int64(30)
-        t = calibrate_joint({2: 0.05}, 4, 0.05, reps=2000, seed=seed, aux_rows=aux_rows)
-        assert type(t.seed) is int and type(t.aux_rows) is int
+        reps, seed, aux_rows = np.int64(2000), np.int64(1), np.int64(30)
+        t = calibrate_joint({2: 0.05}, 4, 0.05, reps=reps, seed=seed, aux_rows=aux_rows)
+        assert type(t.mc_reps) is int and type(t.seed) is int and type(t.aux_rows) is int
         assert CriticalValueTable.from_json(t.to_json()) == t
+        # the constructor stores what its converters return
+        direct = dataclasses.replace(
+            t, d=np.int64(4), mc_reps=reps, seed=seed, aux_rows=aux_rows
+        )
+        stored = (direct.d, direct.mc_reps, direct.seed, direct.aux_rows)
+        assert [type(v) for v in stored] == [int] * 4
+        assert CriticalValueTable.from_json(direct.to_json()) == direct == t
 
     @pytest.mark.parametrize("name", ["table_d12.json", "table_d40_aux200.json"])
     def test_golden_tables_round_trip(self, name):

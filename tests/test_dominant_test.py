@@ -161,6 +161,17 @@ class TestSpecInvariants:
         s = self.base()
         assert DominantTestSpec.from_json(s.to_json()) == s
 
+    def test_stores_plain_types(self):
+        # a numpy d and list grids are stored as an int and float tuples:
+        # the spec is hashable, writes JSON and reads back equal
+        s = self.base(d=np.int64(8), p_grid=[3, np.float64(4.0)], per_p_shares=[0.012, 0.008])
+        assert s == self.base() and hash(s) == hash(self.base())
+        assert type(s.d) is int
+        assert [type(v) for v in (*s.p_grid, *s.per_p_shares)] == [float] * 4
+        assert DominantTestSpec.from_json(s.to_json()) == s
+        calibrated = calibrate_spec(s, reps=np.int64(50_000), seed=3)
+        assert DominantTestSpec.from_json(calibrated.to_json()) == calibrated
+
 
 @pytest.fixture(scope="module")
 def calibrated():

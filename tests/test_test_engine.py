@@ -367,6 +367,13 @@ class TestRunTests:
         with pytest.raises(ValueError, match=message):
             run_tests(s, spec20, estimator="trunc")
         assert run_tests(s, spec20, estimator="truncated").estimator == "truncated"
+        # the multiplier is a parameter whatever the estimator reads
+        for estimator in ("sample", "truncated"):
+            for trunc_mult in (0.0, -1.0, math.nan):
+                with pytest.raises(ValueError, match="trunc_mult must be positive"):
+                    run_tests(s, spec20, estimator=estimator, trunc_mult=trunc_mult)
+                with pytest.raises(ValueError, match="trunc_mult must be positive"):
+                    prepare_standardized(s, estimator=estimator, trunc_mult=trunc_mult)
 
     def test_json_dict(self, spec20):
         doc = run_tests(gaussian_sample(400, 20, seed=7), spec20).to_json_dict()
