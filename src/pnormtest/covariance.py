@@ -87,9 +87,12 @@ def _pair_rows(values: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _second_moment(rows: np.ndarray) -> np.ndarray:
-    # (..., m, d) -> (..., d, d) uncentered second moments (1/m) sum_i r_i r_i'
-    return np.swapaxes(rows, -1, -2) @ rows / rows.shape[-2]
+def _second_moment(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # (..., m, d) -> (..., d, d) uncentered second moments (1/m) sum_i r_i r_i',
+    # written into ``out`` when given
+    out = np.matmul(np.swapaxes(rows, -1, -2), rows, out=out)
+    out /= rows.shape[-2]
+    return out
 
 
 # default truncation radius of the truncated estimator, in median row norms
@@ -104,12 +107,18 @@ def _check_trunc_mult(trunc_mult: float) -> float:
 
 def _truncate_rows(rows: np.ndarray, trunc_mult: float) -> np.ndarray:
     # shrink each row onto the ball of radius trunc_mult times its own
-    # sample's median row norm; one median per stacked sample
-    norms = np.linalg.norm(rows, axis=-1)
-    tau = trunc_mult * np.median(norms, axis=-1)
+    # sample's median row norm; one median per stacked sample.  The norms
+    # and the median are np.linalg.norm's and np.median's, bit for bit: the
+    # median is the mean of the two middle order statistics (one, twice,
+    # when m is odd), and the squared rows hold the result.
+    sq = rows * rows
+    norms = np.sqrt(sq.sum(axis=-1))
+    m = norms.shape[-1]
+    mid = np.partition(norms, [(m - 1) // 2, m // 2], axis=-1)
+    tau = trunc_mult * ((mid[..., (m - 1) // 2] + mid[..., m // 2]) / 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         shrink = np.where(norms > 0, np.minimum(1.0, tau[..., None] / norms), 1.0)
-    return rows * shrink[..., None]
+    return np.multiply(rows, shrink[..., None], out=sq)
 
 
 def difference_pairs(s) -> np.ndarray:

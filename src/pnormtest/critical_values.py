@@ -181,7 +181,13 @@ def _instance(cls: type, what: str):
     return read
 
 
-_boolean = _instance(bool, "true or false")
+def _boolean(value) -> bool:
+    # a numpy bool too, stored as a plain bool so that to_json can write it
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return bool(value)
+
+
 _string = _instance(str, "a string")
 _object = _instance(dict, "a JSON object")
 
@@ -460,6 +466,8 @@ class _TopRows:
 # entries: a pass's three arrays stay in cache, and a worker's scratch
 # stays small at any d.
 _PASS_ENTRIES = 1 << 15
+# Blocks a worker may have submitted ahead of the calling thread.
+_AHEAD = 4
 
 
 def _reference_norms(
@@ -506,10 +514,21 @@ def _reference_norms(
             norms *= (law.radii(rng, b) / z_norm)[:, None]
         return norms
 
+    # Blocks are taken in block order, and at most _AHEAD * W are submitted
+    # and not yet taken, so finished blocks do not queue up in the workers'
+    # malloc arenas.  A worker's exception re-raises here and cancels the rest.
+    ahead: deque = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # in block order; a worker's exception re-raises here and cancels the rest
-        for norms in pool.map(block_norms, range(blocks)):
-            candidates.add(norms)
+        try:
+            for block in range(blocks):
+                ahead.append(pool.submit(block_norms, block))
+                if len(ahead) == _AHEAD * workers:
+                    candidates.add(ahead.popleft().result())
+            while ahead:
+                candidates.add(ahead.popleft().result())
+        finally:
+            for future in ahead:
+                future.cancel()
     return candidates.kept()
 
 

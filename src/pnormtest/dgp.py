@@ -13,11 +13,17 @@ moments are what the covariance estimation theory needs), the t scaled
 by sqrt((dof-2)/dof) so coordinates keep unit variance.  Instrument and
 outcome covariances are identity or Toeplitz r^|i-j|; the Toeplitz
 option makes the whitened noncentrality vector non-sparse even when the
-first stage loads on a single instrument.
+first stage loads on a single instrument.  Its Cholesky factor is formed
+once per (d, r), not once per draw.
+
+Each generator draws through a private row generator (``_iv_rows``,
+``_rct_rows``) that writes into a given n x d array, so the simulation
+harness draws straight into its chunk buffers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,15 +51,24 @@ def _check_cov_dist(cov: str, r: float, dist: str, dof: float) -> None:
         raise ValueError(f"t errors need dof > 4, got {dof}")
 
 
-def _correlated(z: np.ndarray, kind: str, r: float) -> np.ndarray:
-    """Rows of z given covariance ``kind``: z itself for identity, else z @ L' for
-    the lower Cholesky factor L of the Toeplitz matrix r^|i-j|."""
-    if kind == "identity":
-        return z
+@functools.lru_cache(maxsize=8)
+def _toeplitz_factor(d: int, r: float) -> np.ndarray:
+    """L' for the lower Cholesky factor L of the d x d Toeplitz matrix r^|i-j|,
+    read-only and computed once per (d, r)."""
     # imported here so identity designs never load scipy
     from scipy.linalg import cholesky, toeplitz
 
-    return z @ cholesky(toeplitz(r ** np.arange(z.shape[1])), lower=True).T
+    factor = cholesky(toeplitz(r ** np.arange(d)), lower=True).T
+    factor.flags.writeable = False
+    return factor
+
+
+def _correlated_normals(rng: np.random.Generator, kind: str, r: float, out: np.ndarray):
+    """Standard normal rows with covariance ``kind``, written into ``out``:
+    the draws themselves for identity, else the draws times L'."""
+    if kind == "identity":
+        return rng.standard_normal(out=out)
+    return np.matmul(rng.standard_normal(out.shape), _toeplitz_factor(out.shape[1], r), out=out)
 
 
 def _frozen_vector(value, d: int, name: str) -> np.ndarray:
@@ -124,8 +139,12 @@ def gen_iv(cfg: IvConfig, beta_star: float, seed) -> np.ndarray:
     for every beta_star when pi = 0 (the unidentified design keeps the
     null true at all candidate values).
     """
-    rng = np.random.default_rng(seed)
-    z = _correlated(rng.standard_normal((cfg.n, cfg.d)), cfg.instrument_cov, cfg.toeplitz_r)
+    return _iv_rows(cfg, beta_star, np.random.default_rng(seed), np.empty((cfg.n, cfg.d)))
+
+
+def _iv_rows(cfg: IvConfig, beta_star: float, rng: np.random.Generator, out: np.ndarray):
+    # gen_iv's rows drawn from ``rng`` straight into the n x d array ``out``
+    z = _correlated_normals(rng, cfg.instrument_cov, cfg.toeplitz_r, out)
     e = rng.standard_normal((cfg.n, 2))
     rho = cfg.endogeneity_rho
     u = e[:, 0]
@@ -135,7 +154,8 @@ def gen_iv(cfg: IvConfig, beta_star: float, seed) -> np.ndarray:
         u, v = u * w, v * w
     endog = z @ cfg.pi + v
     y = endog * cfg.beta_true + u
-    return (y - endog * float(beta_star))[:, None] * z
+    z *= (y - endog * float(beta_star))[:, None]
+    return z
 
 
 def gen_rct(cfg: RctConfig, beta_star, seed) -> np.ndarray:
@@ -146,11 +166,17 @@ def gen_rct(cfg: RctConfig, beta_star, seed) -> np.ndarray:
     beta_star = np.asarray(beta_star, dtype=float)
     if beta_star.shape != (cfg.d,):
         raise ValueError(f"beta_star must be a d-vector, got shape {beta_star.shape}")
-    rng = np.random.default_rng(seed)
-    y0 = _correlated(rng.standard_normal((cfg.n, cfg.d)), cfg.outcome_cov, cfg.toeplitz_r)
+    return _rct_rows(cfg, beta_star, np.random.default_rng(seed), np.empty((cfg.n, cfg.d)))
+
+
+def _rct_rows(cfg: RctConfig, beta_star: np.ndarray, rng: np.random.Generator, out: np.ndarray):
+    # gen_rct's rows drawn from ``rng`` straight into the n x d array ``out``,
+    # for a checked d-vector ``beta_star``
+    y = _correlated_normals(rng, cfg.outcome_cov, cfg.toeplitz_r, out)
     if cfg.outcome_dist == "t":
-        y0 = y0 * _unit_t_scale(rng, cfg.t_dof, cfg.n)[:, None]
+        y *= _unit_t_scale(rng, cfg.t_dof, cfg.n)[:, None]
     treated = rng.random(cfg.n) < cfg.pi_treat
-    observed = np.where(treated[:, None], y0 + cfg.effect, y0)
-    weight = np.where(treated, 1.0 / cfg.pi_treat, -1.0 / (1.0 - cfg.pi_treat))
-    return observed * weight[:, None] - beta_star
+    np.add(y, cfg.effect, out=y, where=treated[:, None])
+    y *= np.where(treated, 1.0 / cfg.pi_treat, -1.0 / (1.0 - cfg.pi_treat))[:, None]
+    y -= beta_star
+    return y

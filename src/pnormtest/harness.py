@@ -4,13 +4,13 @@
 test options, replication count, master seed), calibrates the combined
 test once, then replays independent replications with counter-based
 per-replication streams keyed (seed, rep).  Replications run through the
-test engine's chunked replay, ``_whiten_chunks``: each replication is drawn
-from its own stream into a slot of the one chunk buffer, each chunk is
-whitened in one kernel call (one ``eigh`` per replication,
-x = V (w^{-1/2} * (V' H))), and its decisions fill the chunk's rows of the
-flag matrix, so only that matrix grows with ``reps``.  Every replication's
-statistics are the same bits as when it is tested alone, so the chunk size
-never changes a result.
+test engine's phased replay, ``_replay``, on one lane per usable core: the
+lanes draw each replication from its own stream straight into their chunk
+buffers and reduce it to H and its covariance estimate, then the calling
+thread alone runs the ``eigh`` calls (x = V (w^{-1/2} * (V' H))) and fills
+the flag matrix, the one array that grows with ``reps``.  Every
+replication's statistics are the same bits as when it is tested alone, so
+neither the lane count nor the replay's budgets ever change a result.
 
 The config is parsed once, before calibration, against field tables
 (name -> converter, default) by ``critical_values._parse``, the reader of
@@ -60,14 +60,15 @@ from .critical_values import (
     _string,
     _vector,
     _version,
+    _worker_count,
 )
-from .dgp import IvConfig, RctConfig, gen_iv, gen_rct
+from .dgp import IvConfig, RctConfig, _iv_rows, _rct_rows
 from .dominant_test import calibrate_spec, default_spec
 from .test_engine import (  # run_tests stays importable from this module
     _check_estimator,
     _decide,
+    _replay,
     _test_columns,
-    _whiten_chunks,
     run_tests,
 )
 
@@ -164,7 +165,7 @@ def _parse_config(cls, dgp: dict, beta_star_type):
 
 
 def _build_sampler(dgp: dict):
-    """Returns (n, d, draw) where draw(rng) yields one n x d array."""
+    """Returns (n, d, draw) where draw(rng, out) writes one n x d sample into ``out``."""
     if "kind" not in dgp:
         raise UsageError("dgp.kind: missing required field")
     kind = dgp["kind"]
@@ -174,22 +175,23 @@ def _build_sampler(dgp: dict):
         if theta is not None and theta.shape != (d,):
             raise UsageError(f"dgp.theta: expected length {d}, got shape {theta.shape}")
 
-        def draw(rng):
+        def draw(rng, out):
             # mean theta/sqrt(n) makes sqrt(n) * rowmean exactly N(theta, I)
-            z = rng.standard_normal((n, d))
-            return z if theta is None else z + theta / math.sqrt(n)
+            rng.standard_normal(out=out)
+            if theta is not None:
+                out += theta / math.sqrt(n)
 
         return n, d, draw
     if kind == "iv":
         cfg, beta_star = _parse_config(IvConfig, dgp, _real)
         beta_star = cfg.beta_true if beta_star is None else beta_star
-        return cfg.n, cfg.d, lambda rng: gen_iv(cfg, beta_star, rng)
+        return cfg.n, cfg.d, lambda rng, out: _iv_rows(cfg, beta_star, rng, out)
     if kind == "rct":
         cfg, beta_star = _parse_config(RctConfig, dgp, _vector)
         beta_star = cfg.effect if beta_star is None else beta_star
         if beta_star.shape != (cfg.d,):
             raise UsageError(f"dgp.beta_star: expected length {cfg.d}")
-        return cfg.n, cfg.d, lambda rng: gen_rct(cfg, beta_star, rng)
+        return cfg.n, cfg.d, lambda rng, out: _rct_rows(cfg, beta_star, rng, out)
     raise UsageError(f"dgp.kind: must be 'gaussian', 'iv' or 'rct', got {kind!r}")
 
 
@@ -266,14 +268,16 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     """Calibrate once, then replay ``reps`` independent replications.
 
     Deterministic given the config: replication r uses the counter-based
-    stream keyed (seed, r).  Chunks run one after another on the calling
-    thread; ``threads`` (at least 1) is accepted for compatibility and
-    changes neither the results nor the speed.  Chunks stay on one thread
-    because OpenBLAS's pool keeps spinning after each ``eigh``, so a second
-    Python thread competes with it: 250 stacked (8, 40, 40) ``eigh`` calls
-    took 0.42 s alone and 1.68 s beside one thread drawing normals.  Emits one
-    ``RuntimeWarning`` naming how many replications had a rank-deficient
-    covariance estimate, if any did.
+    stream keyed (seed, r).  ``threads`` (at least 1) is accepted for
+    compatibility and changes neither the results nor the speed: the
+    replay runs one lane per core this process may run on, as calibration
+    does.  The lanes draw and reduce the replications of a span together;
+    then the calling thread runs the span's ``eigh`` calls alone, because
+    after an ``eigh`` of a matrix larger than 25 x 25 OpenBLAS's own threads
+    spin for about 0.1 s, and a Python thread working beside them stalls:
+    two threads drawing normals took 72 ms right after one (80, 40, 40)
+    ``eigh`` and 37 ms without it.  Emits one ``RuntimeWarning`` naming how
+    many replications had a rank-deficient covariance estimate, if any did.
     """
     top = _parse(config, _TOP_FIELDS, "")
     if threads < 1:
@@ -308,11 +312,12 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     flags = np.empty((reps, len(ps) + 1), dtype=bool)
 
     def fill(rep: int, out: np.ndarray) -> None:
-        out[...] = draw(_block_rng(seed, rep))
+        draw(_block_rng(seed, rep), out)
 
     deficient = 0
     start = time.perf_counter()
-    for lo, hi, x, rank in _whiten_chunks(reps, n, d, fill, estimator, trunc_mult):
+    lanes = _worker_count(reps)
+    for lo, hi, x, rank in _replay(reps, n, d, fill, estimator, trunc_mult, lanes):
         _, reject, _, psi = _decide(x, spec, ps, crits)
         flags[lo:hi, :-1] = reject
         flags[lo:hi, -1] = psi

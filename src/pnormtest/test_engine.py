@@ -9,17 +9,28 @@ The pipeline for a sample of evaluated moment functions is
     x   = V (w^{-1/2} * (V' H))           (= pinv_sqrt(Sigma_hat) H)
     S_p = || x ||_p  for each exponent p.
 
-One private kernel, ``_whiten_stack``, runs this pipeline on a stack of
-samples of shape (..., n, d): every step acts on the trailing two axes,
-with one median per sample for the truncated estimator and one ``eigh``
-per covariance matrix.  The public entry points (``standardize``,
+One private kernel runs this pipeline on a stack of samples of shape
+(..., n, d): ``_moments`` forms H and the debiased covariance estimate of
+each sample (every step acts on the trailing two axes, with one median per
+sample for the truncated estimator), and ``_whiten`` runs one ``eigh`` per
+covariance matrix.  The public entry points (``standardize``,
 ``prepare_standardized``, ``run_tests``) run it on a stack of one.  Many
 samples, the simulation harness's replications and the candidates of
-``invert_confidence_set``, go through ``_whiten_chunks``: the kernel on
-chunks of about ``_CHUNK_BYTES`` of sample values, filled one sample at a
-time into one reused buffer.  The statistics of a stacked sample are the
-same bits as when that sample is whitened alone, so the chunk size never
-changes a result.  Each input has one form: the estimator is named
+``invert_confidence_set``, go through the phased replay ``_replay``.  It
+takes the samples in spans whose covariance estimates fit ``_SPAN_BYTES``
+(about 4 MiB), and each span runs in two phases.  First W lanes, the
+calling thread and W - 1 pool threads, fill their own chunk buffers (about
+``_CHUNK_BYTES`` / W of sample values each) one sample at a time, and
+reduce each chunk with ``_moments`` into the span's stacked H and Sigma.
+Then the calling thread alone whitens the span in ``eigh`` calls of about
+1 MiB of eigenvectors, while no lane runs: after each ``eigh`` of a matrix
+larger than 25 x 25, OpenBLAS's own threads spin for about 0.1 s and stall
+a Python thread working beside them, so the spans are large to make the
+switches few.  The harness runs one lane per usable core; the confidence
+set runs one, on the calling thread, since its model need not be
+thread-safe.  The statistics of a stacked sample are the same bits as when
+that sample is whitened alone, so neither the lanes nor the budgets ever
+change a result.  Each input has one form: the estimator is named
 ``"sample"`` or ``"truncated"``, and the model of ``invert_confidence_set``
 returns each candidate's sample as an n x d array.
 
@@ -43,6 +54,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -109,46 +121,92 @@ def _whiten(h: np.ndarray, sigma: np.ndarray):
     return x, w, rank
 
 
-def _whiten_stack(values: np.ndarray, estimator: str, trunc_mult: float):
-    """Whitening kernel for a stack of samples ``values`` of shape (..., n, d).
+def _moments(values: np.ndarray, estimator: str, trunc_mult: float, h, sigma) -> np.ndarray:
+    """H and the covariance estimate of each sample in the stack ``values``
+    (..., n, d), written into ``h`` (..., d) and ``sigma`` (..., d, d).
 
     Difference pairs, the sample or truncated second moment (one median
-    per sample), the debias of the matched reference law if any, then ``_whiten``.
+    per sample), and the debias of the matched reference law if any.
     ``estimator`` is a checked name and ``trunc_mult`` a checked multiplier.
-    Returns (x, w, rank, sigma, aux): whitened vectors (..., d), eigenvalues
-    (..., d), ranks (...), debiased covariance estimates (..., d, d) and
-    difference-pair rows (..., m, d).
+    Returns the difference-pair rows (..., m, d).
     """
     n, d = values.shape[-2:]
     aux = _pair_rows(values)
     rows = _truncate_rows(aux, trunc_mult) if estimator == "truncated" else aux
-    sigma = _second_moment(rows)
+    _second_moment(rows, out=sigma)
     m = _RadialLaw.matched_rows(n, d)
     if m is not None:
         # unbias the inverse: E[(c W)^-1] = Sigma^-1 at c = m/(m-d-1)
         sigma *= _RadialLaw(d, m).debias
-    h = math.sqrt(n) * values.mean(axis=-2)
+    np.multiply(math.sqrt(n), values.mean(axis=-2), out=h)
+    return aux
+
+
+def _whiten_stack(values: np.ndarray, estimator: str, trunc_mult: float):
+    """``_moments`` then ``_whiten`` for a stack of samples (..., n, d).
+
+    Returns (x, w, rank, sigma, aux): whitened vectors (..., d), eigenvalues
+    (..., d), ranks (...), debiased covariance estimates (..., d, d) and
+    difference-pair rows (..., m, d).
+    """
+    *lead, _, d = values.shape
+    h, sigma = np.empty((*lead, d)), np.empty((*lead, d, d))
+    aux = _moments(values, estimator, trunc_mult, h, sigma)
     x, w, rank = _whiten(h, sigma)
     return x, w, rank, sigma, aux
 
 
-# Samples per kernel call in ``_whiten_chunks``: about 1 MiB of sample
-# values, at least one.  Like the calibration block size it is fixed, not
-# tuned per call; results do not depend on it.
+# Byte budgets of the phased replay; like the calibration block size they
+# are fixed, not tuned per call, and results do not depend on them.
+# Sample values held at once, over all lanes (at least one sample a lane):
 _CHUNK_BYTES = 1 << 20
+# Covariance estimates of one span (at least one sample):
+_SPAN_BYTES = 1 << 22
+# Eigenvectors of one ``eigh`` call (at least one matrix):
+_EIGH_BYTES = 1 << 20
 
 
-def _whiten_chunks(count: int, n: int, d: int, fill, estimator: str, trunc_mult: float):
-    """Kernel over ``count`` n x d samples, one reused chunk buffer at a time:
-    ``fill(i, out)`` writes sample i into ``out``; yields (lo, hi, x, rank)."""
-    per_chunk = max(1, _CHUNK_BYTES // (8 * n * d))
-    values = np.empty((per_chunk, n, d))
-    for lo in range(0, count, per_chunk):
-        hi = min(lo + per_chunk, count)
-        for i in range(lo, hi):
-            fill(i, values[i - lo])
-        x, _, rank, _, _ = _whiten_stack(values[: hi - lo], estimator, trunc_mult)
-        yield lo, hi, x, rank
+def _replay(count: int, n: int, d: int, fill, estimator: str, trunc_mult: float, lanes: int):
+    """The phased replay of the module docstring over ``count`` n x d samples,
+    on ``lanes`` lanes; yields (lo, hi, x, rank) per ``eigh`` sub-stack.
+
+    ``fill(i, out)`` writes sample i into ``out``, on any lane.  Every
+    sample keeps its own slots of H and Sigma, so the lanes and budgets
+    never change a result.  An exception in a lane re-raises here.
+    """
+    per_chunk = max(1, _CHUNK_BYTES // lanes // (8 * n * d))
+    per_span = min(count, max(1, _SPAN_BYTES // (8 * d * d)))
+    per_eigh = max(1, _EIGH_BYTES // (8 * d * d))
+    # allocated on the calling thread, as in critical_values._reference_norms
+    chunks = [np.empty((per_chunk, n, d)) for _ in range(lanes)]
+    h, sigma = np.empty((per_span, d)), np.empty((per_span, d, d))
+
+    def lane(j: int, lo: int, hi: int) -> None:
+        # chunks j, j + lanes, j + 2 lanes, ... of the span [lo, hi)
+        values = chunks[j]
+        for start in range(lo + j * per_chunk, hi, lanes * per_chunk):
+            stop = min(start + per_chunk, hi)
+            for i in range(start, stop):
+                fill(i, values[i - start])
+            span = slice(start - lo, stop - lo)
+            _moments(values[: stop - start], estimator, trunc_mult, h[span], sigma[span])
+
+    # pool threads start on the first submit, so one lane starts none
+    with ThreadPoolExecutor(max_workers=max(1, lanes - 1)) as pool:
+        for lo in range(0, count, per_span):
+            hi = min(lo + per_span, count)
+            others = [pool.submit(lane, j, lo, hi) for j in range(1, lanes)]
+            try:
+                lane(0, lo, hi)
+            finally:
+                for future in others:
+                    future.result()
+            # no lane runs while eigh does: OpenBLAS's threads spin after
+            # each call and stall a Python thread working beside them
+            for a in range(lo, hi, per_eigh):
+                b = min(a + per_eigh, hi)
+                x, _, rank = _whiten(h[a - lo : b - lo], sigma[a - lo : b - lo])
+                yield a, b, x, rank
 
 
 def _warn_rank(rank: int, d: int) -> None:
@@ -487,7 +545,8 @@ def invert_confidence_set(
 
     stats = np.empty(len(grid))
     deficient = 0
-    for lo, hi, x, rank in _whiten_chunks(len(grid), n, d, fill, estimator, _TRUNC_MULT):
+    # one lane, on the calling thread: the model need not be thread-safe
+    for lo, hi, x, rank in _replay(len(grid), n, d, fill, estimator, _TRUNC_MULT, lanes=1):
         stats[lo:hi] = _batch_pnorms(x, [p])[:, 0]
         deficient += int(np.count_nonzero(rank[finite[lo:hi]] < d))
     stats[~finite] = math.nan

@@ -10,6 +10,7 @@ import math
 import os
 import re
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -452,6 +453,29 @@ class TestBlockSchedule:
             assert kept[w].shape == kept[1].shape, f"kept rows differ at {w} workers"
             assert kept[w].tobytes() == kept[1].tobytes(), f"norms differ at {w} workers"
 
+    def test_blocks_run_at_most_ahead_of_the_caller(self, monkeypatch):
+        # a slow calling thread: finished blocks wait for it, at most
+        # _AHEAD * W of them started and not yet taken
+        started, taken, ahead = [], [0], []
+        real_rng, real_add = critical_values._block_rng, critical_values._TopRows.add
+
+        def block_rng(seed, block):
+            started.append(block)
+            return real_rng(seed, block)
+
+        def add(self, norms):
+            ahead.append(len(started) - taken[0])
+            time.sleep(0.002)
+            taken[0] += 1
+            real_add(self, norms)
+
+        monkeypatch.setattr(critical_values, "_worker_count", lambda blocks: 2)
+        monkeypatch.setattr(critical_values, "_block_rng", block_rng)
+        monkeypatch.setattr(critical_values._TopRows, "add", add)
+        mc_pnorm_quantile(2, 12, 0.05, reps=40 * _BLOCK, seed=0)
+        assert taken[0] == 40 and sorted(started) == list(range(40))
+        assert max(ahead) <= critical_values._AHEAD * 2
+
     def test_worker_exception_reaches_caller(self, monkeypatch):
         real = critical_values._batch_pnorms
 
@@ -701,6 +725,12 @@ class TestCriticalValueTable:
         )
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             CriticalValueTable(**{**good, **override})
+
+    @pytest.mark.parametrize("flag", [False, True])
+    def test_numpy_bool_flag_stored_as_bool(self, flag):
+        table = dataclasses.replace(self.make(), conservative=np.bool_(flag))
+        assert type(table.conservative) is bool and table.conservative is flag
+        assert CriticalValueTable.from_json(table.to_json()) == table
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_values_rejected(self, value):

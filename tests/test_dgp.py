@@ -163,3 +163,75 @@ class TestGenRct:
     def test_rejects_wrong_beta_star_shape(self):
         with pytest.raises(ValueError, match="d-vector"):
             gen_rct(rct_cfg(), np.zeros(3), seed=0)
+
+
+def _correlated_oracle(z, kind, r):
+    # the rows' covariance root formed afresh on every call
+    if kind == "identity":
+        return z
+    return z @ np.linalg.cholesky(toeplitz(r ** np.arange(z.shape[1]))).T
+
+
+def _iv_oracle(cfg, beta_star, seed):
+    rng = np.random.default_rng(seed)
+    z = _correlated_oracle(rng.standard_normal((cfg.n, cfg.d)), cfg.instrument_cov,
+                           cfg.toeplitz_r)
+    e = rng.standard_normal((cfg.n, 2))
+    rho = cfg.endogeneity_rho
+    u, v = e[:, 0], rho * e[:, 0] + math.sqrt(1.0 - rho * rho) * e[:, 1]
+    if cfg.error_dist == "t":
+        w = np.sqrt(cfg.t_dof / rng.chisquare(cfg.t_dof, size=cfg.n))
+        w = w * math.sqrt((cfg.t_dof - 2.0) / cfg.t_dof)
+        u, v = u * w, v * w
+    endog = z @ cfg.pi + v
+    y = endog * cfg.beta_true + u
+    return (y - endog * beta_star)[:, None] * z
+
+
+def _rct_oracle(cfg, beta_star, seed):
+    rng = np.random.default_rng(seed)
+    y0 = _correlated_oracle(rng.standard_normal((cfg.n, cfg.d)), cfg.outcome_cov,
+                            cfg.toeplitz_r)
+    if cfg.outcome_dist == "t":
+        w = np.sqrt(cfg.t_dof / rng.chisquare(cfg.t_dof, size=cfg.n))
+        y0 = y0 * (w * math.sqrt((cfg.t_dof - 2.0) / cfg.t_dof))[:, None]
+    treated = rng.random(cfg.n) < cfg.pi_treat
+    observed = np.where(treated[:, None], y0 + cfg.effect, y0)
+    weight = np.where(treated, 1.0 / cfg.pi_treat, -1.0 / (1.0 - cfg.pi_treat))
+    return observed * weight[:, None] - beta_star
+
+
+class TestRowsInPlace:
+    """The generators write their rows in place and reuse the Toeplitz factor,
+    with the rows of the textbook formulas."""
+
+    @pytest.mark.parametrize("cov", ["identity", "toeplitz"])
+    @pytest.mark.parametrize("dist", ["gaussian", "t"])
+    def test_rows_equal_the_formulas(self, cov, dist):
+        iv = iv_cfg(n=101, d=7, pi=np.linspace(0, 0.3, 7), endogeneity_rho=0.4,
+                    instrument_cov=cov, toeplitz_r=-0.3, error_dist=dist, t_dof=5.0)
+        rct = rct_cfg(n=101, d=7, pi_treat=0.3, effect=np.linspace(0, 0.2, 7),
+                      outcome_cov=cov, toeplitz_r=0.7, outcome_dist=dist, t_dof=5.0)
+        beta = np.full(7, 0.05)
+        for seed in range(3):
+            # the cholesky factors of numpy and scipy may differ in the last bit
+            np.testing.assert_allclose(gen_iv(iv, 0.5, seed), _iv_oracle(iv, 0.5, seed),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(gen_rct(rct, beta, seed), _rct_oracle(rct, beta, seed),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_toeplitz_factor_formed_once_per_design(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        real = scipy.linalg.cholesky
+        monkeypatch.setattr(
+            scipy.linalg, "cholesky", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        cfg = iv_cfg(n=50, d=6, pi=np.zeros(6), instrument_cov="toeplitz", toeplitz_r=0.123)
+        rows = [gen_iv(cfg, 1.0, seed) for seed in range(4)]
+        assert len(calls) == 1
+        assert np.array_equal(gen_iv(cfg, 1.0, 2), rows[2])
+        rct = rct_cfg(n=50, d=6, effect=np.zeros(6), outcome_cov="toeplitz", toeplitz_r=0.123)
+        gen_rct(rct, np.zeros(6), 0)
+        assert len(calls) == 1

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import threading
 import warnings
 from pathlib import Path
 
@@ -94,21 +95,59 @@ class TestRunExperiment:
         assert serial["results"] == again["results"]
         assert serial["results"] == threaded["results"]
 
-    def test_results_invariant_to_threads_and_chunk_size(self, monkeypatch):
-        # 8 reps in chunks of 1 and of 3 (8 is not a multiple of 3), and in
-        # one chunk under the default budget, at 1, 2 and 3 threads
-        cfg = gaussian_config(
-            reps=8,
-            dgp={"kind": "gaussian", "n": 61, "d": 3, "theta": [1.5, 0.0, -0.5]},
-            test={"alpha": 0.05, "mc_reps": 50_000, "estimator": "truncated",
-                  "trunc_mult": 1.2, "extra_ps": [2.5, 7]},
-        )
-        want = run_experiment(cfg).to_json_dict()["results"]
-        for per_chunk in (1, 3):
-            monkeypatch.setattr(test_engine, "_CHUNK_BYTES", per_chunk * 8 * 61 * 3)
-            for threads in (1, 2, 3):
-                got = run_experiment(cfg, threads=threads).to_json_dict()["results"]
-                assert got == want, (per_chunk, threads)
+    @pytest.mark.parametrize(
+        "dgp, test",
+        [
+            ({"kind": "iv", "n": 40, "d": 5, "beta_true": 1.0, "pi": [0.3, 0, 0, 0, 0],
+              "endogeneity_rho": 0.5}, {}),
+            ({"kind": "iv", "n": 41, "d": 5, "beta_true": 1.0, "pi": [0.2] * 5,
+              "instrument_cov": "toeplitz", "toeplitz_r": 0.6, "error_dist": "t",
+              "t_dof": 6.0}, {"estimator": "truncated", "trunc_mult": 1.2}),
+            # m = 5 difference pairs < d = 8: every covariance is singular
+            ({"kind": "gaussian", "n": 10, "d": 8}, {}),
+            ({"kind": "rct", "n": 30, "d": 4, "pi_treat": 0.4, "effect": [0.1, 0, 0, 0],
+              "outcome_cov": "toeplitz", "outcome_dist": "t"},
+             {"estimator": "truncated", "aux_rows": None}),
+            ({"kind": "gaussian", "n": 61, "d": 3, "theta": [1.5, 0.0, -0.5]},
+             {"estimator": "truncated", "trunc_mult": 1.2, "extra_ps": [2.5, 7]}),
+        ],
+        ids=["iv identity", "iv toeplitz t", "gaussian rank deficient", "rct", "gaussian drift"],
+    )
+    def test_results_invariant_to_lanes_and_spans(self, monkeypatch, dgp, test):
+        # 11 reps in chunks of 2 per lane, on 1, 2 and 3 lanes, in spans of
+        # one chunk, of 5 reps (eigh sub-stacks of 3) and under the default
+        # budget, which holds all 11
+        cfg = gaussian_config(reps=11, dgp=dgp, test={"mc_reps": 100_000, **test})
+        n, d = dgp["n"], dgp["d"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = run_experiment(cfg).to_json_dict()["results"]
+            for lanes in (1, 2, 3):
+                monkeypatch.setattr(harness, "_worker_count", lambda blocks: lanes)
+                monkeypatch.setattr(test_engine, "_CHUNK_BYTES", lanes * 2 * 8 * n * d)
+                for span, eigh in ((2, 2), (5, 3), (None, None)):
+                    with monkeypatch.context() as budgets:
+                        if span is not None:
+                            budgets.setattr(test_engine, "_SPAN_BYTES", span * 8 * d * d)
+                            budgets.setattr(test_engine, "_EIGH_BYTES", eigh * 8 * d * d)
+                        got = run_experiment(cfg).to_json_dict()["results"]
+                    assert got == want, (lanes, span)
+
+    def test_lane_exception_reaches_caller(self, monkeypatch):
+        # the replications drawn off the calling thread fail
+        caller = threading.get_ident()
+        real = harness._block_rng
+
+        def rng(seed, rep):
+            if threading.get_ident() != caller:
+                raise FloatingPointError(f"rep {rep} failed")
+            return real(seed, rep)
+
+        monkeypatch.setattr(harness, "_worker_count", lambda blocks: 2)
+        monkeypatch.setattr(test_engine, "_CHUNK_BYTES", 2 * 8 * 60 * 3)
+        monkeypatch.setattr(harness, "_block_rng", rng)
+        with pytest.raises(FloatingPointError, match="rep 1 failed"):
+            run_experiment(gaussian_config(reps=6))
 
     def test_flags_match_standalone_run_tests(self):
         # each row equals the decisions of run_tests on that replication's draw
@@ -121,7 +160,9 @@ class TestRunExperiment:
         spec = calibrate_spec(default_spec(d, 0.05), reps=50_000, aux_rows=n // 2)
         for rep in range(cfg["reps"]):
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((3, rep))))
-            alone = run_tests(draw(rng), spec, extra_ps=(2.5,))
+            sample = np.empty((n, d))
+            draw(rng, sample)
+            alone = run_tests(sample, spec, extra_ps=(2.5,))
             row = [rec.reject for rec in alone.per_p] + [alone.dominant.reject]
             assert report.flags[rep].tolist() == row
         assert report.test_names == ("2", "3", "4", "inf", "2.5", "psi")

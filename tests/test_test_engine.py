@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -231,6 +233,48 @@ class TestWhitenStack:
         got = prepare_standardized(values[1])
         for array, want in zip(got, (x[1], w[1], rank[1], sigma[1], aux[1])):
             assert np.array_equal(array, want)
+
+    @pytest.mark.parametrize("estimator", ["sample", "truncated"])
+    @pytest.mark.parametrize("shape", [(11, 41, 5), (7, 10, 8)])
+    @pytest.mark.parametrize("switch_interval", [None, 1e-6])
+    def test_replay_equals_stacked_kernel_for_any_lanes_and_spans(
+        self, monkeypatch, estimator, shape, switch_interval
+    ):
+        # 2 samples a lane chunk on 1, 2, 3 and 8 lanes; spans of one chunk,
+        # of 5 samples (eigh sub-stacks of 3) and under the default budget
+        count, n, d = shape
+        values = np.random.default_rng(count).standard_t(4.0, size=shape)
+        x, _, rank, _, _ = _whiten_stack(values, estimator, 1.2)
+        interval = sys.getswitchinterval()
+        if switch_interval is not None:
+            sys.setswitchinterval(switch_interval)
+        try:
+            self.check_replay(monkeypatch, values, estimator, x, rank)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def check_replay(monkeypatch, values, estimator, x, rank):
+        count, n, d = values.shape
+        for lanes in (1, 2, 3, 8):
+            monkeypatch.setattr(test_engine, "_CHUNK_BYTES", lanes * 2 * 8 * n * d)
+            for span, eigh in ((2, 2), (5, 3), (None, None)):
+                filled = []
+
+                def fill(i, out):
+                    filled.append(i)
+                    out[...] = values[i]
+
+                with monkeypatch.context() as budgets:
+                    if span is not None:
+                        budgets.setattr(test_engine, "_SPAN_BYTES", span * 8 * d * d)
+                        budgets.setattr(test_engine, "_EIGH_BYTES", eigh * 8 * d * d)
+                    got = list(test_engine._replay(count, n, d, fill, estimator, 1.2, lanes))
+                assert sorted(filled) == list(range(count))
+                assert [lo for lo, *_ in got] == [0] + [hi for _, hi, *_ in got[:-1]]
+                assert got[-1][1] == count
+                assert np.array_equal(np.concatenate([g[2] for g in got]), x)
+                assert np.array_equal(np.concatenate([g[3] for g in got]), rank)
 
     def test_indefinite_member_rejected(self):
         # a covariance matrix is never indefinite, so whiten one directly
@@ -521,6 +565,19 @@ class TestInvertConfidenceSet:
         got = stats()
         np.testing.assert_array_equal(got, want)
         assert np.isnan(got).tolist() == [False] * 3 + [True] + [False] * 3
+
+    def test_model_runs_on_the_calling_thread(self, monkeypatch):
+        # one lane: the model need not be thread-safe
+        data = np.random.default_rng(4).standard_normal((40, 2))
+        callers = []
+
+        def model(beta):
+            callers.append(threading.get_ident())
+            return data - beta
+
+        monkeypatch.setattr(test_engine, "_CHUNK_BYTES", 2 * 8 * 40 * 2)
+        invert_confidence_set(model, [-1.0, -0.5, 0.0, 0.5, 1.0], 2, 0.05, critical=3.0)
+        assert callers == [threading.get_ident()] * 5
 
     def test_one_warning_per_inversion(self):
         data = np.random.default_rng(4).standard_normal((40, 2))
