@@ -16,16 +16,18 @@ Three sources are implemented:
 
 Reference laws.  The asymptotic reference is the standard Gaussian vector
 Z_d.  When the covariance is estimated from m auxiliary difference-pair
-rows and debiased by m/(m-d-1), the standardized vector under Gaussian
-data is exactly elliptical:
+rows and debiased by m/(m-d-1), the finite-sample reference is
 
     Y  =d  sqrt( (m-d-1) d / (m-d+1) * F )  *  Z / ||Z||_2,
 
-with F an F(d, m-d+1) variable independent of Z.  Passing ``aux_rows=m``
-draws the reference from this finite-sample law instead, which makes the
-Monte-Carlo critical values exact at any (d, m) rather than only in the
-limit m -> infinity (where the two laws coincide).  ``_RadialLaw`` owns
-the law, its debias and its radius draw; m must be an integer >= d + 2.
+with F an F(d, m-d+1) variable independent of Z.  Under Gaussian data the
+standardized vector's 2-norm has the law of ||Y||_2 for every covariance,
+but the vector has the law of Y only for a covariance proportional to I:
+otherwise its direction is not uniform.  So ``aux_rows=m``, which draws
+the reference from this law, makes the Monte-Carlo critical values exact
+at any (d, m) at p = 2, and at every p for a covariance proportional to I;
+the two laws coincide as m -> infinity.  ``_RadialLaw`` owns the law, its
+debias and its radius draw; m must be an integer >= d + 2.
 
 Monte-Carlo draws are organised in fixed-size blocks, each fed by its own
 counter-based Philox stream keyed (seed, block index).  Blocks run on a

@@ -18,12 +18,15 @@ covariance matrix.  The public entry points (``standardize``,
 samples, the simulation harness's replications and the candidates of
 ``invert_confidence_set``, go through the phased replay ``_replay``.  It
 takes the samples in spans whose covariance estimates fit ``_SPAN_BYTES``
-(about 4 MiB), and each span runs in two phases.  First W lanes, the
-calling thread and W - 1 pool threads, fill their own chunk buffers (about
-``_CHUNK_BYTES`` / W of sample values each) one sample at a time, and
-reduce each chunk with ``_moments`` into the span's stacked H and Sigma.
-Then the calling thread alone whitens the span in ``eigh`` calls of about
-1 MiB of eigenvectors, while no lane runs: after each ``eigh`` of a matrix
+(4.5 MiB) as packed lower triangles, the only part ``eigh`` reads (LAPACK's
+packed symmetric storage): 3 spans of up to 719 samples for 2000 samples at
+d=40.  Each span runs in two phases.  First W lanes, the calling thread and
+W - 1 pool threads, fill their own chunk buffers (about ``_CHUNK_BYTES`` /
+W of sample values each) one sample at a time, reduce each chunk with
+``_moments`` into the span's H and a small full-matrix buffer of the lane,
+and pack its lower triangles into the span.  Then the calling thread alone
+unpacks the span into ``eigh`` calls of ``_EIGH_BYTES`` (256 KiB, 20
+matrices at d=40), while no lane runs: after each ``eigh`` of a matrix
 larger than 25 x 25, OpenBLAS's own threads spin for about 0.1 s and stall
 a Python thread working beside them, so the spans are large to make the
 switches few.  The harness runs one lane per usable core; the confidence
@@ -160,10 +163,10 @@ def _whiten_stack(values: np.ndarray, estimator: str, trunc_mult: float):
 # are fixed, not tuned per call, and results do not depend on them.
 # Sample values held at once, over all lanes (at least one sample a lane):
 _CHUNK_BYTES = 1 << 20
-# Covariance estimates of one span (at least one sample):
-_SPAN_BYTES = 1 << 22
-# Eigenvectors of one ``eigh`` call (at least one matrix):
-_EIGH_BYTES = 1 << 20
+# Packed lower triangles of one span's covariance estimates (at least one sample):
+_SPAN_BYTES = 9 << 19
+# Unpacked matrices of one ``eigh`` call (at least one matrix):
+_EIGH_BYTES = 1 << 18
 
 
 def _replay(count: int, n: int, d: int, fill, estimator: str, trunc_mult: float, lanes: int):
@@ -171,25 +174,31 @@ def _replay(count: int, n: int, d: int, fill, estimator: str, trunc_mult: float,
     on ``lanes`` lanes; yields (lo, hi, x, rank) per ``eigh`` sub-stack.
 
     ``fill(i, out)`` writes sample i into ``out``, on any lane.  Every
-    sample keeps its own slots of H and Sigma, so the lanes and budgets
-    never change a result.  An exception in a lane re-raises here.
+    sample keeps its own slots of H and of the packed span, so the lanes
+    and budgets never change a result.  An exception in a lane re-raises
+    here.
     """
+    # eigh reads only the lower triangle, so a span holds only that and the
+    # strict upper triangle of ``sigma`` is never written
+    lower = np.ravel_multi_index(np.tril_indices(d), (d, d))
     per_chunk = max(1, _CHUNK_BYTES // lanes // (8 * n * d))
-    per_span = min(count, max(1, _SPAN_BYTES // (8 * d * d)))
+    per_span = min(count, max(1, _SPAN_BYTES // (8 * len(lower))))
     per_eigh = max(1, _EIGH_BYTES // (8 * d * d))
     # allocated on the calling thread, as in critical_values._reference_norms
-    chunks = [np.empty((per_chunk, n, d)) for _ in range(lanes)]
-    h, sigma = np.empty((per_span, d)), np.empty((per_span, d, d))
+    chunks = [(np.empty((per_chunk, n, d)), np.empty((per_chunk, d, d))) for _ in range(lanes)]
+    h, packed = np.empty((per_span, d)), np.empty((per_span, len(lower)))
+    sigma = np.empty((per_eigh, d, d))
 
     def lane(j: int, lo: int, hi: int) -> None:
         # chunks j, j + lanes, j + 2 lanes, ... of the span [lo, hi)
-        values = chunks[j]
+        values, full = chunks[j]
         for start in range(lo + j * per_chunk, hi, lanes * per_chunk):
             stop = min(start + per_chunk, hi)
             for i in range(start, stop):
                 fill(i, values[i - start])
-            span = slice(start - lo, stop - lo)
-            _moments(values[: stop - start], estimator, trunc_mult, h[span], sigma[span])
+            span, k = slice(start - lo, stop - lo), stop - start
+            _moments(values[:k], estimator, trunc_mult, h[span], full[:k])
+            np.take(full[:k].reshape(k, d * d), lower, axis=1, out=packed[span], mode="clip")
 
     # pool threads start on the first submit, so one lane starts none
     with ThreadPoolExecutor(max_workers=max(1, lanes - 1)) as pool:
@@ -205,7 +214,8 @@ def _replay(count: int, n: int, d: int, fill, estimator: str, trunc_mult: float,
             # each call and stall a Python thread working beside them
             for a in range(lo, hi, per_eigh):
                 b = min(a + per_eigh, hi)
-                x, _, rank = _whiten(h[a - lo : b - lo], sigma[a - lo : b - lo])
+                sigma.reshape(per_eigh, d * d)[: b - a, lower] = packed[a - lo : b - lo]
+                x, _, rank = _whiten(h[a - lo : b - lo], sigma[: b - a])
                 yield a, b, x, rank
 
 

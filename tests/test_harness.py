@@ -119,6 +119,7 @@ class TestRunExperiment:
         # budget, which holds all 11
         cfg = gaussian_config(reps=11, dgp=dgp, test={"mc_reps": 100_000, **test})
         n, d = dgp["n"], dgp["d"]
+        packed = 8 * (d * (d + 1) // 2)  # bytes of a lower triangle in a span
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             want = run_experiment(cfg).to_json_dict()["results"]
@@ -128,7 +129,7 @@ class TestRunExperiment:
                 for span, eigh in ((2, 2), (5, 3), (None, None)):
                     with monkeypatch.context() as budgets:
                         if span is not None:
-                            budgets.setattr(test_engine, "_SPAN_BYTES", span * 8 * d * d)
+                            budgets.setattr(test_engine, "_SPAN_BYTES", span * packed)
                             budgets.setattr(test_engine, "_EIGH_BYTES", eigh * 8 * d * d)
                         got = run_experiment(cfg).to_json_dict()["results"]
                     assert got == want, (lanes, span)

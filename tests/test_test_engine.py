@@ -235,7 +235,7 @@ class TestWhitenStack:
             assert np.array_equal(array, want)
 
     @pytest.mark.parametrize("estimator", ["sample", "truncated"])
-    @pytest.mark.parametrize("shape", [(11, 41, 5), (7, 10, 8)])
+    @pytest.mark.parametrize("shape", [(11, 41, 5), (7, 10, 8), (7, 64, 30)])
     @pytest.mark.parametrize("switch_interval", [None, 1e-6])
     def test_replay_equals_stacked_kernel_for_any_lanes_and_spans(
         self, monkeypatch, estimator, shape, switch_interval
@@ -267,7 +267,7 @@ class TestWhitenStack:
 
                 with monkeypatch.context() as budgets:
                     if span is not None:
-                        budgets.setattr(test_engine, "_SPAN_BYTES", span * 8 * d * d)
+                        budgets.setattr(test_engine, "_SPAN_BYTES", span * 8 * (d * (d + 1) // 2))
                         budgets.setattr(test_engine, "_EIGH_BYTES", eigh * 8 * d * d)
                     got = list(test_engine._replay(count, n, d, fill, estimator, 1.2, lanes))
                 assert sorted(filled) == list(range(count))
@@ -275,6 +275,42 @@ class TestWhitenStack:
                 assert got[-1][1] == count
                 assert np.array_equal(np.concatenate([g[2] for g in got]), x)
                 assert np.array_equal(np.concatenate([g[3] for g in got]), rank)
+
+    @pytest.mark.parametrize("d", [1, 20, 26, 40])
+    def test_whiten_reads_only_lower_triangles(self, d):
+        # the replay's spans hold lower triangles only; from d = 26 eigh
+        # takes LAPACK's divide-and-conquer path
+        values = np.random.default_rng(d).standard_normal((3, 2 * d + 6, d))
+        h, sigma = np.empty((3, d)), np.empty((3, d, d))
+        test_engine._moments(values, "sample", 3.0, h, sigma)
+        poisoned = sigma.copy()
+        upper = np.triu_indices(d, 1)
+        poisoned[:, upper[0], upper[1]] = np.nan
+        for got, want in zip(test_engine._whiten(h, poisoned), test_engine._whiten(h, sigma)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_one_eigh_phase_per_packed_span(self, monkeypatch, lanes):
+        count, n, d = 2000, 4, 40
+        events = []
+        whiten = test_engine._whiten
+
+        def fill(i, out):
+            events.append("fill")
+            out[...] = 0.0
+
+        def counted(h, sigma):
+            events.append("eigh")
+            return whiten(h, sigma)
+
+        monkeypatch.setattr(test_engine, "_whiten", counted)
+        for _ in test_engine._replay(count, n, d, fill, "sample", 3.0, lanes):
+            pass
+        # an eigh phase ends at an eigh call not followed by another
+        phases = sum(a == "eigh" != b for a, b in zip(events, events[1:] + ["end"]))
+        per_span = test_engine._SPAN_BYTES // (8 * (d * (d + 1) // 2))
+        assert events.count("fill") == count
+        assert phases == math.ceil(count / per_span)
 
     def test_indefinite_member_rejected(self):
         # a covariance matrix is never indefinite, so whiten one directly
