@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .critical_values import _check_d
+from .critical_values import _check_alpha, _check_d
 from .gaussian_moments import g_p, lambda_p, mills_odds, normal_cdf, normal_quantile, sigma_p
 
 __all__ = [
@@ -100,8 +100,7 @@ def sup_criterion(theta) -> float:
 
 def local_power(p, alpha: float, c: float) -> float:
     """Asymptotic power 1 - Phi(Phi^{-1}(1-alpha) - c / sigma_p) at drift c."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    alpha = _check_alpha(alpha)
     if not c >= 0.0:
         raise ValueError(f"drift c must be >= 0, got {c}")
     return 1.0 - normal_cdf(normal_quantile(1.0 - alpha) - c / sigma_p(p))

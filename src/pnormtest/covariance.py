@@ -16,6 +16,7 @@ Samples are n x d arrays, checked once by ``_checked`` and never copied.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,10 +100,13 @@ def _second_moment(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
 _TRUNC_MULT = 3.0
 
 
-def _check_trunc_mult(trunc_mult: float) -> float:
+def _check_trunc_mult(trunc_mult) -> float:
+    """The truncation multiplier as a float: a real number, not a bool, > 0."""
+    if not isinstance(trunc_mult, numbers.Real) or isinstance(trunc_mult, bool):
+        raise TypeError(f"trunc_mult must be a real number, got {trunc_mult!r}")
     if not trunc_mult > 0:  # NaN fails it
         raise ValueError(f"trunc_mult must be positive, got {trunc_mult}")
-    return trunc_mult
+    return float(trunc_mult)
 
 
 def _truncate_rows(rows: np.ndarray, trunc_mult: float) -> np.ndarray:

@@ -52,7 +52,10 @@ core count.  About 10% of the rows are kept at alpha 0.05.
 JSON documents.  ``_document`` writes every document's ``schema_version``
 and ``kind``.  Every document read, a spec, a table or an experiment
 config, goes through the one field-table reader ``_parse``, which names the
-field path of each error, such as ``table.entries[0].kappa``.
+field path of each error, such as ``table.entries[0].kappa``.  A level, a
+share map, a dimension and a seed each have one check, ``_check_alpha``,
+``_check_shares``, ``_check_d`` and ``_check_seed``, which documents and
+library calls alike run.
 """
 
 from __future__ import annotations
@@ -229,23 +232,49 @@ def _exponent_key(p: float):
 _BLOCK = 1024
 
 
-def _check_alpha(alpha: float) -> float:
+# shares sum to their total, and a table's match its spec's, within this
+_SHARE_TOL = 1e-12
+
+
+def _check_alpha(alpha, name: str = "alpha") -> float:
+    """A level, share or probability as a float: a real number, not a bool, in (0, 1)."""
+    if not isinstance(alpha, numbers.Real) or isinstance(alpha, bool):
+        raise TypeError(f"{name} must be a real number, got {alpha!r}")
     alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not 0.0 < alpha < 1.0:  # NaN fails it
+        raise ValueError(f"{name} must lie in (0, 1), got {alpha}")
     return alpha
 
 
+def _check_shares(shares: Mapping, alpha_total, name: str = "alpha_total") -> dict:
+    """The map as floats: exponents distinct as floats, shares in (0, 1) summing to the total."""
+    out = {}
+    for p, share in shares.items():
+        p = _check_p(p)
+        if p in out:
+            raise ValueError("duplicate exponents in the share map")
+        out[p] = _check_alpha(share, f"alpha share at p={p:g}")
+    if not out:
+        raise ValueError("the share map allocates no positive share to any exponent")
+    total = sum(out.values())
+    if not abs(total - alpha_total) <= _SHARE_TOL:  # NaN fails it
+        raise ValueError(f"alpha shares sum to {total}, expected {name}={alpha_total}")
+    return out
+
+
 def _check_d(d, least: int = 1, hint: str = "") -> int:
-    # NaN, infinite and fractional dimensions fail it
-    if not (math.isfinite(d) and d == math.floor(d) and d >= least):
+    # NaN, infinite, fractional and bool dimensions fail it
+    if isinstance(d, bool) or not (math.isfinite(d) and d == math.floor(d) and d >= least):
         raise ValueError(f"d must be >= {least} and a finite integer, got {d}{hint}")
     return int(d)
 
 
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+def _check_seed(seed) -> int:
+    """The seed as an int: an integer, not a bool, and nonnegative."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     return int(seed)
 
 
@@ -584,26 +613,13 @@ class CriticalValueTable(_JsonDocument):
         _check_d(self.d)
         if not (isinstance(self.mc_reps, (int, np.integer)) and self.mc_reps >= 1):
             raise ValueError(f"mc_reps must be an integer >= 1, got {self.mc_reps}")
-        if not self.seed >= 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if not self.entries:
-            raise ValueError("table needs at least one exponent entry")
-        total = 0.0
-        for p, (share, kappa) in self.entries.items():
+        for p, (_, kappa) in self.entries.items():
             if not isinstance(p, float):
                 raise TypeError(f"entry keys must be float exponents, got {p!r}")
-            _check_p(p)
             if not 0.0 < kappa < math.inf:
                 raise ValueError(f"kappa must be positive and finite, got {kappa} at p={p:g}")
-            if not 0.0 < share < 1.0:
-                raise ValueError(f"alpha share must lie in (0,1), got {share} at p={p:g}")
-            total += share
-        if not abs(total - self.alpha_total) <= 1e-12:
-            raise ValueError(
-                f"alpha shares sum to {total}, expected alpha_total={self.alpha_total}"
-            )
-        if not 0.0 < self.alpha_total < 1.0:
-            raise ValueError(f"alpha_total must lie in (0, 1), got {self.alpha_total}")
+        _check_shares({p: share for p, (share, _) in self.entries.items()}, self.alpha_total)
+        _check_alpha(self.alpha_total, "alpha_total")
         if not 0.0 < self.c_n <= 1.0:
             raise ValueError(f"c_n must lie in (0, 1], got {self.c_n}")
         for p in self.entries:
@@ -614,6 +630,7 @@ class CriticalValueTable(_JsonDocument):
         scalars = {name: rule for name, rule in _TABLE_FIELDS.items() if name != "entries"}
         for name, value in _parse({n: getattr(self, n) for n in scalars}, scalars, "").items():
             object.__setattr__(self, name, value)
+        _check_seed(self.seed)
         if self.aux_rows is not None:
             _RadialLaw(self.d, self.aux_rows)
 
@@ -723,18 +740,7 @@ def calibrate_joint(
     seed = _check_seed(seed)
     d = _check_d(d)
     law = None if aux_rows is None else _RadialLaw(d, aux_rows)
-    if not shares:
-        raise ValueError("need at least one exponent share")
-    ps, vals = zip(*sorted((_check_p(p), float(s)) for p, s in shares.items()))
-    if len(set(ps)) != len(ps):
-        raise ValueError("duplicate exponents in the share map")
-    for p, share in zip(ps, vals):
-        if not share > 0.0:
-            raise ValueError(f"alpha share must be positive, got {share} at p={p:g}")
-    if abs(sum(vals) - alpha_total) > 1e-12:
-        raise ValueError(
-            f"alpha shares sum to {sum(vals)}, expected alpha_total={alpha_total}"
-        )
+    ps, vals = zip(*sorted(_check_shares(shares, alpha_total).items()))
     reps = _auto_reps(min(vals), reps)
 
     ks = [_order_index(a, reps) for a in (alpha_total, *vals)]

@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .critical_values import _check_alpha
+
 __all__ = [
     "IvConfig",
     "RctConfig",
@@ -126,8 +128,7 @@ class RctConfig:
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
-        if not 0.0 < self.pi_treat < 1.0:
-            raise ValueError(f"pi_treat must lie in (0, 1), got {self.pi_treat}")
+        _check_alpha(self.pi_treat, "pi_treat")
         object.__setattr__(self, "effect", _frozen_vector(self.effect, self.d, "effect"))
         _check_cov_dist(self.outcome_cov, self.toeplitz_r, self.outcome_dist, self.t_dof)
 

@@ -26,8 +26,11 @@ from typing import Mapping
 import numpy as np
 
 from .critical_values import (
+    _SHARE_TOL,
     CriticalValueTable,
+    _check_alpha,
     _check_d,
+    _check_shares,
     _document,
     _integer,
     _JsonDocument,
@@ -71,19 +74,8 @@ class DominantTestSpec(_JsonDocument):
     table: CriticalValueTable | None = field(default=None)
 
     def __post_init__(self) -> None:
-        # every check is written so that NaN fails it
         _check_d(self.d)
-        if not 0.0 < self.alpha_total < 1.0:
-            raise ValueError(f"alpha_total must lie in (0, 1), got {self.alpha_total}")
-        for name in ("alpha_2", "alpha_I", "alpha_inf"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be nonnegative")
-        parts = self.alpha_2 + self.alpha_I + self.alpha_inf
-        if not abs(parts - self.alpha_total) <= 1e-12:
-            raise ValueError(
-                f"alpha_2 + alpha_I + alpha_inf = {parts}, "
-                f"expected alpha_total = {self.alpha_total}"
-            )
+        _check_alpha(self.alpha_total, "alpha_total")
         if len(self.p_grid) != len(self.per_p_shares):
             raise ValueError("p_grid and per_p_shares must have equal length")
         for p in self.p_grid:
@@ -91,26 +83,23 @@ class DominantTestSpec(_JsonDocument):
                 raise ValueError(f"interior exponents must lie in (2, inf), got {p}")
         if any(b <= a for a, b in zip(self.p_grid, self.p_grid[1:])):
             raise ValueError("p_grid must be strictly increasing")
-        if not all(s > 0.0 for s in self.per_p_shares):
-            raise ValueError("every interior share must be positive")
-        if not abs(sum(self.per_p_shares) - self.alpha_I) <= 1e-12:
-            raise ValueError(
-                f"interior shares sum to {sum(self.per_p_shares)}, "
-                f"expected alpha_I = {self.alpha_I}"
-            )
+        # alpha_I totals the interior shares; a nonzero endpoint is in the share map
+        if self.p_grid or self.alpha_I != 0.0:
+            _check_shares(dict(zip(self.p_grid, self.per_p_shares)), self.alpha_I, "alpha_I")
+        _check_shares(self.share_map(), self.alpha_total)
         # stored as checked, so that the spec is hashable and writes plain JSON
         object.__setattr__(self, "d", int(self.d))
+        for name in ("alpha_total", "alpha_2", "alpha_I", "alpha_inf"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "p_grid", tuple(map(float, self.p_grid)))
         object.__setattr__(self, "per_p_shares", tuple(map(float, self.per_p_shares)))
-        if not self.share_map():
-            raise ValueError("spec allocates no positive share to any exponent")
         if self.table is not None:
             t = self.table
-            if t.d != self.d or abs(t.alpha_total - self.alpha_total) > 1e-12:
+            if t.d != self.d or abs(t.alpha_total - self.alpha_total) > _SHARE_TOL:
                 raise ValueError("calibration table does not match the spec")
             if t.exponents != self.exponents:
                 raise ValueError("calibration table covers a different exponent grid")
-            if any(abs(t.share(p) - share) > 1e-12 for p, share in self.share_map().items()):
+            if any(abs(t.share(p) - share) > _SHARE_TOL for p, share in self.share_map().items()):
                 raise ValueError("calibration table was drawn at other alpha shares")
 
     @property
@@ -124,11 +113,10 @@ class DominantTestSpec(_JsonDocument):
 
     def share_map(self) -> dict[float, float]:
         out: dict[float, float] = {}
-        if self.alpha_2 > 0.0:
+        if self.alpha_2 != 0.0:
             out[2.0] = self.alpha_2
-        for p, s in zip(self.p_grid, self.per_p_shares):
-            out[_check_p(p)] = s
-        if self.alpha_inf > 0.0:
+        out.update(zip(self.p_grid, self.per_p_shares))
+        if self.alpha_inf != 0.0:
             out[math.inf] = self.alpha_inf
         return out
 
@@ -172,6 +160,7 @@ def default_spec(d: int, alpha: float) -> DominantTestSpec:
     geometric shares 2^{-j}, normalised to sum to alpha/3.
     """
     d = _check_d(d, 2, "; the default grid needs d >= 2")
+    alpha = _check_alpha(alpha)
     third = alpha / 3.0
     # ceil(log2 d) in integer arithmetic, immune to float rounding
     m = min((d - 1).bit_length(), 12)
@@ -238,13 +227,10 @@ def power_loss_bound(p, alpha_total: float, alpha_p: float) -> float:
     for finite p, and f(alpha) - f(alpha_p) with
     f(x) = ln(-ln(1-x)/2) for the sup norm.
     """
-    if not 0.0 < alpha_p <= alpha_total:
-        raise ValueError(
-            f"need 0 < alpha_p <= alpha_total, got alpha_p={alpha_p}, "
-            f"alpha_total={alpha_total}"
-        )
-    if not alpha_total < 1.0:
-        raise ValueError(f"alpha_total must lie in (0, 1), got {alpha_total}")
+    alpha_total = _check_alpha(alpha_total, "alpha_total")
+    alpha_p = _check_alpha(alpha_p, "alpha_p")
+    if alpha_p > alpha_total:
+        raise ValueError(f"need alpha_p <= alpha_total, got {alpha_p} > {alpha_total}")
     if math.isinf(_check_p(p)):
         def f(x: float) -> float:
             return math.log(-math.log1p(-x) / 2.0)

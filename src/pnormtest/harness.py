@@ -19,6 +19,8 @@ The config is parsed once, before calibration, against field tables
 spec and table documents too: every section rejects unknown fields,
 numeric fields reject JSON booleans and strings, integer fields must be
 integral, real fields finite, and every error names its field path.
+The seeds, ``test.alpha`` and ``test.trunc_mult`` then run the library's
+own check, so a bad value fails with its message after the field path.
 The iv and rct tables are read off ``IvConfig`` and ``RctConfig``, so each
 dataclass is the only list of its fields and defaults.
 
@@ -35,6 +37,7 @@ n x d array, validated as every library function validates a sample.
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import math
@@ -45,16 +48,19 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .covariance import _TRUNC_MULT, _checked
+from .covariance import _TRUNC_MULT, _check_trunc_mult, _checked
 from .critical_values import (
     SCHEMA_VERSION,
     UsageError,
     _RadialLaw,
     _block_rng,
+    _check_alpha,
+    _check_seed,
     _document,
     _exponent,
     _integer,
     _list_of,
+    _numeric,
     _object,
     _optional,
     _parse,
@@ -129,22 +135,26 @@ def _aux_rows(value):
     raise ValueError(f"expected 'fold' or null, got {value!r}")
 
 
+def _seed(value) -> int:
+    return _check_seed(_integer(value))
+
+
 # Field tables: name -> (convert, default), read by ``_parse``.  IV and RCT
 # tables come from their config dataclasses.
 _TOP_FIELDS = {
     "schema_version": (_version, SCHEMA_VERSION),
     "experiment": (_string, "unnamed"),
     "reps": (_integer, MISSING),
-    "seed": (_integer, 0),
+    "seed": (_seed, 0),
     "dgp": (_object, MISSING),
     "test": (_object, {}),
 }
 _TEST_FIELDS = {
-    "alpha": (_real, 0.05),
+    "alpha": (lambda value: _check_alpha(_numeric(value)), 0.05),
     "estimator": (_check_estimator, "sample"),
-    "trunc_mult": (_real, _TRUNC_MULT),
+    "trunc_mult": (lambda value: _check_trunc_mult(_real(value)), _TRUNC_MULT),
     "mc_reps": (_optional(_integer), None),
-    "mc_seed": (_integer, 0),
+    "mc_seed": (_seed, 0),
     "aux_rows": (_aux_rows, "fold"),
     # "inf" names the sup norm, as in a table's "p" keys
     "extra_ps": (_list_of(_exponent, "exponents"), ()),
@@ -287,8 +297,6 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     reps, seed = top["reps"], top["seed"]
     if reps < 1:
         raise UsageError(f"reps: must be >= 1, got {reps}")
-    if seed < 0:
-        raise UsageError(f"seed: must be nonnegative, got {seed}")
     n, d, draw = _build_sampler(top["dgp"])
     if n < 4:
         raise UsageError(f"dgp.n: must be >= 4 for difference pairs, got {n}")
@@ -297,10 +305,6 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
 
     opts = _parse(top["test"], _TEST_FIELDS, "test")
     alpha, estimator, trunc_mult = opts["alpha"], opts["estimator"], opts["trunc_mult"]
-    if not 0.0 < alpha < 1.0:
-        raise UsageError(f"test.alpha: must lie in (0, 1), got {alpha}")
-    if not trunc_mult > 0:
-        raise UsageError(f"test.trunc_mult: must be positive, got {trunc_mult}")
     aux = _RadialLaw.matched_rows(n, d) if opts["aux_rows"] == "fold" else None
 
     try:
@@ -336,7 +340,7 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
 
     return SimulationReport(
         experiment=top["experiment"],
-        config=config,
+        config=copy.deepcopy(config),
         seed=seed,
         test_names=tuple(f"{p:g}" for p in ps) + ("psi",),
         flags=flags,

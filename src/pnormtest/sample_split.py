@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import _checked
-from .critical_values import _RadialLaw, _batch_pnorms
+from .critical_values import _RadialLaw, _batch_pnorms, _check_alpha
 from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from .gaussian_moments import _check_p
 from .test_engine import (
@@ -63,9 +63,7 @@ def split(n: int, frac1: float = 0.5, seed=0) -> tuple[np.ndarray, np.ndarray]:
     """Random partition of range(n) into folds of sizes ceil(frac1*n) and
     the rest, each returned sorted.  Both folds must end up with at least
     4 rows (difference pairs need that many)."""
-    if not 0.0 < frac1 < 1.0:
-        raise ValueError(f"frac1 must lie in (0, 1), got {frac1}")
-    n1 = math.ceil(frac1 * n)
+    n1 = math.ceil(_check_alpha(frac1, "frac1") * n)
     if min(n1, n - n1) < _MIN_FOLD:
         raise ValueError(
             f"folds of sizes {n1} and {n - n1} are too small; both need >= {_MIN_FOLD}"

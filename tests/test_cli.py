@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pnormtest.cli import _MAX_GRID_POINTS, _parse_grid_range, main
+from pnormtest.covariance import _check_trunc_mult
 from pnormtest.critical_values import kappa_inf_exact, kappa_p_asymptotic
 from pnormtest.dominant_test import DominantTestSpec, default_spec
 
@@ -510,3 +511,19 @@ def test_bad_trunc_mult_exit_2(tmp_path, table3, capsys, estimator, trunc_mult):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: trunc_mult must be positive") and "s.csv" not in err
+
+
+@pytest.mark.parametrize("trunc_mult", ["true", "0", "nan"])
+def test_trunc_mult_flag_rejected_as_check_trunc_mult_does(tmp_path, table3, capsys, trunc_mult):
+    data = write_null_csv(tmp_path / "s.csv")
+    code, out, err = run_cli(
+        capsys, "test", "--data", str(data), "--table", str(table3),
+        "--estimator", "truncated", "--trunc-mult", trunc_mult,
+    )
+    assert code == 2 and out == ""
+    if trunc_mult == "true":  # argparse reads the flag as a float, so a bool never arrives
+        assert "invalid float value: 'true'" in err
+    else:
+        with pytest.raises(ValueError) as want:
+            _check_trunc_mult(float(trunc_mult))
+        assert err == f"error: {want.value}\n"

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from pnormtest.covariance import (
     MomentSample,
+    _check_trunc_mult,
     _checked,
     _kurtosis,
     difference_pairs,
@@ -228,6 +229,26 @@ class TestCheckedBoundary:
         assert np.array_equal(values, before)
         assert values.flags.writeable
         values[0, 0] = 1.0
+
+
+# every entry point that takes a truncation multiplier, called with multiplier t
+TRUNC_MULT_ENTRY_POINTS = {
+    "truncated_cov": lambda t, v, spec: truncated_cov(v, t),
+    "prepare_standardized": lambda t, v, spec: prepare_standardized(v, "truncated", t),
+    "run_tests": lambda t, v, spec: run_tests(v, spec, "truncated", t),
+}
+
+
+class TestTruncMultBoundary:
+    @pytest.mark.parametrize("bad", [True, "3", 0, np.nan], ids=repr)
+    @pytest.mark.parametrize("entry", TRUNC_MULT_ENTRY_POINTS, ids=str)
+    def test_rejects_as_check_trunc_mult_does(self, entry, bad, spec4):
+        values = np.random.default_rng(12).standard_normal((40, 4))
+        with pytest.raises((TypeError, ValueError)) as want:
+            _check_trunc_mult(bad)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$") as got:
+            TRUNC_MULT_ENTRY_POINTS[entry](bad, values, spec4)
+        assert got.type is want.type
 
 
 class TestCheckedFiniteness:

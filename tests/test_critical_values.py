@@ -27,6 +27,10 @@ from pnormtest.critical_values import (
     CriticalValueTable,
     _batch_pnorms,
     _block_rng,
+    _check_alpha,
+    _check_d,
+    _check_seed,
+    _check_shares,
     _order_index,
     _TopRows,
     _worker_count,
@@ -36,7 +40,15 @@ from pnormtest.critical_values import (
     kappa_p_asymptotic,
     mc_pnorm_quantile,
 )
-from pnormtest.dominant_test import calibrate_spec, default_spec
+from pnormtest.consistency_oracle import local_power, make_alternative, sup_threshold
+from pnormtest.dominant_test import (
+    DominantTestSpec,
+    calibrate_spec,
+    default_spec,
+    power_loss_bound,
+)
+from pnormtest.sample_split import split_test
+from pnormtest.test_engine import invert_confidence_set
 
 DATA = Path(__file__).parent / "data"
 
@@ -709,7 +721,7 @@ class TestCriticalValueTable:
             ({"seed": True}, ValueError, "seed: expected a number, got True"),
             ({"aux_rows": 7.5}, ValueError, "aux_rows: expected an integer, got 7.5"),
             ({"mc_reps": True}, ValueError, "mc_reps: expected a number, got True"),
-            ({"d": True, "aux_rows": 3}, ValueError, "d: expected a number, got True"),
+            ({"d": True, "aux_rows": 3}, ValueError, "d must be >= 1 and a finite integer, got True"),
             ({"conservative": "no"}, ValueError, "conservative: expected true or false, got 'no'"),
             ({"c_n": True}, ValueError, "c_n: expected a number, got True"),
         ],
@@ -791,3 +803,135 @@ class TestCriticalValueTable:
         # d = 9: aux_rows = d + 2 is the smallest finite-sample reference
         doc = {**self.make().to_json_dict(), "aux_rows": 11, "seed": 0}
         assert CriticalValueTable.from_json_dict(doc).aux_rows == 11
+
+
+def rejects_as(owner, entry):
+    """``entry()`` raises exactly the type and message with which ``owner()`` does."""
+    with pytest.raises((TypeError, ValueError)) as want:
+        owner()
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$") as got:
+        entry()
+    assert got.type is want.type
+
+
+SAMPLE = np.random.default_rng(5).standard_normal((80, 6))
+BAD_LEVELS = ["0.05", True, math.nan, 0.0, 1.0]
+
+
+def table(**fields) -> CriticalValueTable:
+    good = dict(
+        d=4, alpha_total=0.05, entries={2.0: (0.05, 3.0)}, c_n=1.0,
+        conservative=False, mc_reps=20_000, seed=0, standalone={2.0: 3.0},
+    )
+    return CriticalValueTable(**{**good, **fields})
+
+
+def spec(**fields) -> DominantTestSpec:
+    good = dict(
+        d=8, alpha_total=0.05, alpha_2=0.03, alpha_I=0.02, alpha_inf=0.0,
+        p_grid=(3.0,), per_p_shares=(0.02,),
+    )
+    return DominantTestSpec(**{**good, **fields})
+
+
+# every entry point that takes a level: (the name its check uses, call at level a)
+ALPHA_ENTRY_POINTS = {
+    "kappa_p_asymptotic": ("alpha", lambda a: kappa_p_asymptotic(4, 10, a)),
+    "kappa_inf_asymptotic": ("alpha", lambda a: kappa_inf_asymptotic(10, a)),
+    "kappa_inf_exact": ("alpha", lambda a: kappa_inf_exact(10, a)),
+    "mc_pnorm_quantile": ("alpha", lambda a: mc_pnorm_quantile(2, 4, a, reps=2000)),
+    "calibrate_joint": ("alpha", lambda a: calibrate_joint({2.0: 0.05}, 4, a, 4000)),
+    "default_spec": ("alpha", lambda a: default_spec(8, a)),
+    "DominantTestSpec": ("alpha_total", lambda a: spec(alpha_total=a)),
+    "power_loss_bound alpha_total": ("alpha_total", lambda a: power_loss_bound(2, a, 0.01)),
+    "power_loss_bound alpha_p": ("alpha_p", lambda a: power_loss_bound(2, 0.05, a)),
+    "local_power": ("alpha", lambda a: local_power(2, a, 1.0)),
+    "invert_confidence_set": ("alpha", lambda a: invert_confidence_set(
+        lambda beta: SAMPLE, [0.0], 2, a, critical=3.0
+    )),
+    "split_test": ("alpha", lambda a: split_test(SAMPLE, 4, alpha=a, seed=1)),
+}
+
+# every entry point that takes a share map, with share s at p = 3
+SHARE_ENTRY_POINTS = {
+    "calibrate_joint": lambda s: calibrate_joint({2.0: 0.03, 3.0: s}, 4, 0.05, 4000),
+    "CriticalValueTable": lambda s: table(
+        entries={2.0: (0.03, 3.0), 3.0: (s, 3.0)}, standalone={2.0: 3.0, 3.0: 3.0}
+    ),
+    "DominantTestSpec": lambda s: spec(per_p_shares=(s,)),
+}
+
+# every entry point that takes a dimension: (its check's least d and hint, call at d)
+D_ENTRY_POINTS = {
+    "kappa_p_asymptotic": ((), lambda d: kappa_p_asymptotic(4, d, 0.05)),
+    "kappa_inf_asymptotic": (
+        (3, "; the asymptotic formula needs d >= 3, use kappa_inf_exact"),
+        lambda d: kappa_inf_asymptotic(d, 0.05),
+    ),
+    "kappa_inf_exact": ((), lambda d: kappa_inf_exact(d, 0.05)),
+    "mc_pnorm_quantile": ((), lambda d: mc_pnorm_quantile(2, d, 0.05, reps=2000)),
+    "calibrate_joint": ((), lambda d: calibrate_joint({2.0: 0.05}, d, 0.05, 4000)),
+    "default_spec": ((2, "; the default grid needs d >= 2"), lambda d: default_spec(d, 0.05)),
+    "DominantTestSpec": ((), lambda d: spec(d=d)),
+    "CriticalValueTable": ((), lambda d: table(d=d)),
+    "sup_threshold": ((), sup_threshold),
+    "make_alternative": (
+        (2, "; alternative families need d >= 2"), lambda d: make_alternative("sparse", d)
+    ),
+}
+
+# every entry point that takes a calibration seed, called with seed s
+SEED_ENTRY_POINTS = {
+    "mc_pnorm_quantile": lambda s: mc_pnorm_quantile(2, 4, 0.05, reps=2000, seed=s),
+    "calibrate_joint": lambda s: calibrate_joint({2.0: 0.05}, 4, 0.05, 4000, seed=s),
+    "calibrate_spec": lambda s: calibrate_spec(spec(), reps=4000, seed=s),
+    "invert_confidence_set": lambda s: invert_confidence_set(
+        lambda beta: SAMPLE, [0.0], 2, 0.05, mc_reps=2000, mc_seed=s
+    ),
+    "split_test": lambda s: split_test(SAMPLE, 4, reps=4000, mc_seed=s, seed=1),
+}
+
+
+class TestScalarBoundary:
+    @pytest.mark.parametrize("bad", BAD_LEVELS, ids=repr)
+    @pytest.mark.parametrize("entry", ALPHA_ENTRY_POINTS, ids=str)
+    def test_level_rejected_as_check_alpha_does(self, entry, bad):
+        name, call = ALPHA_ENTRY_POINTS[entry]
+        rejects_as(lambda: _check_alpha(bad, name), lambda: call(bad))
+
+    @pytest.mark.parametrize("bad", BAD_LEVELS, ids=repr)
+    @pytest.mark.parametrize("entry", SHARE_ENTRY_POINTS, ids=str)
+    def test_share_rejected_as_check_alpha_does(self, entry, bad):
+        rejects_as(lambda: _check_alpha(bad, "alpha share at p=3"),
+                   lambda: SHARE_ENTRY_POINTS[entry](bad))
+
+    @pytest.mark.parametrize(
+        "shares, calls",
+        [
+            ({}, [
+                lambda: calibrate_joint({}, 4, 0.05, 4000),
+                lambda: table(entries={}, standalone={}),
+                lambda: spec(alpha_2=0.0, alpha_I=0.0, p_grid=(), per_p_shares=()),
+            ]),
+            ({2.0: 0.02}, [
+                lambda: calibrate_joint({2.0: 0.02}, 4, 0.05, 4000),
+                lambda: table(entries={2.0: (0.02, 3.0)}),
+                lambda: spec(alpha_2=0.02, alpha_I=0.0, p_grid=(), per_p_shares=()),
+            ]),
+        ],
+        ids=["empty map", "sum below alpha_total"],
+    )
+    def test_share_map_rejected_as_check_shares_does(self, shares, calls):
+        for call in calls:
+            rejects_as(lambda: _check_shares(shares, 0.05), call)
+
+    @pytest.mark.parametrize("bad", [True, 2.5, math.nan], ids=repr)
+    @pytest.mark.parametrize("entry", D_ENTRY_POINTS, ids=str)
+    def test_dimension_rejected_as_check_d_does(self, entry, bad):
+        args, call = D_ENTRY_POINTS[entry]
+        rejects_as(lambda: _check_d(bad, *args), lambda: call(bad))
+
+    @pytest.mark.parametrize("bad", [-1, True, 2.5, np.int64(-2)], ids=repr)
+    @pytest.mark.parametrize("entry", SEED_ENTRY_POINTS, ids=str)
+    def test_seed_rejected_as_check_seed_does(self, entry, bad):
+        rejects_as(lambda: _check_seed(bad), lambda: SEED_ENTRY_POINTS[entry](bad))

@@ -172,6 +172,15 @@ class TestSpecInvariants:
         calibrated = calibrate_spec(s, reps=np.int64(50_000), seed=3)
         assert DominantTestSpec.from_json(calibrated.to_json()) == calibrated
 
+    @pytest.mark.parametrize("real", [np.float32, np.float64])
+    def test_numpy_alpha_fields_stored_as_floats(self, real):
+        # dyadic values, exact in float32, so the shares still sum exactly
+        s = self.base(alpha_total=real(0.0625), alpha_2=real(0.03125), alpha_I=real(0.015625),
+                      alpha_inf=real(0.015625), per_p_shares=(0.0078125, 0.0078125))
+        fields = (s.alpha_total, s.alpha_2, s.alpha_I, s.alpha_inf)
+        assert [type(v) for v in fields] == [float] * 4
+        assert DominantTestSpec.from_json(s.to_json()) == s
+
 
 @pytest.fixture(scope="module")
 def calibrated():

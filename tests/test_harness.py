@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from pnormtest import harness, test_engine
+from pnormtest.covariance import _check_trunc_mult
+from pnormtest.critical_values import _check_alpha, _check_seed
 from pnormtest.dominant_test import calibrate_spec, default_spec
 from pnormtest.harness import (
     DataError,
@@ -234,6 +236,13 @@ class TestRunExperiment:
         cfg = gaussian_config()
         assert run_experiment(cfg).to_json_dict()["results"]["config"] == cfg
 
+    def test_config_echo_is_a_copy(self):
+        cfg = gaussian_config()
+        report = run_experiment(cfg)
+        cfg["reps"] = 999
+        cfg["test"]["alpha"] = 0.5
+        assert report.to_json_dict()["results"]["config"] == gaussian_config()
+
     def test_field_path_in_schema_errors(self):
         with pytest.raises(UsageError, match="reps: must be >= 1"):
             run_experiment(gaussian_config(reps=0))
@@ -325,6 +334,29 @@ class TestRunExperiment:
         calls = []
         monkeypatch.setattr(harness, "calibrate_spec", lambda *a, **k: calls.append(1))
         with pytest.raises(UsageError, match=f"^{field}: expected a number, got "):
+            run_experiment(gaussian_config(**override))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "field, check, override",
+        [
+            ("test.alpha", lambda: _check_alpha(math.nan), {"test": {"alpha": math.nan}}),
+            ("test.alpha", lambda: _check_alpha(0.0), {"test": {"alpha": 0.0}}),
+            ("test.alpha", lambda: _check_alpha(1.0), {"test": {"alpha": 1.0}}),
+            ("test.trunc_mult", lambda: _check_trunc_mult(0.0),
+             {"test": {"estimator": "truncated", "trunc_mult": 0}}),
+            ("seed", lambda: _check_seed(-1), {"seed": -1}),
+            ("test.mc_seed", lambda: _check_seed(-1), {"test": {"mc_seed": -1}}),
+        ],
+    )
+    def test_scalar_fields_run_the_library_check(self, monkeypatch, field, check, override):
+        # once a field holds a JSON number, the library's own check judges it
+        calls = []
+        monkeypatch.setattr(harness, "calibrate_spec", lambda *a, **k: calls.append(1))
+        with pytest.raises(ValueError) as want:
+            check()
+        message = f"{field}: {want.value}"
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             run_experiment(gaussian_config(**override))
         assert calls == []
 
