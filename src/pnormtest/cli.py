@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .covariance import _TRUNC_MULT, _check_trunc_mult
+from .covariance import _TRUNC_MULT, _check_rows, _check_trunc_mult
 from .critical_values import _document, _formula_kappa
 from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from .gaussian_moments import _check_p, lambda_p, sigma_p
@@ -161,11 +161,12 @@ def _cmd_invert(args) -> None:
     grid = _parse_grid_range(args.grid)
     sample = read_sample_csv(args.data)
     n, cols = sample.shape
-    if cols < 3 or n < 4:
-        raise DataError(
-            f"{args.data}: the iv model needs columns y, Y, z1..zd (>= 3) and at least "
-            f"4 rows, got {n} x {cols}"
-        )
+    if cols < 3:
+        raise DataError(f"{args.data}: the iv model needs columns y, Y, z1..zd (>= 3), got {cols}")
+    try:
+        _check_rows(n)
+    except ValueError as exc:
+        raise DataError(f"{args.data}: {exc}") from None
     y, endog, z = sample[:, 0], sample[:, 1], sample[:, 2:]
 
     def model(beta: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Consistency criteria and asymptotic power formulas on theta profiles,
-the d-vectors of noncentralities, taken and returned as plain arrays.
+the d-vectors of noncentralities, taken and returned as plain arrays; every
+theta, taken or built, goes through ``critical_values._check_vector``.
 
 Each p-norm test is consistent against a drifting sequence of
 alternatives iff its criterion diverges along the sequence:
@@ -38,7 +39,7 @@ import math
 
 import numpy as np
 
-from .critical_values import _check_alpha, _check_d
+from .critical_values import _check_alpha, _check_d, _check_vector
 from .gaussian_moments import g_p, lambda_p, mills_odds, normal_cdf, normal_quantile, sigma_p
 
 __all__ = [
@@ -54,16 +55,6 @@ __all__ = [
 ALTERNATIVE_KINDS = ("sparse", "dense", "semi_sparse")
 
 
-def _as_theta(theta) -> np.ndarray:
-    # the one check of a theta argument
-    t = np.asarray(theta, dtype=float)
-    if t.ndim != 1:
-        raise ValueError(f"expected a vector, got shape {t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("theta entries must be finite")
-    return t
-
-
 def sup_threshold(d: int) -> float:
     """The sup-norm consistency threshold c_d; c_1 is defined as 0."""
     d = _check_d(d)
@@ -76,13 +67,13 @@ def sup_threshold(d: int) -> float:
 
 def finite_p_criterion(theta, p) -> float:
     """d^{-1/2} sum_i g_p(theta_i); diverges iff the p-norm test is consistent."""
-    t = _as_theta(theta)
+    t = _check_vector(theta, "theta")
     return float(np.sum(g_p(p, t))) / math.sqrt(t.size)
 
 
 def lambda_criterion(theta, p) -> float:
     """d^{-1/2} sum_i (lambda_p(theta_i) - lambda_p(0)); same divergence."""
-    t = _as_theta(theta)
+    t = _check_vector(theta, "theta")
     # profiles are typically few-valued; evaluate lambda_p once per value
     vals, counts = np.unique(np.abs(t), return_counts=True)
     base = lambda_p(p, 0.0)
@@ -92,7 +83,7 @@ def lambda_criterion(theta, p) -> float:
 
 def sup_criterion(theta) -> float:
     """sum_i MillsOdds(c_d - |theta_i|); strictly positive even at theta = 0."""
-    t = _as_theta(theta)
+    t = _check_vector(theta, "theta")
     vals, counts = np.unique(np.abs(t), return_counts=True)
     odds = mills_odds(sup_threshold(t.size) - vals)
     return float(np.dot(counts, odds))
@@ -129,4 +120,4 @@ def make_alternative(kind: str, d: int, t: float = 0.08, scale: float = 1.0) -> 
         if k > d:
             raise ValueError(f"d={d} too small for the semi-sparse family (k={k} > d)")
         theta[:k] = scale * math.sqrt(2.0 * t * math.log(d))
-    return _as_theta(theta)  # an infinite scale or t, or an overflow, fails it
+    return _check_vector(theta, "theta")  # an infinite scale or t, or an overflow, fails it

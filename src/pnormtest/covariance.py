@@ -11,7 +11,8 @@ row norm before forming the second-moment matrix.  The theoretically
 optimal robust estimators this stands in for are not practical to
 implement.  The test engine selects its estimator by one of two names,
 ``"sample"`` or ``"truncated"``; other estimators are not pluggable.
-Samples are n x d arrays, checked once by ``_checked`` and never copied.
+Samples are n x d arrays, checked once by ``_checked`` and never copied;
+difference pairs need n >= 4 rows, the rule of ``_check_rows``.
 """
 
 from __future__ import annotations
@@ -77,12 +78,16 @@ def _checked(s) -> np.ndarray:
     return v
 
 
+def _check_rows(n: int, hint: str = "") -> int:
+    """The row count n of a sample whose difference pairs are formed: n >= 4."""
+    if n < 4:
+        raise ValueError(f"difference pairs need n >= 4 rows, got {n}{hint}")
+    return n
+
+
 def _pair_rows(values: np.ndarray) -> np.ndarray:
     # (..., n, d) -> (..., n // 2, d) difference-pair rows of each stacked sample
-    n = values.shape[-2]
-    if n < 4:
-        raise ValueError(f"difference pairs need n >= 4 rows, got {n}")
-    m = n // 2
+    m = _check_rows(values.shape[-2]) // 2
     rows = values[..., 1 : 2 * m : 2, :] - values[..., 0 : 2 * m : 2, :]
     rows /= np.sqrt(2.0)
     return rows

@@ -53,9 +53,9 @@ JSON documents.  ``_document`` writes every document's ``schema_version``
 and ``kind``.  Every document read, a spec, a table or an experiment
 config, goes through the one field-table reader ``_parse``, which names the
 field path of each error, such as ``table.entries[0].kappa``.  A level, a
-share map, a dimension and a seed each have one check, ``_check_alpha``,
-``_check_shares``, ``_check_d`` and ``_check_seed``, which documents and
-library calls alike run.
+share map, a count, a finite vector and a seed each have one check, run by
+documents and library calls alike: ``_check_alpha``, ``_check_shares``,
+``_check_d``, ``_check_vector`` and ``_check_seed``.
 """
 
 from __future__ import annotations
@@ -256,17 +256,31 @@ def _check_shares(shares: Mapping, alpha_total, name: str = "alpha_total") -> di
         out[p] = _check_alpha(share, f"alpha share at p={p:g}")
     if not out:
         raise ValueError("the share map allocates no positive share to any exponent")
+    alpha_total = _check_alpha(alpha_total, name)
     total = sum(out.values())
     if not abs(total - alpha_total) <= _SHARE_TOL:  # NaN fails it
         raise ValueError(f"alpha shares sum to {total}, expected {name}={alpha_total}")
     return out
 
 
-def _check_d(d, least: int = 1, hint: str = "") -> int:
-    # NaN, infinite, fractional and bool dimensions fail it
+def _check_d(d, least: int = 1, hint: str = "", name: str = "d") -> int:
+    """A count as an int: a real number, not a bool, a finite integer >= least."""
+    if not isinstance(d, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {d!r}")
     if isinstance(d, bool) or not (math.isfinite(d) and d == math.floor(d) and d >= least):
-        raise ValueError(f"d must be >= {least} and a finite integer, got {d}{hint}")
+        raise ValueError(f"{name} must be >= {least} and a finite integer, got {d}{hint}")
     return int(d)
+
+
+def _check_vector(value, name: str, d: int | None = None) -> np.ndarray:
+    """``value`` as a float vector of finite entries, of length d when d is given."""
+    v = np.asarray(value, dtype=float)
+    if v.ndim != 1 or d is not None and v.size != d:
+        what = "a vector" if d is None else f"a d-vector (d = {d})"
+        raise ValueError(f"{name}: expected {what}, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{name} entries must be finite")
+    return v
 
 
 def _check_seed(seed) -> int:
@@ -618,13 +632,18 @@ class CriticalValueTable(_JsonDocument):
                 raise TypeError(f"entry keys must be float exponents, got {p!r}")
             if not 0.0 < kappa < math.inf:
                 raise ValueError(f"kappa must be positive and finite, got {kappa} at p={p:g}")
-        _check_shares({p: share for p, (share, _) in self.entries.items()}, self.alpha_total)
-        _check_alpha(self.alpha_total, "alpha_total")
+        shares = _check_shares({p: s for p, (s, _) in self.entries.items()}, self.alpha_total)
         if not 0.0 < self.c_n <= 1.0:
             raise ValueError(f"c_n must lie in (0, 1], got {self.c_n}")
         for p in self.entries:
             if not 0.0 < self.standalone.get(p, 0.0) < math.inf:
                 raise ValueError(f"standalone kappa at p={p:g} must be present, positive and finite")
+        for p in self.standalone.keys() - self.entries.keys():
+            raise ValueError(f"standalone kappa at p={p} has no entry")
+        # stored as floats, so that to_json writes plain JSON
+        entries = {p: (share, float(self.entries[p][1])) for p, share in shares.items()}
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "standalone", {p: float(self.standalone[p]) for p in entries})
         # the reader's converters too, so that to_json writes no table
         # from_json rejects, and what they return is stored
         scalars = {name: rule for name, rule in _TABLE_FIELDS.items() if name != "entries"}

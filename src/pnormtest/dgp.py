@@ -18,7 +18,9 @@ once per (d, r), not once per draw.
 
 Each generator draws through a private row generator (``_iv_rows``,
 ``_rct_rows``) that writes into a given n x d array, so the simulation
-harness draws straight into its chunk buffers.
+harness draws straight into its chunk buffers.  A config stores the ints
+``_check_d`` makes of its ``n`` and ``d``, and a read-only copy of the
+d-vector ``_check_vector`` makes of ``pi`` or ``effect``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical_values import _check_alpha
+from .critical_values import _check_alpha, _check_d, _check_vector
 
 __all__ = [
     "IvConfig",
@@ -73,15 +75,13 @@ def _correlated_normals(rng: np.random.Generator, kind: str, r: float, out: np.n
     return np.matmul(rng.standard_normal(out.shape), _toeplitz_factor(out.shape[1], r), out=out)
 
 
-def _frozen_vector(value, d: int, name: str) -> np.ndarray:
-    """A read-only copy of ``value`` as a finite d-vector."""
-    v = np.array(value, dtype=float)
-    if v.shape != (d,):
-        raise ValueError(f"{name} must be a d-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} entries must be finite")
+def _check_design(cfg, vector: str) -> None:
+    # n and d as ints, and a read-only copy of the d-vector field ``vector``
+    for name in ("n", "d"):
+        object.__setattr__(cfg, name, _check_d(getattr(cfg, name), name=name))
+    v = _check_vector(getattr(cfg, vector), vector, cfg.d).copy()
     v.flags.writeable = False
-    return v
+    object.__setattr__(cfg, vector, v)
 
 
 def _unit_t_scale(rng: np.random.Generator, dof: float, n: int) -> np.ndarray:
@@ -104,9 +104,7 @@ class IvConfig:
     t_dof: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 1:
-            raise ValueError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
-        object.__setattr__(self, "pi", _frozen_vector(self.pi, self.d, "pi"))
+        _check_design(self, "pi")
         if not -1.0 < self.endogeneity_rho < 1.0:
             raise ValueError(f"|rho| < 1 required, got {self.endogeneity_rho}")
         _check_cov_dist(self.instrument_cov, self.toeplitz_r, self.error_dist, self.t_dof)
@@ -126,10 +124,8 @@ class RctConfig:
     t_dof: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 1:
-            raise ValueError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
+        _check_design(self, "effect")
         _check_alpha(self.pi_treat, "pi_treat")
-        object.__setattr__(self, "effect", _frozen_vector(self.effect, self.d, "effect"))
         _check_cov_dist(self.outcome_cov, self.toeplitz_r, self.outcome_dist, self.t_dof)
 
 
@@ -164,9 +160,7 @@ def gen_rct(cfg: RctConfig, beta_star, seed) -> np.ndarray:
 
     Population mean is the true effect vector minus beta_star.
     """
-    beta_star = np.asarray(beta_star, dtype=float)
-    if beta_star.shape != (cfg.d,):
-        raise ValueError(f"beta_star must be a d-vector, got shape {beta_star.shape}")
+    beta_star = _check_vector(beta_star, "beta_star", cfg.d)
     return _rct_rows(cfg, beta_star, np.random.default_rng(seed), np.empty((cfg.n, cfg.d)))
 
 

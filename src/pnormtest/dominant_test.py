@@ -74,8 +74,7 @@ class DominantTestSpec(_JsonDocument):
     table: CriticalValueTable | None = field(default=None)
 
     def __post_init__(self) -> None:
-        _check_d(self.d)
-        _check_alpha(self.alpha_total, "alpha_total")
+        object.__setattr__(self, "d", _check_d(self.d))
         if len(self.p_grid) != len(self.per_p_shares):
             raise ValueError("p_grid and per_p_shares must have equal length")
         for p in self.p_grid:
@@ -88,7 +87,6 @@ class DominantTestSpec(_JsonDocument):
             _check_shares(dict(zip(self.p_grid, self.per_p_shares)), self.alpha_I, "alpha_I")
         _check_shares(self.share_map(), self.alpha_total)
         # stored as checked, so that the spec is hashable and writes plain JSON
-        object.__setattr__(self, "d", int(self.d))
         for name in ("alpha_total", "alpha_2", "alpha_I", "alpha_inf"):
             object.__setattr__(self, name, float(getattr(self, name)))
         object.__setattr__(self, "p_grid", tuple(map(float, self.p_grid)))

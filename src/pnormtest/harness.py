@@ -19,8 +19,9 @@ The config is parsed once, before calibration, against field tables
 spec and table documents too: every section rejects unknown fields,
 numeric fields reject JSON booleans and strings, integer fields must be
 integral, real fields finite, and every error names its field path.
-The seeds, ``test.alpha`` and ``test.trunc_mult`` then run the library's
-own check, so a bad value fails with its message after the field path.
+The seeds, ``test.alpha``, ``test.trunc_mult``, ``dgp.d``, ``dgp.n`` and the
+vectors then run the library's own check, so a bad value fails with its
+message after the field path.
 The iv and rct tables are read off ``IvConfig`` and ``RctConfig``, so each
 dataclass is the only list of its fields and defaults.
 
@@ -48,14 +49,16 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .covariance import _TRUNC_MULT, _check_trunc_mult, _checked
+from .covariance import _TRUNC_MULT, _check_rows, _check_trunc_mult, _checked
 from .critical_values import (
     SCHEMA_VERSION,
     UsageError,
     _RadialLaw,
     _block_rng,
     _check_alpha,
+    _check_d,
     _check_seed,
+    _check_vector,
     _document,
     _exponent,
     _integer,
@@ -160,9 +163,18 @@ _TEST_FIELDS = {
     "extra_ps": (_list_of(_exponent, "exponents"), ()),
 }
 _KIND = {"kind": (_string, MISSING)}
-_GAUSSIAN_FIELDS = {**_KIND, "n": (_integer, MISSING), "d": (_integer, MISSING),
+_GAUSSIAN_FIELDS = {**_KIND, "n": (_integer, MISSING),
+                    "d": (lambda value: _check_d(_integer(value)), MISSING),
                     "theta": (_vector, None)}
 _CONVERT = {int: _integer, float: _real, str: _string, np.ndarray: _vector}
+
+
+def _at(path: str, check, *args, **kwargs):
+    """``check(*args, **kwargs)``; a ``ValueError`` is raised as a ``UsageError`` at ``path``."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def _parse_config(cls, dgp: dict, beta_star_type):
@@ -170,10 +182,7 @@ def _parse_config(cls, dgp: dict, beta_star_type):
     hints = get_type_hints(cls)
     fields = {f.name: (_CONVERT[hints[f.name]], f.default) for f in dataclasses.fields(cls)}
     values = _parse(dgp, {**_KIND, **fields, "beta_star": (beta_star_type, None)}, "dgp")
-    try:
-        return cls(**{name: values[name] for name in fields}), values["beta_star"]
-    except ValueError as exc:
-        raise UsageError(f"dgp: {exc}") from None
+    return _at("dgp", cls, **{name: values[name] for name in fields}), values["beta_star"]
 
 
 def _build_sampler(dgp: dict):
@@ -184,8 +193,8 @@ def _build_sampler(dgp: dict):
     if kind == "gaussian":
         fields = _parse(dgp, _GAUSSIAN_FIELDS, "dgp")
         n, d, theta = fields["n"], fields["d"], fields["theta"]
-        if theta is not None and theta.shape != (d,):
-            raise UsageError(f"dgp.theta: expected length {d}, got shape {theta.shape}")
+        if theta is not None:
+            theta = _at("dgp.theta", _check_vector, theta, "theta", d)
 
         def draw(rng, out):
             # mean theta/sqrt(n) makes sqrt(n) * rowmean exactly N(theta, I)
@@ -201,8 +210,7 @@ def _build_sampler(dgp: dict):
     if kind == "rct":
         cfg, beta_star = _parse_config(RctConfig, dgp, _vector)
         beta_star = cfg.effect if beta_star is None else beta_star
-        if beta_star.shape != (cfg.d,):
-            raise UsageError(f"dgp.beta_star: expected length {cfg.d}")
+        beta_star = _at("dgp.beta_star", _check_vector, beta_star, "beta_star", cfg.d)
         return cfg.n, cfg.d, lambda rng, out: _rct_rows(cfg, beta_star, rng, out)
     raise UsageError(f"dgp.kind: must be 'gaussian', 'iv' or 'rct', got {kind!r}")
 
@@ -292,16 +300,12 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     many replications had a rank-deficient covariance estimate, if any did.
     """
     top = _parse(config, _TOP_FIELDS, "")
-    if threads < 1:
-        raise UsageError(f"threads: must be >= 1, got {threads}")
+    _at("threads", _check_d, threads, name="threads")
     reps, seed = top["reps"], top["seed"]
     if reps < 1:
         raise UsageError(f"reps: must be >= 1, got {reps}")
     n, d, draw = _build_sampler(top["dgp"])
-    if n < 4:
-        raise UsageError(f"dgp.n: must be >= 4 for difference pairs, got {n}")
-    if d < 1:
-        raise UsageError(f"dgp.d: must be >= 1, got {d}")
+    _at("dgp.n", _check_rows, n)
 
     opts = _parse(top["test"], _TEST_FIELDS, "test")
     alpha, estimator, trunc_mult = opts["alpha"], opts["estimator"], opts["trunc_mult"]

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import _checked
-from .critical_values import _RadialLaw, _batch_pnorms, _check_alpha
+from .covariance import _check_rows, _checked
+from .critical_values import _RadialLaw, _batch_pnorms, _check_alpha, _check_d
 from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from .gaussian_moments import _check_p
 from .test_engine import (
@@ -48,8 +48,6 @@ __all__ = [
     "split_test",
 ]
 
-_MIN_FOLD = 4
-
 # bytes of the one row buffer through which fold 1, and the squared pair
 # rows, are summed block by block
 _BLOCK_BYTES = 1 << 19
@@ -63,11 +61,9 @@ def split(n: int, frac1: float = 0.5, seed=0) -> tuple[np.ndarray, np.ndarray]:
     """Random partition of range(n) into folds of sizes ceil(frac1*n) and
     the rest, each returned sorted.  Both folds must end up with at least
     4 rows (difference pairs need that many)."""
+    n = _check_d(n, name="n")
     n1 = math.ceil(_check_alpha(frac1, "frac1") * n)
-    if min(n1, n - n1) < _MIN_FOLD:
-        raise ValueError(
-            f"folds of sizes {n1} and {n - n1} are too small; both need >= {_MIN_FOLD}"
-        )
+    _check_rows(min(n1, n - n1), f"; folds of sizes {n1} and {n - n1} are too small")
     perm = np.random.default_rng(seed).permutation(n)
     return np.sort(perm[:n1]), np.sort(perm[n1:])
 
@@ -105,9 +101,7 @@ def _fold_moments(
     """
     if idx is None:
         idx = np.arange(values.shape[0])
-    n1, width = idx.size, values.shape[1]
-    if n1 < 4:
-        raise ValueError(f"difference pairs need n >= 4 rows, got {n1}")
+    n1, width = _check_rows(idx.size), values.shape[1]
     rows = _block_rows(n1, width)
     buf = np.empty((rows + 1, width))
     r = np.empty((n1 // 2, width))
@@ -149,7 +143,7 @@ def select_top_scaled(fold1, d: int) -> np.ndarray:
     """Indices of the d largest per-coordinate studentized statistics
     sqrt(n1)|mean_j|/sigma_j, ties going to the lower index.  Coordinates
     with zero pair variance score 0 and are picked only if d forces it."""
-    return _select(*_fold_moments(_checked(fold1)), d, "top")
+    return _select(*_fold_moments(_checked(fold1)), _check_d(d), "top")
 
 
 def _pick(step: int, scores: np.ndarray, bad: np.ndarray, selected: list[int]) -> int:
@@ -228,12 +222,12 @@ def select_greedy(fold1, d: int, p=2.0) -> np.ndarray:
     the growing set; plug-in pair covariance restricted to the candidate
     columns, ties to the lower index.  Candidates that are linearly
     dependent on the current set are skipped with a warning."""
-    return _select(*_fold_moments(_checked(fold1)), d, "greedy", p)
+    return _select(*_fold_moments(_checked(fold1)), _check_d(d), "greedy", p)
 
 
 def _select(h: np.ndarray, r: np.ndarray, d: int, selection: str, p=2.0) -> np.ndarray:
-    # both selectors on the moments ``_fold_moments`` reads off fold 1
-    if not 1 <= d <= h.size:
+    # both selectors on the moments ``_fold_moments`` reads off fold 1, for a checked d
+    if d > h.size:
         raise ValueError(f"need 1 <= d <= {h.size}, got d={d}")
     if selection == "top":
         return np.sort(np.argsort(-_studentized_scores(h, r), kind="stable")[:d])
@@ -285,7 +279,7 @@ def split_test(
     law.  Critical values are therefore those of a d-dimensional test at
     sample size n2.
     """
-    values = _checked(s)
+    d, values = _check_d(d), _checked(s)
     idx1, idx2 = split(values.shape[0], frac1, seed)
     chosen = _select(*_fold_moments(values, idx1), d, selection, p)
     n2 = idx2.size

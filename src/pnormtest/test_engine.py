@@ -65,6 +65,7 @@ import numpy as np
 
 from .covariance import (
     _TRUNC_MULT,
+    _check_rows,
     _check_trunc_mult,
     _checked,
     _kurtosis,
@@ -76,6 +77,7 @@ from .critical_values import (
     _RadialLaw,
     _batch_pnorms,
     _check_alpha,
+    _check_vector,
     _exponent_key,
     _formula_kappa,
     mc_pnorm_quantile,
@@ -239,11 +241,7 @@ def standardize(h: np.ndarray, sigma_hat) -> tuple[np.ndarray, np.ndarray, int]:
     deficient; singular directions are projected out of the statistic.
     """
     sigma = sigma_hat if isinstance(sigma_hat, SymMatrix) else SymMatrix(sigma_hat)
-    h = np.asarray(h, dtype=float)
-    if h.shape != (sigma.dim,):
-        raise ValueError(
-            f"dimension mismatch: H has shape {h.shape}, Sigma is {sigma.dim} x {sigma.dim}"
-        )
+    h = _check_vector(h, "h", sigma.dim)
     x, w, rank = _whiten(h[None], sigma.entries[None])
     _warn_rank(int(rank[0]), sigma.dim)
     return x[0], w[0], int(rank[0])
@@ -265,14 +263,9 @@ def theta_oracle(mu: np.ndarray, sigma, n: int) -> np.ndarray:
     if not n >= 1:  # NaN fails it
         raise ValueError(f"n must be >= 1, got {n}")
     sigma = sigma if isinstance(sigma, SymMatrix) else SymMatrix(sigma)
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (sigma.dim,):
-        raise ValueError(f"mu has shape {mu.shape}, Sigma is {sigma.dim} x {sigma.dim}")
+    mu = _check_vector(mu, "mu", sigma.dim)
     x, _, _ = _whiten(mu[None], sigma.entries[None])
-    theta = math.sqrt(n) * x[0]
-    if not np.all(np.isfinite(theta)):  # n = inf, or an overflow
-        raise ValueError("theta entries must be finite")
-    return theta
+    return _check_vector(math.sqrt(n) * x[0], "theta")  # n = inf, or an overflow, fails it
 
 
 def prepare_standardized(s, estimator: str = "sample", trunc_mult: float = _TRUNC_MULT):
@@ -534,9 +527,9 @@ def invert_confidence_set(
         return np.asarray(model(beta), dtype=float)
 
     first = values(grid[0])
-    if first.ndim != 2 or first.shape[0] < 4 or first.shape[1] < 1:
-        raise ValueError(f"candidates need n x d samples, n >= 4, d >= 1; got {first.shape}")
-    n, d = first.shape
+    if first.ndim != 2 or first.shape[1] < 1:
+        raise ValueError(f"candidates need n x d samples, d >= 1; got shape {first.shape}")
+    n, d = _check_rows(first.shape[0]), first.shape[1]
     if critical is None:
         critical = mc_pnorm_quantile(
             p, d, alpha, reps=mc_reps, seed=mc_seed, aux_rows=_RadialLaw.matched_rows(n, d)

@@ -96,6 +96,7 @@ def null_size_rates():
     return rates, elapsed
 
 
+@pytest.mark.slow
 def test_finite_p_size_control(null_size_rates):
     rates, elapsed = null_size_rates
     for est in ("sample", "truncated"):
@@ -105,6 +106,7 @@ def test_finite_p_size_control(null_size_rates):
     assert elapsed <= 180.0, f"null size loop took {elapsed:.0f}s"
 
 
+@pytest.mark.slow
 def test_sup_and_combined_size_control(null_size_rates):
     rates, _ = null_size_rates
     for est in ("sample", "truncated"):
@@ -203,6 +205,7 @@ def test_consistency_criteria_directionality():
     )
 
 
+@pytest.mark.slow
 def test_power_ordering_on_semi_sparse_alternatives():
     # one spiked coordinate at d=5000: higher exponents should win, and the
     # combined test should track the best single exponent
@@ -322,6 +325,7 @@ def test_sample_split_size_and_power(spec12):
     assert rejects / power_reps >= 0.9
 
 
+@pytest.mark.slow
 def test_iv_p2_is_anderson_rubin_and_robust_to_weak_instruments():
     # route 1: the generic standardized p=2 statistic; route 2: the explicit
     # quadratic form H' Sigma^-1 H computed with an independent inverse

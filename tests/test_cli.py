@@ -373,7 +373,7 @@ class TestInvert:
         code, out, err = run_cli(capsys, "invert", "--data", str(short), "--grid", "0:1:0.5")
         assert code == 3 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
-        assert "at least 4 rows" in err
+        assert "difference pairs need n >= 4 rows, got 3" in err
 
 
 class TestSimulate:

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from pnormtest.covariance import (
     MomentSample,
+    _check_rows,
     _check_trunc_mult,
     _checked,
     _kurtosis,
@@ -17,8 +18,9 @@ from pnormtest.covariance import (
     truncated_cov,
 )
 from pnormtest.dominant_test import calibrate_spec, default_spec
-from pnormtest.sample_split import select_greedy, select_top_scaled, split_test
-from pnormtest.test_engine import prepare_standardized, run_tests
+from pnormtest.harness import UsageError, run_experiment
+from pnormtest.sample_split import select_greedy, select_top_scaled, split, split_test
+from pnormtest.test_engine import invert_confidence_set, prepare_standardized, run_tests
 
 SQ2 = np.sqrt(2.0)
 
@@ -249,6 +251,36 @@ class TestTruncMultBoundary:
         with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$") as got:
             TRUNC_MULT_ENTRY_POINTS[entry](bad, values, spec4)
         assert got.type is want.type
+
+
+# every entry point that forms difference pairs, given a 3-row sample v:
+# (its check's arguments, the field path before the message, call)
+THREE_ROWS_SPLIT = (1, "; folds of sizes 2 and 1 are too small")
+ROWS_ENTRY_POINTS = {
+    "run_tests": ((3,), "", lambda v, spec: run_tests(v, spec)),
+    "split_test": (THREE_ROWS_SPLIT, "", lambda v, spec: split_test(v, 4, spec=spec)),
+    "select_top_scaled": ((3,), "", lambda v, spec: select_top_scaled(v, 1)),
+    "select_greedy": ((3,), "", lambda v, spec: select_greedy(v, 1)),
+    "split": (THREE_ROWS_SPLIT, "", lambda v, spec: split(len(v))),
+    "invert_confidence_set": ((3,), "", lambda v, spec: invert_confidence_set(
+        lambda beta: v, [0.0], 2, 0.05, critical=3.0
+    )),
+    "run_experiment": ((3,), "dgp.n: ", lambda v, spec: run_experiment(
+        {"reps": 1, "dgp": {"kind": "gaussian", "n": len(v), "d": v.shape[1]}}
+    )),
+}
+
+
+class TestRowsBoundary:
+    @pytest.mark.parametrize("entry", ROWS_ENTRY_POINTS, ids=str)
+    def test_rejects_as_check_rows_does(self, entry, spec4):
+        args, path, call = ROWS_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError) as want:
+            _check_rows(*args)
+        message = f"{path}{want.value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as got:
+            call(np.random.default_rng(13).standard_normal((3, 4)), spec4)
+        assert got.type is (UsageError if path else ValueError)
 
 
 class TestCheckedFiniteness:

@@ -31,6 +31,7 @@ from pnormtest.critical_values import (
     _check_d,
     _check_seed,
     _check_shares,
+    _check_vector,
     _order_index,
     _TopRows,
     _worker_count,
@@ -40,15 +41,23 @@ from pnormtest.critical_values import (
     kappa_p_asymptotic,
     mc_pnorm_quantile,
 )
-from pnormtest.consistency_oracle import local_power, make_alternative, sup_threshold
+from pnormtest.consistency_oracle import (
+    finite_p_criterion,
+    lambda_criterion,
+    local_power,
+    make_alternative,
+    sup_criterion,
+    sup_threshold,
+)
+from pnormtest.dgp import IvConfig, RctConfig, gen_rct
 from pnormtest.dominant_test import (
     DominantTestSpec,
     calibrate_spec,
     default_spec,
     power_loss_bound,
 )
-from pnormtest.sample_split import split_test
-from pnormtest.test_engine import invert_confidence_set
+from pnormtest.sample_split import select_greedy, select_top_scaled, split, split_test
+from pnormtest.test_engine import invert_confidence_set, standardize, theta_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -724,11 +733,13 @@ class TestCriticalValueTable:
             ({"d": True, "aux_rows": 3}, ValueError, "d must be >= 1 and a finite integer, got True"),
             ({"conservative": "no"}, ValueError, "conservative: expected true or false, got 'no'"),
             ({"c_n": True}, ValueError, "c_n: expected a number, got True"),
+            ({"standalone": {2.0: 3.0, 5.0: 1.0}}, ValueError,
+             "standalone kappa at p=5.0 has no entry"),
         ],
         ids=["fractional d", "nan d", "fractional mc_reps", "nan mc_reps",
              "alpha_total above 1", "int key", "key below 2", "nan key",
              "fractional seed", "flag seed", "fractional aux_rows", "flag mc_reps",
-             "flag d", "string flag", "flag c_n"],
+             "flag d", "string flag", "flag c_n", "standalone without entry"],
     )
     def test_constructor_rejects(self, override, error, message):
         good = dict(
@@ -737,6 +748,18 @@ class TestCriticalValueTable:
         )
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             CriticalValueTable(**{**good, **override})
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_numpy_values_stored_as_floats(self, dtype):
+        # 0.0625 and 3.0 are exact in float32, so the shares still sum to alpha_total
+        table = CriticalValueTable(
+            d=4, alpha_total=dtype(0.0625), entries={2.0: (dtype(0.0625), dtype(3.0))},
+            c_n=dtype(1.0), conservative=False, mc_reps=20_000, seed=0,
+            standalone={2.0: dtype(3.5)},
+        )
+        assert type(table.share(2.0)) is float and type(table.kappa(2.0)) is float
+        assert type(table.standalone_kappa(2.0)) is float
+        assert CriticalValueTable.from_json(table.to_json()) == table
 
     @pytest.mark.parametrize("flag", [False, True])
     def test_numpy_bool_flag_stored_as_bool(self, flag):
@@ -757,7 +780,7 @@ class TestCriticalValueTable:
             CriticalValueTable(**{**good, "entries": {**t.entries, p: (share, value)}})
         with pytest.raises(ValueError, match="^standalone kappa"):
             CriticalValueTable(**{**good, "standalone": {**t.standalone, p: value}})
-        with pytest.raises(ValueError, match="sum"):
+        with pytest.raises(ValueError, match=r"^alpha_total must lie in \(0, 1\)"):
             CriticalValueTable(**{**good, "alpha_total": value})
 
     @pytest.mark.parametrize(
@@ -843,6 +866,8 @@ ALPHA_ENTRY_POINTS = {
     "calibrate_joint": ("alpha", lambda a: calibrate_joint({2.0: 0.05}, 4, a, 4000)),
     "default_spec": ("alpha", lambda a: default_spec(8, a)),
     "DominantTestSpec": ("alpha_total", lambda a: spec(alpha_total=a)),
+    "DominantTestSpec alpha_I": ("alpha_I", lambda a: spec(alpha_I=a)),
+    "CriticalValueTable": ("alpha_total", lambda a: table(alpha_total=a)),
     "power_loss_bound alpha_total": ("alpha_total", lambda a: power_loss_bound(2, a, 0.01)),
     "power_loss_bound alpha_p": ("alpha_p", lambda a: power_loss_bound(2, 0.05, a)),
     "local_power": ("alpha", lambda a: local_power(2, a, 1.0)),
@@ -861,7 +886,16 @@ SHARE_ENTRY_POINTS = {
     "DominantTestSpec": lambda s: spec(per_p_shares=(s,)),
 }
 
-# every entry point that takes a dimension: (its check's least d and hint, call at d)
+
+def iv(**fields) -> IvConfig:
+    return IvConfig(**{**dict(n=40, d=3, beta_true=0.0, pi=[0.5, 0.0, 0.0]), **fields})
+
+
+def rct(**fields) -> RctConfig:
+    return RctConfig(**{**dict(n=40, d=3, pi_treat=0.5, effect=[0.0, 0.0, 0.0]), **fields})
+
+
+# every entry point that takes a count: (its check's least, hint and name, call at d)
 D_ENTRY_POINTS = {
     "kappa_p_asymptotic": ((), lambda d: kappa_p_asymptotic(4, d, 0.05)),
     "kappa_inf_asymptotic": (
@@ -878,6 +912,31 @@ D_ENTRY_POINTS = {
     "make_alternative": (
         (2, "; alternative families need d >= 2"), lambda d: make_alternative("sparse", d)
     ),
+    "split_test": ((), lambda d: split_test(SAMPLE, d, seed=1)),
+    "select_top_scaled": ((), lambda d: select_top_scaled(SAMPLE, d)),
+    "select_greedy": ((), lambda d: select_greedy(SAMPLE, d)),
+    "split": ((1, "", "n"), split),
+    "IvConfig n": ((1, "", "n"), lambda n: iv(n=n)),
+    "IvConfig d": ((), lambda d: iv(d=d)),
+    "RctConfig n": ((1, "", "n"), lambda n: rct(n=n)),
+    "RctConfig d": ((), lambda d: rct(d=d)),
+}
+
+# every entry point that takes a vector: (its check's name and length, call at v)
+VECTOR_ENTRY_POINTS = {
+    "IvConfig pi": (("pi", 3), lambda v: iv(pi=v)),
+    "RctConfig effect": (("effect", 3), lambda v: rct(effect=v)),
+    "gen_rct": (("beta_star", 3), lambda v: gen_rct(rct(), v, 0)),
+    "standardize": (("h", 3), lambda v: standardize(v, np.eye(3))),
+    "theta_oracle": (("mu", 3), lambda v: theta_oracle(v, np.eye(3), 40)),
+    "finite_p_criterion": (("theta",), lambda v: finite_p_criterion(v, 4)),
+    "lambda_criterion": (("theta",), lambda v: lambda_criterion(v, 4)),
+    "sup_criterion": (("theta",), sup_criterion),
+}
+BAD_VECTORS = {
+    "nan entry": [0.5, math.nan, 0.0],
+    "wrong length": [0.5, 0.0],
+    "2-D": np.ones((3, 3)),
 }
 
 # every entry point that takes a calibration seed, called with seed s
@@ -925,11 +984,26 @@ class TestScalarBoundary:
         for call in calls:
             rejects_as(lambda: _check_shares(shares, 0.05), call)
 
-    @pytest.mark.parametrize("bad", [True, 2.5, math.nan], ids=repr)
+    @pytest.mark.parametrize("bad", [True, 2.5, math.nan, "3", 0], ids=repr)
     @pytest.mark.parametrize("entry", D_ENTRY_POINTS, ids=str)
     def test_dimension_rejected_as_check_d_does(self, entry, bad):
         args, call = D_ENTRY_POINTS[entry]
         rejects_as(lambda: _check_d(bad, *args), lambda: call(bad))
+
+    @pytest.mark.parametrize(
+        "entry, bad",
+        [
+            (entry, bad)
+            for entry, (args, _) in VECTOR_ENTRY_POINTS.items()
+            for bad in BAD_VECTORS
+            if len(args) == 2 or bad != "wrong length"  # a theta has any length
+        ],
+        ids=str,
+    )
+    def test_vector_rejected_as_check_vector_does(self, entry, bad):
+        args, call = VECTOR_ENTRY_POINTS[entry]
+        rejects_as(lambda: _check_vector(BAD_VECTORS[bad], *args),
+                   lambda: call(BAD_VECTORS[bad]))
 
     @pytest.mark.parametrize("bad", [-1, True, 2.5, np.int64(-2)], ids=repr)
     @pytest.mark.parametrize("entry", SEED_ENTRY_POINTS, ids=str)

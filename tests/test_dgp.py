@@ -49,10 +49,23 @@ class TestConfigValidation:
             rct_cfg(effect=np.zeros(5))
         with pytest.raises(ValueError, match="pi_treat"):
             rct_cfg(pi_treat=0.0)
-        with pytest.raises(ValueError, match="n >= 1"):
+        with pytest.raises(ValueError, match="n must be >= 1"):
             iv_cfg(n=0)
         with pytest.raises(ValueError, match="finite"):
             iv_cfg(pi=np.array([np.inf, 0, 0, 0, 0]))
+
+    @pytest.mark.parametrize("make", [iv_cfg, rct_cfg])
+    def test_integral_float_counts_stored_as_ints(self, make):
+        cfg = make(n=40.0, d=np.float64(make().d))
+        assert type(cfg.n) is int and type(cfg.d) is int
+        draw = gen_iv if make is iv_cfg else lambda c, b, seed: gen_rct(c, np.zeros(c.d), seed)
+        assert draw(cfg, 0.0, seed=0).shape == (40, cfg.d)
+
+    def test_config_vectors_are_copies(self):
+        pi = np.zeros(5)
+        cfg = iv_cfg(pi=pi)
+        pi[0] = 1.0
+        assert cfg.pi[0] == 0.0
 
     def test_config_arrays_are_read_only(self):
         cfg = iv_cfg()

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from pnormtest import harness, test_engine
-from pnormtest.covariance import _check_trunc_mult
-from pnormtest.critical_values import _check_alpha, _check_seed
+from pnormtest.covariance import _check_rows, _check_trunc_mult
+from pnormtest.critical_values import _check_alpha, _check_d, _check_seed, _check_vector
 from pnormtest.dominant_test import calibrate_spec, default_spec
 from pnormtest.harness import (
     DataError,
@@ -347,6 +347,15 @@ class TestRunExperiment:
              {"test": {"estimator": "truncated", "trunc_mult": 0}}),
             ("seed", lambda: _check_seed(-1), {"seed": -1}),
             ("test.mc_seed", lambda: _check_seed(-1), {"test": {"mc_seed": -1}}),
+            ("dgp.theta", lambda: _check_vector([0.5, 0.0], "theta", 3),
+             {"dgp": {"kind": "gaussian", "n": 40, "d": 3, "theta": [0.5, 0.0]}}),
+            ("dgp.beta_star", lambda: _check_vector([0.0, 0.0], "beta_star", 3),
+             {"dgp": {**RCT_DGP, "beta_star": [0.0, 0.0]}}),
+            ("dgp", lambda: _check_vector([0.5, 0.0], "pi", 3),
+             {"dgp": {**IV_DGP, "pi": [0.5, 0.0]}}),
+            ("dgp.d", lambda: _check_d(0), {"dgp": {"kind": "gaussian", "n": 40, "d": 0}}),
+            ("dgp", lambda: _check_d(0, name="n"), {"dgp": {**IV_DGP, "n": 0}}),
+            ("dgp.n", lambda: _check_rows(3), {"dgp": {**RCT_DGP, "n": 3}}),
         ],
     )
     def test_scalar_fields_run_the_library_check(self, monkeypatch, field, check, override):

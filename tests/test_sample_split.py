@@ -97,7 +97,7 @@ class TestSelectTopScaled:
 
     def test_rejects_bad_d(self):
         s = np.zeros((10, 3))
-        with pytest.raises(ValueError, match="1 <= d"):
+        with pytest.raises(ValueError, match="d must be >= 1"):
             select_top_scaled(s, 0)
         with pytest.raises(ValueError, match="1 <= d"):
             select_top_scaled(s, 4)

@@ -62,7 +62,7 @@ class TestStandardize:
         assert rank == 1
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match=r"^h: expected a d-vector \(d = 2\), got shape"):
             standardize(np.ones(3), np.eye(2))
 
 
