@@ -27,7 +27,7 @@ otherwise its direction is not uniform.  So ``aux_rows=m``, which draws
 the reference from this law, makes the Monte-Carlo critical values exact
 at any (d, m) at p = 2, and at every p for a covariance proportional to I;
 the two laws coincide as m -> infinity.  ``_RadialLaw`` owns the law, its
-debias and its radius draw; m must be an integer >= d + 2.
+debias, its radius draw and its one rule for m, an integer >= d + 2.
 
 Monte-Carlo draws are organised in fixed-size blocks, each fed by its own
 counter-based Philox stream keyed (seed, block index).  Blocks run on a
@@ -53,9 +53,11 @@ JSON documents.  ``_document`` writes every document's ``schema_version``
 and ``kind``.  Every document read, a spec, a table or an experiment
 config, goes through the one field-table reader ``_parse``, which names the
 field path of each error, such as ``table.entries[0].kappa``.  A level, a
-share map, a count, a finite vector and a seed each have one check, run by
+share map, a count and a finite vector each have one check, run by
 documents and library calls alike: ``_check_alpha``, ``_check_shares``,
-``_check_d``, ``_check_vector`` and ``_check_seed``.
+``_check_d`` and ``_check_vector``.  Every integer input is a count:
+``reps``, ``mc_reps``, each ``seed`` and ``mc_seed``, ``aux_rows`` and
+``threads`` go through ``_check_d`` with their own name and least value.
 """
 
 from __future__ import annotations
@@ -274,22 +276,16 @@ def _check_d(d, least: int = 1, hint: str = "", name: str = "d") -> int:
 
 def _check_vector(value, name: str, d: int | None = None) -> np.ndarray:
     """``value`` as a float vector of finite entries, of length d when d is given."""
-    v = np.asarray(value, dtype=float)
+    try:
+        v = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{name}: {exc}") from None
     if v.ndim != 1 or d is not None and v.size != d:
         what = "a vector" if d is None else f"a d-vector (d = {d})"
         raise ValueError(f"{name}: expected {what}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} entries must be finite")
     return v
-
-
-def _check_seed(seed) -> int:
-    """The seed as an int: an integer, not a bool, and nonnegative."""
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    return int(seed)
 
 
 def kappa_p_asymptotic(p, d: int, alpha: float) -> float:
@@ -349,21 +345,18 @@ class _RadialLaw:
     """The finite-sample reference law at m pairs in dimension d; None marks the Gaussian limit."""
 
     def __init__(self, d: int, m: int) -> None:
-        if not self.names(m, d):
-            raise ValueError(f"aux_rows must be null or an integer >= d + 2, got {m!r}")
-        self.d, self.m = d, int(m)
+        m = _check_d(m, d + 2, name="aux_rows")  # m >= d + 2 pairs: the rule's one statement
+        self.d, self.m = d, m
         # the covariance debias, and the squared radius (m-d-1) d / (m-d+1) * F(d, m-d+1)
         self.debias, self.radius_scale = m / (m - d - 1.0), (m - d - 1.0) * d / (m - d + 1.0)
-
-    @staticmethod
-    def names(m, d: int) -> bool:
-        """Whether m pairs name the law: m is an integer, not a bool, and m >= d + 2."""
-        return isinstance(m, (int, np.integer)) and not isinstance(m, bool) and m >= d + 2
 
     @classmethod
     def matched_rows(cls, n: int, d: int) -> int | None:
         """The n // 2 difference pairs of an n-row sample if they name the law, else None."""
-        return n // 2 if cls.names(n // 2, d) else None
+        try:
+            return cls(d, n // 2).m
+        except ValueError:
+            return None
 
     def radii(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.sqrt(self.radius_scale * rng.f(self.d, self.m - self.d + 1, size=size))
@@ -624,9 +617,11 @@ class CriticalValueTable(_JsonDocument):
 
     def __post_init__(self) -> None:
         # every check is written so that NaN fails it
-        _check_d(self.d)
-        if not (isinstance(self.mc_reps, (int, np.integer)) and self.mc_reps >= 1):
-            raise ValueError(f"mc_reps must be an integer >= 1, got {self.mc_reps}")
+        d = _check_d(self.d)
+        _check_d(self.mc_reps, name="mc_reps")
+        _check_d(self.seed, 0, name="seed")
+        if self.aux_rows is not None:
+            _RadialLaw(d, self.aux_rows)
         for p, (_, kappa) in self.entries.items():
             if not isinstance(p, float):
                 raise TypeError(f"entry keys must be float exponents, got {p!r}")
@@ -649,9 +644,6 @@ class CriticalValueTable(_JsonDocument):
         scalars = {name: rule for name, rule in _TABLE_FIELDS.items() if name != "entries"}
         for name, value in _parse({n: getattr(self, n) for n in scalars}, scalars, "").items():
             object.__setattr__(self, name, value)
-        _check_seed(self.seed)
-        if self.aux_rows is not None:
-            _RadialLaw(self.d, self.aux_rows)
 
     @property
     def exponents(self) -> tuple[float, ...]:
@@ -727,15 +719,13 @@ def _auto_reps(min_share: float, reps: int | None = None) -> int:
     need = math.ceil(100.0 / min_share)
     if reps is None:
         return max(200_000, need)
-    whole = isinstance(reps, numbers.Integral) or isinstance(reps, float) and reps.is_integer()
-    if isinstance(reps, bool) or not whole:
-        raise ValueError(f"reps must be an integer, got {reps!r}")
+    reps = _check_d(reps, name="reps")
     if reps < need:
         raise ValueError(
             f"reps={reps} too small to resolve the smallest share {min_share:g}; "
             f"need at least {need}"
         )
-    return int(reps)
+    return reps
 
 
 def calibrate_joint(
@@ -756,7 +746,7 @@ def calibrate_joint(
     ``reps=None`` the draw count is chosen by :func:`_auto_reps`.
     """
     alpha_total = _check_alpha(alpha_total)
-    seed = _check_seed(seed)
+    seed = _check_d(seed, 0, name="seed")
     d = _check_d(d)
     law = None if aux_rows is None else _RadialLaw(d, aux_rows)
     ps, vals = zip(*sorted(_check_shares(shares, alpha_total).items()))

@@ -57,7 +57,6 @@ from .critical_values import (
     _block_rng,
     _check_alpha,
     _check_d,
-    _check_seed,
     _check_vector,
     _document,
     _exponent,
@@ -138,8 +137,8 @@ def _aux_rows(value):
     raise ValueError(f"expected 'fold' or null, got {value!r}")
 
 
-def _seed(value) -> int:
-    return _check_seed(_integer(value))
+def _count(name: str, least: int = 1):
+    return lambda value: _check_d(_integer(value), least, name=name)
 
 
 # Field tables: name -> (convert, default), read by ``_parse``.  IV and RCT
@@ -147,8 +146,8 @@ def _seed(value) -> int:
 _TOP_FIELDS = {
     "schema_version": (_version, SCHEMA_VERSION),
     "experiment": (_string, "unnamed"),
-    "reps": (_integer, MISSING),
-    "seed": (_seed, 0),
+    "reps": (_count("reps"), MISSING),
+    "seed": (_count("seed", 0), 0),
     "dgp": (_object, MISSING),
     "test": (_object, {}),
 }
@@ -156,15 +155,15 @@ _TEST_FIELDS = {
     "alpha": (lambda value: _check_alpha(_numeric(value)), 0.05),
     "estimator": (_check_estimator, "sample"),
     "trunc_mult": (lambda value: _check_trunc_mult(_real(value)), _TRUNC_MULT),
-    "mc_reps": (_optional(_integer), None),
-    "mc_seed": (_seed, 0),
+    "mc_reps": (_optional(_count("mc_reps")), None),
+    "mc_seed": (_count("mc_seed", 0), 0),
     "aux_rows": (_aux_rows, "fold"),
     # "inf" names the sup norm, as in a table's "p" keys
     "extra_ps": (_list_of(_exponent, "exponents"), ()),
 }
 _KIND = {"kind": (_string, MISSING)}
 _GAUSSIAN_FIELDS = {**_KIND, "n": (_integer, MISSING),
-                    "d": (lambda value: _check_d(_integer(value)), MISSING),
+                    "d": (_count("d"), MISSING),
                     "theta": (_vector, None)}
 _CONVERT = {int: _integer, float: _real, str: _string, np.ndarray: _vector}
 
@@ -302,8 +301,6 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     top = _parse(config, _TOP_FIELDS, "")
     _at("threads", _check_d, threads, name="threads")
     reps, seed = top["reps"], top["seed"]
-    if reps < 1:
-        raise UsageError(f"reps: must be >= 1, got {reps}")
     n, d, draw = _build_sampler(top["dgp"])
     _at("dgp.n", _check_rows, n)
 

@@ -5,8 +5,9 @@ fold 2 runs the ordinary testing pipeline on those d columns only.  The
 folds are disjoint sets of row indices, so the second-stage statistics
 never see the rows that drove selection, and the second stage is an
 honest size-alpha test no matter how the selection behaved.  Fold 1 is
-read block by block into its column means and difference-pair rows and
-is never copied whole; only fold 2's chosen columns are gathered.
+read once, block by block, into its column means, its difference-pair
+rows and their column mean squares, and is never copied whole; only
+fold 2's chosen columns are gathered.
 
 Two built-in selectors:
 
@@ -48,8 +49,7 @@ __all__ = [
     "split_test",
 ]
 
-# bytes of the one row buffer through which fold 1, and the squared pair
-# rows, are summed block by block
+# bytes of the one row buffer through which fold 1 is summed block by block
 _BLOCK_BYTES = 1 << 19
 
 # candidates whose residual variance falls below this fraction of their own
@@ -57,11 +57,11 @@ _BLOCK_BYTES = 1 << 19
 _DEGENERACY_RTOL = 1e-12
 
 
-def split(n: int, frac1: float = 0.5, seed=0) -> tuple[np.ndarray, np.ndarray]:
+def split(n: int, frac1: float = 0.5, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Random partition of range(n) into folds of sizes ceil(frac1*n) and
     the rest, each returned sorted.  Both folds must end up with at least
     4 rows (difference pairs need that many)."""
-    n = _check_d(n, name="n")
+    n, seed = _check_d(n, name="n"), _check_d(seed, 0, name="seed")
     n1 = math.ceil(_check_alpha(frac1, "frac1") * n)
     _check_rows(min(n1, n - n1), f"; folds of sizes {n1} and {n - n1} are too small")
     perm = np.random.default_rng(seed).permutation(n)
@@ -88,22 +88,25 @@ def _add_rows(buf: np.ndarray, start: int, k: int) -> None:
 
 def _fold_moments(
     values: np.ndarray, idx: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What both selectors read of fold 1, rows ``idx`` (sorted; all rows
     when None) of an array the caller has already validated:
-    H = sqrt(n1) * column means, and the difference-pair rows.
+    H = sqrt(n1) * column means, the difference-pair rows r, and their
+    column mean squares (the pair variances).
 
-    Fold 1 is never copied whole: its rows are gathered block by block into
-    one buffer of about ``_BLOCK_BYTES``, which carries the column sums and
-    from which each block's pairs go straight into the returned rows.  Both
-    results equal ``sqrt(n1) * values[idx].mean(axis=0)`` and
-    ``_pair_rows(values[idx])`` bit for bit.
+    Fold 1 is read once and never copied whole: its rows are gathered block
+    by block into one buffer of about ``_BLOCK_BYTES``, which carries the
+    column sums and from which each block's pairs go straight into the
+    returned rows; a half-size buffer carries the sums of the squared
+    pairs.  The results equal ``sqrt(n1) * values[idx].mean(axis=0)``,
+    ``_pair_rows(values[idx])`` and ``np.mean(r * r, axis=0)`` bit for bit.
     """
     if idx is None:
         idx = np.arange(values.shape[0])
     n1, width = _check_rows(idx.size), values.shape[1]
     rows = _block_rows(n1, width)
     buf = np.empty((rows + 1, width))
+    squares = np.empty((rows // 2 + 1, width))
     r = np.empty((n1 // 2, width))
     for start in range(0, n1, rows):
         k = min(rows, n1 - start)
@@ -115,24 +118,12 @@ def _fold_moments(
         np.subtract(block[1 : 2 * len(pairs) : 2], block[0 : 2 * len(pairs) : 2], out=pairs)
         pairs /= np.sqrt(2.0)
         _add_rows(buf, start, k)
-    return math.sqrt(n1) * (buf[0] / n1), r
+        np.multiply(pairs, pairs, out=squares[1 : len(pairs) + 1])
+        _add_rows(squares, start, len(pairs))
+    return math.sqrt(n1) * (buf[0] / n1), r, squares[0] / r.shape[0]
 
 
-def _column_mean_squares(r: np.ndarray) -> np.ndarray:
-    # np.mean(r * r, axis=0) bit for bit, squaring one block of rows at a
-    # time instead of all of r
-    m, width = r.shape
-    rows = _block_rows(m, width)
-    buf = np.empty((rows + 1, width))
-    for start in range(0, m, rows):
-        k = min(rows, m - start)
-        np.multiply(r[start : start + k], r[start : start + k], out=buf[1 : k + 1])
-        _add_rows(buf, start, k)
-    return buf[0] / m
-
-
-def _studentized_scores(h: np.ndarray, r: np.ndarray) -> np.ndarray:
-    pair_var = _column_mean_squares(r)
+def _studentized_scores(h: np.ndarray, pair_var: np.ndarray) -> np.ndarray:
     scores = np.zeros(h.size)
     live = pair_var > 0.0
     scores[live] = np.abs(h[live]) / np.sqrt(pair_var[live])
@@ -163,7 +154,7 @@ def _pick(step: int, scores: np.ndarray, bad: np.ndarray, selected: list[int]) -
     return int(np.argmax(scores))
 
 
-def _greedy_p2(h: np.ndarray, r: np.ndarray, d: int) -> list[int]:
+def _greedy_p2(h: np.ndarray, r: np.ndarray, diag: np.ndarray, d: int) -> list[int]:
     # Schur recursion: with W = L^{-1} Sigma_{S,.} and a = L^{-1} H_S for
     # the Cholesky factor L of Sigma_SS, adding j changes the squared
     # statistic by (H_j - W_j'a)^2 / (Sigma_jj - |W_j|^2).  Both residual
@@ -171,7 +162,6 @@ def _greedy_p2(h: np.ndarray, r: np.ndarray, d: int) -> list[int]:
     # row w = (Sigma_{j*,.} - W_{j*}'W) / l, l = sqrt(den_{j*}), so each
     # step costs one m x D matvec instead of refactoring from scratch.
     m = r.shape[0]
-    diag = _column_mean_squares(r)
     floor = _DEGENERACY_RTOL * np.maximum(diag, np.finfo(float).tiny)
     w = np.empty((d, r.shape[1]))
     num_root = h.copy()
@@ -194,12 +184,11 @@ def _greedy_p2(h: np.ndarray, r: np.ndarray, d: int) -> list[int]:
     return selected
 
 
-def _greedy_general(h: np.ndarray, r: np.ndarray, d: int, p) -> list[int]:
+def _greedy_general(h: np.ndarray, r: np.ndarray, diag: np.ndarray, d: int, p) -> list[int]:
     # Column j's candidate covariance is the selected block bordered by
     # column j of one cross-product (set x all columns); every candidate
     # of a step is whitened in one stacked call and scored by its p-norm.
     m, big_d = r.shape
-    diag = _column_mean_squares(r)
     ps = [p]
     selected: list[int] = []
     for step in range(d):
@@ -225,16 +214,18 @@ def select_greedy(fold1, d: int, p=2.0) -> np.ndarray:
     return _select(*_fold_moments(_checked(fold1)), _check_d(d), "greedy", p)
 
 
-def _select(h: np.ndarray, r: np.ndarray, d: int, selection: str, p=2.0) -> np.ndarray:
+def _select(
+    h: np.ndarray, r: np.ndarray, diag: np.ndarray, d: int, selection: str, p=2.0
+) -> np.ndarray:
     # both selectors on the moments ``_fold_moments`` reads off fold 1, for a checked d
     if d > h.size:
         raise ValueError(f"need 1 <= d <= {h.size}, got d={d}")
     if selection == "top":
-        return np.sort(np.argsort(-_studentized_scores(h, r), kind="stable")[:d])
+        return np.sort(np.argsort(-_studentized_scores(h, diag), kind="stable")[:d])
     if selection != "greedy":
         raise ValueError(f"selection must be 'top' or 'greedy', got {selection!r}")
     p = _check_p(p)
-    selected = _greedy_p2(h, r, d) if p == 2.0 else _greedy_general(h, r, d, p)
+    selected = _greedy_p2(h, r, diag, d) if p == 2.0 else _greedy_general(h, r, diag, d, p)
     return np.sort(np.asarray(selected, dtype=int))
 
 
@@ -264,7 +255,7 @@ def split_test(
     selection: str = "top",
     p=2.0,
     frac1: float = 0.5,
-    seed=0,
+    seed: int = 0,
     spec: DominantTestSpec | None = None,
     alpha: float = 0.05,
     reps: int | None = None,
@@ -279,7 +270,7 @@ def split_test(
     law.  Critical values are therefore those of a d-dimensional test at
     sample size n2.
     """
-    d, values = _check_d(d), _checked(s)
+    d, values, mc_seed = _check_d(d), _checked(s), _check_d(mc_seed, 0, name="mc_seed")
     idx1, idx2 = split(values.shape[0], frac1, seed)
     chosen = _select(*_fold_moments(values, idx1), d, selection, p)
     n2 = idx2.size

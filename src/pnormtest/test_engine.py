@@ -56,6 +56,7 @@ nominal d.  A materially negative eigenvalue is an error.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -77,6 +78,7 @@ from .critical_values import (
     _RadialLaw,
     _batch_pnorms,
     _check_alpha,
+    _check_d,
     _check_vector,
     _exponent_key,
     _formula_kappa,
@@ -253,13 +255,15 @@ def p_norm_stat(v, p) -> float:
     The stack-of-one case of the batched p-norms behind every statistic of
     the package.
     """
-    vec = np.asarray(v, dtype=float)
-    return float(_batch_pnorms(vec.reshape(1, -1), [_check_p(p)])[0, 0])
+    vec = _check_vector(v, "v")
+    return float(_batch_pnorms(vec[None], [_check_p(p)])[0, 0])
 
 
 def theta_oracle(mu: np.ndarray, sigma, n: int) -> np.ndarray:
     """Population noncentrality profile theta = sqrt(n) pinv_sqrt(Sigma) mu,
-    a d-vector."""
+    a d-vector.  ``n`` is a real number >= 1."""
+    if not isinstance(n, numbers.Real) or isinstance(n, bool):
+        raise TypeError(f"n must be a real number, got {n!r}")
     if not n >= 1:  # NaN fails it
         raise ValueError(f"n must be >= 1, got {n}")
     sigma = sigma if isinstance(sigma, SymMatrix) else SymMatrix(sigma)
@@ -522,6 +526,8 @@ def invert_confidence_set(
         raise ValueError(f"critical must be finite and positive, got {critical}")
     p = _check_p(p)
     estimator = _check_estimator(estimator)
+    mc_reps = None if mc_reps is None else _check_d(mc_reps, name="mc_reps")
+    mc_seed = _check_d(mc_seed, 0, name="mc_seed")
 
     def values(beta) -> np.ndarray:
         return np.asarray(model(beta), dtype=float)

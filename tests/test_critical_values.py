@@ -29,7 +29,6 @@ from pnormtest.critical_values import (
     _block_rng,
     _check_alpha,
     _check_d,
-    _check_seed,
     _check_shares,
     _check_vector,
     _order_index,
@@ -57,7 +56,7 @@ from pnormtest.dominant_test import (
     power_loss_bound,
 )
 from pnormtest.sample_split import select_greedy, select_top_scaled, split, split_test
-from pnormtest.test_engine import invert_confidence_set, standardize, theta_oracle
+from pnormtest.test_engine import invert_confidence_set, p_norm_stat, standardize, theta_oracle
 
 DATA = Path(__file__).parent / "data"
 
@@ -282,28 +281,31 @@ class TestMcQuantile:
     @pytest.mark.parametrize("aux_rows", [11, 100.5, "100", True, math.nan])
     def test_aux_rows_too_small(self, monkeypatch, aux_rows):
         # at d = 10 only an integer aux_rows >= 12 names a reference law; any
-        # other value is refused before the draw count is checked or drawn
+        # other value is refused before the draw count is checked or drawn,
+        # a string as a TypeError
         def no_draws(seed, block):
             raise AssertionError("drew reference vectors before checking aux_rows")
 
         monkeypatch.setattr(critical_values, "_block_rng", no_draws)
-        with pytest.raises(ValueError, match="aux_rows"):
+        error = TypeError if isinstance(aux_rows, str) else ValueError
+        with pytest.raises(error, match="aux_rows"):
             mc_pnorm_quantile(2, 10, 0.05, reps=2000, seed=0, aux_rows=aux_rows)
-        with pytest.raises(ValueError, match="aux_rows"):
+        with pytest.raises(error, match="aux_rows"):
             calibrate_joint({2: 0.05}, 10, 0.05, reps=999, seed=0, aux_rows=aux_rows)
 
     @pytest.mark.parametrize(
-        "reps, message",
-        [(999, "too small")]
-        + [(r, "must be an integer") for r in (True, 2000.5, "2000", math.nan, math.inf)],
+        "reps, error, message",
+        [(999, ValueError, "too small"), ("2000", TypeError, "must be a real number")]
+        + [(r, ValueError, "must be >= 1 and a finite integer")
+           for r in (True, 2000.5, math.nan, math.inf)],
     )
-    def test_rejects_tiny_reps(self, monkeypatch, reps, message):
+    def test_rejects_tiny_reps(self, monkeypatch, reps, error, message):
         # a bool, fractional or non-numeric count is refused before any draw
         def no_draws(seed, block):
             raise AssertionError("drew reference vectors before checking reps")
 
         monkeypatch.setattr(critical_values, "_block_rng", no_draws)
-        with pytest.raises(ValueError, match=f"^reps.*{message}"):
+        with pytest.raises(error, match=f"^reps.*{message}"):
             mc_pnorm_quantile(2, 10, 0.05, reps=reps, seed=0)
 
     def test_integral_float_reps_is_drawn_as_int(self):
@@ -714,8 +716,12 @@ class TestCriticalValueTable:
         [
             ({"d": 2.5}, ValueError, "d must be >= 1 and a finite integer, got 2.5"),
             ({"d": math.nan}, ValueError, "d must be >= 1 and a finite integer, got nan"),
-            ({"mc_reps": 10.5}, ValueError, "mc_reps must be an integer >= 1, got 10.5"),
-            ({"mc_reps": math.nan}, ValueError, "mc_reps must be an integer >= 1, got nan"),
+            ({"mc_reps": 10.5}, ValueError, "mc_reps must be >= 1 and a finite integer, got 10.5"),
+            ({"mc_reps": math.nan}, ValueError, "mc_reps must be >= 1 and a finite integer, got nan"),
+            ({"mc_reps": True}, ValueError, "mc_reps must be >= 1 and a finite integer, got True"),
+            ({"seed": 2.5}, ValueError, "seed must be >= 0 and a finite integer, got 2.5"),
+            ({"seed": True}, ValueError, "seed must be >= 0 and a finite integer, got True"),
+            ({"aux_rows": 7.5}, ValueError, "aux_rows must be >= 6 and a finite integer, got 7.5"),
             (
                 {"alpha_total": 1.5, "entries": {2.0: (0.9, 3.0), math.inf: (0.6, 3.0)}},
                 ValueError,
@@ -726,19 +732,15 @@ class TestCriticalValueTable:
             ({"entries": {math.nan: (0.05, 3.0)}}, ValueError, "exponent must not be NaN"),
             # values in range that the reader's converters reject: to_json
             # would write a document that from_json cannot read
-            ({"seed": 2.5}, ValueError, "seed: expected an integer, got 2.5"),
-            ({"seed": True}, ValueError, "seed: expected a number, got True"),
-            ({"aux_rows": 7.5}, ValueError, "aux_rows: expected an integer, got 7.5"),
-            ({"mc_reps": True}, ValueError, "mc_reps: expected a number, got True"),
             ({"d": True, "aux_rows": 3}, ValueError, "d must be >= 1 and a finite integer, got True"),
             ({"conservative": "no"}, ValueError, "conservative: expected true or false, got 'no'"),
             ({"c_n": True}, ValueError, "c_n: expected a number, got True"),
             ({"standalone": {2.0: 3.0, 5.0: 1.0}}, ValueError,
              "standalone kappa at p=5.0 has no entry"),
         ],
-        ids=["fractional d", "nan d", "fractional mc_reps", "nan mc_reps",
+        ids=["fractional d", "nan d", "fractional mc_reps", "nan mc_reps", "flag mc_reps",
+             "fractional seed", "flag seed", "fractional aux_rows",
              "alpha_total above 1", "int key", "key below 2", "nan key",
-             "fractional seed", "flag seed", "fractional aux_rows", "flag mc_reps",
              "flag d", "string flag", "flag c_n", "standalone without entry"],
     )
     def test_constructor_rejects(self, override, error, message):
@@ -808,11 +810,11 @@ class TestCriticalValueTable:
         "field, value, message",
         [
             ("d", 0, "d must be >= 1 and a finite integer, got 0"),
-            ("mc_reps", -5, "mc_reps must be an integer >= 1, got -5"),
-            ("mc_reps", 0, "mc_reps must be an integer >= 1, got 0"),
-            ("seed", -3, "seed must be nonnegative, got -3"),
-            ("aux_rows", -7, "aux_rows must be null or an integer >= d + 2, got -7"),
-            ("aux_rows", 10, "aux_rows must be null or an integer >= d + 2, got 10"),
+            ("mc_reps", -5, "mc_reps must be >= 1 and a finite integer, got -5"),
+            ("mc_reps", 0, "mc_reps must be >= 1 and a finite integer, got 0"),
+            ("seed", -3, "seed must be >= 0 and a finite integer, got -3"),
+            ("aux_rows", -7, "aux_rows must be >= 11 and a finite integer, got -7"),
+            ("aux_rows", 10, "aux_rows must be >= 11 and a finite integer, got 10"),
         ],
     )
     def test_reader_rejects_out_of_range_fields(self, field, value, message):
@@ -932,23 +934,58 @@ VECTOR_ENTRY_POINTS = {
     "finite_p_criterion": (("theta",), lambda v: finite_p_criterion(v, 4)),
     "lambda_criterion": (("theta",), lambda v: lambda_criterion(v, 4)),
     "sup_criterion": (("theta",), sup_criterion),
+    "p_norm_stat": (("v",), lambda v: p_norm_stat(v, 2)),
 }
 BAD_VECTORS = {
     "nan entry": [0.5, math.nan, 0.0],
+    "non-numeric entry": ["a", 0.0, 0.0],
     "wrong length": [0.5, 0.0],
     "2-D": np.ones((3, 3)),
 }
 
-# every entry point that takes a calibration seed, called with seed s
-SEED_ENTRY_POINTS = {
-    "mc_pnorm_quantile": lambda s: mc_pnorm_quantile(2, 4, 0.05, reps=2000, seed=s),
-    "calibrate_joint": lambda s: calibrate_joint({2.0: 0.05}, 4, 0.05, 4000, seed=s),
-    "calibrate_spec": lambda s: calibrate_spec(spec(), reps=4000, seed=s),
-    "invert_confidence_set": lambda s: invert_confidence_set(
-        lambda beta: SAMPLE, [0.0], 2, 0.05, mc_reps=2000, mc_seed=s
+# every entry point that takes an integer other than a dimension: a draw
+# count, a seed or aux_rows; (its check's least and name, call at c)
+COUNT_ENTRY_POINTS = {
+    "mc_pnorm_quantile reps": ((1, "reps"), lambda c: mc_pnorm_quantile(2, 4, 0.05, reps=c)),
+    "calibrate_joint reps": ((1, "reps"), lambda c: calibrate_joint({2.0: 0.05}, 4, 0.05, c)),
+    "calibrate_spec reps": ((1, "reps"), lambda c: calibrate_spec(spec(), reps=c)),
+    "split_test reps": ((1, "reps"), lambda c: split_test(SAMPLE, 4, reps=c, seed=1)),
+    "invert_confidence_set mc_reps": ((1, "mc_reps"), lambda c: invert_confidence_set(
+        lambda beta: SAMPLE, [0.0], 2, 0.05, mc_reps=c
+    )),
+    "CriticalValueTable mc_reps": ((1, "mc_reps"), lambda c: table(mc_reps=c)),
+    "mc_pnorm_quantile seed": (
+        (0, "seed"), lambda c: mc_pnorm_quantile(2, 4, 0.05, reps=2000, seed=c)
     ),
-    "split_test": lambda s: split_test(SAMPLE, 4, reps=4000, mc_seed=s, seed=1),
+    "calibrate_joint seed": (
+        (0, "seed"), lambda c: calibrate_joint({2.0: 0.05}, 4, 0.05, 4000, seed=c)
+    ),
+    "calibrate_spec seed": ((0, "seed"), lambda c: calibrate_spec(spec(), reps=4000, seed=c)),
+    "CriticalValueTable seed": ((0, "seed"), lambda c: table(seed=c)),
+    "invert_confidence_set mc_seed": ((0, "mc_seed"), lambda c: invert_confidence_set(
+        lambda beta: SAMPLE, [0.0], 2, 0.05, mc_reps=2000, mc_seed=c
+    )),
+    "split_test mc_seed": (
+        (0, "mc_seed"), lambda c: split_test(SAMPLE, 4, reps=4000, mc_seed=c, seed=1)
+    ),
+    "split fold seed": ((0, "seed"), lambda c: split(100, 0.5, c)),
+    "split_test fold seed": ((0, "seed"), lambda c: split_test(SAMPLE, 4, seed=c)),
+    # d = 4, and d = 8 for the spec: at least d + 2 pairs
+    "mc_pnorm_quantile aux_rows": (
+        (6, "aux_rows"), lambda c: mc_pnorm_quantile(2, 4, 0.05, reps=2000, aux_rows=c)
+    ),
+    "calibrate_joint aux_rows": (
+        (6, "aux_rows"), lambda c: calibrate_joint({2.0: 0.05}, 4, 0.05, 4000, aux_rows=c)
+    ),
+    "calibrate_spec aux_rows": (
+        (10, "aux_rows"), lambda c: calibrate_spec(spec(), reps=4000, aux_rows=c)
+    ),
+    "CriticalValueTable aux_rows": ((6, "aux_rows"), lambda c: table(aux_rows=c)),
 }
+SEED_ENTRY_POINTS = {
+    entry: rule for entry, rule in COUNT_ENTRY_POINTS.items() if rule[0][0] == 0
+}
+BELOW = "below its least value"
 
 
 class TestScalarBoundary:
@@ -1005,7 +1042,20 @@ class TestScalarBoundary:
         rejects_as(lambda: _check_vector(BAD_VECTORS[bad], *args),
                    lambda: call(BAD_VECTORS[bad]))
 
+    @pytest.mark.parametrize("bad", [True, 2.5, "3", math.nan, BELOW], ids=repr)
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS, ids=str)
+    def test_count_rejected_as_check_d_does(self, entry, bad):
+        (least, name), call = COUNT_ENTRY_POINTS[entry]
+        bad = least - 1 if bad == BELOW else bad
+        rejects_as(lambda: _check_d(bad, least, name=name), lambda: call(bad))
+
     @pytest.mark.parametrize("bad", [-1, True, 2.5, np.int64(-2)], ids=repr)
     @pytest.mark.parametrize("entry", SEED_ENTRY_POINTS, ids=str)
-    def test_seed_rejected_as_check_seed_does(self, entry, bad):
-        rejects_as(lambda: _check_seed(bad), lambda: SEED_ENTRY_POINTS[entry](bad))
+    def test_seed_rejected_as_check_d_does(self, entry, bad):
+        (_, name), call = SEED_ENTRY_POINTS[entry]
+        rejects_as(lambda: _check_d(bad, 0, name=name), lambda: call(bad))
+
+    def test_split_test_refuses_a_null_fold_seed(self):
+        # a null seed would draw different folds on every call
+        rejects_as(lambda: _check_d(None, 0, name="seed"),
+                   lambda: split_test(SAMPLE, 4, seed=None))

@@ -10,7 +10,7 @@ import pytest
 
 from pnormtest import harness, test_engine
 from pnormtest.covariance import _check_rows, _check_trunc_mult
-from pnormtest.critical_values import _check_alpha, _check_d, _check_seed, _check_vector
+from pnormtest.critical_values import _check_alpha, _check_d, _check_vector
 from pnormtest.dominant_test import calibrate_spec, default_spec
 from pnormtest.harness import (
     DataError,
@@ -244,7 +244,7 @@ class TestRunExperiment:
         assert report.to_json_dict()["results"]["config"] == gaussian_config()
 
     def test_field_path_in_schema_errors(self):
-        with pytest.raises(UsageError, match="reps: must be >= 1"):
+        with pytest.raises(UsageError, match="^reps: reps must be >= 1"):
             run_experiment(gaussian_config(reps=0))
         with pytest.raises(UsageError, match="bogus: unknown field"):
             run_experiment(gaussian_config(bogus=1))
@@ -345,8 +345,10 @@ class TestRunExperiment:
             ("test.alpha", lambda: _check_alpha(1.0), {"test": {"alpha": 1.0}}),
             ("test.trunc_mult", lambda: _check_trunc_mult(0.0),
              {"test": {"estimator": "truncated", "trunc_mult": 0}}),
-            ("seed", lambda: _check_seed(-1), {"seed": -1}),
-            ("test.mc_seed", lambda: _check_seed(-1), {"test": {"mc_seed": -1}}),
+            ("reps", lambda: _check_d(0, name="reps"), {"reps": 0}),
+            ("seed", lambda: _check_d(-1, 0, name="seed"), {"seed": -1}),
+            ("test.mc_reps", lambda: _check_d(0, name="mc_reps"), {"test": {"mc_reps": 0}}),
+            ("test.mc_seed", lambda: _check_d(-1, 0, name="mc_seed"), {"test": {"mc_seed": -1}}),
             ("dgp.theta", lambda: _check_vector([0.5, 0.0], "theta", 3),
              {"dgp": {"kind": "gaussian", "n": 40, "d": 3, "theta": [0.5, 0.0]}}),
             ("dgp.beta_star", lambda: _check_vector([0.0, 0.0], "beta_star", 3),

@@ -309,8 +309,8 @@ BLOCK_SIZES = [1, sample_split._BLOCK_BYTES, 1 << 62]
 
 
 class TestBlockedFoldMoments:
-    # _fold_moments and _column_mean_squares stream rows through a buffer;
-    # their results must be the whole-array formulas' bits at any block size
+    # _fold_moments streams rows through a buffer; its results must be the
+    # whole-array formulas' bits at any block size
 
     @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
     @pytest.mark.parametrize("big_d", [1, 2, 12, 5000])
@@ -322,11 +322,11 @@ class TestBlockedFoldMoments:
         values = rng.standard_normal((n, big_d)) * np.exp(3.0 * rng.standard_normal((n, big_d)))
         idx1, _ = split(n, 0.5, seed=1)  # 5 (odd) and 38 rows
         for idx, fold in ((idx1, values[idx1]), (None, values)):
-            h, r = sample_split._fold_moments(values, idx)
+            h, r, pair_var = sample_split._fold_moments(values, idx)
             n1 = fold.shape[0]
             assert np.array_equal(h, math.sqrt(n1) * fold.mean(axis=0))
             assert np.array_equal(r, covariance._pair_rows(fold))
-            assert np.array_equal(sample_split._column_mean_squares(r), np.mean(r * r, axis=0))
+            assert np.array_equal(pair_var, np.mean(r * r, axis=0))
 
     @pytest.mark.parametrize("select", [select_top_scaled, select_greedy])
     def test_selectors_reject_a_fold_too_small_for_pairs(self, select):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 import threading
 import warnings
@@ -135,6 +136,11 @@ class TestThetaOracle:
     def test_rejects_nan_n(self):
         with pytest.raises(ValueError, match="n must be >= 1, got nan"):
             theta_oracle(np.ones(2), np.eye(2), math.nan)
+
+    @pytest.mark.parametrize("n", ["4", True])
+    def test_rejects_a_non_real_n(self, n):
+        with pytest.raises(TypeError, match=f"^n must be a real number, got {re.escape(repr(n))}$"):
+            theta_oracle(np.ones(2), np.eye(2), n)
 
     def test_rejects_infinite_n(self):
         with pytest.raises(ValueError, match="theta entries must be finite"):
