@@ -35,6 +35,7 @@ from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from .gaussian_moments import _check_p
 from .test_engine import (
     TestReport,
+    _check_estimator,
     _check_table_rows,
     _run_tests,
     _warn_rank,
@@ -271,6 +272,8 @@ def split_test(
     sample size n2.
     """
     d, values, mc_seed = _check_d(d), _checked(s), _check_d(mc_seed, 0, name="mc_seed")
+    estimator = _check_estimator(estimator)
+    reps = None if reps is None else _check_d(reps, name="reps")
     idx1, idx2 = split(values.shape[0], frac1, seed)
     chosen = _select(*_fold_moments(values, idx1), d, selection, p)
     n2 = idx2.size

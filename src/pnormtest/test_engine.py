@@ -14,7 +14,13 @@ One private kernel runs this pipeline on a stack of samples of shape
 each sample (every step acts on the trailing two axes, with one median per
 sample for the truncated estimator), and ``_whiten`` runs one ``eigh`` per
 covariance matrix.  The public entry points (``standardize``,
-``prepare_standardized``, ``run_tests``) run it on a stack of one.  Many
+``prepare_standardized``, ``run_tests``) run it on a stack of one.
+``run_tests`` keeps the order moments -> kurtosis -> release of the pair
+rows -> ``eigh``: the kurtosis diagnostic is the last reader of the
+n // 2 x d difference-pair rows (4 MB at 2000 x 500), and freeing them
+before ``eigh`` allocates its copy, workspace and eigenvectors lets the
+allocator hand their memory on, instead of mapping and page-faulting fresh
+memory on every call with a new sample.  Many
 samples, the simulation harness's replications and the candidates of
 ``invert_confidence_set``, go through the phased replay ``_replay``.  It
 takes the samples in spans whose covariance estimates fit ``_SPAN_BYTES``
@@ -425,7 +431,9 @@ def run_tests(
     spec's table was drawn from the finite-sample law for another
     difference-pair count than this sample's n // 2.
     """
-    report = _run_tests(_checked(s), spec, estimator, trunc_mult, extra_ps)
+    values = _checked(s)
+    estimator, trunc_mult = _check_estimator(estimator), _check_trunc_mult(trunc_mult)
+    report = _run_tests(values, spec, estimator, trunc_mult, extra_ps)
     _warn_rank(report.rank, report.d)
     _check_table_rows(spec, report.n // 2)
     return report
@@ -438,15 +446,17 @@ def _run_tests(
     trunc_mult: float = _TRUNC_MULT,
     extra_ps: Iterable = (),
 ) -> TestReport:
-    # run_tests on an n x d array the caller has already validated; the
-    # caller warns, so the warnings name its caller
+    # run_tests on an n x d array, estimator and trunc_mult the caller has
+    # already checked; the caller warns, so the warnings name its caller
     n, d = values.shape
     if spec.table is None:
         raise ValueError("spec is not calibrated; run calibrate_spec first")
     if d != spec.d:
         raise ValueError(f"sample has d={d} but spec was built for d={spec.d}")
-    estimator, trunc_mult = _check_estimator(estimator), _check_trunc_mult(trunc_mult)
-    x, w, rank, _, aux = _whiten_stack(values[None], estimator, trunc_mult)
+    h, sigma = np.empty((1, d)), np.empty((1, d, d))
+    # the pair rows live only through this statement, so they are freed before eigh
+    kurtosis = _kurtosis(_moments(values[None], estimator, trunc_mult, h, sigma)[0])
+    x, w, rank = _whiten(h, sigma)
     ps, crits = _test_columns(spec, extra_ps)
     stats, reject, max_ratio, psi = _decide(x, spec, ps, crits)
     n_grid = len(spec.exponents)
@@ -470,7 +480,7 @@ def _run_tests(
         ),
         eigen_diag=(float(w[0, 0]), float(w[0, -1])),
         rank=int(rank[0]),
-        kurtosis=_kurtosis(aux[0]),
+        kurtosis=kurtosis,
     )
 
 
@@ -522,8 +532,11 @@ def invert_confidence_set(
     if not grid:
         raise ValueError("candidate grid must be nonempty")
     alpha = _check_alpha(alpha)
-    if critical is not None and not (math.isfinite(critical) and critical > 0):
-        raise ValueError(f"critical must be finite and positive, got {critical}")
+    if critical is not None:
+        if not isinstance(critical, numbers.Real) or isinstance(critical, bool):
+            raise TypeError(f"critical must be a real number, got {critical!r}")
+        if not (math.isfinite(critical) and critical > 0):
+            raise ValueError(f"critical must be finite and positive, got {critical}")
     p = _check_p(p)
     estimator = _check_estimator(estimator)
     mc_reps = None if mc_reps is None else _check_d(mc_reps, name="mc_reps")

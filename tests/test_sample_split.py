@@ -250,6 +250,27 @@ class TestSplitTest:
             with pytest.raises(ValueError, match="selection must be 'top' or 'greedy'"):
                 split_test(s, 4, selection=selection, spec=spec4)
 
+    @pytest.mark.parametrize("ready_spec", [False, True])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"estimator": "bogus"}, "unknown estimator 'bogus'"),
+            ({"reps": 0}, "reps must be >= 1"),
+            ({"reps": 2.5}, "reps must be >= 1"),
+        ],
+    )
+    def test_inputs_checked_before_any_fold_work(
+        self, monkeypatch, spec4, ready_spec, bad, message
+    ):
+        # refused at entry, also when a ready spec leaves reps unused
+        def reached(*args):
+            raise AssertionError("fold 1 was read before the inputs were checked")
+
+        monkeypatch.setattr(sample_split, "_fold_moments", reached)
+        s = np.random.default_rng(5).standard_normal((200, 8))
+        with pytest.raises(ValueError, match=message):
+            split_test(s, 4, selection="greedy", spec=spec4 if ready_spec else None, **bad)
+
     def test_default_spec_is_calibrated_at_d(self):
         values = np.random.default_rng(6).standard_normal((120, 12))
         result = split_test(values, 2, selection="top", reps=20_000, seed=3)

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import pinvh
 
-from pnormtest.covariance import _TRUNC_MULT, MomentSample, difference_pairs, sample_cov
+from pnormtest.covariance import (
+    _TRUNC_MULT,
+    MomentSample,
+    difference_pairs,
+    kurtosis_diagnostic,
+    sample_cov,
+)
 from pnormtest.critical_values import (
     CriticalValueTable,
     _RadialLaw,
+    _batch_pnorms,
     kappa_p_asymptotic,
     mc_pnorm_quantile,
 )
@@ -447,6 +455,27 @@ class TestRunTests:
             run_tests(gaussian_sample(400, 20, seed=7), spec20, estimator=estimator)
         assert calls == {"eigh": 2, "eigvalsh": 0}
 
+    @pytest.mark.parametrize("estimator", ["sample", "truncated"])
+    def test_pair_rows_freed_before_eigh(self, spec20, monkeypatch, estimator):
+        # eigh's copy, workspace and eigenvectors reuse the pair rows' memory
+        # only if nothing holds the rows, or a view of them, when it runs
+        pair_rows, alive = [], []
+        moments, whiten = test_engine._moments, test_engine._whiten
+
+        def kept(*args):
+            rows = moments(*args)
+            pair_rows.append(weakref.ref(rows))
+            return rows
+
+        def checked(h, sigma):
+            alive.append(pair_rows[-1]() is not None)
+            return whiten(h, sigma)
+
+        monkeypatch.setattr(test_engine, "_moments", kept)
+        monkeypatch.setattr(test_engine, "_whiten", checked)
+        run_tests(gaussian_sample(400, 20, seed=7), spec20, estimator=estimator)
+        assert len(pair_rows) == 1 and alive == [False]
+
     def test_trunc_alias(self, spec20):
         s = gaussian_sample(400, 20, seed=7)
         message = r"unknown estimator 'trunc'; expected one of \['sample', 'truncated'\]"
@@ -495,6 +524,14 @@ class TestInvertConfidenceSet:
         # nan, -1 and 0 used to retain no candidate, inf every candidate
         model = self.location_model(np.random.default_rng(4).standard_normal((40, 2)))
         with pytest.raises(ValueError, match="critical must be finite and positive"):
+            invert_confidence_set(model, [0.0, 0.1], 2, 0.05, critical=critical)
+
+    @pytest.mark.parametrize("critical", [True, "3"])
+    def test_critical_must_be_a_real_number(self, critical):
+        # True used to be read as 1.0, "3" to fail in math.isfinite unnamed
+        model = self.location_model(np.random.default_rng(4).standard_normal((40, 2)))
+        message = re.escape(f"critical must be a real number, got {critical!r}")
+        with pytest.raises(TypeError, match=message):
             invert_confidence_set(model, [0.0, 0.1], 2, 0.05, critical=critical)
 
     def test_fewer_than_four_rows_rejected(self):
@@ -656,14 +693,9 @@ class TestInvertConfidenceSet:
 GOLDEN_REPORTS = Path(__file__).parent / "data" / "run_tests_400x40.json"
 
 
-def test_reports_match_golden_fixture():
-    # Recorded before the stacked whitening kernel replaced the per-sample
-    # path (eigvalsh + eigh + full inverse root, one p_norm_stat per
-    # exponent).  Statistics agree to rel 1e-10, decisions exactly.
-    rng = np.random.default_rng(20241)
-    values = rng.standard_t(4.0, size=(400, 40))
-    values[:, :3] += 0.2
-    spec = calibrate_spec(
+@pytest.fixture(scope="module")
+def spec40():
+    return calibrate_spec(
         DominantTestSpec(
             d=40,
             alpha_total=0.05,
@@ -677,10 +709,37 @@ def test_reports_match_golden_fixture():
         seed=5,
         aux_rows=200,
     )
+
+
+@pytest.mark.parametrize("estimator", ["sample", "truncated"])
+def test_report_equals_its_pieces_bit_for_bit(spec40, estimator):
+    # the golden fixture allows rel 1e-10; against the kernel's own pieces
+    # on the same sample every reported number is the same bits
+    values = np.random.default_rng(20242).standard_t(4.0, size=(400, 40))
+    values[:, :3] += 0.2
+    report = run_tests(values, spec40, estimator=estimator, trunc_mult=1.2, extra_ps=(2.5,))
+    x, w, rank, _, _ = prepare_standardized(values, estimator, 1.2)
+    ps, crits = test_engine._test_columns(spec40, (2.5,))
+    _, reject, max_ratio, psi = test_engine._decide(x[None], spec40, ps, crits)
+    assert [r.p for r in report.per_p] == ps and 2.5 in ps
+    assert [r.statistic for r in report.per_p] == _batch_pnorms(x[None], ps)[0].tolist()
+    assert [r.reject for r in report.per_p] == reject[0].tolist()
+    assert (report.dominant.max_ratio, report.dominant.reject) == (max_ratio[0], psi[0])
+    assert report.eigen_diag == (w[0], w[-1]) and report.rank == rank
+    assert report.kurtosis == kurtosis_diagnostic(difference_pairs(values))
+
+
+def test_reports_match_golden_fixture(spec40):
+    # Recorded before the stacked whitening kernel replaced the per-sample
+    # path (eigvalsh + eigh + full inverse root, one p_norm_stat per
+    # exponent).  Statistics agree to rel 1e-10, decisions exactly.
+    rng = np.random.default_rng(20241)
+    values = rng.standard_t(4.0, size=(400, 40))
+    values[:, :3] += 0.2
     golden = json.loads(GOLDEN_REPORTS.read_text())
     for estimator, want in golden.items():
         got = run_tests(
-            values, spec, estimator=estimator, trunc_mult=1.2, extra_ps=(2.5, 8.0, math.inf)
+            values, spec40, estimator=estimator, trunc_mult=1.2, extra_ps=(2.5, 8.0, math.inf)
         ).to_json_dict()
         assert [r["p"] for r in got["per_p"]] == [r["p"] for r in want["per_p"]]
         for g, w in zip(got["per_p"], want["per_p"]):
