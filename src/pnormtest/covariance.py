@@ -17,6 +17,7 @@ difference pairs need n >= 4 rows, the rule of ``_check_rows``.
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -166,13 +167,20 @@ def kurtosis_diagnostic(s) -> float:
     return _kurtosis(_checked(s))
 
 
+@functools.lru_cache(maxsize=8)
+def _directions(d: int, directions: int, seed: int) -> np.ndarray:
+    """The d x ``directions`` unit columns of ``_kurtosis``, read-only and
+    drawn once per (d, directions, seed)."""
+    t = np.random.default_rng(seed).standard_normal((d, directions))
+    t /= np.linalg.norm(t, axis=0)
+    t.flags.writeable = False
+    return t
+
+
 def _kurtosis(values: np.ndarray, directions: int = 64, seed: int = 0) -> float:
     # kurtosis_diagnostic on an n x d array the caller has already validated
     centered = values - values.mean(axis=0)
-    rng = np.random.default_rng(seed)
-    t = rng.standard_normal((values.shape[1], directions))
-    t /= np.linalg.norm(t, axis=0)
-    proj = centered @ t
+    proj = centered @ _directions(values.shape[1], directions, seed)
     # products, not proj**4: numpy's power is far slower for negative bases
     sq = proj * proj
     second = np.mean(sq, axis=0)

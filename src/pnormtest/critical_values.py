@@ -275,7 +275,7 @@ def _check_d(d, least: int = 1, hint: str = "", name: str = "d") -> int:
 
 
 def _check_vector(value, name: str, d: int | None = None) -> np.ndarray:
-    """``value`` as a float vector of finite entries, of length d when d is given."""
+    """``value`` as a non-empty float vector of finite entries, of length d when d is given."""
     try:
         v = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -283,6 +283,8 @@ def _check_vector(value, name: str, d: int | None = None) -> np.ndarray:
     if v.ndim != 1 or d is not None and v.size != d:
         what = "a vector" if d is None else f"a d-vector (d = {d})"
         raise ValueError(f"{name}: expected {what}, got shape {v.shape}")
+    if v.size == 0:
+        raise ValueError(f"{name}: expected a non-empty vector, got shape (0,)")
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{name} entries must be finite")
     return v
@@ -376,7 +378,10 @@ def _batch_pnorms(
     by repeated multiplication in ascending order, keeping just one power
     array alive.  The two arrays of z's size that this takes are
     ``scratch[0]`` and ``scratch[1]`` (their first ``len(z)`` rows) when
-    ``scratch`` is given, and new arrays otherwise; z is not modified.
+    ``scratch`` is given, and new arrays otherwise.  |z| / max is formed
+    in ``scratch[0]``, so z is overwritten when it is ``scratch[0]``'s
+    first rows, and left unchanged otherwise; the norms are the same bits
+    either way.
     """
     rows = z.shape[0]
     if scratch is None:
@@ -500,10 +505,13 @@ class _TopRows:
         return self.rows[: self.n].T
 
 
-# A block is drawn and normed in passes of at most about this many
-# entries: a pass's three arrays stay in cache, and a worker's scratch
-# stays small at any d.
-_PASS_ENTRIES = 1 << 15
+# A block is drawn and normed in the fewest passes of at most about this
+# many entries: a d <= 64 block is one pass, a d = 200 block four.  A
+# worker's scratch is two arrays of a pass's size, at most about 1 MiB
+# (2^16 x 2 x 8 bytes) at any d, so that they stay in a core's L2 cache
+# (2 MiB on the host measured, where 2^17 entries, two passes at d = 200,
+# made calibration slower).  The pass size changes no draw and no norm.
+_PASS_ENTRIES = 1 << 16
 # Blocks a worker may have submitted ahead of the calling thread.
 _AHEAD = 4
 
@@ -521,14 +529,14 @@ def _reference_norms(
     blocks = (reps + _BLOCK - 1) // _BLOCK
     workers = _worker_count(blocks)
     rows = math.ceil(_BLOCK / math.ceil(_BLOCK * d / _PASS_ENTRIES))
-    # The candidate buffer and the W pass-sized scratch arrays (normals plus
-    # two temporaries) are allocated here, on the calling thread: memory
-    # that a worker thread allocates and frees stays in its malloc arena,
-    # and would keep the process's resident size up long after
-    # calibration returns.  A running block borrows one of the W arrays, so
-    # one is always free when a worker starts a block.
+    # The candidate buffer and the W pass-sized scratch arrays (the normals,
+    # normed in place, and one temporary) are allocated here, on the
+    # calling thread: memory that a worker thread allocates and frees stays
+    # in its malloc arena, and would keep the process's resident size up
+    # long after calibration returns.  A running block borrows one of the W
+    # arrays, so one is always free when a worker starts a block.
     candidates = _TopRows(len(ps), top, reps)
-    scratch = deque(np.empty((3, rows, d)) for _ in range(workers))
+    scratch = deque(np.empty((2, rows, d)) for _ in range(workers))
 
     def block_norms(block: int) -> np.ndarray:
         b = min(_BLOCK, reps - block * _BLOCK)
@@ -541,11 +549,12 @@ def _reference_norms(
             # as one draw of b rows
             for lo in range(0, b, rows):
                 z = rng.standard_normal(out=buf[0, : min(rows, b - lo)])
-                norms[lo : lo + len(z)] = _batch_pnorms(z, ps, buf[1:])
                 if law is not None:
-                    # ||z||_2 exactly as np.linalg.norm(z, axis=1) forms it
+                    # ||z||_2 exactly as np.linalg.norm(z, axis=1) forms it,
+                    # before the norms below overwrite z
                     sq = np.multiply(z, z, out=buf[1, : len(z)])
                     z_norm[lo : lo + len(z)] = np.sqrt(sq.sum(axis=1))
+                norms[lo : lo + len(z)] = _batch_pnorms(z, ps, buf)
         finally:
             scratch.append(buf)
         if law is not None:

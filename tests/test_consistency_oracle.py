@@ -264,3 +264,5 @@ class TestThetaArgument:
             criterion(np.ones((2, 2)))
         with pytest.raises(ValueError, match="theta entries must be finite"):
             criterion([0.5, math.nan])
+        with pytest.raises(ValueError, match=r"^theta: expected a non-empty vector, got shape \(0,\)$"):
+            criterion([])

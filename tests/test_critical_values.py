@@ -216,6 +216,15 @@ class TestBatchPnorms:
         assert np.array_equal(got, _batch_pnorms(z, ps))
         assert np.array_equal(z, before)
 
+    def test_z_in_scratch_gives_the_same_bits(self):
+        # calibration draws z into scratch[0] and norms it in place
+        z = np.random.default_rng(4).standard_normal((5, 4))
+        ps = [2.0, 3.0, 4.5, math.inf]
+        scratch = np.empty((2, 8, 4))
+        scratch[0, :5] = z
+        got = _batch_pnorms(scratch[0, :5], ps, scratch)
+        assert got.tobytes() == _batch_pnorms(z, ps).tobytes()
+
 
 class TestOrderStatQuantile:
     """The empirical (1 - alpha)-quantile is order statistic ceil((1 - alpha) n)."""
@@ -511,6 +520,21 @@ class TestBlockSchedule:
         monkeypatch.setattr(critical_values, "_batch_pnorms", failing)
         with pytest.raises(FloatingPointError, match="block failed"):
             mc_pnorm_quantile(2, 12, 0.05, reps=3 * _BLOCK + 1, seed=0)
+
+    @pytest.mark.parametrize("d,aux_rows", [(40, 200), (12, None)])
+    def test_kept_rows_identical_for_any_pass_size(self, monkeypatch, d, aux_rows):
+        # three passes of 342, 342 and 340 rows per full block, against one
+        # pass; the partial last block is cut by the same rule
+        ps = [2.0, 3.0, 4.5, 8.0, math.inf]
+        law = None if aux_rows is None else critical_values._RadialLaw(d, aux_rows)
+        reps = 12 * _BLOCK + 300
+        kept = []
+        for entries in (_BLOCK * d * 2 // 5, _BLOCK * d):
+            monkeypatch.setattr(critical_values, "_PASS_ENTRIES", entries)
+            kept.append(critical_values._reference_norms(ps, d, reps, 3, law, reps // 10))
+        several, one = kept
+        assert several.shape == one.shape
+        assert several.tobytes() == one.tobytes()
 
     @pytest.mark.parametrize(
         "d,aux_rows,name", [(12, None, "table_d12.json"), (40, 200, "table_d40_aux200.json")]

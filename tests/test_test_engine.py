@@ -87,6 +87,10 @@ class TestPNormStat:
         assert p_norm_stat(np.zeros(7), 3) == 0.0
         assert p_norm_stat(np.zeros(7), math.inf) == 0.0
 
+    def test_rejects_an_empty_vector(self):
+        with pytest.raises(ValueError, match=r"^v: expected a non-empty vector, got shape \(0,\)$"):
+            p_norm_stat([], 2)
+
     def test_no_overflow_for_huge_entries(self):
         v = np.full(100, 1e300)
         got = p_norm_stat(v, 40)
