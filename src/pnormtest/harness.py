@@ -8,9 +8,9 @@ test engine's phased replay, ``_replay``, on one lane per usable core: the
 lanes draw each replication from its own stream straight into their chunk
 buffers and reduce it to H and the packed lower triangle of its covariance
 estimate, in spans of 4.5 MiB of triangles (3 spans for 2000 replications
-at d=40); after each span the calling thread alone runs the ``eigh`` calls
-(x = V (w^{-1/2} * (V' H))) and fills the flag matrix, the one array that
-grows with ``reps``.  Every
+at d=40); after each span the calling thread alone runs the whitening
+(one ``eigh`` per matrix below d=256) and fills the flag matrix, the one
+array that grows with ``reps``.  Every
 replication's statistics are the same bits as when it is tested alone, so
 neither the lane count nor the replay's budgets ever change a result.
 

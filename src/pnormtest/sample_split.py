@@ -201,7 +201,7 @@ def _greedy_general(h: np.ndarray, r: np.ndarray, diag: np.ndarray, d: int, p) -
         hs = np.empty((big_d, step + 1))
         hs[:, :step] = h[selected]
         hs[:, step] = h
-        x, eig, _ = _whiten(hs, sigma)
+        x, eig, *_ = _whiten(hs, sigma)
         bad = eig[:, 0] <= _DEGENERACY_RTOL * eig[:, -1]
         selected.append(_pick(step, _batch_pnorms(x, ps)[:, 0], bad, selected))
     return selected

@@ -5,43 +5,34 @@ The pipeline for a sample of evaluated moment functions is
 
     rows -> H = sqrt(n) * column means
     rows -> difference pairs -> covariance estimate Sigma_hat
-    Sigma_hat = V diag(w) V'              (one eigendecomposition)
-    x   = V (w^{-1/2} * (V' H))           (= pinv_sqrt(Sigma_hat) H)
+    x   = Sigma_hat^{-1/2} H              (= pinv_sqrt(Sigma_hat) H)
     S_p = || x ||_p  for each exponent p.
 
 One private kernel runs this pipeline on a stack of samples of shape
 (..., n, d): ``_moments`` forms H and the debiased covariance estimate of
 each sample (every step acts on the trailing two axes, with one median per
-sample for the truncated estimator), and ``_whiten`` runs one ``eigh`` per
-covariance matrix.  The public entry points (``standardize``,
-``prepare_standardized``, ``run_tests``) run it on a stack of one.
-``run_tests`` keeps the order moments -> kurtosis -> release of the pair
-rows -> ``eigh``: the kurtosis diagnostic is the last reader of the
-n // 2 x d difference-pair rows (4 MB at 2000 x 500), and freeing them
-before ``eigh`` allocates its copy, workspace and eigenvectors lets the
-allocator hand their memory on, instead of mapping and page-faulting fresh
-memory on every call with a new sample.  Many
-samples, the simulation harness's replications and the candidates of
-``invert_confidence_set``, go through the phased replay ``_replay``.  It
-takes the samples in spans whose covariance estimates fit ``_SPAN_BYTES``
-(4.5 MiB) as packed lower triangles, the only part ``eigh`` reads (LAPACK's
-packed symmetric storage): 3 spans of up to 719 samples for 2000 samples at
-d=40.  Each span runs in two phases.  First W lanes, the calling thread and
-W - 1 pool threads, fill their own chunk buffers (about ``_CHUNK_BYTES`` /
-W of sample values each) one sample at a time, reduce each chunk with
-``_moments`` into the span's H and a small full-matrix buffer of the lane,
-and pack its lower triangles into the span.  Then the calling thread alone
-unpacks the span into ``eigh`` calls of ``_EIGH_BYTES`` (256 KiB, 20
-matrices at d=40), while no lane runs: after each ``eigh`` of a matrix
-larger than 25 x 25, OpenBLAS's own threads spin for about 0.1 s and stall
-a Python thread working beside them, so the spans are large to make the
-switches few.  The harness runs one lane per usable core; the confidence
-set runs one, on the calling thread, since its model need not be
-thread-safe.  The statistics of a stacked sample are the same bits as when
-that sample is whitened alone, so neither the lanes nor the budgets ever
-change a result.  Each input has one form: the estimator is named
-``"sample"`` or ``"truncated"``, and the model of ``invert_confidence_set``
-returns each candidate's sample as an n x d array.
+sample for the truncated estimator), and ``_whiten`` forms x: by Lanczos
+from H, certified full rank by one Cholesky factor, for one matrix with
+d >= ``_LANCZOS_MIN_D`` (256), else by one ``eigh`` per matrix,
+x = V (w^{-1/2} * (V' H)).  The public entry points pass a stack of one, so
+at d >= 256 a stack of several samples differs from them in the last bits.
+``run_tests`` frees the n // 2 x d pair rows after their last reader, the
+kurtosis diagnostic, so whitening can reuse their memory.  Many samples
+(the harness's replications, the candidates of ``invert_confidence_set``)
+go through the phased replay ``_replay``, in spans whose covariance
+estimates fit ``_SPAN_BYTES`` (4.5 MiB) as packed lower triangles, the only
+part ``eigh`` reads.  First W lanes, the calling thread and W - 1 pool
+threads, fill their own chunk buffers (about ``_CHUNK_BYTES`` / W of sample
+values each), reduce each chunk with ``_moments`` and pack its lower
+triangles into the span.  Then the calling thread alone unpacks the span
+into ``_whiten`` calls of ``_EIGH_BYTES`` (256 KiB: 20 matrices at d=40,
+one from d=129, with both triangles from d=256), while no lane runs: after
+each ``eigh`` of a matrix larger than 25 x 25 OpenBLAS's threads spin for
+about 0.1 s and stall a Python thread beside them.  The harness runs one
+lane per usable core, the confidence set one, on the calling thread, since
+its model need not be thread-safe.  The estimator is named ``"sample"`` or
+``"truncated"``, and the model of ``invert_confidence_set`` returns each
+candidate's sample as an n x d array.
 
 Covariance degrees of freedom.  The inverse of a second-moment matrix
 built from m difference rows overshoots the true inverse by a factor of
@@ -52,11 +43,11 @@ estimate by m/(m-d-1) whenever its m pairs have the finite-sample reference
 law.  The ``critical_values`` docstring states that law and when m pairs
 have it; the ``aux_rows`` argument of calibration draws from it.
 
-Rank deficiency is handled by the Moore-Penrose convention: eigenvalues
-at or below 1e-10 times the largest get w^{-1/2} := 0, so singular
-directions are projected out; the public entry points warn with the
-numerical rank, naming their caller, and critical values keep using the
-nominal d.  A materially negative eigenvalue is an error.
+Rank deficiency is handled by the Moore-Penrose convention of the eigh
+path: eigenvalues at or below 1e-10 times the largest get w^{-1/2} := 0,
+so singular directions are projected out; the public entry points warn
+with the numerical rank, naming their caller, and critical values keep
+using the nominal d.  A materially negative eigenvalue is an error.
 """
 
 from __future__ import annotations
@@ -92,7 +83,7 @@ from .critical_values import (
 )
 from .dominant_test import DominantTestSpec, _max_ratio
 from .gaussian_moments import _check_p
-from .matrix_core import SymMatrix, _inverse_roots
+from .matrix_core import _RANK_RTOL, SymMatrix, _inverse_roots
 
 __all__ = [
     "TestReport",
@@ -118,20 +109,94 @@ def _check_estimator(name: str) -> str:
     return name
 
 
-def _whiten(h: np.ndarray, sigma: np.ndarray):
-    """x = V (w^{-1/2} * (V' h)) for stacks h (..., d) and sigma (..., d, d).
+# the smallest d whitened by Lanczos: below it eigh is as fast (measured at m/d = 2)
+_LANCZOS_MIN_D = 256
 
-    One ``eigh`` per matrix, Moore-Penrose rank rule of ``_inverse_roots``.
-    Returns x (..., d), the ascending eigenvalues w (..., d) and the
-    numerical ranks (...).
+
+def _lanczos(h: np.ndarray, a: np.ndarray):
+    """Lanczos from h, fully reorthogonalised, on one d x d matrix ``a``
+    (Higham, *Functions of Matrices*, ch. 13): x = a^{-1/2} h, [[min_eig,
+    max_eig]] and rank d as stacks of one, or why ``eigh`` must answer.
+    Ritz values are checked every 8 steps from 16, x once they predict a
+    stop.  "cap": over 2d/5 steps (where eigh is cheaper) done or predicted;
+    "indefinite": theta_min < -floor; "rank": theta_min near the floor
+    ``_RANK_RTOL`` trace(a), a closed Krylov space, or no Cholesky factor L
+    of a - 0.99 theta_min I (h's Krylov space can miss a direction).  L
+    certifies rank d and drives inverse iteration to min_eig.  numpy only:
+    scipy.linalg would add about 22 MB resident."""
+    d, cap, norm = len(h), 2 * len(h) // 5, math.sqrt(h @ h)
+    if not norm > 0:
+        return "rank"
+    floor, x, top = _RANK_RTOL * np.trace(a), 0.0, math.inf
+    q, t = np.zeros((cap + 1, d)), np.zeros((cap + 1, cap + 1))  # t: lower triangle
+    np.divide(h, norm, out=q[0])
+    for k in range(cap):
+        w = a @ q[k] - t[k, k - 1] * q[k - 1]  # t[0, -1] = 0
+        t[k, k] = q[k] @ w
+        w -= t[k, k] * q[k]
+        w -= q[: k + 1].T @ (q[: k + 1] @ w)
+        t[k + 1, k] = beta = math.sqrt(w @ w)
+        if not beta > abs(floor):
+            return "rank"
+        np.divide(w, beta, out=q[k + 1])
+        if k < 15 or (k + 1) % 8:
+            continue
+        theta = np.linalg.eigvalsh(t[: k + 1, : k + 1])
+        if 0.99 * theta[0] <= floor:
+            return "indefinite" if theta[0] < -floor else "rank"
+        if 225 * theta[-1] > cap * cap * theta[0]:
+            return "cap"
+        if 144 * theta[-1] > (k + 1) ** 2 * theta[0]:  # x is far from the stop
+            continue
+        theta, s = np.linalg.eigh(t[: k + 1, : k + 1])
+        new = norm * (q[: k + 1].T @ (s @ (s[0] / np.sqrt(theta))))
+        # stop once x and max_eig have settled
+        if max(np.linalg.norm(new - x) / np.linalg.norm(new), abs(theta[-1] / top - 1)) < 1e-13:
+            break
+        x, top = new, theta[-1]
+    else:
+        return "cap"
+    shifted, shift = a.copy(), 0.99 * theta[0]
+    shifted.flat[:: d + 1] -= shift
+    try:
+        low_l = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return "rank"
+    # inverse iteration; (L L')^{-1} v by substitution with L's inverted 64 x 64 diagonal blocks
+    blocks = [slice(i, i + 64) for i in range(0, d, 64)]
+    inverses = [np.linalg.inv(low_l[b, b]) for b in blocks]
+    v, low, z = q[: k + 1].T @ s[:, 0], theta[0], np.empty(d)
+    for _ in range(64):
+        for b, inv in zip(blocks, inverses):
+            z[b] = inv @ (v[b] - low_l[b, : b.start] @ z[: b.start])
+        for b, inv in zip(blocks[::-1], inverses[::-1]):
+            z[b] = inv.T @ (z[b] - low_l[b.stop :, b].T @ z[b.stop :])
+        zz, last = z @ z, low
+        low, v = shift + (z @ v) / zz, z / math.sqrt(zz)
+        if last - low <= 1e-15 * low:
+            break
+    return new[None], np.array([[low, theta[-1]]]), np.array([d])
+
+
+def _whiten(h: np.ndarray, sigma: np.ndarray):
+    """Sigma^{-1/2} h for stacks h (..., d) and sigma (..., d, d): x (..., d),
+    the extreme eigenvalues (..., 2), the ranks (...) and the path with the
+    reason ``_lanczos`` fell back, if it did.  ``_lanczos`` takes a stack of
+    one matrix with d >= ``_LANCZOS_MIN_D``, else one ``eigh`` per matrix
+    (lower triangles) and the Moore-Penrose rule of ``_inverse_roots``.
     """
-    w, v = np.linalg.eigh(sigma)
-    inv_roots, rank = _inverse_roots(w)
-    coef = inv_roots * (h[..., None, :] @ v)[..., 0, :]
-    x = (v @ coef[..., None])[..., 0]
+    one = sigma.shape[:-2] == (1,) and sigma.shape[-1] >= _LANCZOS_MIN_D
+    out = _lanczos(h[0], sigma[0]) if one else None
+    if isinstance(out, tuple):
+        x, extremes, rank = out
+    else:
+        w, v = np.linalg.eigh(sigma)
+        inv_roots, rank = _inverse_roots(w)
+        coef = inv_roots * (h[..., None, :] @ v)[..., 0, :]
+        x, extremes = (v @ coef[..., None])[..., 0], w[..., [0, -1]]
     if not np.all(np.isfinite(x)):
         raise ValueError("standardized statistic must be finite")
-    return x, w, rank
+    return x, extremes, rank, ("lanczos", None) if isinstance(out, tuple) else ("eigh", out)
 
 
 def _moments(values: np.ndarray, estimator: str, trunc_mult: float, h, sigma) -> np.ndarray:
@@ -158,14 +223,14 @@ def _moments(values: np.ndarray, estimator: str, trunc_mult: float, h, sigma) ->
 def _whiten_stack(values: np.ndarray, estimator: str, trunc_mult: float):
     """``_moments`` then ``_whiten`` for a stack of samples (..., n, d).
 
-    Returns (x, w, rank, sigma, aux): whitened vectors (..., d), eigenvalues
-    (..., d), ranks (...), debiased covariance estimates (..., d, d) and
-    difference-pair rows (..., m, d).
+    Returns (x, w, rank, sigma, aux): whitened vectors (..., d), extreme
+    eigenvalues (..., 2), ranks (...), debiased covariance estimates
+    (..., d, d) and difference-pair rows (..., m, d).
     """
     *lead, _, d = values.shape
     h, sigma = np.empty((*lead, d)), np.empty((*lead, d, d))
     aux = _moments(values, estimator, trunc_mult, h, sigma)
-    x, w, rank = _whiten(h, sigma)
+    x, w, rank, _ = _whiten(h, sigma)
     return x, w, rank, sigma, aux
 
 
@@ -188,9 +253,9 @@ def _replay(count: int, n: int, d: int, fill, estimator: str, trunc_mult: float,
     and budgets never change a result.  An exception in a lane re-raises
     here.
     """
-    # eigh reads only the lower triangle, so a span holds only that and the
-    # strict upper triangle of ``sigma`` is never written
+    # a span holds lower triangles, all eigh reads; Lanczos reads both
     lower = np.ravel_multi_index(np.tril_indices(d), (d, d))
+    mirror = np.ravel_multi_index(np.tril_indices(d)[::-1], (d, d))
     per_chunk = max(1, _CHUNK_BYTES // lanes // (8 * n * d))
     per_span = min(count, max(1, _SPAN_BYTES // (8 * len(lower))))
     per_eigh = max(1, _EIGH_BYTES // (8 * d * d))
@@ -225,7 +290,9 @@ def _replay(count: int, n: int, d: int, fill, estimator: str, trunc_mult: float,
             for a in range(lo, hi, per_eigh):
                 b = min(a + per_eigh, hi)
                 sigma.reshape(per_eigh, d * d)[: b - a, lower] = packed[a - lo : b - lo]
-                x, _, rank = _whiten(h[a - lo : b - lo], sigma[: b - a])
+                if d >= _LANCZOS_MIN_D:
+                    sigma.reshape(per_eigh, d * d)[: b - a, mirror] = packed[a - lo : b - lo]
+                x, _, rank, _ = _whiten(h[a - lo : b - lo], sigma[: b - a])
                 yield a, b, x, rank
 
 
@@ -244,13 +311,13 @@ def _warn_rank(rank: int, d: int) -> None:
 def standardize(h: np.ndarray, sigma_hat) -> tuple[np.ndarray, np.ndarray, int]:
     """Whiten H by the Moore-Penrose inverse square root of Sigma_hat.
 
-    Returns the whitened vector, the ascending eigenvalues of Sigma_hat and
-    its numerical rank.  Warns when Sigma_hat is numerically rank
-    deficient; singular directions are projected out of the statistic.
+    Returns the whitened vector, the extreme eigenvalues (min, max) of
+    Sigma_hat and its numerical rank.  Warns when Sigma_hat is numerically
+    rank deficient; singular directions are projected out of the statistic.
     """
     sigma = sigma_hat if isinstance(sigma_hat, SymMatrix) else SymMatrix(sigma_hat)
     h = _check_vector(h, "h", sigma.dim)
-    x, w, rank = _whiten(h[None], sigma.entries[None])
+    x, w, rank, _ = _whiten(h[None], sigma.entries[None])
     _warn_rank(int(rank[0]), sigma.dim)
     return x[0], w[0], int(rank[0])
 
@@ -274,7 +341,7 @@ def theta_oracle(mu: np.ndarray, sigma, n: int) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     sigma = sigma if isinstance(sigma, SymMatrix) else SymMatrix(sigma)
     mu = _check_vector(mu, "mu", sigma.dim)
-    x, _, _ = _whiten(mu[None], sigma.entries[None])
+    x = _whiten(mu[None], sigma.entries[None])[0]
     return _check_vector(math.sqrt(n) * x[0], "theta")  # n = inf, or an overflow, fails it
 
 
@@ -282,7 +349,7 @@ def prepare_standardized(s, estimator: str = "sample", trunc_mult: float = _TRUN
     """Full whitening pipeline: difference pairs, covariance, debias, whiten.
 
     Returns the kernel's arrays for this one sample: the whitened vector
-    (d,), the ascending eigenvalues (d,), the numerical rank, the debiased
+    (d,), the extreme eigenvalues (2,), the numerical rank, the debiased
     covariance estimate (d, d) and the difference-pair rows (n // 2, d).
     """
     values = _checked(s)
@@ -375,6 +442,7 @@ class TestReport:
     eigen_diag: tuple[float, float]
     rank: int
     kurtosis: float
+    whitening: tuple[str, str | None]  # path, and why the Lanczos path fell back
 
     def record(self, p) -> PerExponentRecord:
         p = _check_p(p)
@@ -408,6 +476,7 @@ class TestReport:
                 "max_eig": self.eigen_diag[1],
                 "rank": self.rank,
                 "kurtosis": self.kurtosis,
+                "whitening": {"path": self.whitening[0], "fallback": self.whitening[1]},
             },
         }
 
@@ -454,9 +523,9 @@ def _run_tests(
     if d != spec.d:
         raise ValueError(f"sample has d={d} but spec was built for d={spec.d}")
     h, sigma = np.empty((1, d)), np.empty((1, d, d))
-    # the pair rows live only through this statement, so they are freed before eigh
+    # the pair rows live only through this statement, so they are freed before whitening
     kurtosis = _kurtosis(_moments(values[None], estimator, trunc_mult, h, sigma)[0])
-    x, w, rank = _whiten(h, sigma)
+    x, w, rank, whitening = _whiten(h, sigma)
     ps, crits = _test_columns(spec, extra_ps)
     stats, reject, max_ratio, psi = _decide(x, spec, ps, crits)
     n_grid = len(spec.exponents)
@@ -481,6 +550,7 @@ def _run_tests(
         eigen_diag=(float(w[0, 0]), float(w[0, -1])),
         rank=int(rank[0]),
         kurtosis=kurtosis,
+        whitening=whitening,
     )
 
 

@@ -337,6 +337,155 @@ class TestWhitenStack:
             test_engine._whiten(np.ones((2, 2)), sigma)
 
 
+LANCZOS_D = test_engine._LANCZOS_MIN_D
+
+
+def eigh_whiten(monkeypatch, h, sigma):
+    # the eigh path's answer for the same stack of one
+    with monkeypatch.context() as patch:
+        patch.setattr(test_engine, "_LANCZOS_MIN_D", math.inf)
+        return test_engine._whiten(h, sigma)
+
+
+def moments_of(n, d, estimator, seed):
+    values = np.random.default_rng([n, d, seed]).standard_t(6.0, size=(n, d))
+    values[:, :3] += 0.1
+    h, sigma = np.empty((1, d)), np.empty((1, d, d))
+    test_engine._moments(values[None], estimator, 3.0, h, sigma)
+    return h, sigma
+
+
+@pytest.fixture(scope="module")
+def spec_lanczos():
+    share = 0.05 / 6  # the grid 2, 3, 4, 6, 8, inf with equal shares
+    spec = DominantTestSpec(
+        d=LANCZOS_D,
+        alpha_total=0.05,
+        alpha_2=share,
+        alpha_I=4 * share,
+        alpha_inf=share,
+        p_grid=(3.0, 4.0, 6.0, 8.0),
+        per_p_shares=(share,) * 4,
+    )
+    return calibrate_spec(spec, reps=20_000, seed=2)
+
+
+class TestLanczosWhitening:
+    """A stack of one matrix with d >= _LANCZOS_MIN_D is whitened by Lanczos,
+    certified by one Cholesky, and falls back to eigh when it cannot be."""
+
+    PS = [2.0, 3.0, 4.0, 6.0, 8.0, math.inf]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("estimator", ["sample", "truncated"])
+    @pytest.mark.parametrize("ratio", [2, 4, pytest.param(1.2, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("d", [LANCZOS_D, 300, pytest.param(1000, marks=pytest.mark.slow)])
+    def test_agrees_with_eigh(self, monkeypatch, d, ratio, estimator, seed):
+        h, sigma = moments_of(int(2 * ratio * d), d, estimator, seed)
+        x, extremes, rank, whitening = test_engine._whiten(h, sigma)
+        want_x, want_extremes, want_rank, _ = eigh_whiten(monkeypatch, h, sigma)
+        if ratio == 1.2 and d < 1000:  # condition about 430: the bail-out fires
+            assert whitening == ("eigh", "cap")
+        elif d < 1000:
+            assert whitening == ("lanczos", None)
+        # at d = 1000 the Krylov space of H can miss the bottom eigenvector
+        # (sample seed 0, m/d = 4): the certificate fails, eigh answers
+        stats, want = _batch_pnorms(x, self.PS), _batch_pnorms(want_x, self.PS)
+        np.testing.assert_allclose(stats, want, rtol=1e-12)
+        np.testing.assert_allclose(extremes, want_extremes, rtol=1e-12)
+        assert rank[0] == want_rank[0] == d
+
+    def test_report_names_the_path(self, spec_lanczos, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recorded(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded)
+        values = gaussian_sample(4 * LANCZOS_D, LANCZOS_D, seed=3)
+        report = run_tests(values, spec_lanczos)
+        doc = report.to_json_dict()
+        assert doc["diagnostics"]["whitening"] == {"path": "lanczos", "fallback": None}
+        assert report.rank == LANCZOS_D
+        # only the small tridiagonal problems: no d x d eigenvectors
+        assert shapes and all(shape[-1] < LANCZOS_D for shape in shapes)
+        monkeypatch.setattr(test_engine, "_LANCZOS_MIN_D", math.inf)
+        want = run_tests(values, spec_lanczos).to_json_dict()
+        assert want["diagnostics"]["whitening"] == {"path": "eigh", "fallback": None}
+        assert [r["reject"] for r in doc["per_p"]] == [r["reject"] for r in want["per_p"]]
+        assert doc["dominant"]["reject"] == want["dominant"]["reject"]
+
+    def test_ill_conditioned_sample_falls_back_on_cap(self, spec_lanczos):
+        values = gaussian_sample(int(2.4 * LANCZOS_D), LANCZOS_D, seed=4)
+        doc = run_tests(values, spec_lanczos).to_json_dict()
+        assert doc["diagnostics"]["whitening"] == {"path": "eigh", "fallback": "cap"}
+        assert doc["diagnostics"]["rank"] == LANCZOS_D
+
+    @pytest.mark.parametrize("column, fallback", [("duplicated", "rank"), ("constant", "cap")])
+    def test_rank_deficient_sample_falls_back_and_warns(self, spec_lanczos, column, fallback):
+        # a duplicated column's null direction is outside the Krylov space of
+        # H, so only the certificate sees it; a constant column's is inside,
+        # and theta_min falls towards 0 past the bail-out
+        values = gaussian_sample(4 * LANCZOS_D, LANCZOS_D, seed=5)
+        values[:, 1] = values[:, 0] if column == "duplicated" else 0.5
+        with pytest.warns(RuntimeWarning, match=f"numerical rank {LANCZOS_D - 1} "):
+            report = run_tests(values, spec_lanczos)
+        assert report.whitening == ("eigh", fallback)
+        assert report.rank == LANCZOS_D - 1
+
+    @pytest.mark.parametrize("seen", [True, False])
+    def test_indefinite_matrix_raises_the_eigh_error(self, monkeypatch, seen):
+        # seen: h has a component on the negative direction, so a Ritz value
+        # goes negative; unseen: only the certificate can fail
+        d = LANCZOS_D
+        sigma = np.diag(np.r_[-0.5, np.linspace(1.0, 2.0, d - 1)])
+        mu = np.random.default_rng(6).standard_normal(d)
+        mu[0] = 1.0 if seen else 0.0
+        assert test_engine._lanczos(mu, sigma) == ("indefinite" if seen else "rank")
+        with monkeypatch.context() as patch:
+            patch.setattr(test_engine, "_LANCZOS_MIN_D", math.inf)
+            with pytest.raises(ValueError, match="not positive semidefinite") as want:
+                theta_oracle(mu, sigma, 10)
+        with pytest.raises(ValueError) as got:
+            theta_oracle(mu, sigma, 10)
+        assert str(got.value) == str(want.value)
+
+    def test_standardize_and_theta_oracle_accept_psd(self, monkeypatch):
+        d = LANCZOS_D
+        rng = np.random.default_rng(7)
+        factor = rng.standard_normal((d, 4 * d))
+        sigma = factor @ factor.T / (4 * d)
+        mu = rng.standard_normal(d)
+        want_x, want_extremes, _, _ = eigh_whiten(monkeypatch, mu[None], sigma[None])
+        x, extremes, rank = standardize(mu, sigma)
+        np.testing.assert_allclose(x, want_x[0], rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(extremes, want_extremes[0], rtol=1e-12)
+        assert rank == d
+        theta = theta_oracle(mu, sigma, 9)
+        np.testing.assert_allclose(theta, 3.0 * want_x[0], rtol=1e-12, atol=1e-12)
+        # singular but PSD: falls back to eigh and its rank rule
+        singular = factor[:, : d - 1] @ factor[:, : d - 1].T / d
+        with pytest.warns(RuntimeWarning, match=f"numerical rank {d - 1} "):
+            assert standardize(mu, singular)[2] == d - 1
+        assert np.all(np.isfinite(theta_oracle(mu, singular, 9)))
+
+    def test_replay_whitens_a_large_sample_as_alone(self):
+        # the replay unpacks lower triangles: the Lanczos path needs both
+        count, n, d = 2, 2 * LANCZOS_D, LANCZOS_D
+        values = np.random.default_rng(8).standard_normal((count, n, d))
+
+        def fill(i, out):
+            out[...] = values[i]
+
+        got = list(test_engine._replay(count, n, d, fill, "sample", 3.0, lanes=1))
+        assert [(lo, hi) for lo, hi, *_ in got] == [(0, 1), (1, 2)]
+        for i, (_, _, x, rank) in enumerate(got):
+            alone = _whiten_stack(values[i][None], "sample", 3.0)
+            assert np.array_equal(x, alone[0]) and np.array_equal(rank, alone[2])
+
+
 @pytest.fixture(scope="module")
 def spec20():
     return calibrate_spec(default_spec(20, 0.05), reps=200_000, seed=1)
@@ -498,7 +647,10 @@ class TestRunTests:
         doc = run_tests(gaussian_sample(400, 20, seed=7), spec20).to_json_dict()
         assert doc["per_p"][-1]["p"] == "inf"
         assert set(doc["dominant"]) == {"c_n", "max_ratio", "reject"}
+        assert set(doc["diagnostics"]) == {"min_eig", "max_eig", "rank", "kurtosis", "whitening"}
         assert doc["diagnostics"]["rank"] == 20
+        # below _LANCZOS_MIN_D the path is eigh, and not a fallback
+        assert doc["diagnostics"]["whitening"] == {"path": "eigh", "fallback": None}
 
 
 class TestInvertConfidenceSet:
