@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .covariance import _TRUNC_MULT, _check_rows, _check_trunc_mult
+from .covariance import _check_rows
 from .critical_values import _document, _formula_kappa
 from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from .gaussian_moments import _check_p, lambda_p, sigma_p
@@ -117,22 +117,15 @@ def _load_spec(path: str) -> DominantTestSpec:
 
 
 def _cmd_test(args) -> None:
-    # a bad parameter exits 2 here; run_tests' errors below are the data's
-    _check_trunc_mult(args.trunc_mult)
+    # a bad exponent exits 2 here; run_tests' errors below are the data's
+    extras = tuple(_parse_exponent(tok) for tok in args.extra_p.split(",") if tok.strip())
     sample = read_sample_csv(args.data)
     spec = _load_spec(args.table)
-    extras = tuple(_parse_exponent(tok) for tok in args.extra_p.split(",") if tok.strip())
     mismatch = _table_rows_mismatch(spec, sample.shape[0] // 2)
     if mismatch is not None:
         raise DataError(f"{args.data}: {mismatch}")
     try:
-        report = run_tests(
-            sample,
-            spec,
-            estimator=args.estimator,
-            trunc_mult=args.trunc_mult,
-            extra_ps=extras,
-        )
+        report = run_tests(sample, spec, estimator=args.estimator, extra_ps=extras)
     except ValueError as exc:
         raise DataError(f"{args.data}: {exc}") from None
     _emit(_document("test_report", report.to_json_dict()), args.out)
@@ -239,7 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tst.add_argument("--data", required=True, help="CSV of moment evaluations at beta*")
     tst.add_argument("--table", required=True, help="calibrated specification JSON")
     tst.add_argument("--estimator", choices=_ESTIMATORS, default="sample")
-    tst.add_argument("--trunc-mult", type=float, default=_TRUNC_MULT)
     tst.add_argument("--extra-p", default="", help="extra exponents reported with formula critical values")
     tst.add_argument("--out", help="report JSON path (default: stdout)")
     tst.set_defaults(func=_cmd_test)

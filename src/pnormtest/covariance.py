@@ -6,19 +6,19 @@ construction and share the covariance of the original rows.  Because of
 that, both estimators use the uncentered second-moment form.
 
 ``truncated_cov`` is a practical heavy-tail-robust variant that shrinks
-each auxiliary row onto the ball of radius ``trunc_mult`` times the median
-row norm before forming the second-moment matrix.  The theoretically
+each auxiliary row onto the ball of radius ``_TRUNC_MULT`` (3) times the
+median row norm before forming the second-moment matrix.  The theoretically
 optimal robust estimators this stands in for are not practical to
 implement.  The test engine selects its estimator by one of two names,
-``"sample"`` or ``"truncated"``; other estimators are not pluggable.
-Samples are n x d arrays, checked once by ``_checked`` and never copied;
+``"sample"`` or ``"truncated"``; other estimators are not pluggable, and
+every entry point truncates at the one level ``_TRUNC_MULT``.  Samples
+are n x d arrays, checked once by ``_checked`` and never copied;
 difference pairs need n >= 4 rows, the rule of ``_check_rows``.
 """
 
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,21 +102,13 @@ def _second_moment(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     return out
 
 
-# default truncation radius of the truncated estimator, in median row norms
+# the truncation radius of the truncated estimator, in median row norms;
+# read when rows are truncated, so a study can patch it
 _TRUNC_MULT = 3.0
 
 
-def _check_trunc_mult(trunc_mult) -> float:
-    """The truncation multiplier as a float: a real number, not a bool, > 0."""
-    if not isinstance(trunc_mult, numbers.Real) or isinstance(trunc_mult, bool):
-        raise TypeError(f"trunc_mult must be a real number, got {trunc_mult!r}")
-    if not trunc_mult > 0:  # NaN fails it
-        raise ValueError(f"trunc_mult must be positive, got {trunc_mult}")
-    return float(trunc_mult)
-
-
-def _truncate_rows(rows: np.ndarray, trunc_mult: float) -> np.ndarray:
-    # shrink each row onto the ball of radius trunc_mult times its own
+def _truncate_rows(rows: np.ndarray) -> np.ndarray:
+    # shrink each row onto the ball of radius _TRUNC_MULT times its own
     # sample's median row norm; one median per stacked sample.  The norms
     # and the median are np.linalg.norm's and np.median's, bit for bit: the
     # median is the mean of the two middle order statistics (one, twice,
@@ -125,7 +117,7 @@ def _truncate_rows(rows: np.ndarray, trunc_mult: float) -> np.ndarray:
     norms = np.sqrt(sq.sum(axis=-1))
     m = norms.shape[-1]
     mid = np.partition(norms, [(m - 1) // 2, m // 2], axis=-1)
-    tau = trunc_mult * ((mid[..., (m - 1) // 2] + mid[..., m // 2]) / 2)
+    tau = _TRUNC_MULT * ((mid[..., (m - 1) // 2] + mid[..., m // 2]) / 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         shrink = np.where(norms > 0, np.minimum(1.0, tau[..., None] / norms), 1.0)
     return np.multiply(rows, shrink[..., None], out=sq)
@@ -146,13 +138,13 @@ def sample_cov(aux) -> SymMatrix:
     return SymMatrix(_second_moment(_checked(aux)))
 
 
-def truncated_cov(aux, trunc_mult: float = _TRUNC_MULT) -> SymMatrix:
+def truncated_cov(aux) -> SymMatrix:
     """Norm-truncated second-moment matrix.
 
     Each row r_i is shrunk to r_i * min(1, tau / ||r_i||_2) with
-    tau = trunc_mult * median_j ||r_j||_2, then ``sample_cov`` is applied.
+    tau = 3 median_j ||r_j||_2 (``_TRUNC_MULT``), then ``sample_cov`` is applied.
     """
-    rows = _truncate_rows(_checked(aux), _check_trunc_mult(trunc_mult))
+    rows = _truncate_rows(_checked(aux))
     return SymMatrix(_second_moment(rows))
 
 

@@ -19,9 +19,11 @@ The config is parsed once, before calibration, against field tables
 spec and table documents too: every section rejects unknown fields,
 numeric fields reject JSON booleans and strings, integer fields must be
 integral, real fields finite, and every error names its field path.
-The seeds, ``test.alpha``, ``test.trunc_mult``, ``dgp.d``, ``dgp.n`` and the
-vectors then run the library's own check, so a bad value fails with its
-message after the field path.
+The seeds, ``test.alpha``, ``dgp.d``, ``dgp.n`` and the vectors then run
+the library's own check, so a bad value fails with its message after the
+field path.  ``test.estimator`` names the estimator; the truncated one
+truncates at three median row norms (``covariance._TRUNC_MULT``), as at
+every other entry point.
 The iv and rct tables are read off ``IvConfig`` and ``RctConfig``, so each
 dataclass is the only list of its fields and defaults.
 
@@ -49,7 +51,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .covariance import _TRUNC_MULT, _check_rows, _check_trunc_mult, _checked
+from .covariance import _check_rows, _checked
 from .critical_values import (
     SCHEMA_VERSION,
     UsageError,
@@ -154,7 +156,6 @@ _TOP_FIELDS = {
 _TEST_FIELDS = {
     "alpha": (lambda value: _check_alpha(_numeric(value)), 0.05),
     "estimator": (_check_estimator, "sample"),
-    "trunc_mult": (lambda value: _check_trunc_mult(_real(value)), _TRUNC_MULT),
     "mc_reps": (_optional(_count("mc_reps")), None),
     "mc_seed": (_count("mc_seed", 0), 0),
     "aux_rows": (_aux_rows, "fold"),
@@ -305,7 +306,7 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     _at("dgp.n", _check_rows, n)
 
     opts = _parse(top["test"], _TEST_FIELDS, "test")
-    alpha, estimator, trunc_mult = opts["alpha"], opts["estimator"], opts["trunc_mult"]
+    alpha, estimator = opts["alpha"], opts["estimator"]
     aux = _RadialLaw.matched_rows(n, d) if opts["aux_rows"] == "fold" else None
 
     try:
@@ -324,7 +325,7 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     deficient = 0
     start = time.perf_counter()
     lanes = _worker_count(reps)
-    for lo, hi, x, rank in _replay(reps, n, d, fill, estimator, trunc_mult, lanes):
+    for lo, hi, x, rank in _replay(reps, n, d, fill, estimator, lanes):
         _, reject, _, psi = _decide(x, spec, ps, crits)
         flags[lo:hi, :-1] = reject
         flags[lo:hi, -1] = psi

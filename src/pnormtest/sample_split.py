@@ -135,7 +135,7 @@ def select_top_scaled(fold1, d: int) -> np.ndarray:
     """Indices of the d largest per-coordinate studentized statistics
     sqrt(n1)|mean_j|/sigma_j, ties going to the lower index.  Coordinates
     with zero pair variance score 0 and are picked only if d forces it."""
-    return _select(*_fold_moments(_checked(fold1)), _check_d(d), "top")
+    return _select(_checked(fold1), None, _check_d(d), "top")
 
 
 def _pick(step: int, scores: np.ndarray, bad: np.ndarray, selected: list[int]) -> int:
@@ -212,20 +212,22 @@ def select_greedy(fold1, d: int, p=2.0) -> np.ndarray:
     the growing set; plug-in pair covariance restricted to the candidate
     columns, ties to the lower index.  Candidates that are linearly
     dependent on the current set are skipped with a warning."""
-    return _select(*_fold_moments(_checked(fold1)), _check_d(d), "greedy", p)
+    return _select(_checked(fold1), None, _check_d(d), "greedy", p)
 
 
 def _select(
-    h: np.ndarray, r: np.ndarray, diag: np.ndarray, d: int, selection: str, p=2.0
+    values: np.ndarray, idx: np.ndarray | None, d: int, selection: str, p=2.0
 ) -> np.ndarray:
-    # both selectors on the moments ``_fold_moments`` reads off fold 1, for a checked d
-    if d > h.size:
-        raise ValueError(f"need 1 <= d <= {h.size}, got d={d}")
-    if selection == "top":
-        return np.sort(np.argsort(-_studentized_scores(h, diag), kind="stable")[:d])
-    if selection != "greedy":
+    # both selectors on fold 1, rows ``idx`` of a validated array, for a
+    # checked d; the other inputs are checked before fold 1 is read
+    if d > values.shape[1]:
+        raise ValueError(f"need 1 <= d <= {values.shape[1]}, got d={d}")
+    if selection not in ("top", "greedy"):
         raise ValueError(f"selection must be 'top' or 'greedy', got {selection!r}")
     p = _check_p(p)
+    h, r, diag = _fold_moments(values, idx)
+    if selection == "top":
+        return np.sort(np.argsort(-_studentized_scores(h, diag), kind="stable")[:d])
     selected = _greedy_p2(h, r, diag, d) if p == 2.0 else _greedy_general(h, r, diag, d, p)
     return np.sort(np.asarray(selected, dtype=int))
 
@@ -272,10 +274,10 @@ def split_test(
     sample size n2.
     """
     d, values, mc_seed = _check_d(d), _checked(s), _check_d(mc_seed, 0, name="mc_seed")
-    estimator = _check_estimator(estimator)
+    estimator, alpha = _check_estimator(estimator), _check_alpha(alpha)
     reps = None if reps is None else _check_d(reps, name="reps")
     idx1, idx2 = split(values.shape[0], frac1, seed)
-    chosen = _select(*_fold_moments(values, idx1), d, selection, p)
+    chosen = _select(values, idx1, d, selection, p)
     n2 = idx2.size
     if d > n2**0.4:
         warnings.warn(

@@ -62,9 +62,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .covariance import (
-    _TRUNC_MULT,
     _check_rows,
-    _check_trunc_mult,
     _checked,
     _kurtosis,
     _pair_rows,
@@ -199,18 +197,18 @@ def _whiten(h: np.ndarray, sigma: np.ndarray):
     return x, extremes, rank, ("lanczos", None) if isinstance(out, tuple) else ("eigh", out)
 
 
-def _moments(values: np.ndarray, estimator: str, trunc_mult: float, h, sigma) -> np.ndarray:
+def _moments(values: np.ndarray, estimator: str, h, sigma) -> np.ndarray:
     """H and the covariance estimate of each sample in the stack ``values``
     (..., n, d), written into ``h`` (..., d) and ``sigma`` (..., d, d).
 
     Difference pairs, the sample or truncated second moment (one median
     per sample), and the debias of the matched reference law if any.
-    ``estimator`` is a checked name and ``trunc_mult`` a checked multiplier.
+    ``estimator`` is a checked name.
     Returns the difference-pair rows (..., m, d).
     """
     n, d = values.shape[-2:]
     aux = _pair_rows(values)
-    rows = _truncate_rows(aux, trunc_mult) if estimator == "truncated" else aux
+    rows = _truncate_rows(aux) if estimator == "truncated" else aux
     _second_moment(rows, out=sigma)
     m = _RadialLaw.matched_rows(n, d)
     if m is not None:
@@ -218,20 +216,6 @@ def _moments(values: np.ndarray, estimator: str, trunc_mult: float, h, sigma) ->
         sigma *= _RadialLaw(d, m).debias
     np.multiply(math.sqrt(n), values.mean(axis=-2), out=h)
     return aux
-
-
-def _whiten_stack(values: np.ndarray, estimator: str, trunc_mult: float):
-    """``_moments`` then ``_whiten`` for a stack of samples (..., n, d).
-
-    Returns (x, w, rank, sigma, aux): whitened vectors (..., d), extreme
-    eigenvalues (..., 2), ranks (...), debiased covariance estimates
-    (..., d, d) and difference-pair rows (..., m, d).
-    """
-    *lead, _, d = values.shape
-    h, sigma = np.empty((*lead, d)), np.empty((*lead, d, d))
-    aux = _moments(values, estimator, trunc_mult, h, sigma)
-    x, w, rank, _ = _whiten(h, sigma)
-    return x, w, rank, sigma, aux
 
 
 # Byte budgets of the phased replay; like the calibration block size they
@@ -244,7 +228,7 @@ _SPAN_BYTES = 9 << 19
 _EIGH_BYTES = 1 << 18
 
 
-def _replay(count: int, n: int, d: int, fill, estimator: str, trunc_mult: float, lanes: int):
+def _replay(count: int, n: int, d: int, fill, estimator: str, lanes: int):
     """The phased replay of the module docstring over ``count`` n x d samples,
     on ``lanes`` lanes; yields (lo, hi, x, rank) per ``eigh`` sub-stack.
 
@@ -272,7 +256,7 @@ def _replay(count: int, n: int, d: int, fill, estimator: str, trunc_mult: float,
             for i in range(start, stop):
                 fill(i, values[i - start])
             span, k = slice(start - lo, stop - lo), stop - start
-            _moments(values[:k], estimator, trunc_mult, h[span], full[:k])
+            _moments(values[:k], estimator, h[span], full[:k])
             np.take(full[:k].reshape(k, d * d), lower, axis=1, out=packed[span], mode="clip")
 
     # pool threads start on the first submit, so one lane starts none
@@ -345,7 +329,7 @@ def theta_oracle(mu: np.ndarray, sigma, n: int) -> np.ndarray:
     return _check_vector(math.sqrt(n) * x[0], "theta")  # n = inf, or an overflow, fails it
 
 
-def prepare_standardized(s, estimator: str = "sample", trunc_mult: float = _TRUNC_MULT):
+def prepare_standardized(s, estimator: str = "sample"):
     """Full whitening pipeline: difference pairs, covariance, debias, whiten.
 
     Returns the kernel's arrays for this one sample: the whitened vector
@@ -353,11 +337,12 @@ def prepare_standardized(s, estimator: str = "sample", trunc_mult: float = _TRUN
     covariance estimate (d, d) and the difference-pair rows (n // 2, d).
     """
     values = _checked(s)
-    estimator, trunc_mult = _check_estimator(estimator), _check_trunc_mult(trunc_mult)
-    out = _whiten_stack(values[None], estimator, trunc_mult)
-    x, w, rank, sigma, aux = (a[0] for a in out)
-    _warn_rank(int(rank), values.shape[1])
-    return x, w, int(rank), sigma, aux
+    estimator, d = _check_estimator(estimator), values.shape[1]
+    h, sigma = np.empty((1, d)), np.empty((1, d, d))
+    aux = _moments(values[None], estimator, h, sigma)
+    x, w, rank, _ = _whiten(h, sigma)
+    _warn_rank(int(rank[0]), d)
+    return x[0], w[0], int(rank[0]), sigma[0], aux[0]
 
 
 def _table_rows_mismatch(spec: DominantTestSpec, m: int) -> str | None:
@@ -485,7 +470,6 @@ def run_tests(
     s,
     spec: DominantTestSpec,
     estimator: str = "sample",
-    trunc_mult: float = _TRUNC_MULT,
     extra_ps: Iterable = (),
 ) -> TestReport:
     """Evaluate every p-norm test in the spec's grid plus the combined test.
@@ -501,32 +485,27 @@ def run_tests(
     difference-pair count than this sample's n // 2.
     """
     values = _checked(s)
-    estimator, trunc_mult = _check_estimator(estimator), _check_trunc_mult(trunc_mult)
-    report = _run_tests(values, spec, estimator, trunc_mult, extra_ps)
+    report = _run_tests(values, spec, _check_estimator(estimator), extra_ps)
     _warn_rank(report.rank, report.d)
     _check_table_rows(spec, report.n // 2)
     return report
 
 
 def _run_tests(
-    values: np.ndarray,
-    spec: DominantTestSpec,
-    estimator: str,
-    trunc_mult: float = _TRUNC_MULT,
-    extra_ps: Iterable = (),
+    values: np.ndarray, spec: DominantTestSpec, estimator: str, extra_ps: Iterable = ()
 ) -> TestReport:
-    # run_tests on an n x d array, estimator and trunc_mult the caller has
-    # already checked; the caller warns, so the warnings name its caller
+    # run_tests on an n x d array and an estimator the caller has already
+    # checked; the caller warns, so the warnings name its caller
     n, d = values.shape
     if spec.table is None:
         raise ValueError("spec is not calibrated; run calibrate_spec first")
     if d != spec.d:
         raise ValueError(f"sample has d={d} but spec was built for d={spec.d}")
+    ps, crits = _test_columns(spec, extra_ps)  # a bad exponent fails before any work
     h, sigma = np.empty((1, d)), np.empty((1, d, d))
     # the pair rows live only through this statement, so they are freed before whitening
-    kurtosis = _kurtosis(_moments(values[None], estimator, trunc_mult, h, sigma)[0])
+    kurtosis = _kurtosis(_moments(values[None], estimator, h, sigma)[0])
     x, w, rank, whitening = _whiten(h, sigma)
-    ps, crits = _test_columns(spec, extra_ps)
     stats, reject, max_ratio, psi = _decide(x, spec, ps, crits)
     n_grid = len(spec.exponents)
     records = tuple(
@@ -638,7 +617,7 @@ def invert_confidence_set(
     stats = np.empty(len(grid))
     deficient = 0
     # one lane, on the calling thread: the model need not be thread-safe
-    for lo, hi, x, rank in _replay(len(grid), n, d, fill, estimator, _TRUNC_MULT, lanes=1):
+    for lo, hi, x, rank in _replay(len(grid), n, d, fill, estimator, lanes=1):
         stats[lo:hi] = _batch_pnorms(x, [p])[:, 0]
         deficient += int(np.count_nonzero(rank[finite[lo:hi]] < d))
     stats[~finite] = math.nan

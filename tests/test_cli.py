@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from pnormtest.cli import _MAX_GRID_POINTS, _parse_grid_range, main
-from pnormtest.covariance import _check_trunc_mult
 from pnormtest.critical_values import kappa_inf_exact, kappa_p_asymptotic
 from pnormtest.dominant_test import DominantTestSpec, default_spec
 
@@ -501,29 +500,21 @@ def test_estimator_takes_full_names_only(tmp_path, capsys, command, required):
     assert "invalid choice: 'trunc'" in err
 
 
-@pytest.mark.parametrize("estimator", ["sample", "truncated"])
-@pytest.mark.parametrize("trunc_mult", ["0", "-1", "nan"])
-def test_bad_trunc_mult_exit_2(tmp_path, table3, capsys, estimator, trunc_mult):
+def test_trunc_mult_flag_is_gone(tmp_path, table3, capsys):
+    # the truncated estimator has one level, so the old flag is unknown
     data = write_null_csv(tmp_path / "s.csv")
     code, out, err = run_cli(
         capsys, "test", "--data", str(data), "--table", str(table3),
-        "--estimator", estimator, "--trunc-mult", trunc_mult,
+        "--estimator", "truncated", "--trunc-mult", "2",
     )
     assert code == 2 and out == ""
-    assert err.startswith("error: trunc_mult must be positive") and "s.csv" not in err
+    assert "unrecognized arguments: --trunc-mult 2" in err
 
 
-@pytest.mark.parametrize("trunc_mult", ["true", "0", "nan"])
-def test_trunc_mult_flag_rejected_as_check_trunc_mult_does(tmp_path, table3, capsys, trunc_mult):
-    data = write_null_csv(tmp_path / "s.csv")
+def test_bad_extra_p_exits_2_before_the_data_is_read(tmp_path, capsys):
     code, out, err = run_cli(
-        capsys, "test", "--data", str(data), "--table", str(table3),
-        "--estimator", "truncated", "--trunc-mult", trunc_mult,
+        capsys, "test", "--data", str(tmp_path / "absent.csv"),
+        "--table", str(tmp_path / "absent.json"), "--extra-p", "3,1.5",
     )
     assert code == 2 and out == ""
-    if trunc_mult == "true":  # argparse reads the flag as a float, so a bool never arrives
-        assert "invalid float value: 'true'" in err
-    else:
-        with pytest.raises(ValueError) as want:
-            _check_trunc_mult(float(trunc_mult))
-        assert err == f"error: {want.value}\n"
+    assert err.startswith("error: bad exponent '1.5': exponent must satisfy p >= 2")

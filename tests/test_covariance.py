@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from pnormtest import covariance, harness
 from pnormtest.covariance import (
     MomentSample,
     _check_rows,
-    _check_trunc_mult,
     _checked,
     _kurtosis,
     difference_pairs,
@@ -17,6 +17,7 @@ from pnormtest.covariance import (
     sample_cov,
     truncated_cov,
 )
+from pnormtest.critical_values import _RadialLaw, _block_rng
 from pnormtest.dominant_test import calibrate_spec, default_spec
 from pnormtest.harness import UsageError, run_experiment
 from pnormtest.sample_split import select_greedy, select_top_scaled, split, split_test
@@ -89,11 +90,12 @@ class TestSampleCov:
 
 
 class TestTruncatedCov:
-    def test_inactive_for_large_multiplier(self):
+    def test_inactive_for_large_multiplier(self, monkeypatch):
+        monkeypatch.setattr(covariance, "_TRUNC_MULT", 10.0)
         rng = np.random.default_rng(3)
         s = rng.standard_normal((500, 6))
         assert_allclose(
-            truncated_cov(s, 10.0).entries, sample_cov(s).entries, atol=1e-12
+            truncated_cov(s).entries, sample_cov(s).entries, atol=1e-12
         )
 
     def test_outlier_row_is_controlled(self):
@@ -105,16 +107,13 @@ class TestTruncatedCov:
         dirty_norm = np.linalg.norm(truncated_cov(dirty).entries, 2)
         assert dirty_norm <= 10 * clean_norm
 
-    def test_identical_rows_rank_one_psd(self):
+    def test_identical_rows_rank_one_psd(self, monkeypatch):
+        monkeypatch.setattr(covariance, "_TRUNC_MULT", 0.5)
         s = np.tile([1.0, 2.0], (8, 1))
-        out = truncated_cov(s, 0.5)
+        out = truncated_cov(s)
         w = np.linalg.eigvalsh(out.entries)
         assert w[0] >= -1e-12
         assert np.linalg.matrix_rank(out.entries) == 1
-
-    def test_rejects_bad_multiplier(self):
-        with pytest.raises(ValueError):
-            truncated_cov(np.ones((4, 2)), 0.0)
 
     def test_desk_scale_consistency_both_estimators(self):
         # i.i.d. N(0, Sigma0) rows, d=10, n=20000: within 0.15 ||Sigma0||
@@ -233,24 +232,80 @@ class TestCheckedBoundary:
         values[0, 0] = 1.0
 
 
-# every entry point that takes a truncation multiplier, called with multiplier t
-TRUNC_MULT_ENTRY_POINTS = {
-    "truncated_cov": lambda t, v, spec: truncated_cov(v, t),
-    "prepare_standardized": lambda t, v, spec: prepare_standardized(v, "truncated", t),
-    "run_tests": lambda t, v, spec: run_tests(v, spec, "truncated", t),
-}
+def truncated_moment(pairs, mult):
+    # the truncated second moment at ``mult`` median row norms, from numpy alone
+    norms = np.linalg.norm(pairs, axis=1)
+    rows = pairs * np.minimum(1.0, mult * np.median(norms) / norms)[:, None]
+    return rows.T @ rows / len(rows)
 
 
-class TestTruncMultBoundary:
-    @pytest.mark.parametrize("bad", [True, "3", 0, np.nan], ids=repr)
-    @pytest.mark.parametrize("entry", TRUNC_MULT_ENTRY_POINTS, ids=str)
-    def test_rejects_as_check_trunc_mult_does(self, entry, bad, spec4):
+def truncated_stats(values, mult, ps):
+    # S_p of an n x d sample whitened by its debiased truncated estimate
+    n, d = values.shape
+    sigma = truncated_moment(difference_pairs(values), mult)
+    if _RadialLaw.matched_rows(n, d) is not None:
+        sigma *= _RadialLaw(d, n // 2).debias
+    w, v = np.linalg.eigh(sigma)
+    x = v @ ((v.T @ (np.sqrt(n) * values.mean(axis=0))) / np.sqrt(w))
+    return [np.linalg.norm(x, p) for p in ps]
+
+
+class TestOneTruncationLevel:
+    """Every entry point truncates at ``covariance._TRUNC_MULT``, read when it runs."""
+
+    def test_every_entry_point_follows_the_patched_level(self, monkeypatch, spec4):
+        monkeypatch.setattr(covariance, "_TRUNC_MULT", 1.2)
+
+        def check(got, sample, ps):
+            # the statistics of the patched level, not of the default 3
+            assert_allclose(got, truncated_stats(sample, 1.2, ps), rtol=1e-9)
+            assert not np.allclose(got, truncated_stats(sample, 3.0, ps), rtol=1e-6)
+
+        rng = np.random.default_rng(21)
+        values = rng.standard_t(3.0, size=(120, 4))
+        aux = difference_pairs(values)
+        assert_allclose(truncated_cov(aux).entries, truncated_moment(aux, 1.2), rtol=1e-12)
+        assert not np.allclose(truncated_cov(aux).entries, truncated_moment(aux, 3.0))
+
+        report = run_tests(values, spec4, "truncated")
+        check([r.statistic for r in report.per_p], values, [r.p for r in report.per_p])
+
+        wide = rng.standard_t(3.0, size=(240, 10))
+        result = split_test(wide, 4, spec=spec4, seed=1, estimator="truncated")
+        fold2 = wide[np.ix_(split(240, 0.5, seed=1)[1], result.selected)]
+        check([r.statistic for r in result.report.per_p], fold2, [r.p for r in result.report.per_p])
+
+        grid = [0.0, 0.5, 1.0]
+        conf = invert_confidence_set(
+            lambda beta: values - beta, grid, 2.0, 0.05, "truncated", critical=3.0
+        )
+        for beta, entry in zip(grid, conf.entries):
+            check([entry.statistic], values - beta, [2.0])
+
+        # the replay's whitened replications, as its decisions read them
+        seen, decide = [], harness._decide
+        monkeypatch.setattr(harness, "_decide", lambda x, *a: seen.append(x) or decide(x, *a))
+        dgp = {"kind": "gaussian", "n": 60, "d": 4}
+        run_experiment({"reps": 3, "seed": 4, "dgp": dgp,
+                        "test": {"estimator": "truncated", "mc_reps": 20_000}})
+        n, d, draw = harness._build_sampler(dgp)
+        for rep, x in enumerate(np.concatenate(seen)):
+            sample = np.empty((n, d))
+            draw(_block_rng(4, rep), sample)
+            check([np.linalg.norm(x)], sample, [2.0])
+
+    def test_multiplier_arguments_fail_loudly(self, spec4):
         values = np.random.default_rng(12).standard_normal((40, 4))
-        with pytest.raises((TypeError, ValueError)) as want:
-            _check_trunc_mult(bad)
-        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$") as got:
-            TRUNC_MULT_ENTRY_POINTS[entry](bad, values, spec4)
-        assert got.type is want.type
+        with pytest.raises(TypeError, match="trunc_mult"):
+            run_tests(values, spec4, "truncated", trunc_mult=2)
+        with pytest.raises(TypeError, match="trunc_mult"):
+            prepare_standardized(values, "truncated", trunc_mult=2)
+        with pytest.raises(TypeError):
+            truncated_cov(values, 2.0)
+        config = {"reps": 2, "dgp": {"kind": "gaussian", "n": 40, "d": 3},
+                  "test": {"estimator": "truncated", "trunc_mult": 2}}
+        with pytest.raises(UsageError, match=r"^test\.trunc_mult: unknown field$"):
+            run_experiment(config)
 
 
 # every entry point that forms difference pairs, given a 3-row sample v:

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pnormtest import harness, test_engine
-from pnormtest.covariance import _check_rows, _check_trunc_mult
+from pnormtest import covariance, harness, test_engine
+from pnormtest.covariance import _check_rows
 from pnormtest.critical_values import _check_alpha, _check_d, _check_vector
 from pnormtest.dominant_test import calibrate_spec, default_spec
 from pnormtest.harness import (
@@ -98,27 +98,30 @@ class TestRunExperiment:
         assert serial["results"] == threaded["results"]
 
     @pytest.mark.parametrize(
-        "dgp, test",
+        "dgp, test, trunc_mult",
         [
             ({"kind": "iv", "n": 40, "d": 5, "beta_true": 1.0, "pi": [0.3, 0, 0, 0, 0],
-              "endogeneity_rho": 0.5}, {}),
+              "endogeneity_rho": 0.5}, {}, None),
             ({"kind": "iv", "n": 41, "d": 5, "beta_true": 1.0, "pi": [0.2] * 5,
               "instrument_cov": "toeplitz", "toeplitz_r": 0.6, "error_dist": "t",
-              "t_dof": 6.0}, {"estimator": "truncated", "trunc_mult": 1.2}),
+              "t_dof": 6.0}, {"estimator": "truncated"}, 1.2),
             # m = 5 difference pairs < d = 8: every covariance is singular
-            ({"kind": "gaussian", "n": 10, "d": 8}, {}),
+            ({"kind": "gaussian", "n": 10, "d": 8}, {}, None),
             ({"kind": "rct", "n": 30, "d": 4, "pi_treat": 0.4, "effect": [0.1, 0, 0, 0],
               "outcome_cov": "toeplitz", "outcome_dist": "t"},
-             {"estimator": "truncated", "aux_rows": None}),
+             {"estimator": "truncated", "aux_rows": None}, None),
             ({"kind": "gaussian", "n": 61, "d": 3, "theta": [1.5, 0.0, -0.5]},
-             {"estimator": "truncated", "trunc_mult": 1.2, "extra_ps": [2.5, 7]}),
+             {"estimator": "truncated", "extra_ps": [2.5, 7]}, 1.2),
         ],
         ids=["iv identity", "iv toeplitz t", "gaussian rank deficient", "rct", "gaussian drift"],
     )
-    def test_results_invariant_to_lanes_and_spans(self, monkeypatch, dgp, test):
+    def test_results_invariant_to_lanes_and_spans(self, monkeypatch, dgp, test, trunc_mult):
         # 11 reps in chunks of 2 per lane, on 1, 2 and 3 lanes, in spans of
         # one chunk, of 5 reps (eigh sub-stacks of 3) and under the default
-        # budget, which holds all 11
+        # budget, which holds all 11; a truncation level below the default
+        # binds on more rows
+        if trunc_mult is not None:
+            monkeypatch.setattr(covariance, "_TRUNC_MULT", trunc_mult)
         cfg = gaussian_config(reps=11, dgp=dgp, test={"mc_reps": 100_000, **test})
         n, d = dgp["n"], dgp["d"]
         packed = 8 * (d * (d + 1) // 2)  # bytes of a lower triangle in a span
@@ -343,8 +346,6 @@ class TestRunExperiment:
             ("test.alpha", lambda: _check_alpha(math.nan), {"test": {"alpha": math.nan}}),
             ("test.alpha", lambda: _check_alpha(0.0), {"test": {"alpha": 0.0}}),
             ("test.alpha", lambda: _check_alpha(1.0), {"test": {"alpha": 1.0}}),
-            ("test.trunc_mult", lambda: _check_trunc_mult(0.0),
-             {"test": {"estimator": "truncated", "trunc_mult": 0}}),
             ("reps", lambda: _check_d(0, name="reps"), {"reps": 0}),
             ("seed", lambda: _check_d(-1, 0, name="seed"), {"seed": -1}),
             ("test.mc_reps", lambda: _check_d(0, name="mc_reps"), {"test": {"mc_reps": 0}}),

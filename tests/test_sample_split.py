@@ -257,6 +257,8 @@ class TestSplitTest:
             ({"estimator": "bogus"}, "unknown estimator 'bogus'"),
             ({"reps": 0}, "reps must be >= 1"),
             ({"reps": 2.5}, "reps must be >= 1"),
+            ({"p": 1.5}, "exponent must satisfy p >= 2"),
+            ({"alpha": 1.5}, r"alpha must lie in \(0, 1\)"),
         ],
     )
     def test_inputs_checked_before_any_fold_work(
@@ -270,6 +272,26 @@ class TestSplitTest:
         s = np.random.default_rng(5).standard_normal((200, 8))
         with pytest.raises(ValueError, match=message):
             split_test(s, 4, selection="greedy", spec=spec4 if ready_spec else None, **bad)
+
+    @pytest.mark.parametrize(
+        "d, selection, p, error, message",
+        [
+            (9, "top", 2.0, ValueError, r"need 1 <= d <= 8, got d=9"),
+            (4, "lasso", 2.0, ValueError, "selection must be 'top' or 'greedy'"),
+            (4, "top", "x", TypeError, "exponent must be a real number"),
+        ],
+    )
+    def test_d_selection_and_exponent_checked_before_any_fold_work(
+        self, monkeypatch, spec4, d, selection, p, error, message
+    ):
+        # p is checked whatever the selection reads
+        def reached(*args):
+            raise AssertionError("fold 1 was read before the inputs were checked")
+
+        monkeypatch.setattr(sample_split, "_fold_moments", reached)
+        s = np.random.default_rng(5).standard_normal((200, 8))
+        with pytest.raises(error, match=message):
+            split_test(s, d, selection=selection, p=p, spec=spec4)
 
     def test_default_spec_is_calibrated_at_d(self):
         values = np.random.default_rng(6).standard_normal((120, 12))

@@ -17,7 +17,6 @@ from hypothesis.extra import numpy as hnp
 from scipy.linalg import pinvh
 
 from pnormtest.covariance import (
-    _TRUNC_MULT,
     MomentSample,
     difference_pairs,
     kurtosis_diagnostic,
@@ -33,9 +32,8 @@ from pnormtest.critical_values import (
 from pnormtest.dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from pnormtest.matrix_core import SymMatrix
 from pnormtest.sample_split import split_test
-from pnormtest import test_engine
+from pnormtest import covariance, test_engine
 from pnormtest.test_engine import (
-    _whiten_stack,
     invert_confidence_set,
     p_norm_stat,
     prepare_standardized,
@@ -43,6 +41,16 @@ from pnormtest.test_engine import (
     standardize,
     theta_oracle,
 )
+
+
+def whiten_stack(values, estimator):
+    """The kernel on a stack of samples (..., n, d): whitened vectors,
+    extreme eigenvalues, ranks, covariance estimates and pair rows."""
+    *lead, _, d = values.shape
+    h, sigma = np.empty((*lead, d)), np.empty((*lead, d, d))
+    aux = test_engine._moments(values, estimator, h, sigma)
+    x, w, rank, _ = test_engine._whiten(h, sigma)
+    return x, w, rank, sigma, aux
 
 
 def gaussian_sample(n, d, seed, shift=None):
@@ -172,7 +180,7 @@ def law_at(m, d, seed):
         accepted = CriticalValueTable(**table, aux_rows=m).aux_rows == m
     except ValueError:
         accepted = False
-    sigma, pairs = _whiten_stack(s[None], "sample", _TRUNC_MULT)[3:]
+    sigma, pairs = whiten_stack(s[None], "sample")[3:]
     assert pairs.shape == (1, m, d)
     raw = sample_cov(difference_pairs(s)).entries
     return _RadialLaw.matched_rows(2 * m, d), accepted, sigma[0], raw
@@ -194,13 +202,12 @@ class TestPrepareStandardized:
         assert rows is None and not accepted
         assert np.array_equal(sigma, raw)
 
-    def test_truncation_plumbs_through(self):
+    def test_truncation_plumbs_through(self, monkeypatch):
+        monkeypatch.setattr(covariance, "_TRUNC_MULT", 1.0)
         rows = np.random.default_rng(2).standard_normal((40, 3))
         rows[0] *= 50.0
         plain = prepare_standardized(rows, estimator="sample")[3]
-        trunc = prepare_standardized(
-            rows, estimator="truncated", trunc_mult=1.0
-        )[3]
+        trunc = prepare_standardized(rows, estimator="truncated")[3]
         assert not np.allclose(plain, trunc)
 
     def test_unknown_estimator(self):
@@ -234,12 +241,13 @@ class TestWhitenStack:
 
     @pytest.mark.parametrize("estimator", ["sample", "truncated"])
     @pytest.mark.parametrize("shape", [(5, 61, 7), (3, 10, 8), (1, 40, 3), (4, 2, 30, 4)])
-    def test_stack_rows_equal_single_calls_bitwise(self, estimator, shape):
+    def test_stack_rows_equal_single_calls_bitwise(self, monkeypatch, estimator, shape):
         # t(3) rows so truncation bites; (3, 10, 8) has m = 5 < d (rank 5)
+        monkeypatch.setattr(covariance, "_TRUNC_MULT", 1.5)
         values = np.random.default_rng(sum(shape)).standard_t(3.0, size=shape)
-        stacked = _whiten_stack(values, estimator, 1.5)
+        stacked = whiten_stack(values, estimator)
         for idx in np.ndindex(shape[:-2]):
-            alone = _whiten_stack(values[idx][None], estimator, 1.5)
+            alone = whiten_stack(values[idx][None], estimator)
             for got, want in zip(stacked, alone):
                 assert np.array_equal(got[idx], want[0])
         expected_rank = min(shape[-2] // 2, shape[-1])
@@ -247,7 +255,7 @@ class TestWhitenStack:
 
     def test_matches_prepare_standardized(self):
         values = np.random.default_rng(3).standard_normal((2, 50, 6))
-        x, w, rank, sigma, aux = _whiten_stack(values, "sample", 3.0)
+        x, w, rank, sigma, aux = whiten_stack(values, "sample")
         got = prepare_standardized(values[1])
         for array, want in zip(got, (x[1], w[1], rank[1], sigma[1], aux[1])):
             assert np.array_equal(array, want)
@@ -261,8 +269,9 @@ class TestWhitenStack:
         # 2 samples a lane chunk on 1, 2, 3 and 8 lanes; spans of one chunk,
         # of 5 samples (eigh sub-stacks of 3) and under the default budget
         count, n, d = shape
+        monkeypatch.setattr(covariance, "_TRUNC_MULT", 1.2)
         values = np.random.default_rng(count).standard_t(4.0, size=shape)
-        x, _, rank, _, _ = _whiten_stack(values, estimator, 1.2)
+        x, _, rank, _, _ = whiten_stack(values, estimator)
         interval = sys.getswitchinterval()
         if switch_interval is not None:
             sys.setswitchinterval(switch_interval)
@@ -287,7 +296,7 @@ class TestWhitenStack:
                     if span is not None:
                         budgets.setattr(test_engine, "_SPAN_BYTES", span * 8 * (d * (d + 1) // 2))
                         budgets.setattr(test_engine, "_EIGH_BYTES", eigh * 8 * d * d)
-                    got = list(test_engine._replay(count, n, d, fill, estimator, 1.2, lanes))
+                    got = list(test_engine._replay(count, n, d, fill, estimator, lanes))
                 assert sorted(filled) == list(range(count))
                 assert [lo for lo, *_ in got] == [0] + [hi for _, hi, *_ in got[:-1]]
                 assert got[-1][1] == count
@@ -300,7 +309,7 @@ class TestWhitenStack:
         # takes LAPACK's divide-and-conquer path
         values = np.random.default_rng(d).standard_normal((3, 2 * d + 6, d))
         h, sigma = np.empty((3, d)), np.empty((3, d, d))
-        test_engine._moments(values, "sample", 3.0, h, sigma)
+        test_engine._moments(values, "sample", h, sigma)
         poisoned = sigma.copy()
         upper = np.triu_indices(d, 1)
         poisoned[:, upper[0], upper[1]] = np.nan
@@ -322,7 +331,7 @@ class TestWhitenStack:
             return whiten(h, sigma)
 
         monkeypatch.setattr(test_engine, "_whiten", counted)
-        for _ in test_engine._replay(count, n, d, fill, "sample", 3.0, lanes):
+        for _ in test_engine._replay(count, n, d, fill, "sample", lanes):
             pass
         # an eigh phase ends at an eigh call not followed by another
         phases = sum(a == "eigh" != b for a, b in zip(events, events[1:] + ["end"]))
@@ -351,7 +360,7 @@ def moments_of(n, d, estimator, seed):
     values = np.random.default_rng([n, d, seed]).standard_t(6.0, size=(n, d))
     values[:, :3] += 0.1
     h, sigma = np.empty((1, d)), np.empty((1, d, d))
-    test_engine._moments(values[None], estimator, 3.0, h, sigma)
+    test_engine._moments(values[None], estimator, h, sigma)
     return h, sigma
 
 
@@ -479,10 +488,10 @@ class TestLanczosWhitening:
         def fill(i, out):
             out[...] = values[i]
 
-        got = list(test_engine._replay(count, n, d, fill, "sample", 3.0, lanes=1))
+        got = list(test_engine._replay(count, n, d, fill, "sample", lanes=1))
         assert [(lo, hi) for lo, hi, *_ in got] == [(0, 1), (1, 2)]
         for i, (_, _, x, rank) in enumerate(got):
-            alone = _whiten_stack(values[i][None], "sample", 3.0)
+            alone = whiten_stack(values[i][None], "sample")
             assert np.array_equal(x, alone[0]) and np.array_equal(rank, alone[2])
 
 
@@ -635,13 +644,14 @@ class TestRunTests:
         with pytest.raises(ValueError, match=message):
             run_tests(s, spec20, estimator="trunc")
         assert run_tests(s, spec20, estimator="truncated").estimator == "truncated"
-        # the multiplier is a parameter whatever the estimator reads
-        for estimator in ("sample", "truncated"):
-            for trunc_mult in (0.0, -1.0, math.nan):
-                with pytest.raises(ValueError, match="trunc_mult must be positive"):
-                    run_tests(s, spec20, estimator=estimator, trunc_mult=trunc_mult)
-                with pytest.raises(ValueError, match="trunc_mult must be positive"):
-                    prepare_standardized(s, estimator=estimator, trunc_mult=trunc_mult)
+
+    def test_bad_extra_p_refused_before_any_work(self, monkeypatch, spec20):
+        def reached(*args):
+            raise AssertionError("moments were formed before extra_ps was checked")
+
+        monkeypatch.setattr(test_engine, "_moments", reached)
+        with pytest.raises(ValueError, match="exponent must satisfy p >= 2, got 1"):
+            run_tests(gaussian_sample(400, 20, seed=7), spec20, extra_ps=(1.0,))
 
     def test_json_dict(self, spec20):
         doc = run_tests(gaussian_sample(400, 20, seed=7), spec20).to_json_dict()
@@ -868,13 +878,14 @@ def spec40():
 
 
 @pytest.mark.parametrize("estimator", ["sample", "truncated"])
-def test_report_equals_its_pieces_bit_for_bit(spec40, estimator):
+def test_report_equals_its_pieces_bit_for_bit(monkeypatch, spec40, estimator):
     # the golden fixture allows rel 1e-10; against the kernel's own pieces
     # on the same sample every reported number is the same bits
+    monkeypatch.setattr(covariance, "_TRUNC_MULT", 1.2)
     values = np.random.default_rng(20242).standard_t(4.0, size=(400, 40))
     values[:, :3] += 0.2
-    report = run_tests(values, spec40, estimator=estimator, trunc_mult=1.2, extra_ps=(2.5,))
-    x, w, rank, _, _ = prepare_standardized(values, estimator, 1.2)
+    report = run_tests(values, spec40, estimator=estimator, extra_ps=(2.5,))
+    x, w, rank, _, _ = prepare_standardized(values, estimator)
     ps, crits = test_engine._test_columns(spec40, (2.5,))
     _, reject, max_ratio, psi = test_engine._decide(x[None], spec40, ps, crits)
     assert [r.p for r in report.per_p] == ps and 2.5 in ps
@@ -885,17 +896,19 @@ def test_report_equals_its_pieces_bit_for_bit(spec40, estimator):
     assert report.kurtosis == kurtosis_diagnostic(difference_pairs(values))
 
 
-def test_reports_match_golden_fixture(spec40):
+def test_reports_match_golden_fixture(monkeypatch, spec40):
     # Recorded before the stacked whitening kernel replaced the per-sample
     # path (eigvalsh + eigh + full inverse root, one p_norm_stat per
-    # exponent).  Statistics agree to rel 1e-10, decisions exactly.
+    # exponent), with truncation at 1.2 median row norms.  Statistics agree
+    # to rel 1e-10, decisions exactly.
+    monkeypatch.setattr(covariance, "_TRUNC_MULT", 1.2)
     rng = np.random.default_rng(20241)
     values = rng.standard_t(4.0, size=(400, 40))
     values[:, :3] += 0.2
     golden = json.loads(GOLDEN_REPORTS.read_text())
     for estimator, want in golden.items():
         got = run_tests(
-            values, spec40, estimator=estimator, trunc_mult=1.2, extra_ps=(2.5, 8.0, math.inf)
+            values, spec40, estimator=estimator, extra_ps=(2.5, 8.0, math.inf)
         ).to_json_dict()
         assert [r["p"] for r in got["per_p"]] == [r["p"] for r in want["per_p"]]
         for g, w in zip(got["per_p"], want["per_p"]):
