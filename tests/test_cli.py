@@ -500,15 +500,18 @@ def test_estimator_takes_full_names_only(tmp_path, capsys, command, required):
     assert "invalid choice: 'trunc'" in err
 
 
-def test_trunc_mult_flag_is_gone(tmp_path, table3, capsys):
-    # the truncated estimator has one level, so the old flag is unknown
+@pytest.mark.parametrize("estimator", ["sample", "truncated"])
+@pytest.mark.parametrize("trunc_mult", ["3", "2", "0"])
+def test_trunc_mult_flag_is_gone(tmp_path, table3, capsys, estimator, trunc_mult):
+    # the truncated estimator has one level, so the old flag is unknown for
+    # either estimator and every value, the default level included
     data = write_null_csv(tmp_path / "s.csv")
     code, out, err = run_cli(
         capsys, "test", "--data", str(data), "--table", str(table3),
-        "--estimator", "truncated", "--trunc-mult", "2",
+        "--estimator", estimator, "--trunc-mult", trunc_mult,
     )
     assert code == 2 and out == ""
-    assert "unrecognized arguments: --trunc-mult 2" in err
+    assert f"unrecognized arguments: --trunc-mult {trunc_mult}" in err
 
 
 def test_bad_extra_p_exits_2_before_the_data_is_read(tmp_path, capsys):

@@ -250,6 +250,14 @@ def truncated_stats(values, mult, ps):
     return [np.linalg.norm(x, p) for p in ps]
 
 
+# every entry point that once took a truncation multiplier, passed level t
+TRUNC_MULT_ENTRY_POINTS = {
+    "truncated_cov": lambda t, v, spec: truncated_cov(v, trunc_mult=t),
+    "prepare_standardized": lambda t, v, spec: prepare_standardized(v, "truncated", trunc_mult=t),
+    "run_tests": lambda t, v, spec: run_tests(v, spec, "truncated", trunc_mult=t),
+}
+
+
 class TestOneTruncationLevel:
     """Every entry point truncates at ``covariance._TRUNC_MULT``, read when it runs."""
 
@@ -294,16 +302,18 @@ class TestOneTruncationLevel:
             draw(_block_rng(4, rep), sample)
             check([np.linalg.norm(x)], sample, [2.0])
 
-    def test_multiplier_arguments_fail_loudly(self, spec4):
+    @pytest.mark.parametrize("level", [3.0, 1.2, 0.0], ids=repr)
+    @pytest.mark.parametrize("entry", TRUNC_MULT_ENTRY_POINTS, ids=str)
+    def test_multiplier_arguments_fail_loudly(self, entry, level, spec4):
+        # no level is accepted, not even the one every entry point uses
         values = np.random.default_rng(12).standard_normal((40, 4))
-        with pytest.raises(TypeError, match="trunc_mult"):
-            run_tests(values, spec4, "truncated", trunc_mult=2)
-        with pytest.raises(TypeError, match="trunc_mult"):
-            prepare_standardized(values, "truncated", trunc_mult=2)
-        with pytest.raises(TypeError):
-            truncated_cov(values, 2.0)
+        with pytest.raises(TypeError, match="unexpected keyword argument 'trunc_mult'"):
+            TRUNC_MULT_ENTRY_POINTS[entry](level, values, spec4)
+
+    @pytest.mark.parametrize("estimator", ["sample", "truncated"])
+    def test_trunc_mult_config_field_is_unknown(self, estimator):
         config = {"reps": 2, "dgp": {"kind": "gaussian", "n": 40, "d": 3},
-                  "test": {"estimator": "truncated", "trunc_mult": 2}}
+                  "test": {"estimator": estimator, "trunc_mult": 2}}
         with pytest.raises(UsageError, match=r"^test\.trunc_mult: unknown field$"):
             run_experiment(config)
 
