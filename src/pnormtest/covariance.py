@@ -79,10 +79,14 @@ def _checked(s) -> np.ndarray:
     return v
 
 
+class DataError(ValueError):
+    """Data that cannot be used: a file that is not a sample, or too few rows."""
+
+
 def _check_rows(n: int, hint: str = "") -> int:
     """The row count n of a sample whose difference pairs are formed: n >= 4."""
     if n < 4:
-        raise ValueError(f"difference pairs need n >= 4 rows, got {n}{hint}")
+        raise DataError(f"difference pairs need n >= 4 rows, got {n}{hint}")
     return n
 
 
@@ -171,8 +175,10 @@ def _directions(d: int, directions: int, seed: int) -> np.ndarray:
 
 def _kurtosis(values: np.ndarray, directions: int = 64, seed: int = 0) -> float:
     # kurtosis_diagnostic on an n x d array the caller has already validated
-    centered = values - values.mean(axis=0)
-    proj = centered @ _directions(values.shape[1], directions, seed)
+    # projected, then centred: no n x d centred copy
+    t = _directions(values.shape[1], directions, seed)
+    proj = values @ t
+    proj -= values.mean(axis=0) @ t
     # products, not proj**4: numpy's power is far slower for negative bases
     sq = proj * proj
     second = np.mean(sq, axis=0)

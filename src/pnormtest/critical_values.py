@@ -11,8 +11,9 @@ Three sources are implemented:
 * Monte-Carlo quantiles from ``calibrate_joint``, the one Monte-Carlo
   path: it uses ONE shared set of reference draws for every exponent of
   a grid, because the scale factor c_n is defined through the joint law
-  of all norms of the same reference vector.  ``mc_pnorm_quantile`` is
-  its one-exponent case.
+  of all norms of the same reference vector; a report's extra exponents
+  are columns of the same draws.  ``mc_pnorm_quantile`` is its
+  one-exponent case.  Reports use no formula: ``tabulate`` prints them.
 
 Reference laws.  The asymptotic reference is the standard Gaussian vector
 Z_d.  When the covariance is estimated from m auxiliary difference-pair
@@ -69,7 +70,7 @@ import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -609,9 +610,11 @@ class CriticalValueTable(_JsonDocument):
     ``entries`` maps each exponent to its (alpha share, kappa at that
     share); ``standalone`` holds, for every exponent, the
     (1 - alpha_total)-quantile of its norm, i.e. the critical value the
-    exponent would use as a standalone test at the full level.  ``c_n`` is the scale factor of the combined
-    test; it is clipped at 1 and ``conservative`` records whether clipping
-    was applied.
+    exponent would use as a standalone test at the full level: the grid's
+    exponents in order, then any extra exponents, which have no share and
+    no part in ``c_n``, in increasing order.  ``c_n`` is the scale factor
+    of the combined test; it is clipped at 1 and ``conservative`` records
+    whether clipping was applied.
     """
 
     d: int
@@ -639,18 +642,18 @@ class CriticalValueTable(_JsonDocument):
         shares = _check_shares({p: s for p, (s, _) in self.entries.items()}, self.alpha_total)
         if not 0.0 < self.c_n <= 1.0:
             raise ValueError(f"c_n must lie in (0, 1], got {self.c_n}")
-        for p in self.entries:
+        extras = sorted(_check_p(p) for p in self.standalone.keys() - self.entries.keys())
+        for p in (*self.entries, *extras):
             if not 0.0 < self.standalone.get(p, 0.0) < math.inf:
                 raise ValueError(f"standalone kappa at p={p:g} must be present, positive and finite")
-        for p in self.standalone.keys() - self.entries.keys():
-            raise ValueError(f"standalone kappa at p={p} has no entry")
         # stored as floats, so that to_json writes plain JSON
         entries = {p: (share, float(self.entries[p][1])) for p, share in shares.items()}
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "standalone", {p: float(self.standalone[p]) for p in entries})
+        standalone = {p: float(self.standalone[p]) for p in (*entries, *extras)}
+        object.__setattr__(self, "standalone", standalone)
         # the reader's converters too, so that to_json writes no table
         # from_json rejects, and what they return is stored
-        scalars = {name: rule for name, rule in _TABLE_FIELDS.items() if name != "entries"}
+        scalars = {n: rule for n, rule in _TABLE_FIELDS.items() if n not in ("entries", "extras")}
         for name, value in _parse({n: getattr(self, n) for n in scalars}, scalars, "").items():
             object.__setattr__(self, name, value)
 
@@ -668,6 +671,10 @@ class CriticalValueTable(_JsonDocument):
         return self.standalone[p]
 
     def to_json_dict(self) -> dict:
+        extras = [
+            {"p": _exponent_key(p), "standalone_kappa": kappa}
+            for p, kappa in self.standalone.items() if p not in self.entries
+        ]
         return _document("critical_value_table", {
             "d": self.d,
             "alpha_total": self.alpha_total,
@@ -685,6 +692,7 @@ class CriticalValueTable(_JsonDocument):
                 }
                 for p, (share, kappa) in self.entries.items()
             ],
+            **({"extras": extras} if extras else {}),
         })
 
     @classmethod
@@ -701,6 +709,7 @@ _TABLE_FIELDS = {
     "seed": (_integer, MISSING),
     "aux_rows": (_optional(_integer), None),
     "entries": (_list_of(_object, "objects"), MISSING),
+    "extras": (_list_of(_object, "objects"), ()),
 }
 _ENTRY_FIELDS = {
     "p": (_exponent, MISSING),
@@ -709,6 +718,7 @@ _ENTRY_FIELDS = {
     # absent or null reads as NaN, which __post_init__ rejects by name
     "standalone_kappa": (lambda v: math.nan if v is None else _real(v), math.nan),
 }
+_EXTRA_FIELDS = {"p": (_exponent, MISSING), "standalone_kappa": (_real, MISSING)}
 
 
 def _read_table(doc, path: str) -> CriticalValueTable:
@@ -719,6 +729,11 @@ def _read_table(doc, path: str) -> CriticalValueTable:
     for i, row in enumerate(fields.pop("entries")):
         row = _parse(row, _ENTRY_FIELDS, f"{prefix}entries[{i}]")
         entries[row["p"]] = (row["share"], row["kappa"])
+        standalone[row["p"]] = row["standalone_kappa"]
+    for i, row in enumerate(fields.pop("extras")):
+        row = _parse(row, _EXTRA_FIELDS, f"{prefix}extras[{i}]")
+        if row["p"] in standalone:
+            raise UsageError(f"{prefix}extras[{i}].p: exponent {row['p']:g} is listed twice")
         standalone[row["p"]] = row["standalone_kappa"]
     return CriticalValueTable(**fields, entries=entries, standalone=standalone)
 
@@ -744,6 +759,7 @@ def calibrate_joint(
     reps: int | None = None,
     seed: int = 0,
     aux_rows: int | None = None,
+    extra_ps: Iterable = (),
 ) -> CriticalValueTable:
     """Jointly calibrate kappa for every exponent and the scale factor c_n.
 
@@ -752,20 +768,25 @@ def calibrate_joint(
     draws; c_n is the (1 - alpha_total)-quantile of
     max_p ||Z||_p / kappa_p over the same draws, clipped at 1 (with the
     conservative flag set) if the empirical value exceeds 1.  With
-    ``reps=None`` the draw count is chosen by :func:`_auto_reps`.
+    ``reps=None`` the draw count is chosen by :func:`_auto_reps`.  The
+    exponents of ``extra_ps`` outside the share map get a standalone kappa
+    from the same draws and nothing else: with no share they never enter
+    c_n, and every other value is the same bits as without them.
     """
     alpha_total = _check_alpha(alpha_total)
     seed = _check_d(seed, 0, name="seed")
     d = _check_d(d)
     law = None if aux_rows is None else _RadialLaw(d, aux_rows)
     ps, vals = zip(*sorted(_check_shares(shares, alpha_total).items()))
+    extras = sorted({_check_p(p) for p in extra_ps} - set(ps))
     reps = _auto_reps(min(vals), reps)
 
     ks = [_order_index(a, reps) for a in (alpha_total, *vals)]
     # every order statistic read below is among the top reps - min(ks)
     # values of its column or of the ratios, so only rows that can hold
-    # one are kept: full-sample index k is kept-row index k - skip
-    norms = _reference_norms(ps, d, reps, seed, law, reps - min(ks))
+    # one are kept (more with extra columns): full-sample index k is
+    # kept-row index k - skip whatever the columns
+    norms = _reference_norms([*ps, *extras], d, reps, seed, law, reps - min(ks))
     skip = reps - norms.shape[1]
     k_alpha, *k_shares = (k - skip for k in ks)
     # one partition per column yields both its share kappa and its standalone kappa
@@ -775,6 +796,8 @@ def calibrate_joint(
         pair = [k_share, k_alpha]
         kappas[j], alone = np.partition(norms[j], pair)[pair]
         standalone[p] = float(alone)
+    for j, p in enumerate(extras, len(ps)):
+        standalone[p] = float(np.partition(norms[j], k_alpha)[k_alpha])
     # running max over columns: one vector of ratios
     ratios = norms[0] / kappas[0]
     for j in range(1, len(ps)):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, replace
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -181,13 +181,16 @@ def calibrate_spec(
     reps: int | None = None,
     seed: int = 0,
     aux_rows: int | None = None,
+    extra_ps: Iterable = (),
 ) -> DominantTestSpec:
     """Attach a jointly calibrated CriticalValueTable to the spec.
 
     ``reps`` (None: automatic) is checked and chosen by
-    :func:`calibrate_joint`, the one owner of the draw-count rule.
+    :func:`calibrate_joint`, the one owner of the draw-count rule, which
+    also calibrates the ``extra_ps`` that reports cover beside the grid.
     """
-    table = calibrate_joint(spec.share_map(), spec.d, spec.alpha_total, reps, seed, aux_rows)
+    shares, alpha = spec.share_map(), spec.alpha_total
+    table = calibrate_joint(shares, spec.d, alpha, reps, seed, aux_rows, extra_ps)
     return replace(spec, table=table)
 
 

@@ -51,7 +51,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .covariance import _check_rows, _checked
+from .covariance import DataError, _check_rows, _checked
 from .critical_values import (
     SCHEMA_VERSION,
     UsageError,
@@ -91,10 +91,6 @@ __all__ = [
     "SimulationReport",
     "run_experiment",
 ]
-
-
-class DataError(ValueError):
-    """Input files that exist but cannot be used as data."""
 
 
 def read_sample_csv(path) -> np.ndarray:
@@ -311,12 +307,13 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
 
     try:
         spec = calibrate_spec(
-            default_spec(d, alpha), reps=opts["mc_reps"], seed=opts["mc_seed"], aux_rows=aux
+            default_spec(d, alpha), reps=opts["mc_reps"], seed=opts["mc_seed"], aux_rows=aux,
+            extra_ps=opts["extra_ps"],
         )
     except ValueError as exc:
         raise UsageError(f"test: {exc}") from None
 
-    ps, crits = _test_columns(spec, opts["extra_ps"])
+    ps, crits = _test_columns(spec)
     flags = np.empty((reps, len(ps) + 1), dtype=bool)
 
     def fill(rep: int, out: np.ndarray) -> None:

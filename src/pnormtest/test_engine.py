@@ -57,7 +57,7 @@ import numbers
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -76,7 +76,6 @@ from .critical_values import (
     _check_d,
     _check_vector,
     _exponent_key,
-    _formula_kappa,
     mc_pnorm_quantile,
 )
 from .dominant_test import DominantTestSpec, _max_ratio
@@ -363,20 +362,10 @@ def _check_table_rows(spec: DominantTestSpec, m: int) -> None:
         warnings.warn(mismatch, RuntimeWarning, stacklevel=3)
 
 
-def _test_columns(spec: DominantTestSpec, extra_ps: Iterable):
-    """The exponents a report covers and their standalone critical values.
-
-    Grid exponents first (calibrated ``standalone_kappa`` at alpha_total),
-    then the exponents of ``extra_ps`` outside the grid in increasing
-    order (asymptotic formulas at alpha_total).
-    """
-    grid = list(spec.exponents)
-    extras = sorted({_check_p(p) for p in extra_ps} - set(grid))
-    alpha = spec.alpha_total
-    crits = [spec.table.standalone_kappa(p) for p in grid] + [
-        _formula_kappa(p, spec.d, alpha) for p in extras
-    ]
-    return grid + extras, np.asarray(crits)
+def _test_columns(spec: DominantTestSpec):
+    """The exponents a report covers and their critical values at alpha_total:
+    the table's ``standalone`` map, grid exponents first, then its extras."""
+    return list(spec.table.standalone), np.asarray(list(spec.table.standalone.values()))
 
 
 def _decide(x: np.ndarray, spec: DominantTestSpec, ps: list, crits: np.ndarray):
@@ -393,13 +382,12 @@ def _decide(x: np.ndarray, spec: DominantTestSpec, ps: list, crits: np.ndarray):
 
 @dataclass(frozen=True)
 class PerExponentRecord:
-    """A standalone test of one exponent at the full level."""
+    """A standalone test of one exponent at the full level, at its table's kappa."""
 
     p: float
     statistic: float
     critical: float
     reject: bool
-    source: str  # "calibrated" (from the spec's table) or "formula"
 
     def __post_init__(self) -> None:
         if self.reject != (self.statistic >= self.critical):
@@ -447,7 +435,6 @@ class TestReport:
                     "statistic": r.statistic,
                     "critical": r.critical,
                     "reject": r.reject,
-                    "source": r.source,
                 }
                 for r in self.per_p
             ],
@@ -466,34 +453,27 @@ class TestReport:
         }
 
 
-def run_tests(
-    s,
-    spec: DominantTestSpec,
-    estimator: str = "sample",
-    extra_ps: Iterable = (),
-) -> TestReport:
-    """Evaluate every p-norm test in the spec's grid plus the combined test.
+def run_tests(s, spec: DominantTestSpec, estimator: str = "sample") -> TestReport:
+    """Evaluate every p-norm test in the spec's table plus the combined test.
 
     Per-exponent records are standalone tests at the full level
-    alpha_total (critical values from the spec's calibrated table);
-    exponents in ``extra_ps`` outside the grid fall back to the
-    asymptotic formulas.  The dominant record applies the combined rule
-    max_p S_p / kappa_p >= c_n over the grid exponents only.  The
-    directional kurtosis of the difference pairs is always reported.
+    alpha_total, one for each exponent of the table's ``standalone`` map:
+    the grid, then the ``extra_ps`` of ``calibrate_spec``.  The dominant
+    record applies the combined rule max_p S_p / kappa_p >= c_n over the
+    grid exponents only.  The directional kurtosis of the difference pairs
+    is always reported.
     Warns when the covariance estimate is rank deficient, and when the
     spec's table was drawn from the finite-sample law for another
     difference-pair count than this sample's n // 2.
     """
     values = _checked(s)
-    report = _run_tests(values, spec, _check_estimator(estimator), extra_ps)
+    report = _run_tests(values, spec, _check_estimator(estimator))
     _warn_rank(report.rank, report.d)
     _check_table_rows(spec, report.n // 2)
     return report
 
 
-def _run_tests(
-    values: np.ndarray, spec: DominantTestSpec, estimator: str, extra_ps: Iterable = ()
-) -> TestReport:
+def _run_tests(values: np.ndarray, spec: DominantTestSpec, estimator: str) -> TestReport:
     # run_tests on an n x d array and an estimator the caller has already
     # checked; the caller warns, so the warnings name its caller
     n, d = values.shape
@@ -501,21 +481,14 @@ def _run_tests(
         raise ValueError("spec is not calibrated; run calibrate_spec first")
     if d != spec.d:
         raise ValueError(f"sample has d={d} but spec was built for d={spec.d}")
-    ps, crits = _test_columns(spec, extra_ps)  # a bad exponent fails before any work
     h, sigma = np.empty((1, d)), np.empty((1, d, d))
     # the pair rows live only through this statement, so they are freed before whitening
     kurtosis = _kurtosis(_moments(values[None], estimator, h, sigma)[0])
     x, w, rank, whitening = _whiten(h, sigma)
+    ps, crits = _test_columns(spec)
     stats, reject, max_ratio, psi = _decide(x, spec, ps, crits)
-    n_grid = len(spec.exponents)
     records = tuple(
-        PerExponentRecord(
-            p=p,
-            statistic=float(stats[0, j]),
-            critical=float(crits[j]),
-            reject=bool(reject[0, j]),
-            source="calibrated" if j < n_grid else "formula",
-        )
+        PerExponentRecord(p, float(stats[0, j]), float(crits[j]), bool(reject[0, j]))
         for j, p in enumerate(ps)
     )
     return TestReport(

@@ -38,6 +38,7 @@ from pnormtest.gaussian_moments import (
     normal_quantile,
     sigma_p,
 )
+from pnormtest.harness import run_experiment
 from pnormtest.matrix_core import pinv_sqrt
 from pnormtest.sample_split import select_greedy, select_top_scaled, split, split_test
 from pnormtest.test_engine import p_norm_stat, prepare_standardized, run_tests
@@ -115,6 +116,26 @@ def test_sup_and_combined_size_control(null_size_rates):
         r_psi = rates[est]["psi"]
         assert SIZE_BAND[0] <= r_psi <= SIZE_BAND[1], f"{est} psi: rate {r_psi}"
         assert rates[est]["psi_clipped"] <= SIZE_BAND[1]
+
+
+def _extra_exponent_rates(n: int) -> dict:
+    """Null rejection rates of the columns off the default grid at d=40."""
+    report = run_experiment({
+        "experiment": "extra exponents, null", "reps": 4000, "seed": 20261022,
+        "dgp": {"kind": "gaussian", "n": n, "d": 40},
+        "test": {"alpha": 0.05, "aux_rows": "fold", "extra_ps": [2.5, 12, 16, 32]},
+    })
+    return {p: report.rates[p] for p in ("2.5", "12", "16", "32")}
+
+
+@pytest.mark.parametrize(
+    "n", [400, pytest.param(4000, marks=pytest.mark.slow)], ids=["n400", "n4000"]
+)
+def test_extra_exponent_size_control(n):
+    # Their critical values come from the table's draws, as the grid's do:
+    # the asymptotic formulas read 0.000 to 0.086 on these designs.
+    for p, r in _extra_exponent_rates(n).items():
+        assert SIZE_BAND[0] <= r <= SIZE_BAND[1], f"n={n} p={p}: rate {r}"
 
 
 def test_local_power_matches_normal_approximation():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pnormtest import critical_values
 from pnormtest.cli import _MAX_GRID_POINTS, _parse_grid_range, main
 from pnormtest.critical_values import kappa_inf_exact, kappa_p_asymptotic
 from pnormtest.dominant_test import DominantTestSpec, default_spec
@@ -143,17 +144,25 @@ class TestTest:
             assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_shifted_data_rejects(self, tmp_path, table3, capsys):
+    def test_shifted_data_rejects(self, tmp_path, capsys):
+        table = tmp_path / "table8.json"
+        assert main(
+            ["calibrate", "--d", "3", "--alpha", "0.05", "--reps", "50000", "--seed", "1",
+             "--extra-p", "8", "--out", str(table)]
+        ) == 0
         data = write_null_csv(tmp_path / "shift.csv", n=100, shift=1.5)
         code, out, _ = run_cli(
-            capsys, "test", "--data", str(data), "--table", str(table3),
-            "--estimator", "truncated", "--extra-p", "8",
+            capsys, "test", "--data", str(data), "--table", str(table), "--estimator", "truncated"
         )
         assert code == 0
         doc = json.loads(out)
         assert doc["dominant"]["reject"] is True
         assert doc["estimator"] == "truncated"
-        assert any(r["p"] == 8.0 and r["source"] == "formula" for r in doc["per_p"])
+        kappa8 = json.loads(table.read_text())["table"]["extras"][0]["standalone_kappa"]
+        assert doc["per_p"][-1] == {
+            "p": 8.0, "statistic": doc["per_p"][-1]["statistic"], "critical": kappa8,
+            "reject": doc["per_p"][-1]["statistic"] >= kappa8,
+        }
 
     def test_dimension_mismatch_exit_3(self, tmp_path, table3, capsys):
         data = write_null_csv(tmp_path / "wide.csv", d=4)
@@ -472,6 +481,15 @@ class TestSplitTest:
         code, _, err = run_cli(capsys, "split-test", "--data", str(data), "--d", "9")
         assert code == 2 and "1 <= d" in err
 
+    @pytest.mark.parametrize("n, sizes", [(6, "3 and 3"), (3, "2 and 1")])
+    def test_too_few_rows_to_split_exit_3(self, tmp_path, capsys, n, sizes):
+        # unusable data, as for test and invert; d > D above stays a usage error
+        data = write_null_csv(tmp_path / "short.csv", n=n)
+        code, out, err = run_cli(capsys, "split-test", "--data", str(data), "--d", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("error: difference pairs need n >= 4 rows")
+        assert f"folds of sizes {sizes} are too small" in err and len(err.splitlines()) == 1
+
 
 class TestExitCodes:
     def test_help_exits_zero(self, capsys):
@@ -514,10 +532,42 @@ def test_trunc_mult_flag_is_gone(tmp_path, table3, capsys, estimator, trunc_mult
     assert f"unrecognized arguments: --trunc-mult {trunc_mult}" in err
 
 
-def test_bad_extra_p_exits_2_before_the_data_is_read(tmp_path, capsys):
+def test_bad_extra_p_exits_2_before_any_draw(tmp_path, capsys, monkeypatch):
+    def draws(*args):
+        raise AssertionError("reference draws began before --extra-p was checked")
+
+    monkeypatch.setattr(critical_values, "_reference_norms", draws)
+    out = tmp_path / "spec.json"
+    code, stdout, err = run_cli(
+        capsys, "calibrate", "--d", "3", "--alpha", "0.05", "--extra-p", "3,1.5",
+        "--out", str(out),
+    )
+    assert code == 2 and stdout == "" and not out.exists()
+    assert err.startswith("error: bad exponent '1.5': exponent must satisfy p >= 2")
+
+
+def test_extra_p_is_a_calibrate_flag_only(tmp_path, table3, capsys):
+    # the table holds every exponent a report covers, so test takes none
+    data = write_null_csv(tmp_path / "s.csv")
     code, out, err = run_cli(
-        capsys, "test", "--data", str(tmp_path / "absent.csv"),
-        "--table", str(tmp_path / "absent.json"), "--extra-p", "3,1.5",
+        capsys, "test", "--data", str(data), "--table", str(table3), "--extra-p", "8"
     )
     assert code == 2 and out == ""
-    assert err.startswith("error: bad exponent '1.5': exponent must satisfy p >= 2")
+    assert "unrecognized arguments: --extra-p 8" in err
+
+
+def test_calibrated_extras_are_in_the_table_and_the_report(tmp_path, table3, capsys):
+    out = tmp_path / "extras.json"
+    code, _, _ = run_cli(
+        capsys, "calibrate", "--d", "3", "--alpha", "0.05", "--reps", "50000", "--seed", "1",
+        "--extra-p", "16,2.5,inf,2.5", "--out", str(out),
+    )
+    assert code == 0
+    with_extras, plain = (json.loads(path.read_text())["table"] for path in (out, table3))
+    # grid and inf are already calibrated; the rest follow the grid, sorted
+    assert [e["p"] for e in with_extras.pop("extras")] == [2.5, 16.0]
+    assert with_extras == plain
+    data = write_null_csv(tmp_path / "s.csv")
+    code, report, _ = run_cli(capsys, "test", "--data", str(data), "--table", str(out))
+    assert code == 0
+    assert [r["p"] for r in json.loads(report)["per_p"]] == [2.0, 3.0, 4.0, "inf", 2.5, 16.0]

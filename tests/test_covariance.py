@@ -19,7 +19,7 @@ from pnormtest.covariance import (
 )
 from pnormtest.critical_values import _RadialLaw, _block_rng
 from pnormtest.dominant_test import calibrate_spec, default_spec
-from pnormtest.harness import UsageError, run_experiment
+from pnormtest.harness import DataError, UsageError, run_experiment
 from pnormtest.sample_split import select_greedy, select_top_scaled, split, split_test
 from pnormtest.test_engine import invert_confidence_set, prepare_standardized, run_tests
 
@@ -345,7 +345,8 @@ class TestRowsBoundary:
         message = f"{path}{want.value}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as got:
             call(np.random.default_rng(13).standard_normal((3, 4)), spec4)
-        assert got.type is (UsageError if path else ValueError)
+        # a DataError (exit 3 on the command line), or a config's UsageError
+        assert got.type is (UsageError if path else want.type) and want.type is DataError
 
 
 class TestCheckedFiniteness:

@@ -351,6 +351,30 @@ class TestCalibrateJoint:
                 p, 15, 0.05, reps=30_000, seed=6
             )
 
+    @pytest.mark.parametrize("aux_rows", [None, 40])
+    def test_extra_exponents_match_single_exponent_calls(self, aux_rows):
+        # an extra exponent is one more column of the same draws, read at alpha_total
+        t = calibrate_joint(
+            {2: 0.03, math.inf: 0.02}, d=15, alpha_total=0.05, reps=30_000, seed=6,
+            aux_rows=aux_rows, extra_ps=[7, 2.5],
+        )
+        assert t.exponents == (2.0, math.inf)
+        assert list(t.standalone) == [2.0, math.inf, 2.5, 7.0]
+        for p in (2.5, 7):
+            assert t.standalone_kappa(p) == mc_pnorm_quantile(
+                p, 15, 0.05, reps=30_000, seed=6, aux_rows=aux_rows
+            )
+
+    def test_bad_extra_p_refused_before_any_draw(self, monkeypatch):
+        def draws(*args):
+            raise AssertionError("reference draws began before extra_ps was checked")
+
+        monkeypatch.setattr(critical_values, "_reference_norms", draws)
+        with pytest.raises(ValueError, match="^exponent must satisfy p >= 2, got 1$"):
+            calibrate_spec(default_spec(20, 0.05), extra_ps=(3, 1.0))
+        with pytest.raises(TypeError, match="^exponent must be a real number, got '8'$"):
+            calibrate_joint({2: 0.05}, 20, 0.05, extra_ps=["8"])
+
     def test_share_kappa_exceeds_standalone(self):
         t = calibrate_joint(
             {2: 0.025, math.inf: 0.025}, d=40, alpha_total=0.05, reps=20_000, seed=2
@@ -545,6 +569,25 @@ class TestBlockSchedule:
         table = calibrate_spec(default_spec(d, 0.05), aux_rows=aux_rows).table
         assert table.to_json() + "\n" == (DATA / name).read_text()
 
+    @pytest.mark.parametrize("aux_rows", [None, 200])
+    @pytest.mark.parametrize("d", [12, 40])
+    def test_extras_leave_every_grid_value_bit_equal(self, d, aux_rows):
+        # extra columns only make the kept-row buffer keep more rows, and
+        # the integer-power chain only adds sums, so nothing else moves
+        spec = default_spec(d, 0.05)
+        plain = calibrate_spec(spec, aux_rows=aux_rows).table
+        extras = (32, 2.5, 12, 16, 3, math.inf)  # 3 and inf are on the grid
+        table = calibrate_spec(spec, aux_rows=aux_rows, extra_ps=extras).table
+        for name in ("entries", "c_n", "conservative", "mc_reps", "seed", "aux_rows"):
+            assert getattr(table, name) == getattr(plain, name)
+        assert list(table.standalone)[: len(plain.standalone)] == list(plain.standalone)
+        for p, kappa in plain.standalone.items():
+            assert table.standalone_kappa(p).hex() == kappa.hex()
+        assert list(table.standalone)[len(plain.standalone) :] == [2.5, 12.0, 16.0, 32.0]
+        doc = table.to_json_dict()
+        assert [e["p"] for e in doc.pop("extras")] == [2.5, 12.0, 16.0, 32.0]
+        assert repr(doc) == repr(plain.to_json_dict())  # float reprs: the same bits
+
 
 def full_matrix_calibration(shares, d, alpha_total, reps, seed, aux_rows):
     """Calibration read from the whole reps x |grid| matrix of reference norms.
@@ -709,6 +752,21 @@ class TestCriticalValueTable:
         assert doc["schema_version"] == 1
         assert doc["kind"] == "critical_value_table"
         assert [row["p"] for row in doc["entries"]] == [2.0, 3.5, "inf"]
+        assert "extras" not in doc  # a table without extras writes no such field
+
+    def test_extras_round_trip_after_the_entries(self):
+        base = self.make()
+        t = dataclasses.replace(base, standalone={**base.standalone, 8: 2.5, 2.5: 4})
+        assert list(t.standalone)[3:] == [2.5, 8.0]
+        assert all(type(p) is type(k) is float for p, k in t.standalone.items())
+        doc = t.to_json_dict()
+        assert list(doc)[-2:] == ["entries", "extras"]
+        assert doc["extras"] == [
+            {"p": 2.5, "standalone_kappa": 4.0}, {"p": 8.0, "standalone_kappa": 2.5}
+        ]
+        assert CriticalValueTable.from_json(t.to_json()) == t
+        doc["extras"].reverse()  # read in any order, stored sorted
+        assert CriticalValueTable.from_json_dict(doc) == t
 
     def test_rejects_wrong_kind(self):
         with pytest.raises(ValueError, match="critical_value_table"):
@@ -759,13 +817,19 @@ class TestCriticalValueTable:
             ({"d": True, "aux_rows": 3}, ValueError, "d must be >= 1 and a finite integer, got True"),
             ({"conservative": "no"}, ValueError, "conservative: expected true or false, got 'no'"),
             ({"c_n": True}, ValueError, "c_n: expected a number, got True"),
-            ({"standalone": {2.0: 3.0, 5.0: 1.0}}, ValueError,
-             "standalone kappa at p=5.0 has no entry"),
+            # an exponent without an entry is an extra: a valid exponent, a valid kappa
+            ({"standalone": {2.0: 3.0, 5.0: -1.0}}, ValueError,
+             "standalone kappa at p=5 must be present, positive and finite"),
+            ({"standalone": {2.0: 3.0, 1.5: 1.0}}, ValueError,
+             "exponent must satisfy p >= 2, got 1.5"),
+            ({"standalone": {2.0: 3.0, "8": 1.0}}, TypeError,
+             "exponent must be a real number, got '8'"),
         ],
         ids=["fractional d", "nan d", "fractional mc_reps", "nan mc_reps", "flag mc_reps",
              "fractional seed", "flag seed", "fractional aux_rows",
              "alpha_total above 1", "int key", "key below 2", "nan key",
-             "flag d", "string flag", "flag c_n", "standalone without entry"],
+             "flag d", "string flag", "flag c_n", "negative extra kappa", "extra below 2",
+             "string extra"],
     )
     def test_constructor_rejects(self, override, error, message):
         good = dict(
@@ -820,9 +884,21 @@ class TestCriticalValueTable:
             (lambda doc: doc["entries"][2].update(kappa=math.inf), "entries[2].kappa: must be finite"),
             (lambda doc: doc["entries"][0].update(note=1), "entries[0].note: unknown field"),
             (lambda doc: doc.pop("entries"), "entries: missing required field"),
+            (lambda doc: doc.update(extras={}), "extras: expected a list of objects, got {}"),
+            (lambda doc: doc.update(extras=[{"p": 7}]),
+             "extras[0].standalone_kappa: missing required field"),
+            (lambda doc: doc.update(extras=[{"p": 7, "standalone_kappa": 2.0, "share": 0.01}]),
+             "extras[0].share: unknown field"),
+            (lambda doc: doc.update(extras=[{"p": 7, "standalone_kappa": 2.0},
+                                            {"p": "inf", "standalone_kappa": 2.0}]),
+             "extras[1].p: exponent inf is listed twice"),
+            (lambda doc: doc.update(extras=[{"p": 7, "standalone_kappa": 2.0}] * 2),
+             "extras[1].p: exponent 7 is listed twice"),
         ],
         ids=["fractional d", "string aux_rows", "number flag", "nan c_n", "string p",
-             "infinite kappa", "unknown entry key", "no entries"],
+             "infinite kappa", "unknown entry key", "no entries", "extras not a list",
+             "extra without kappa", "extra with a share", "extra on the grid",
+             "extra listed twice"],
     )
     def test_reader_names_the_field_path(self, edit, message):
         doc = self.make().to_json_dict()

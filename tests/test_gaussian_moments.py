@@ -87,7 +87,12 @@ EXPONENT_ENTRY_POINTS = {
     "greedy split_test": lambda p, spec: split_test(
         SAMPLE, 4, selection="greedy", p=p, spec=spec, seed=1
     ),
-    "run_tests extra_ps": lambda p, spec: run_tests(SAMPLE[:, :4], spec, extra_ps=[p]),
+    "calibrate_joint extra_ps": lambda p, spec: calibrate_joint(
+        {2: 0.05}, 4, 0.05, 4000, extra_ps=[p]
+    ),
+    "calibrate_spec extra_ps": lambda p, spec: calibrate_spec(
+        default_spec(4, 0.05), reps=20_000, extra_ps=[p]
+    ),
     "TestReport.record": lambda p, spec: run_tests(SAMPLE[:, :4], spec).record(p),
 }
 

@@ -163,12 +163,14 @@ class TestRunExperiment:
         cfg["test"]["extra_ps"] = [2.5]
         report = run_experiment(cfg)
         n, d, draw = harness._build_sampler(cfg["dgp"])
-        spec = calibrate_spec(default_spec(d, 0.05), reps=50_000, aux_rows=n // 2)
+        spec = calibrate_spec(
+            default_spec(d, 0.05), reps=50_000, aux_rows=n // 2, extra_ps=(2.5,)
+        )
         for rep in range(cfg["reps"]):
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((3, rep))))
             sample = np.empty((n, d))
             draw(rng, sample)
-            alone = run_tests(sample, spec, extra_ps=(2.5,))
+            alone = run_tests(sample, spec)
             row = [rec.reject for rec in alone.per_p] + [alone.dominant.reject]
             assert report.flags[rep].tolist() == row
         assert report.test_names == ("2", "3", "4", "inf", "2.5", "psi")

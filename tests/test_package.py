@@ -17,23 +17,25 @@ import pnormtest
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
-# the calibrate, test, split-test and simulate paths, at toy size
+# the calibrate, test, split-test and simulate paths, at toy size, with
+# extra exponents off the grid (their critical values are Monte Carlo too)
 _NUMPY_PATHS = """
 import numpy as np
 import pnormtest
 import pnormtest.cli
 from pnormtest import calibrate_spec, default_spec, run_experiment, run_tests, split_test
 
-spec = calibrate_spec(default_spec(8, 0.05), aux_rows=100)
+spec = calibrate_spec(default_spec(8, 0.05), aux_rows=100, extra_ps=[2.5, 12])
 rng = np.random.default_rng(0)
-run_tests(rng.standard_normal((200, 8)), spec)
+assert len(run_tests(rng.standard_normal((200, 8)), spec).per_p) == 7
 split_test(rng.standard_normal((400, 20)), 8, selection="greedy", p=2.0, spec=spec)
-run_experiment({
-    "experiment": "import_guard", "reps": 5, "seed": 1,
-    "dgp": {"kind": "iv", "n": 40, "d": 4, "beta_true": 1.0, "pi": [0.1] * 4,
-            "error_dist": "t", "t_dof": 8.0},
-    "test": {"alpha": 0.05, "estimator": "truncated"},
-})
+for extra_ps in ([], [2.5, 12, "inf"]):
+    run_experiment({
+        "experiment": "import_guard", "reps": 5, "seed": 1,
+        "dgp": {"kind": "iv", "n": 40, "d": 4, "beta_true": 1.0, "pi": [0.1] * 4,
+                "error_dist": "t", "t_dof": 8.0},
+        "test": {"alpha": 0.05, "estimator": "truncated", "extra_ps": extra_ps},
+    })
 """
 
 # the formula critical values, a quantile and a Toeplitz design

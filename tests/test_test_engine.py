@@ -26,13 +26,12 @@ from pnormtest.critical_values import (
     CriticalValueTable,
     _RadialLaw,
     _batch_pnorms,
-    kappa_p_asymptotic,
     mc_pnorm_quantile,
 )
 from pnormtest.dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from pnormtest.matrix_core import SymMatrix
 from pnormtest.sample_split import split_test
-from pnormtest import covariance, test_engine
+from pnormtest import covariance, critical_values, test_engine
 from pnormtest.test_engine import (
     invert_confidence_set,
     p_norm_stat,
@@ -506,7 +505,7 @@ class TestRunTests:
         assert report.d == 20 and report.n == 400
         assert tuple(r.p for r in report.per_p) == spec20.exponents
         for rec in report.per_p:
-            assert rec.source == "calibrated"
+            assert rec.critical == spec20.table.standalone_kappa(rec.p)
             assert rec.reject == (rec.statistic >= rec.critical)
         assert report.dominant.c_n == spec20.table.c_n
         assert isinstance(report.kurtosis, float) and report.kurtosis > 0
@@ -572,18 +571,23 @@ class TestRunTests:
                 assert report.dominant.reject
         assert hits > 5  # the implication premise actually fired
 
-    def test_extra_exponents_use_formula(self, spec20):
-        report = run_tests(
-            gaussian_sample(400, 20, seed=7),
-            spec20,
-            extra_ps=(6.5, 2),  # 2 is already in the grid and is not duplicated
-        )
-        extras = [r for r in report.per_p if r.source == "formula"]
-        assert [r.p for r in extras] == [6.5]
-        assert extras[0].critical == pytest.approx(
-            kappa_p_asymptotic(6.5, 20, 0.05), abs=1e-12
-        )
-        assert sum(1 for r in report.per_p if r.p == 2.0) == 1
+    def test_extra_exponents_use_the_tables_kappas(self, spec20):
+        # 2 is already in the grid and is not duplicated
+        spec = calibrate_spec(default_spec(20, 0.05), reps=200_000, seed=1, extra_ps=(6.5, 2))
+        report = run_tests(gaussian_sample(400, 20, seed=7), spec)
+        assert [r.p for r in report.per_p] == [*spec20.exponents, 6.5]
+        assert report.record(6.5).critical == mc_pnorm_quantile(6.5, 20, 0.05, 200_000, 1)
+        grid = run_tests(gaussian_sample(400, 20, seed=7), spec20)
+        assert report.per_p[:-1] == grid.per_p and report.dominant == grid.dominant
+
+    def test_no_report_column_uses_a_formula(self, monkeypatch):
+        def formula(*args):
+            raise AssertionError("a report reached a formula critical value")
+
+        for name in ("kappa_p_asymptotic", "kappa_inf_exact", "kappa_inf_asymptotic"):
+            monkeypatch.setattr(critical_values, name, formula)
+        spec = calibrate_spec(default_spec(20, 0.05), reps=200_000, seed=1, extra_ps=(2.5, 40))
+        assert len(run_tests(gaussian_sample(400, 20, seed=7), spec).per_p) == 9
 
     def test_mismatched_table_aux_rows_warns(self):
         # table drawn for m=150 difference pairs, sample of n=400 has 200
@@ -644,14 +648,6 @@ class TestRunTests:
         with pytest.raises(ValueError, match=message):
             run_tests(s, spec20, estimator="trunc")
         assert run_tests(s, spec20, estimator="truncated").estimator == "truncated"
-
-    def test_bad_extra_p_refused_before_any_work(self, monkeypatch, spec20):
-        def reached(*args):
-            raise AssertionError("moments were formed before extra_ps was checked")
-
-        monkeypatch.setattr(test_engine, "_moments", reached)
-        with pytest.raises(ValueError, match="exponent must satisfy p >= 2, got 1"):
-            run_tests(gaussian_sample(400, 20, seed=7), spec20, extra_ps=(1.0,))
 
     def test_json_dict(self, spec20):
         doc = run_tests(gaussian_sample(400, 20, seed=7), spec20).to_json_dict()
@@ -874,6 +870,7 @@ def spec40():
         reps=20_000,
         seed=5,
         aux_rows=200,
+        extra_ps=(2.5, 8.0, math.inf),  # inf is on the grid already
     )
 
 
@@ -884,9 +881,9 @@ def test_report_equals_its_pieces_bit_for_bit(monkeypatch, spec40, estimator):
     monkeypatch.setattr(covariance, "_TRUNC_MULT", 1.2)
     values = np.random.default_rng(20242).standard_t(4.0, size=(400, 40))
     values[:, :3] += 0.2
-    report = run_tests(values, spec40, estimator=estimator, extra_ps=(2.5,))
+    report = run_tests(values, spec40, estimator=estimator)
     x, w, rank, _, _ = prepare_standardized(values, estimator)
-    ps, crits = test_engine._test_columns(spec40, (2.5,))
+    ps, crits = test_engine._test_columns(spec40)
     _, reject, max_ratio, psi = test_engine._decide(x[None], spec40, ps, crits)
     assert [r.p for r in report.per_p] == ps and 2.5 in ps
     assert [r.statistic for r in report.per_p] == _batch_pnorms(x[None], ps)[0].tolist()
@@ -907,14 +904,12 @@ def test_reports_match_golden_fixture(monkeypatch, spec40):
     values[:, :3] += 0.2
     golden = json.loads(GOLDEN_REPORTS.read_text())
     for estimator, want in golden.items():
-        got = run_tests(
-            values, spec40, estimator=estimator, extra_ps=(2.5, 8.0, math.inf)
-        ).to_json_dict()
+        got = run_tests(values, spec40, estimator=estimator).to_json_dict()
         assert [r["p"] for r in got["per_p"]] == [r["p"] for r in want["per_p"]]
         for g, w in zip(got["per_p"], want["per_p"]):
             assert g["statistic"] == pytest.approx(w["statistic"], rel=1e-10)
             assert g["critical"] == w["critical"]
-            assert (g["reject"], g["source"]) == (w["reject"], w["source"])
+            assert g["reject"] == w["reject"]
         assert got["dominant"]["max_ratio"] == pytest.approx(
             want["dominant"]["max_ratio"], rel=1e-10
         )
