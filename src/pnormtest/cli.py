@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .critical_values import _document, _formula_kappa
+from .critical_values import _document, _exponent_label, _formula_kappa
 from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from .gaussian_moments import _check_p, lambda_p, sigma_p
 from .harness import DataError, UsageError, read_sample_csv, run_experiment
@@ -71,14 +71,14 @@ def _cmd_tabulate(args) -> None:
         for p in ps:
             s = sigma_p(p)
             for x in xs:
-                writer.writerow([f"{p:g}", f"{x:g}", repr(lambda_p(p, x)), repr(s)])
+                writer.writerow([_exponent_label(p), f"{x:g}", repr(lambda_p(p, x)), repr(s)])
         return
     if args.d is None or args.alpha is None:
         raise UsageError("need either --x or both --d and --alpha")
     kappas = [_formula_kappa(p, args.d, args.alpha) for p in ps]
     writer.writerow(["p", "d", "alpha", "kappa"])
     for p, kappa in zip(ps, kappas):
-        writer.writerow([f"{p:g}", args.d, f"{args.alpha:g}", repr(kappa)])
+        writer.writerow([_exponent_label(p), args.d, f"{args.alpha:g}", repr(kappa)])
 
 
 def _spec_from_grid(grid: str, d: int, alpha: float) -> DominantTestSpec:

@@ -10,9 +10,10 @@ Three sources are implemented:
   formula;
 * Monte-Carlo quantiles from ``calibrate_joint``, the one Monte-Carlo
   path: it uses ONE shared set of reference draws for every exponent of
-  a grid, because the scale factor c_n is defined through the joint law
-  of all norms of the same reference vector; a report's extra exponents
-  are columns of the same draws.  ``mc_pnorm_quantile`` is its
+  a grid, because the scale factor c_n, a quantile of ``_max_ratio``
+  (the ratio every combined decision reads), is defined through the joint
+  law of all norms of the same reference vector; a report's extra
+  exponents are columns of the same draws.  ``mc_pnorm_quantile`` is its
   one-exponent case.  Reports use no formula: ``tabulate`` prints them.
 
 Reference laws.  The asymptotic reference is the standard Gaussian vector
@@ -228,6 +229,11 @@ def _exponent(value) -> float:
 def _exponent_key(p: float):
     """The JSON form of an exponent, read back by ``_exponent``."""
     return "inf" if math.isinf(p) else p
+
+
+def _exponent_label(p: float) -> str:
+    """An exponent's column label: ``{p:g}`` if it reads back as p, else the shortest exact form."""
+    return f"{p:g}" if float(f"{p:g}") == p else repr(p)
 
 
 # Fixed Monte-Carlo block size; part of the definition of the draw stream,
@@ -752,6 +758,15 @@ def _auto_reps(min_share: float, reps: int | None = None) -> int:
     return reps
 
 
+def _max_ratio(columns, kappas) -> np.ndarray:
+    """Running max_j columns[j] / kappas[j] over the first len(kappas) columns:
+    the statistic c_n is a quantile of, and every combined decision reads."""
+    ratios = columns[0] / kappas[0]
+    for j in range(1, len(kappas)):
+        np.maximum(ratios, columns[j] / kappas[j], out=ratios)
+    return ratios
+
+
 def calibrate_joint(
     shares: Mapping,
     d: int,
@@ -798,10 +813,7 @@ def calibrate_joint(
         standalone[p] = float(alone)
     for j, p in enumerate(extras, len(ps)):
         standalone[p] = float(np.partition(norms[j], k_alpha)[k_alpha])
-    # running max over columns: one vector of ratios
-    ratios = norms[0] / kappas[0]
-    for j in range(1, len(ps)):
-        np.maximum(ratios, norms[j] / kappas[j], out=ratios)
+    ratios = _max_ratio(norms, kappas)
     c_raw = float(np.partition(ratios, k_alpha)[k_alpha])
     conservative = c_raw > 1.0
     return CriticalValueTable(

@@ -3,10 +3,11 @@
 The combined test runs the p-norm statistic for every exponent in a grid
 {2} | p_grid | {inf}, splits the level alpha across the grid, and rejects
 when max_p S_p / kappa_p >= c_n with jointly calibrated critical values.
-This module owns the grid construction (:func:`default_spec`), the
-rejection rule (:func:`evaluate_psi`), and the analytic bound on the
-power given up at any single exponent by running at its share instead of
-the full level (:func:`power_loss_bound`).
+This module owns the grid construction (:func:`default_spec`), the rule
+applied to given statistics (:func:`evaluate_psi`, through the ratio
+``critical_values._max_ratio`` that c_n and ``test_engine._decide`` use),
+and the analytic bound on the power given up at any single exponent by
+running at its share instead of the full level (:func:`power_loss_bound`).
 
 Default allocation: equal thirds of alpha to p = 2, to the interior grid,
 and to p = inf.  The interior grid uses integer exponents p_j = 2 + j,
@@ -20,6 +21,7 @@ invariants can be calibrated and evaluated.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, replace
 from typing import Iterable, Mapping
 
@@ -35,6 +37,7 @@ from .critical_values import (
     _integer,
     _JsonDocument,
     _list_of,
+    _max_ratio,
     _object,
     _optional,
     _read_document,
@@ -194,29 +197,26 @@ def calibrate_spec(
     return replace(spec, table=table)
 
 
-def _max_ratio(stats: np.ndarray, spec: DominantTestSpec):
-    """The combined rule for statistics of shape (B, len(grid)) in grid order.
-
-    Returns max_p S_p / kappa_p per row and its rejection (>= c_n).
-    """
-    kappas = np.asarray([spec.table.kappa(p) for p in spec.exponents])
-    ratio = (stats / kappas).max(axis=1)
-    return ratio, ratio >= spec.table.c_n
-
-
 def evaluate_psi(stats: Mapping, spec: DominantTestSpec) -> bool:
     """Rejection rule of the combined test: max_p S_p / kappa_p >= c_n.
 
     ``stats`` maps each exponent of the spec's grid to its statistic
-    value.  The boundary counts as a rejection.
+    value, a finite real number >= 0.  The boundary counts as a rejection.
     """
     if spec.table is None:
         raise ValueError("spec is not calibrated; run calibrate_spec first")
-    for p in spec.exponents:
+    column = np.empty((len(spec.exponents), 1))
+    for j, p in enumerate(spec.exponents):
         if p not in stats:
             raise ValueError(f"missing statistic for exponent {p:g}")
-    row = np.asarray([[float(stats[p]) for p in spec.exponents]])
-    return bool(_max_ratio(row, spec)[1][0])
+        value = stats[p]
+        if not isinstance(value, numbers.Real) or isinstance(value, bool):
+            raise TypeError(f"statistic at p={p:g} must be a real number, got {value!r}")
+        if not 0.0 <= value < math.inf:  # NaN fails it
+            raise ValueError(f"statistic at p={p:g} must be finite and >= 0, got {value}")
+        column[j] = value
+    kappas = [spec.table.kappa(p) for p in spec.exponents]
+    return bool(_max_ratio(column, kappas)[0] >= spec.table.c_n)
 
 
 def power_loss_bound(p, alpha_total: float, alpha_p: float) -> float:

@@ -62,6 +62,7 @@ from .critical_values import (
     _check_vector,
     _document,
     _exponent,
+    _exponent_label,
     _integer,
     _list_of,
     _numeric,
@@ -80,7 +81,6 @@ from .test_engine import (  # run_tests stays importable from this module
     _check_estimator,
     _decide,
     _replay,
-    _test_columns,
     run_tests,
 )
 
@@ -216,7 +216,7 @@ class SimulationReport:
     """Per-replication reject flags plus their aggregates.
 
     ``flags`` is a reps x T boolean matrix, one column per test named in
-    ``test_names``; rates and Monte-Carlo standard errors are derived
+    ``test_names``, whose names are distinct; rates and Monte-Carlo standard errors are derived
     from it, so the aggregates can never drift from the records.
     """
 
@@ -235,6 +235,8 @@ class SimulationReport:
             raise ValueError(
                 f"{len(self.test_names)} test names for {f.shape[1]} flag columns"
             )
+        if len(set(self.test_names)) != len(self.test_names):
+            raise ValueError(f"test names must be distinct, got {list(self.test_names)}")
         f = f.copy()
         f.flags.writeable = False
         object.__setattr__(self, "flags", f)
@@ -313,8 +315,8 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     except ValueError as exc:
         raise UsageError(f"test: {exc}") from None
 
-    ps, crits = _test_columns(spec)
-    flags = np.empty((reps, len(ps) + 1), dtype=bool)
+    names = tuple(map(_exponent_label, spec.table.standalone)) + ("psi",)
+    flags = np.empty((reps, len(names)), dtype=bool)
 
     def fill(rep: int, out: np.ndarray) -> None:
         draw(_block_rng(seed, rep), out)
@@ -323,7 +325,7 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
     start = time.perf_counter()
     lanes = _worker_count(reps)
     for lo, hi, x, rank in _replay(reps, n, d, fill, estimator, lanes):
-        _, reject, _, psi = _decide(x, spec, ps, crits)
+        _, reject, _, psi = _decide(x, spec.table)
         flags[lo:hi, :-1] = reject
         flags[lo:hi, -1] = psi
         deficient += int(np.count_nonzero(rank < d))
@@ -341,7 +343,7 @@ def run_experiment(config: dict, threads: int = 1) -> SimulationReport:
         experiment=top["experiment"],
         config=copy.deepcopy(config),
         seed=seed,
-        test_names=tuple(f"{p:g}" for p in ps) + ("psi",),
+        test_names=names,
         flags=flags,
         wall_clock=elapsed,
     )

@@ -6,7 +6,8 @@ The pipeline for a sample of evaluated moment functions is
     rows -> H = sqrt(n) * column means
     rows -> difference pairs -> covariance estimate Sigma_hat
     x   = Sigma_hat^{-1/2} H              (= pinv_sqrt(Sigma_hat) H)
-    S_p = || x ||_p  for each exponent p.
+    S_p = || x ||_p  for each exponent p
+    reject at S_p >= kappa_p, psi at max_p S_p / kappa_p >= c_n   (``_decide``).
 
 One private kernel runs this pipeline on a stack of samples of shape
 (..., n, d): ``_moments`` forms H and the debiased covariance estimate of
@@ -70,15 +71,17 @@ from .covariance import (
     _truncate_rows,
 )
 from .critical_values import (
+    CriticalValueTable,
     _RadialLaw,
     _batch_pnorms,
     _check_alpha,
     _check_d,
     _check_vector,
     _exponent_key,
+    _max_ratio,
     mc_pnorm_quantile,
 )
-from .dominant_test import DominantTestSpec, _max_ratio
+from .dominant_test import DominantTestSpec
 from .gaussian_moments import _check_p
 from .matrix_core import _RANK_RTOL, SymMatrix, _inverse_roots
 
@@ -362,22 +365,16 @@ def _check_table_rows(spec: DominantTestSpec, m: int) -> None:
         warnings.warn(mismatch, RuntimeWarning, stacklevel=3)
 
 
-def _test_columns(spec: DominantTestSpec):
-    """The exponents a report covers and their critical values at alpha_total:
-    the table's ``standalone`` map, grid exponents first, then its extras."""
-    return list(spec.table.standalone), np.asarray(list(spec.table.standalone.values()))
-
-
-def _decide(x: np.ndarray, spec: DominantTestSpec, ps: list, crits: np.ndarray):
+def _decide(x: np.ndarray, table: CriticalValueTable):
     """Statistics and decisions for whitened vectors x of shape (B, d).
 
-    Returns S_p (B, len(ps)) for the exponents of ``_test_columns``, the
-    standalone rejections S_p >= crit, and the combined rule's
-    max_p S_p / kappa_p over the grid with its rejection (>= c_n).
+    Returns S_p (B, T) for the exponents of the table's ``standalone`` map
+    (grid first), the standalone rejections S_p >= kappa, and the combined
+    rule's max_p S_p / kappa_p over the grid with its rejection (>= c_n).
     """
-    stats = _batch_pnorms(x, ps)
-    max_ratio, psi = _max_ratio(stats[:, : len(spec.exponents)], spec)
-    return stats, stats >= crits, max_ratio, psi
+    stats = _batch_pnorms(x, list(table.standalone))
+    max_ratio = _max_ratio(stats.T, [table.kappa(p) for p in table.exponents])
+    return stats, stats >= list(table.standalone.values()), max_ratio, max_ratio >= table.c_n
 
 
 @dataclass(frozen=True)
@@ -389,20 +386,12 @@ class PerExponentRecord:
     critical: float
     reject: bool
 
-    def __post_init__(self) -> None:
-        if self.reject != (self.statistic >= self.critical):
-            raise ValueError("reject flag inconsistent with statistic and critical value")
-
 
 @dataclass(frozen=True)
 class DominantRecord:
     c_n: float
     max_ratio: float
     reject: bool
-
-    def __post_init__(self) -> None:
-        if self.reject != (self.max_ratio >= self.c_n):
-            raise ValueError("dominant reject flag inconsistent with max ratio")
 
 
 @dataclass(frozen=True)
@@ -485,11 +474,10 @@ def _run_tests(values: np.ndarray, spec: DominantTestSpec, estimator: str) -> Te
     # the pair rows live only through this statement, so they are freed before whitening
     kurtosis = _kurtosis(_moments(values[None], estimator, h, sigma)[0])
     x, w, rank, whitening = _whiten(h, sigma)
-    ps, crits = _test_columns(spec)
-    stats, reject, max_ratio, psi = _decide(x, spec, ps, crits)
+    stats, reject, max_ratio, psi = _decide(x, spec.table)
     records = tuple(
-        PerExponentRecord(p, float(stats[0, j]), float(crits[j]), bool(reject[0, j]))
-        for j, p in enumerate(ps)
+        PerExponentRecord(p, float(stats[0, j]), critical, bool(reject[0, j]))
+        for j, (p, critical) in enumerate(spec.table.standalone.items())
     )
     return TestReport(
         d=d,
@@ -532,7 +520,6 @@ def invert_confidence_set(
     p,
     alpha: float,
     estimator: str = "sample",
-    critical: float | None = None,
     mc_reps: int | None = None,
     mc_seed: int = 0,
 ) -> ConfidenceSet:
@@ -540,11 +527,10 @@ def invert_confidence_set(
 
     ``model(beta)`` must return the n x d array of moment functions
     evaluated at the candidate; n and d are read off ``grid[0]``, and a
-    candidate of any other shape is a usage error.  The
-    critical value defaults to a Monte-Carlo quantile under the
-    finite-sample reference matched to the sample's difference-pair count;
-    pass a finite positive ``critical`` to override.  A sample of fewer than
-    4 rows is rejected.  A candidate is undetermined when its output has a
+    candidate of any other shape is a usage error.  kappa is the
+    Monte-Carlo quantile at the reference law matched to the sample's
+    difference pairs, and a statistic at kappa is rejected.  Fewer than 4
+    rows are rejected.  A candidate is undetermined when its output has a
     non-finite entry or a second moment that overflows: it is retained
     conservatively with a nan statistic.  All candidates are whitened in chunks by the
     stacked kernel, and one ``RuntimeWarning`` counts the undetermined
@@ -554,11 +540,6 @@ def invert_confidence_set(
     if not grid:
         raise ValueError("candidate grid must be nonempty")
     alpha = _check_alpha(alpha)
-    if critical is not None:
-        if not isinstance(critical, numbers.Real) or isinstance(critical, bool):
-            raise TypeError(f"critical must be a real number, got {critical!r}")
-        if not (math.isfinite(critical) and critical > 0):
-            raise ValueError(f"critical must be finite and positive, got {critical}")
     p = _check_p(p)
     estimator = _check_estimator(estimator)
     mc_reps = None if mc_reps is None else _check_d(mc_reps, name="mc_reps")
@@ -571,10 +552,9 @@ def invert_confidence_set(
     if first.ndim != 2 or first.shape[1] < 1:
         raise ValueError(f"candidates need n x d samples, d >= 1; got shape {first.shape}")
     n, d = _check_rows(first.shape[0]), first.shape[1]
-    if critical is None:
-        critical = mc_pnorm_quantile(
-            p, d, alpha, reps=mc_reps, seed=mc_seed, aux_rows=_RadialLaw.matched_rows(n, d)
-        )
+    critical = mc_pnorm_quantile(
+        p, d, alpha, reps=mc_reps, seed=mc_seed, aux_rows=_RadialLaw.matched_rows(n, d)
+    )
 
     finite = np.zeros(len(grid), dtype=bool)  # False marks an undetermined candidate
 
@@ -603,7 +583,7 @@ def invert_confidence_set(
             stacklevel=2,
         )
     entries = tuple(
-        CandidateRecord(float(beta), float(stat), bool(not ok or stat <= critical), not ok)
+        CandidateRecord(float(beta), float(stat), bool(not ok or stat < critical), not ok)
         for beta, stat, ok in zip(grid, stats, finite)
     )
-    return ConfidenceSet(p=p, alpha=alpha, critical=float(critical), entries=entries)
+    return ConfidenceSet(p=p, alpha=alpha, critical=critical, entries=entries)

@@ -70,6 +70,13 @@ class TestTabulate:
         assert float(rows[0][3]) == kappa_p_asymptotic(2, 100, 0.05)
         assert float(rows[1][3]) == kappa_inf_exact(100, 0.05)
 
+    def test_exponents_labelled_exactly(self, capsys):
+        # {p:g} would label 14.0000001 "14"; both tables use the exact label
+        for mode in (("--x", "0"), ("--d", "100", "--alpha", "0.05")):
+            code, out, _ = run_cli(capsys, "tabulate", "--p", "2.5,14.0000001", *mode)
+            assert code == 0
+            assert [line.split(",")[0] for line in out.splitlines()] == ["p", "2.5", "14.0000001"]
+
     def test_conflicting_modes_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "tabulate", "--p", "2", "--x", "0", "--d", "5", "--alpha", "0.05")
         assert code == 2 and "pick one" in err

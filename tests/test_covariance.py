@@ -261,7 +261,8 @@ TRUNC_MULT_ENTRY_POINTS = {
 class TestOneTruncationLevel:
     """Every entry point truncates at ``covariance._TRUNC_MULT``, read when it runs."""
 
-    def test_every_entry_point_follows_the_patched_level(self, monkeypatch, spec4):
+    def test_every_entry_point_follows_the_patched_level(self, monkeypatch, spec4,
+                                                         fixed_critical):
         monkeypatch.setattr(covariance, "_TRUNC_MULT", 1.2)
 
         def check(got, sample, ps):
@@ -285,7 +286,7 @@ class TestOneTruncationLevel:
 
         grid = [0.0, 0.5, 1.0]
         conf = invert_confidence_set(
-            lambda beta: values - beta, grid, 2.0, 0.05, "truncated", critical=3.0
+            lambda beta: values - beta, grid, 2.0, 0.05, "truncated"
         )
         for beta, entry in zip(grid, conf.entries):
             check([entry.statistic], values - beta, [2.0])
@@ -328,7 +329,7 @@ ROWS_ENTRY_POINTS = {
     "select_greedy": ((3,), "", lambda v, spec: select_greedy(v, 1)),
     "split": (THREE_ROWS_SPLIT, "", lambda v, spec: split(len(v))),
     "invert_confidence_set": ((3,), "", lambda v, spec: invert_confidence_set(
-        lambda beta: v, [0.0], 2, 0.05, critical=3.0
+        lambda beta: v, [0.0], 2, 0.05, mc_reps=2000
     )),
     "run_experiment": ((3,), "dgp.n: ", lambda v, spec: run_experiment(
         {"reps": 1, "dgp": {"kind": "gaussian", "n": len(v), "d": v.shape[1]}}

@@ -974,7 +974,7 @@ ALPHA_ENTRY_POINTS = {
     "power_loss_bound alpha_p": ("alpha_p", lambda a: power_loss_bound(2, 0.05, a)),
     "local_power": ("alpha", lambda a: local_power(2, a, 1.0)),
     "invert_confidence_set": ("alpha", lambda a: invert_confidence_set(
-        lambda beta: SAMPLE, [0.0], 2, a, critical=3.0
+        lambda beta: SAMPLE, [0.0], 2, a, mc_reps=2000
     )),
     "split_test": ("alpha", lambda a: split_test(SAMPLE, 4, alpha=a, seed=1)),
 }

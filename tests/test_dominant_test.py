@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -263,6 +264,24 @@ class TestEvaluatePsi:
         stats = self.zeros(calibrated)
         del stats[math.inf]
         with pytest.raises(ValueError, match="missing"):
+            evaluate_psi(stats, calibrated)
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (math.nan, ValueError, "must be finite and >= 0, got nan"),
+            (math.inf, ValueError, "must be finite and >= 0, got inf"),
+            (-1.0, ValueError, "must be finite and >= 0, got -1.0"),
+            ("5", TypeError, "must be a real number, got '5'"),
+            (True, TypeError, "must be a real number, got True"),
+            (None, TypeError, "must be a real number, got None"),
+        ],
+    )
+    def test_bad_statistic_named_by_its_exponent(self, calibrated, bad, error, message):
+        # a NaN among certain rejections used to read as an acceptance, "5" as 5.0
+        stats = {p: 1e9 for p in calibrated.exponents}
+        stats[4.0] = bad
+        with pytest.raises(error, match=f"^statistic at p=4 {re.escape(message)}$"):
             evaluate_psi(stats, calibrated)
 
     def test_uncalibrated_errors(self):

@@ -82,7 +82,7 @@ EXPONENT_ENTRY_POINTS = {
     "mc_pnorm_quantile": lambda p, spec: mc_pnorm_quantile(p, 4, 0.05, reps=2000),
     "calibrate_joint": lambda p, spec: calibrate_joint({2: 0.025, p: 0.025}, 4, 0.05, 4000),
     "invert_confidence_set": lambda p, spec: invert_confidence_set(
-        lambda beta: SAMPLE, [0.0], p, 0.05, critical=3.0
+        lambda beta: SAMPLE, [0.0], p, 0.05, mc_reps=2000
     ),
     "greedy split_test": lambda p, spec: split_test(
         SAMPLE, 4, selection="greedy", p=p, spec=spec, seed=1

@@ -237,6 +237,17 @@ class TestRunExperiment:
         assert "2.5" in names
         assert names.count("inf") == 1  # already on the grid, not duplicated
 
+    def test_close_extra_ps_get_exact_distinct_names(self):
+        # {p:g} named both 2.5 and 2.5000001 "2.5", and 14.0000001 "14"
+        cfg = gaussian_config()
+        cfg["test"]["extra_ps"] = [2.5, 2.5000001, 14.0000001]
+        report = run_experiment(cfg)
+        names = ("2", "3", "4", "inf", "2.5", "2.5000001", "14.0000001", "psi")
+        assert report.test_names == names
+        assert tuple(report.rates) == tuple(report.mc_se) == names
+        for record in report.to_json_dict()["results"]["replications"]:
+            assert tuple(record["rejects"]) == names
+
     def test_config_echo_preserved(self):
         cfg = gaussian_config()
         assert run_experiment(cfg).to_json_dict()["results"]["config"] == cfg
@@ -415,6 +426,8 @@ class TestRunExperiment:
             SimulationReport("x", {}, 0, ("a",), flags, 0.1)
         with pytest.raises(ValueError, match="reps x T"):
             SimulationReport("x", {}, 0, ("a",), np.zeros((0, 1), bool), 0.1)
+        with pytest.raises(ValueError, match="distinct"):
+            SimulationReport("x", {}, 0, ("2.5", "2.5"), flags, 0.1)
 
 
 GOLDEN_RESULTS = Path(__file__).parent / "data" / "simulate_results.json"

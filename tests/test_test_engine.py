@@ -1,5 +1,6 @@
 """Tests for the core pipeline: statistics, whitening, decisions, inversion."""
 
+import dataclasses
 import json
 import math
 import re
@@ -26,12 +27,13 @@ from pnormtest.critical_values import (
     CriticalValueTable,
     _RadialLaw,
     _batch_pnorms,
+    _block_rng,
     mc_pnorm_quantile,
 )
-from pnormtest.dominant_test import DominantTestSpec, calibrate_spec, default_spec
+from pnormtest.dominant_test import DominantTestSpec, calibrate_spec, default_spec, evaluate_psi
 from pnormtest.matrix_core import SymMatrix
 from pnormtest.sample_split import split_test
-from pnormtest import covariance, critical_values, test_engine
+from pnormtest import covariance, critical_values, harness, test_engine
 from pnormtest.test_engine import (
     invert_confidence_set,
     p_norm_stat,
@@ -673,27 +675,22 @@ class TestInvertConfidenceSet:
         assert 0.0 in cs.retained
         assert -1.0 not in cs.retained and 1.0 not in cs.retained
 
-    def test_critical_override_bounds(self):
+    def test_critical_bounds(self, fixed_critical):
         data = np.random.default_rng(4).standard_normal((40, 2))
         model = self.location_model(data)
-        everything = invert_confidence_set(model, [0.0, 5.0], 2, 0.05, critical=1e9)
+        fixed_critical(1e9)
+        everything = invert_confidence_set(model, [0.0, 5.0], 2, 0.05)
         assert everything.retained == (0.0, 5.0)
-        nothing = invert_confidence_set(model, [0.0, 5.0], 2, 0.05, critical=1e-12)
+        fixed_critical(1e-12)
+        nothing = invert_confidence_set(model, [0.0, 5.0], 2, 0.05)
         assert nothing.retained == ()
 
-    @pytest.mark.parametrize("critical", [math.nan, -1.0, 0.0, math.inf])
-    def test_critical_must_be_finite_and_positive(self, critical):
-        # nan, -1 and 0 used to retain no candidate, inf every candidate
+    @pytest.mark.parametrize("critical", [math.nan, -1.0, 0.0, math.inf, True, "3"])
+    def test_critical_is_not_an_argument(self, critical):
+        # the critical value is always the Monte-Carlo quantile: no value,
+        # valid or not, may stand in for it
         model = self.location_model(np.random.default_rng(4).standard_normal((40, 2)))
-        with pytest.raises(ValueError, match="critical must be finite and positive"):
-            invert_confidence_set(model, [0.0, 0.1], 2, 0.05, critical=critical)
-
-    @pytest.mark.parametrize("critical", [True, "3"])
-    def test_critical_must_be_a_real_number(self, critical):
-        # True used to be read as 1.0, "3" to fail in math.isfinite unnamed
-        model = self.location_model(np.random.default_rng(4).standard_normal((40, 2)))
-        message = re.escape(f"critical must be a real number, got {critical!r}")
-        with pytest.raises(TypeError, match=message):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'critical'"):
             invert_confidence_set(model, [0.0, 0.1], 2, 0.05, critical=critical)
 
     def test_fewer_than_four_rows_rejected(self):
@@ -702,7 +699,7 @@ class TestInvertConfidenceSet:
         with pytest.raises(ValueError, match="n >= 4"):
             invert_confidence_set(self.location_model(data), [0.0, 50.0, 1e6], 2, 0.05)
 
-    def test_undetermined_candidate_retained(self):
+    def test_undetermined_candidate_retained(self, fixed_critical):
         data = np.random.default_rng(4).standard_normal((40, 2))
 
         def model(beta):
@@ -713,35 +710,33 @@ class TestInvertConfidenceSet:
             return data - beta
 
         with pytest.warns(RuntimeWarning, match="undetermined"):
-            cs = invert_confidence_set(model, [0.0, 99.0], 2, 0.05, critical=3.0)
+            cs = invert_confidence_set(model, [0.0, 99.0], 2, 0.05)
         rec = cs.entries[1]
         assert rec.undetermined and rec.retained and math.isnan(rec.statistic)
 
-    def test_inconsistent_model_is_usage_error(self):
+    def test_inconsistent_model_is_usage_error(self, fixed_critical):
         data = np.random.default_rng(4).standard_normal((40, 2))
 
         def model(beta):
             return data[:, :1] if beta == 1.0 else data
 
         with pytest.raises(ValueError, match="expected 40 x 2"):
-            invert_confidence_set(model, [0.0, 1.0], 2, 0.05, critical=3.0)
+            invert_confidence_set(model, [0.0, 1.0], 2, 0.05)
 
-    def test_moment_sample_output_rejected(self):
+    def test_moment_sample_output_rejected(self, fixed_critical):
         # the model returns an array; a MomentSample is not read through
         data = np.random.default_rng(4).standard_normal((40, 2))
         with pytest.raises(TypeError, match="not 'MomentSample'"):
-            invert_confidence_set(
-                lambda beta: MomentSample(data - beta), [0.0], 2, 0.05, critical=3.0
-            )
+            invert_confidence_set(lambda beta: MomentSample(data - beta), [0.0], 2, 0.05)
 
     def test_empty_grid(self):
         with pytest.raises(ValueError, match="nonempty"):
             invert_confidence_set(lambda b: None, [], 2, 0.05)
 
-    def test_alpha_checked_with_critical_given(self):
+    def test_alpha_checked_with_critical_given(self, fixed_critical):
         data = np.random.default_rng(4).standard_normal((40, 2))
         with pytest.raises(ValueError, match="alpha"):
-            invert_confidence_set(self.location_model(data), [0.0], 2, 1.5, critical=3.0)
+            invert_confidence_set(self.location_model(data), [0.0], 2, 1.5)
 
     @staticmethod
     def spoiled_model(data, bad):
@@ -752,7 +747,7 @@ class TestInvertConfidenceSet:
 
         return model
 
-    def test_undetermined_first_candidate(self):
+    def test_undetermined_first_candidate(self, fixed_critical):
         data = np.random.default_rng(4).standard_normal((40, 2))
 
         def nan_at(values):
@@ -761,33 +756,33 @@ class TestInvertConfidenceSet:
 
         model = self.spoiled_model(data, {99.0: nan_at})
         with pytest.warns(RuntimeWarning, match="undetermined"):
-            cs = invert_confidence_set(model, [99.0, 0.0], 2, 0.05, critical=3.0)
+            cs = invert_confidence_set(model, [99.0, 0.0], 2, 0.05)
         first, second = cs.entries
         assert first.undetermined and first.retained and math.isnan(first.statistic)
         assert not second.undetermined and math.isfinite(second.statistic)
 
-    def test_later_candidate_of_other_rank_is_usage_error(self):
+    def test_later_candidate_of_other_rank_is_usage_error(self, fixed_critical):
         data = np.random.default_rng(4).standard_normal((40, 2))
         model = self.spoiled_model(data, {1.0: lambda values: values[..., None]})
         with pytest.raises(ValueError, match="expected 40 x 2"):
-            invert_confidence_set(model, [0.0, 1.0], 2, 0.05, critical=3.0)
+            invert_confidence_set(model, [0.0, 1.0], 2, 0.05)
 
-    def test_overflowing_candidate_spares_its_chunk(self):
+    def test_overflowing_candidate_spares_its_chunk(self, fixed_critical):
         # finite entries whose second moment overflows: the candidate is
         # undetermined, and its chunk neighbours keep their standalone bits
         data = np.random.default_rng(4).standard_normal((40, 2))
         model = self.spoiled_model(data, {0.5: lambda values: values * 1e200})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            cs = invert_confidence_set(model, [0.0, 0.5, 1.0], 2, 0.05, critical=3.0)
+            cs = invert_confidence_set(model, [0.0, 0.5, 1.0], 2, 0.05)
         assert [str(w.message) for w in caught if "overflow" in str(w.message)] == []
         assert [e.undetermined for e in cs.entries] == [False, True, False]
         for i in (0, 2):
-            alone = invert_confidence_set(model, [cs.entries[i].beta], 2, 0.05, critical=3.0)
+            alone = invert_confidence_set(model, [cs.entries[i].beta], 2, 0.05)
             assert cs.entries[i].statistic == alone.entries[0].statistic
 
     @pytest.mark.parametrize("per_chunk", [1, 3])
-    def test_statistics_invariant_to_chunk_size(self, monkeypatch, per_chunk):
+    def test_statistics_invariant_to_chunk_size(self, monkeypatch, per_chunk, fixed_critical):
         # 7 candidates, the one at 0.5 undetermined: in the middle of the
         # second chunk of 3, and in one chunk under the default budget
         data = np.random.default_rng(4).standard_t(5.0, size=(40, 2))
@@ -796,9 +791,7 @@ class TestInvertConfidenceSet:
 
         def stats():
             with pytest.warns(RuntimeWarning, match="undetermined"):
-                cs = invert_confidence_set(
-                    model, grid, 3, 0.05, estimator="truncated", critical=3.0
-                )
+                cs = invert_confidence_set(model, grid, 3, 0.05, estimator="truncated")
             return np.array([e.statistic for e in cs.entries])
 
         want = stats()
@@ -807,7 +800,7 @@ class TestInvertConfidenceSet:
         np.testing.assert_array_equal(got, want)
         assert np.isnan(got).tolist() == [False] * 3 + [True] + [False] * 3
 
-    def test_model_runs_on_the_calling_thread(self, monkeypatch):
+    def test_model_runs_on_the_calling_thread(self, monkeypatch, fixed_critical):
         # one lane: the model need not be thread-safe
         data = np.random.default_rng(4).standard_normal((40, 2))
         callers = []
@@ -817,37 +810,34 @@ class TestInvertConfidenceSet:
             return data - beta
 
         monkeypatch.setattr(test_engine, "_CHUNK_BYTES", 2 * 8 * 40 * 2)
-        invert_confidence_set(model, [-1.0, -0.5, 0.0, 0.5, 1.0], 2, 0.05, critical=3.0)
+        invert_confidence_set(model, [-1.0, -0.5, 0.0, 0.5, 1.0], 2, 0.05)
         assert callers == [threading.get_ident()] * 5
 
-    def test_one_warning_per_inversion(self):
+    def test_one_warning_per_inversion(self, fixed_critical):
         data = np.random.default_rng(4).standard_normal((40, 2))
         model = self.spoiled_model(
             data, {1.0: lambda values: values * np.nan, 2.0: lambda values: values * np.inf}
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            invert_confidence_set(model, [0.0, 1.0, 2.0, 3.0], 2, 0.05, critical=3.0)
+            invert_confidence_set(model, [0.0, 1.0, 2.0, 3.0], 2, 0.05)
         assert len(caught) == 1 and caught[0].category is RuntimeWarning
         assert "2 of 4 candidates undetermined" in str(caught[0].message)
 
-    def test_rank_deficient_candidates_counted(self):
+    def test_rank_deficient_candidates_counted(self, fixed_critical):
         # 8 rows give 4 difference pairs for d = 6
         data = np.random.default_rng(4).standard_normal((8, 6))
         with pytest.warns(RuntimeWarning, match="0 of 3 .* 3 with a rank-deficient"):
-            invert_confidence_set(self.location_model(data), [0.0, 1.0, 2.0], 2, 0.05,
-                                  critical=3.0)
+            invert_confidence_set(self.location_model(data), [0.0, 1.0, 2.0], 2, 0.05)
 
-    def test_single_point_coverage(self):
+    def test_single_point_coverage(self, fixed_critical):
         # size experiment at the true location: retain rate ~ 1 - alpha
-        crit = mc_pnorm_quantile(2, 3, 0.05, reps=50_000, seed=9, aux_rows=40)
+        fixed_critical(mc_pnorm_quantile(2, 3, 0.05, reps=50_000, seed=9, aux_rows=40))
         kept = 0
         reps = 400
         for seed in range(reps):
             data = np.random.default_rng((21, seed)).standard_normal((80, 3))
-            cs = invert_confidence_set(
-                self.location_model(data), [0.0], 2, 0.05, critical=crit
-            )
+            cs = invert_confidence_set(self.location_model(data), [0.0], 2, 0.05)
             kept += bool(cs.retained)
         assert kept / reps == pytest.approx(0.95, abs=0.04)
 
@@ -883,14 +873,42 @@ def test_report_equals_its_pieces_bit_for_bit(monkeypatch, spec40, estimator):
     values[:, :3] += 0.2
     report = run_tests(values, spec40, estimator=estimator)
     x, w, rank, _, _ = prepare_standardized(values, estimator)
-    ps, crits = test_engine._test_columns(spec40)
-    _, reject, max_ratio, psi = test_engine._decide(x[None], spec40, ps, crits)
+    ps = list(spec40.table.standalone)
+    _, reject, max_ratio, psi = test_engine._decide(x[None], spec40.table)
     assert [r.p for r in report.per_p] == ps and 2.5 in ps
     assert [r.statistic for r in report.per_p] == _batch_pnorms(x[None], ps)[0].tolist()
     assert [r.reject for r in report.per_p] == reject[0].tolist()
     assert (report.dominant.max_ratio, report.dominant.reject) == (max_ratio[0], psi[0])
     assert report.eigen_diag == (w[0], w[-1]) and report.rank == rank
     assert report.kurtosis == kurtosis_diagnostic(difference_pairs(values))
+
+
+def test_statistic_at_its_critical_value_rejects_on_every_path(monkeypatch, fixed_critical):
+    # a table whose kappas are one sample's own statistics, so that
+    # S_p = kappa_p and max_p S_p / kappa_p = 1 = c_n exactly
+    dgp = {"kind": "gaussian", "n": 40, "d": 4}
+    n, d, draw = harness._build_sampler(dgp)
+    values = np.empty((n, d))
+    draw(_block_rng(0, 0), values)
+    spec = calibrate_spec(default_spec(d, 0.05), reps=20_000, extra_ps=[2.5])
+    ps = list(spec.table.standalone)
+    stats = dict(zip(ps, _batch_pnorms(prepare_standardized(values)[0][None], ps)[0]))
+    table = dataclasses.replace(
+        spec.table, c_n=1.0, standalone=stats,
+        entries={p: (share, stats[p]) for p, (share, _) in spec.table.entries.items()},
+    )
+    spec = dataclasses.replace(spec, table=table)
+
+    report = run_tests(values, spec)
+    assert [r.statistic for r in report.per_p] == [r.critical for r in report.per_p]
+    assert all(r.reject for r in report.per_p)
+    assert report.dominant.max_ratio == report.dominant.c_n and report.dominant.reject
+    assert evaluate_psi({p: stats[p] for p in spec.exponents}, spec) is True
+    monkeypatch.setattr(harness, "calibrate_spec", lambda *args, **kwargs: spec)
+    assert harness.run_experiment({"reps": 1, "dgp": dgp}).flags.all()
+    fixed_critical(stats[2.0])
+    cs = invert_confidence_set(lambda beta: values, [0.0], 2, 0.05)
+    assert cs.entries[0].statistic == cs.critical and cs.retained == ()
 
 
 def test_reports_match_golden_fixture(monkeypatch, spec40):
