@@ -7,10 +7,10 @@ the IV model), ``simulate`` (run an experiment config), ``split-test``
 (two-fold select-then-test).
 
 Exit codes: 0 the command ran (test decisions live in the report, not
-the exit code), 2 usage or config error, 3 unusable input data.  Data
-errors are raised as ``DataError`` where the data is read or checked, in
-the library too (a sample or fold of fewer than 4 rows); any other
-``ValueError``, such as a parameter the library rejects, exits 2.
+the exit code), 2 usage or config error, 3 unusable input data, all mapped
+in ``main``.  ``DataError`` is raised where data is read or checked, in the
+library too (too few rows; every fault ``test_engine._run_tests`` finds in
+a tested sample); any other ``ValueError``, such as a bad parameter, exits 2.
 """
 
 from __future__ import annotations
@@ -125,10 +125,7 @@ def _cmd_test(args) -> None:
     mismatch = _table_rows_mismatch(spec, sample.shape[0] // 2)
     if mismatch is not None:
         raise DataError(f"{args.data}: {mismatch}")
-    try:
-        report = run_tests(sample, spec, estimator=args.estimator)
-    except ValueError as exc:
-        raise DataError(f"{args.data}: {exc}") from None
+    report = run_tests(sample, spec, estimator=args.estimator)
     _emit(_document("test_report", report.to_json_dict()), args.out)
 
 
@@ -152,7 +149,7 @@ def _parse_grid_range(text: str) -> np.ndarray:
 
 
 def _cmd_invert(args) -> None:
-    grid = _parse_grid_range(args.grid)
+    grid, p = _parse_grid_range(args.grid), _parse_exponent(args.p)
     sample = read_sample_csv(args.data)
     cols = sample.shape[1]
     if cols < 3:
@@ -165,14 +162,16 @@ def _cmd_invert(args) -> None:
     conf = invert_confidence_set(
         model,
         grid,
-        _parse_exponent(args.p),
+        p,
         args.alpha,
         estimator=args.estimator,
         mc_reps=args.mc_reps,
         mc_seed=args.mc_seed,
     )
+    # :g, unless two grid points print alike: then the fewest digits that tell them apart
+    digits = next((k for k in range(6, 17) if len({f"{b:.{k}g}" for b in grid}) == grid.size), 17)
     for beta in conf.retained:
-        print(f"{beta:g}")
+        print(f"{beta:.{digits}g}")
 
 
 def _cmd_simulate(args) -> None:
@@ -185,8 +184,9 @@ def _cmd_simulate(args) -> None:
 
 
 def _cmd_split_test(args) -> None:
+    p = _parse_exponent(args.p)  # flags before the data file, as everywhere
     result = split_test(
-        read_sample_csv(args.data), args.d, selection=args.select, p=_parse_exponent(args.p),
+        read_sample_csv(args.data), args.d, selection=args.select, p=p,
         frac1=args.frac1, seed=args.seed, alpha=args.alpha, reps=args.reps,
         mc_seed=args.mc_seed, estimator=args.estimator,
     )

@@ -80,7 +80,8 @@ def _checked(s) -> np.ndarray:
 
 
 class DataError(ValueError):
-    """Data that cannot be used: a file that is not a sample, or too few rows."""
+    """Data that cannot be used: a file that is not a sample, or a sample
+    that cannot be tested (too few rows, or see ``test_engine._run_tests``)."""
 
 
 def _check_rows(n: int, hint: str = "") -> int:
@@ -100,8 +101,9 @@ def _pair_rows(values: np.ndarray) -> np.ndarray:
 
 def _second_moment(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # (..., m, d) -> (..., d, d) uncentered second moments (1/m) sum_i r_i r_i',
-    # written into ``out`` when given
-    out = np.matmul(np.swapaxes(rows, -1, -2), rows, out=out)
+    # written into ``out`` when given; an overflow leaves inf or nan for callers to refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.matmul(np.swapaxes(rows, -1, -2), rows, out=out)
     out /= rows.shape[-2]
     return out
 
@@ -185,6 +187,6 @@ def _kurtosis(values: np.ndarray, directions: int = 64, seed: int = 0) -> float:
     fourth = np.mean(sq * sq, axis=0)
     usable = second > 1e-14
     if not np.any(usable):
-        raise ValueError("all projections degenerate: zero variance sample")
+        raise DataError("all projections degenerate: zero variance sample")
     ratios = fourth[usable] ** 0.25 / np.sqrt(second[usable])
     return float(np.max(ratios))

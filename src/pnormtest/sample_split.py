@@ -33,14 +33,7 @@ from .covariance import _check_rows, _checked
 from .critical_values import _RadialLaw, _batch_pnorms, _check_alpha, _check_d
 from .dominant_test import DominantTestSpec, calibrate_spec, default_spec
 from .gaussian_moments import _check_p
-from .test_engine import (
-    TestReport,
-    _check_estimator,
-    _check_table_rows,
-    _run_tests,
-    _warn_rank,
-    _whiten,
-)
+from .test_engine import TestReport, _check_estimator, _run_tests, _whiten
 
 __all__ = [
     "split",
@@ -119,8 +112,9 @@ def _fold_moments(
         np.subtract(block[1 : 2 * len(pairs) : 2], block[0 : 2 * len(pairs) : 2], out=pairs)
         pairs /= np.sqrt(2.0)
         _add_rows(buf, start, k)
-        np.multiply(pairs, pairs, out=squares[1 : len(pairs) + 1])
-        _add_rows(squares, start, len(pairs))
+        with np.errstate(over="ignore"):  # an inf pair variance: "top" scores it 0
+            np.multiply(pairs, pairs, out=squares[1 : len(pairs) + 1])
+            _add_rows(squares, start, len(pairs))
     return math.sqrt(n1) * (buf[0] / n1), r, squares[0] / r.shape[0]
 
 
@@ -134,7 +128,7 @@ def _studentized_scores(h: np.ndarray, pair_var: np.ndarray) -> np.ndarray:
 def select_top_scaled(fold1, d: int) -> np.ndarray:
     """Indices of the d largest per-coordinate studentized statistics
     sqrt(n1)|mean_j|/sigma_j, ties going to the lower index.  Coordinates
-    with zero pair variance score 0 and are picked only if d forces it."""
+    with zero or overflowing pair variance score 0, picked only if d forces it."""
     return _select(_checked(fold1), None, _check_d(d), "top")
 
 
@@ -260,22 +254,27 @@ def split_test(
     frac1: float = 0.5,
     seed: int = 0,
     spec: DominantTestSpec | None = None,
-    alpha: float = 0.05,
+    alpha: float | None = None,
     reps: int | None = None,
-    mc_seed: int = 0,
+    mc_seed: int | None = None,
     estimator: str = "sample",
 ) -> SplitResult:
     """Select d of the D moment columns on fold 1, test them on fold 2.
 
     ``selection`` is "top" or "greedy" (using exponent ``p``).  When no
     calibrated ``spec`` is passed, the default exponent grid at level
-    ``alpha`` is calibrated at dimension d against the fold-2 reference
-    law.  Critical values are therefore those of a d-dimensional test at
-    sample size n2.
+    ``alpha`` (0.05) is calibrated at dimension d against the fold-2
+    reference law from ``reps`` draws (auto) with seed ``mc_seed`` (0); none
+    of the three may be passed with ``spec``.  Critical values are therefore
+    those of a d-dimensional test at sample size n2, as ``run_tests`` runs it.
     """
-    d, values, mc_seed = _check_d(d), _checked(s), _check_d(mc_seed, 0, name="mc_seed")
-    estimator, alpha = _check_estimator(estimator), _check_alpha(alpha)
+    d, values, estimator = _check_d(d), _checked(s), _check_estimator(estimator)
+    alpha = None if alpha is None else _check_alpha(alpha)
     reps = None if reps is None else _check_d(reps, name="reps")
+    mc_seed = None if mc_seed is None else _check_d(mc_seed, 0, name="mc_seed")
+    for name, value in (("alpha", alpha), ("reps", reps), ("mc_seed", mc_seed)):
+        if spec is not None and value is not None:
+            raise ValueError(f"{name} sets a calibration; pass it without spec, or drop it")
     idx1, idx2 = split(values.shape[0], frac1, seed)
     chosen = _select(values, idx1, d, selection, p)
     n2 = idx2.size
@@ -286,10 +285,9 @@ def split_test(
             UserWarning,
             stacklevel=2,
         )
-    if spec is None:
+    if spec is None:  # alpha and mc_seed are None or checked, so "or" gives their defaults
         aux = _RadialLaw.matched_rows(n2, d)
-        spec = calibrate_spec(default_spec(d, alpha), reps=reps, seed=mc_seed, aux_rows=aux)
+        spec = default_spec(d, alpha or 0.05)
+        spec = calibrate_spec(spec, reps=reps, seed=mc_seed or 0, aux_rows=aux)
     report = _run_tests(values[np.ix_(idx2, chosen)], spec, estimator)
-    _warn_rank(report.rank, d)
-    _check_table_rows(spec, n2 // 2)
     return SplitResult(tuple(int(i) for i in chosen), idx1.size, n2, report)

@@ -47,8 +47,9 @@ have it; the ``aux_rows`` argument of calibration draws from it.
 Rank deficiency is handled by the Moore-Penrose convention of the eigh
 path: eigenvalues at or below 1e-10 times the largest get w^{-1/2} := 0,
 so singular directions are projected out; the public entry points warn
-with the numerical rank, naming their caller, and critical values keep
-using the nominal d.  A materially negative eigenvalue is an error.
+with the numerical rank at their caller's line (``_run_tests`` for
+``run_tests`` and ``split_test``), and critical values keep using the
+nominal d.  A materially negative eigenvalue is an error.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .covariance import (
+    DataError,
     _check_rows,
     _checked,
     _kurtosis,
@@ -282,15 +284,14 @@ def _replay(count: int, n: int, d: int, fill, estimator: str, lanes: int):
                 yield a, b, x, rank
 
 
-def _warn_rank(rank: int, d: int) -> None:
-    # called by the public entry points themselves, so the warning names
-    # the line that called them
+def _warn_rank(rank: int, d: int, stacklevel: int = 3) -> None:
+    # 3 names the line that called the public entry point; ``_run_tests`` passes 4
     if rank < d:
         warnings.warn(
             f"covariance estimate has numerical rank {rank} < d = {d}; "
             "singular directions are projected out",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -357,12 +358,6 @@ def _table_rows_mismatch(spec: DominantTestSpec, m: int) -> str | None:
         f"but the sample has {m}; its finite-sample reference law "
         "does not match this sample"
     )
-
-
-def _check_table_rows(spec: DominantTestSpec, m: int) -> None:
-    mismatch = _table_rows_mismatch(spec, m)
-    if mismatch is not None:
-        warnings.warn(mismatch, RuntimeWarning, stacklevel=3)
 
 
 def _decide(x: np.ndarray, table: CriticalValueTable):
@@ -450,30 +445,35 @@ def run_tests(s, spec: DominantTestSpec, estimator: str = "sample") -> TestRepor
     the grid, then the ``extra_ps`` of ``calibrate_spec``.  The dominant
     record applies the combined rule max_p S_p / kappa_p >= c_n over the
     grid exponents only.  The directional kurtosis of the difference pairs
-    is always reported.
+    is always reported.  A sample of another d, of under 4 rows, with an
+    overflowing H or second moment, or of zero variance is a ``DataError``.
     Warns when the covariance estimate is rank deficient, and when the
     spec's table was drawn from the finite-sample law for another
     difference-pair count than this sample's n // 2.
     """
-    values = _checked(s)
-    report = _run_tests(values, spec, _check_estimator(estimator))
-    _warn_rank(report.rank, report.d)
-    _check_table_rows(spec, report.n // 2)
-    return report
+    return _run_tests(_checked(s), spec, _check_estimator(estimator))
 
 
 def _run_tests(values: np.ndarray, spec: DominantTestSpec, estimator: str) -> TestReport:
-    # run_tests on an n x d array and an estimator the caller has already
-    # checked; the caller warns, so the warnings name its caller
+    # run_tests or split_test on an n x d array and a checked estimator: the
+    # one place a sample's faults are raised and its warnings issued
     n, d = values.shape
     if spec.table is None:
         raise ValueError("spec is not calibrated; run calibrate_spec first")
     if d != spec.d:
-        raise ValueError(f"sample has d={d} but spec was built for d={spec.d}")
+        raise DataError(f"sample has d={d} but spec was built for d={spec.d}")
     h, sigma = np.empty((1, d)), np.empty((1, d, d))
-    # the pair rows live only through this statement, so they are freed before whitening
-    kurtosis = _kurtosis(_moments(values[None], estimator, h, sigma)[0])
+    rows = _moments(values[None], estimator, h, sigma)[0]
+    # O(d): a finite trace bounds every entry of the second moment
+    if not (np.isfinite(h).all() and np.isfinite(np.trace(sigma[0]))):
+        raise DataError("H or the second moment of the sample overflows; rescale its columns")
+    kurtosis = _kurtosis(rows)
+    del rows  # the pair rows' last reader: freed before whitening
     x, w, rank, whitening = _whiten(h, sigma)
+    _warn_rank(int(rank[0]), d, stacklevel=4)
+    mismatch = _table_rows_mismatch(spec, n // 2)
+    if mismatch is not None:
+        warnings.warn(mismatch, RuntimeWarning, stacklevel=3)
     stats, reject, max_ratio, psi = _decide(x, spec.table)
     records = tuple(
         PerExponentRecord(p, float(stats[0, j]), critical, bool(reject[0, j]))

@@ -12,6 +12,7 @@ from pnormtest import critical_values
 from pnormtest.cli import _MAX_GRID_POINTS, _parse_grid_range, main
 from pnormtest.critical_values import kappa_inf_exact, kappa_p_asymptotic
 from pnormtest.dominant_test import DominantTestSpec, default_spec
+from pnormtest.test_engine import invert_confidence_set
 
 
 def run_cli(capsys, *argv):
@@ -378,6 +379,31 @@ class TestInvert:
             assert code == 2 and err.startswith("error:") and msg in err
             assert out == ""
 
+    def test_close_candidates_print_distinctly(self, iv_csv, capsys):
+        # :g would print all five as "2"; eight digits tell them apart
+        code, out, _ = run_cli(
+            capsys, "invert", "--data", str(iv_csv), "--grid", "2:2.0000004:0.0000001",
+            "--mc-reps", "20000",
+        )
+        assert code == 0
+        assert out.splitlines() == ["2", "2.0000001", "2.0000002", "2.0000003", "2.0000004"]
+
+    def test_ordinary_grid_prints_with_g(self, iv_csv, capsys):
+        grid = _parse_grid_range("0:4:0.05")
+        sample = np.loadtxt(iv_csv, delimiter=",", skiprows=1)
+
+        def model(beta):
+            return (sample[:, 0] - sample[:, 1] * beta)[:, None] * sample[:, 2:]
+
+        conf = invert_confidence_set(model, grid, 2, 0.05, mc_reps=20000)
+        # some retained points carry arange's noise, as 0.15000000000000002 does
+        assert len(conf.retained) > 1 and any(b != round(b, 2) for b in conf.retained)
+        code, out, _ = run_cli(
+            capsys, "invert", "--data", str(iv_csv), "--grid", "0:4:0.05", "--mc-reps", "20000"
+        )
+        assert code == 0
+        assert out == "".join(f"{beta:g}\n" for beta in conf.retained)
+
     def test_too_few_columns_exit_3(self, tmp_path, capsys):
         narrow = write_null_csv(tmp_path / "narrow.csv", d=2)
         code, _, err = run_cli(capsys, "invert", "--data", str(narrow), "--grid", "0:1:0.5")
@@ -496,6 +522,47 @@ class TestSplitTest:
         assert code == 3 and out == ""
         assert err.startswith("error: difference pairs need n >= 4 rows")
         assert f"folds of sizes {sizes} are too small" in err and len(err.splitlines()) == 1
+
+
+# samples that neither test nor split-test can use, and the one line each prints
+_UNUSABLE = {
+    "constant": (lambda rng: np.ones((200, 6)), "all projections degenerate: zero variance sample"),
+    "near 1e160": (
+        lambda rng: 1e160 * rng.standard_normal((200, 6)),
+        "H or the second moment of the sample overflows; rescale its columns",
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sample", list(_UNUSABLE))
+@pytest.mark.parametrize("command", ["test", "split-test"])
+def test_unusable_sample_exits_3_alike(tmp_path, capsys, command, sample):
+    draw, message = _UNUSABLE[sample]
+    path = tmp_path / "sample.csv"
+    np.savetxt(path, draw(np.random.default_rng(0)), fmt="%.17g", delimiter=",",
+               header="a,b,c,d,e,f", comments="")
+    if command == "test":
+        table = tmp_path / "table6.json"
+        assert main(["calibrate", "--d", "6", "--alpha", "0.05", "--reps", "50000",
+                     "--aux-rows", "100", "--out", str(table)]) == 0
+        argv = ("--table", str(table))
+    else:
+        argv = ("--d", "3", "--reps", "20000")
+    code, out, err = run_cli(capsys, command, "--data", str(path), *argv)
+    # one line, the same on both commands, with no file path and no warning before it
+    assert code == 3 and out == "" and err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, required", [("split-test", ("--d", "3")), ("invert", ("--grid", "0:1:0.5"))]
+)
+def test_bad_exponent_exits_2_before_the_data_is_read(tmp_path, capsys, command, required):
+    code, out, err = run_cli(
+        capsys, command, "--data", str(tmp_path / "absent.csv"), *required, "--p", "1"
+    )
+    assert code == 2 and out == ""
+    assert err == "error: bad exponent '1': exponent must satisfy p >= 2, got 1\n"
 
 
 class TestExitCodes:

@@ -135,7 +135,7 @@ class TestKurtosisDiagnostic:
         assert kurtosis_diagnostic(s) == pytest.approx(3.0**0.25, abs=0.1)
 
     def test_constant_sample_errors(self):
-        with pytest.raises(ValueError, match="zero variance"):
+        with pytest.raises(DataError, match="zero variance"):
             kurtosis_diagnostic(np.ones((10, 3)))
 
     def test_heavy_tails_exceed_gaussian(self):

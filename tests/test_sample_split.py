@@ -323,6 +323,25 @@ def test_validates_each_sample_once(monkeypatch, spec4):
     assert len(calls) == 1 and calls[0] is values
 
 
+@pytest.mark.parametrize("argument", [{"alpha": 0.01}, {"reps": 10**7}, {"mc_seed": 5}])
+def test_calibration_arguments_are_refused_with_a_spec(monkeypatch, spec4, argument):
+    # a ready spec would ignore them; refused before fold 1 is read or anything drawn
+    def reached(*args):
+        raise AssertionError("fold 1 was read before the arguments were checked")
+
+    monkeypatch.setattr(sample_split, "_fold_moments", reached)
+    s = np.random.default_rng(5).standard_normal((200, 8))
+    (name,) = argument
+    with pytest.raises(ValueError, match=f"^{name} sets a calibration"):
+        split_test(s, 4, spec=spec4, **argument)
+
+
+def test_calibration_defaults_are_level_5_percent_and_seed_0():
+    s = np.random.default_rng(6).standard_normal((200, 8))
+    ready = calibrate_spec(default_spec(4, 0.05), reps=50_000, seed=0, aux_rows=50)
+    assert split_test(s, 4, reps=50_000) == split_test(s, 4, spec=ready)
+
+
 def test_mismatched_table_warning_names_the_caller():
     # fold 2 of 200 rows has 50 difference pairs, the table was drawn for 30
     spec = calibrate_spec(default_spec(4, 0.05), reps=50_000, seed=2, aux_rows=30)

@@ -661,6 +661,54 @@ class TestRunTests:
         assert doc["diagnostics"]["whitening"] == {"path": "eigh", "fallback": None}
 
 
+@pytest.fixture(scope="module")
+def spec4():
+    return calibrate_spec(default_spec(4, 0.05), reps=50_000, seed=2)
+
+
+# samples of 6 columns that neither entry point can test, and what each raises
+_FAULTS = {
+    "constant": (lambda rng: np.ones((200, 6)), "zero variance sample"),
+    "overflow": (
+        lambda rng: 1e160 * rng.standard_normal((200, 6)),
+        r"^H or the second moment of the sample overflows; rescale its columns$",
+    ),
+    "too few rows": (lambda rng: rng.standard_normal((3, 6)), "n >= 4 rows"),
+    "other d": (lambda rng: rng.standard_normal((200, 6)), "d=5 but spec .* d=4"),
+}
+
+
+class TestDataFaults:
+    """``run_tests`` and ``split_test`` raise every fault of a tested sample
+    as a DataError, and warn of none of them."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fault", list(_FAULTS))
+    @pytest.mark.parametrize("entry", ["run_tests", "split_test"])
+    def test_fault_is_a_data_error(self, spec4, entry, fault):
+        draw, message = _FAULTS[fault]
+        values = draw(np.random.default_rng(3))
+        d = 5 if fault == "other d" else 4
+        with pytest.raises(covariance.DataError, match=message):
+            if entry == "run_tests":
+                run_tests(values[:, :d], spec4)
+            else:
+                split_test(values, d, spec=spec4)
+
+    def test_data_error_is_a_value_error(self, spec4):
+        # library callers that catch ValueError still catch it
+        with pytest.raises(ValueError, match="zero variance"):
+            run_tests(np.ones((200, 4)), spec4)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_in_one_column_is_refused(self, spec4):
+        # one column near 1e160 overflows the second moment, never the kurtosis
+        values = np.random.default_rng(4).standard_normal((200, 4))
+        values[:, 2] *= 1e160
+        with pytest.raises(covariance.DataError, match="overflows"):
+            run_tests(values, spec4)
+
+
 class TestInvertConfidenceSet:
     @staticmethod
     def location_model(data):
